@@ -13,7 +13,7 @@ import sys
 
 from gapforge.avgop import gap_at_scale
 from gapforge.bounds import net_length_scale_bound, net_length_covering
-from gapforge.gates import empirical_net, haar_random_gateset
+from gapforge.gates import _word_count, empirical_net, haar_random_gateset
 
 
 def main() -> int:
@@ -42,7 +42,7 @@ def main() -> int:
     for ell in range(1, args.max_length + 1):
         est = empirical_net(gs, length=ell, eps=args.eps,
                             samples=args.samples, seed=args.seed)
-        print(f"{ell:>4} {est_words(gs, ell):>9} {est.covered_fraction:>8.3f} "
+        print(f"{ell:>4} {_word_count(gs.size, ell):>9} {est.covered_fraction:>8.3f} "
               f"{est.max_observed_distance:>9.4f}")
         if hit is None and est.covered_fraction >= args.target:
             hit = ell
@@ -54,14 +54,6 @@ def main() -> int:
     print(f"empirical length for {args.target:.0%} coverage: {hit}"
           f"  (certified: {ell_scale:.1f})")
     return 0
-
-
-def est_words(gs, ell: int) -> int:
-    n = gs.size
-    total = 1 + n
-    for s in range(2, ell + 1):
-        total += n * (n - 1) ** (s - 1)
-    return total
 
 
 if __name__ == "__main__":

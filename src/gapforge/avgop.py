@@ -26,7 +26,7 @@ import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, DomainError
-from .irrep import DIM_CAP, cached_basis, irrep_matrix
+from .irrep import cached_basis, irrep_matrix
 from .weightlat import Weight, check_scale, enumerate_nontrivial_weights
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,10 +81,10 @@ class GapReport:
         }
 
 
-def averaging_block(weight: Weight, gs: "GateSet", dim_cap: int = DIM_CAP) -> np.ndarray:
+def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     """(1/|S|) sum_{U in S} pi_lambda(U); Hermitian bit-for-bit when S is
     symmetric (pairs enter as P + P^dagger before the real rescale)."""
-    basis = cached_basis(weight, dim_cap=dim_cap)
+    basis = cached_basis(weight)
     n = basis.dim
     acc = np.zeros((n, n), dtype=np.complex128)
     if gs.symmetric:
@@ -99,10 +99,10 @@ def averaging_block(weight: Weight, gs: "GateSet", dim_cap: int = DIM_CAP) -> np
     return acc
 
 
-def build_block_operator(gs: "GateSet", t: int, dim_cap: int = DIM_CAP) -> BlockOperator:
+def build_block_operator(gs: "GateSet", t: int) -> BlockOperator:
     check_scale(t)
     blocks = {
-        w: averaging_block(w, gs, dim_cap=dim_cap)
+        w: averaging_block(w, gs)
         for w in enumerate_nontrivial_weights(gs.d, t)
     }
     return BlockOperator(scale=t, blocks=blocks)
@@ -200,12 +200,24 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
+def _map_weights(one: Callable, weights: list, threads: int | None) -> list:
+    """[one(w) for w in weights], on a thread pool when threads allow.
+
+    Results come back in the order of `weights`, so reductions over them do
+    not depend on the thread count.
+    """
+    n_threads = _resolve_threads(threads)
+    if n_threads > 1 and len(weights) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(one, weights))
+    return [one(w) for w in weights]
+
+
 def gap_at_scale(
     gs: "GateSet",
     t: int,
     auto_symmetrize: bool = False,
     dense_cutoff: int = DENSE_CUTOFF,
-    dim_cap: int = DIM_CAP,
     threads: int | None = None,
     progress: Callable | None = None,
 ) -> GapReport:
@@ -224,10 +236,9 @@ def gap_at_scale(
             )
         gs = gs.symmetrized()
     weights = enumerate_nontrivial_weights(gs.d, t)
-    n_threads = _resolve_threads(threads)
 
     def one(w: Weight):
-        B = averaging_block(w, gs, dim_cap=dim_cap)
+        B = averaging_block(w, gs)
         norm, info = block_operator_norm(
             B,
             hermitian=True,
@@ -239,18 +250,14 @@ def gap_at_scale(
             progress(w, norm, info)
         return norm, info
 
-    if n_threads > 1 and len(weights) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one, weights))
-    else:
-        results = [one(w) for w in weights]
-
+    results = _map_weights(one, weights, threads)
     per_weight = {w: r[0] for w, r in zip(weights, results)}
     iterations = {w: r[1]["matvecs"] for w, r in zip(weights, results)}
     worst = max(per_weight.values())
     worst_weight = next(w for w in weights if per_weight[w] == worst)
     gap = 1.0 - worst
-    assert -1e-8 <= gap <= 1.0 + 1e-12, gap
+    if not -1e-8 <= gap <= 1.0 + 1e-12:
+        raise AssertionError(f"gap {gap!r} outside [-1e-8, 1 + 1e-12]")
     return GapReport(
         scale=t,
         gap=gap,
@@ -272,7 +279,6 @@ def convolution_square_gap(
     if not gs.symmetric:
         raise DomainError("convolution_square_gap needs a symmetric gate set")
     weights = enumerate_nontrivial_weights(gs.d, t)
-    n_threads = _resolve_threads(threads)
 
     def one(w: Weight):
         B = averaging_block(w, gs)
@@ -281,12 +287,7 @@ def convolution_square_gap(
         n_sq = block_operator_norm(B.conj().T @ B, hermitian=True, **kw)
         return n_plain, n_sq
 
-    if n_threads > 1 and len(weights) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(one, weights))
-    else:
-        results = [one(w) for w in weights]
-
+    results = _map_weights(one, weights, threads)
     gap_plain = 1.0 - max(r[0] for r in results) if results else 1.0
     gap_sq = 1.0 - max(r[1] for r in results) if results else 1.0
     residual = max(0.0, gap_plain - gap_sq, 0.5 * gap_sq - gap_plain)

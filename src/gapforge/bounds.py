@@ -185,7 +185,8 @@ def g_t0(
             )
 
     g = sum(gap * gap for gap, _ in per_m) / (2 * k)
-    assert 0.0 <= g <= (k - 1) / (2 * k) + 1e-12
+    if not 0.0 <= g <= (k - 1) / (2 * k) + 1e-12:
+        raise AssertionError(f"g_t0 = {g!r} outside [0, (k-1)/(2k)]")
     table = SubsetGapTable(t0=t0, per_m=tuple(per_m), k=k, universality=tuple(verdicts))
     return g, table
 
@@ -246,23 +247,22 @@ def main_lower_bound(
     if params.alpha == 0.0:
         bound_rederived = 0.0  # boundary eps0: the diameter estimate certifies nothing
     else:
-        numer = (d * d - 1) * (
-            2.0 * math.log(1.0 / eps0) + math.log(4.0 * C_BALL**1.5 * d)
-        ) + math.log(32.0)
         eps_m = 1.0 / (4.0 * C_CHORD * t)
-        terms = 0.0
+        per_m = []
         for gap_m, _ in table.per_m:
-            if gap_m == 0.0:
-                continue  # removal subset with no mixing contributes nothing
-            ell_0m = numer / gap_m
-            A_m = ell_0m / (2.0 * math.log(1.0 / (params.c_s * eps0))) ** SK_EXPONENT
-            diam_cap = A_m * math.log(1.0 / (params.c_s**2 * eps_m)) ** SK_EXPONENT
-            terms += ((1.0 - 2.0 * C_CHORD * t * eps_m) / diam_cap) ** 2
-        bound_rederived = terms / (8.0 * k)
-    assert abs(bound_closed - bound_rederived) <= 1e-12 * max(1.0, abs(bound_closed)), (
-        bound_closed,
-        bound_rederived,
-    )
+            diam_m = math.inf  # removal subset with no mixing contributes nothing
+            if gap_m > 0.0:
+                ell_0m, _ = net_length_scale_bound(d, gap_m, eps0)
+                A_m = ell_0m / (2.0 * math.log(1.0 / (params.c_s * eps0))) ** SK_EXPONENT
+                diam_m = A_m * math.log(1.0 / (params.c_s**2 * eps_m)) ** SK_EXPONENT
+            per_m.append((eps_m, diam_m))
+        bound_rederived = gap_bound_from_diameter(d, t, k, per_m)
+    # relative: bounds are typically far below 1, where an absolute 1e-12
+    # would accept any error in alpha
+    if not abs(bound_closed - bound_rederived) <= 1e-12 * abs(bound_closed):
+        raise AssertionError(
+            f"closed-form bound {bound_closed!r} != re-derived {bound_rederived!r}"
+        )
 
     return BoundReport(
         params=params,

@@ -25,7 +25,14 @@ from .avgop import (
 from .bounds import g_t0, main_lower_bound, net_length_scale_bound, net_length_covering
 from .constants import BoundParams, emit_tables
 from .errors import DomainError, GapforgeError
-from .gates import empirical_net, haar_random_gateset, load_gateset, save_gateset
+from .gates import (
+    WORD_CAP,
+    dump_gateset,
+    empirical_net,
+    haar_random_gateset,
+    load_gateset,
+    save_gateset,
+)
 from .weightlat import enumerate_nontrivial_weights, enumerate_weights, irrep_meta
 
 __all__ = ["main", "RunConfig"]
@@ -153,18 +160,9 @@ def cmd_gap(args) -> int:
         threads=threads,
         progress=progress if not args.no_progress else None,
     )
-    payload = {
-        "t": rep.scale,
-        "gap": rep.gap,
-        "worst_weight": list(rep.worst_weight.entries),
-    }
-    if args.per_irrep:
-        payload["per_weight_norms"] = [
-            [list(w.entries), v] for w, v in rep.per_weight_norms.items()
-        ]
-        payload["iterations"] = [
-            [list(w.entries), n] for w, n in rep.iterations.items()
-        ]
+    payload = rep.to_json_dict()
+    if not args.per_irrep:
+        del payload["per_weight_norms"], payload["iterations"]
     if args.convolution_square:
         gap_sq, residual = convolution_square_gap(
             gs, args.t, dense_cutoff=args.dense_cutoff, threads=threads
@@ -286,18 +284,7 @@ def cmd_random_gates(args) -> int:
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return 0
     # no --out: print the gate file itself so the output can be piped to disk
-    doc = {
-        "d": gs.d,
-        "symmetric": gs.symmetric,
-        "gates": [
-            {
-                "label": lab,
-                "matrix": [[[z.real, z.imag] for z in row] for row in U],
-            }
-            for lab, U in gs.pairs
-        ],
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args)
+    _emit(dump_gateset(gs), args)
     return 0
 
 
@@ -376,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--word-cap", type=int, default=10_000_000)
+    sp.add_argument("--word-cap", type=int, default=WORD_CAP)
     add_common(sp, gates=True)
     sp.set_defaults(fn=cmd_net_empirical)
 

@@ -27,7 +27,9 @@ __all__ = [
     "GateSet",
     "NetEstimate",
     "make_gateset",
+    "check_unitary",
     "load_gateset",
+    "dump_gateset",
     "save_gateset",
     "haar_random_gateset",
     "pu_distance",
@@ -36,7 +38,7 @@ __all__ = [
     "empirical_net",
 ]
 
-UNITARY_TOL = 1e-10
+UNITARY_TOL = 1e-10  # gates must be unitary to this accuracy
 REPAIR_TOL = 1e-6  # polar-decomposition repair window for file input
 DET_SKIP_TOL = 1e-12  # skip det normalization when already special unitary
 
@@ -68,9 +70,6 @@ class GateSet:
             out += [(lab + "^-1", U.conj().T) for lab, U in self.pairs]
         return out
 
-    def matrices(self) -> np.ndarray:
-        return np.stack([U for _, U in self.members()])
-
     def labels(self) -> list:
         return [lab for lab, _ in self.pairs]
 
@@ -78,18 +77,22 @@ class GateSet:
         return self if self.symmetric else replace(self, symmetric=True)
 
 
+def check_unitary(U: np.ndarray, what: str, error: type = DomainError,
+                  tol: float = UNITARY_TOL) -> float:
+    """||U^dagger U - I||_2 of a square matrix; raises `error` above tol."""
+    err = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
+    if err > tol:
+        raise error(f"{what} is not unitary: ||U*U - I|| = {err:.3e} > {tol:g}")
+    return err
+
+
 def _normalize_gate(U: np.ndarray, d: int, label: str, repair: bool) -> np.ndarray:
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (d, d):
         raise GateFileError(f"gate {label!r}: expected shape ({d}, {d}), got {U.shape}")
-    err = np.linalg.norm(U.conj().T @ U - np.eye(d), 2)
-    if err > UNITARY_TOL:
-        if not (repair and err <= REPAIR_TOL):
-            raise GateFileError(
-                f"gate {label!r} is not unitary (||U*U - I|| = {err:.3e}); "
-                f"pass repair=True to project within {REPAIR_TOL:g}"
-            )
-        # polar projection onto the unitary group
+    tol = REPAIR_TOL if repair else UNITARY_TOL
+    if check_unitary(U, f"gate {label!r}", GateFileError, tol) > UNITARY_TOL:
+        # inside the repair window: polar projection onto the unitary group
         W, _, Vh = np.linalg.svd(U)
         U = W @ Vh
     det = np.linalg.det(U)
@@ -127,7 +130,8 @@ class NetEstimate:
     max_observed_distance: float
 
 
-def save_gateset(gs: GateSet, path) -> None:
+def dump_gateset(gs: GateSet) -> str:
+    """The gate-file text of gs: indented JSON, sorted keys, repr floats."""
     doc = {
         "d": gs.d,
         "symmetric": gs.symmetric,
@@ -139,9 +143,12 @@ def save_gateset(gs: GateSet, path) -> None:
             for lab, U in gs.pairs
         ],
     }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def save_gateset(gs: GateSet, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dump_gateset(gs))
 
 
 def load_gateset(path, repair: bool = False) -> GateSet:
@@ -226,9 +233,7 @@ def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
     if g.shape != h.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DomainError(f"need equal square matrices, got {g.shape} and {h.shape}")
     for M in (g, h):
-        err = np.linalg.norm(M.conj().T @ M - np.eye(M.shape[0]), 2)
-        if err > UNITARY_TOL:
-            raise DomainError(f"pu_distance argument not unitary ({err:.3e})")
+        check_unitary(M, "pu_distance argument")
     psi = np.angle(np.linalg.eigvals(g.conj().T @ h))
     return _circle_minimax(psi)
 
@@ -264,7 +269,8 @@ def universality_heuristic(gs: GateSet, t_probe: int = 3) -> str:
         i = int(np.argmax(np.abs(vals)))
         v = vecs[:, i]
         resid = float(np.linalg.norm(B @ v - vals[i] * v))
-        assert resid <= 1e-8, resid
+        if not resid <= 1e-8:
+            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
         return "not-universal"
     if worst <= 1.0 - 1e-6:
         return "universal-likely"

@@ -27,7 +27,6 @@ convention of U up to ~1e-10.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +36,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
-from .weightlat import Weight, enumerate_weights, weyl_dimension
+from .gates import check_unitary
+from .weightlat import Weight, weyl_dimension
 
 __all__ = [
     "GTBasis",
@@ -46,13 +46,10 @@ __all__ = [
     "irrep_matrix",
     "algebra_image",
     "weyl_character",
-    "check_generator_relations",
-    "frobenius_schur_montecarlo",
     "DIM_CAP",
 ]
 
 DIM_CAP = 2_000_000  # refuse to build bases above this dimension
-UNITARY_TOL = 1e-10  # input gates must be unitary to this accuracy
 
 
 @dataclass(frozen=True)
@@ -211,13 +208,13 @@ _CACHE: dict = {}
 _CACHE_LOCK = threading.Lock()
 
 
-def cached_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
+def cached_basis(weight: Weight) -> GTBasis:
     """Thread-safe basis cache: lock-free reads, single-writer insertion."""
     key = weight.entries
     basis = _CACHE.get(key)
     if basis is not None:
         return basis
-    built = build_basis(weight, dim_cap=dim_cap)
+    built = build_basis(weight)
     with _CACHE_LOCK:
         return _CACHE.setdefault(key, built)
 
@@ -240,20 +237,7 @@ def algebra_image(basis: GTBasis, X: np.ndarray) -> np.ndarray:
     return np.asarray(acc.todense())
 
 
-def _check_unitary(U: np.ndarray, d: int | None = None, tol: float = UNITARY_TOL) -> np.ndarray:
-    U = np.asarray(U, dtype=np.complex128)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise DomainError(f"gate must be square, got shape {U.shape}")
-    if d is not None and U.shape[0] != d:
-        raise DomainError(f"gate must be {d}x{d}, got {U.shape}")
-    n = U.shape[0]
-    err = np.linalg.norm(U.conj().T @ U - np.eye(n), 2)
-    if err > tol:
-        raise DomainError(f"gate is not unitary: ||U*U - I|| = {err:.3e} > {tol:g}")
-    return U
-
-
-def irrep_matrix(basis: GTBasis, U: np.ndarray, check: bool = True) -> np.ndarray:
+def irrep_matrix(basis: GTBasis, U: np.ndarray) -> np.ndarray:
     """pi_lambda(U) in the GT basis; unitary to ~1e-12, phase-convention
     independent to ~1e-10.
 
@@ -262,7 +246,10 @@ def irrep_matrix(basis: GTBasis, U: np.ndarray, check: bool = True) -> np.ndarra
     traceless logarithm X0, and exp(d(pi)(X0)) evaluated by a Hermitian
     eigensolve of -i d(pi)(X0).
     """
-    U = _check_unitary(U, basis.d) if check else np.asarray(U, dtype=np.complex128)
+    U = np.asarray(U, dtype=np.complex128)
+    if U.shape != (basis.d, basis.d):
+        raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
+    check_unitary(U, "gate")
     if basis.dim == 1:
         return np.ones((1, 1), dtype=np.complex128)
 
@@ -290,7 +277,8 @@ def _schur_unitary(U: np.ndarray):
     diag = np.diag(T)
     # normal + triangular => diagonal; anything off-diagonal is roundoff
     resid = np.abs(T - np.diag(diag)).max()
-    assert resid < 1e-8, resid
+    if not resid < 1e-8:
+        raise AssertionError(f"Schur factor of a unitary is not diagonal: {resid:.3e}")
     return diag / np.abs(diag), Z
 
 
@@ -338,50 +326,3 @@ def _alternant_ratio(lam, phases) -> complex:
     num = np.linalg.det(np.exp(1j * np.outer(phases, expo_num)))
     den = np.linalg.det(np.exp(1j * np.outer(phases, expo_den)))
     return complex(num / den)
-
-
-def check_generator_relations(basis: GTBasis, tol: float = 1e-10) -> float:
-    """Max violation of [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb over all
-    generator pairs; raises AssertionError above tol.  Returns the residual."""
-    d = basis.d
-    full = basis._full_images
-    worst = 0.0
-    pairs = list(full.keys())
-    for (a, b) in pairs:
-        for (c, e) in pairs:
-            lhs = full[(a, b)] @ full[(c, e)] - full[(c, e)] @ full[(a, b)]
-            rhs = sp.csr_matrix(lhs.shape, dtype=np.complex128)
-            if b == c:
-                rhs = rhs + full[(a, e)]
-            if e == a:
-                rhs = rhs - full[(c, b)]
-            resid = abs(lhs - rhs).max() if (lhs - rhs).nnz else 0.0
-            worst = max(worst, float(resid))
-    assert worst <= tol, f"commutation relations violated: {worst:.3e}"
-    return worst
-
-
-def frobenius_schur_montecarlo(weight: Weight, n_samples: int, seed: int) -> float:
-    """Monte Carlo estimate of int chi_lambda(g^2) dmu(g) over PU(d)'s cover.
-
-    Converges to the Frobenius-Schur indicator at the usual N^{-1/2} rate;
-    used as an independent oracle for the combinatorial indicator.
-    """
-    from .gates import _haar_unitary
-
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(n_samples):
-        g = _haar_unitary(weight.d, rng)
-        phases = np.angle(np.linalg.eigvals(g @ g))
-        total += weyl_character(weight, phases).real
-    return total / n_samples
-
-
-def bases_up_to_scale(d: int, t: int, dim_cap: int = DIM_CAP):
-    """Convenience: cached bases for every nontrivial weight up to scale t."""
-    return {
-        w: cached_basis(w, dim_cap=dim_cap)
-        for w in enumerate_weights(d, t)
-        if not w.is_trivial()
-    }

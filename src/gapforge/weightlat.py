@@ -22,7 +22,6 @@ __all__ = [
     "IrrepMeta",
     "enumerate_weights",
     "enumerate_nontrivial_weights",
-    "weight_one_norm",
     "weyl_dimension",
     "frobenius_schur",
     "irrep_meta",
@@ -139,10 +138,6 @@ def enumerate_nontrivial_weights(d: int, t: int) -> list[Weight]:
     return [w for w in enumerate_weights(d, t) if not w.is_trivial()]
 
 
-def weight_one_norm(weight: Weight) -> int:
-    return weight.one_norm
-
-
 def weyl_dimension(weight: Weight, d: int | None = None) -> int:
     """dim of the irrep with highest weight lambda, by the Weyl formula.
 
@@ -180,12 +175,6 @@ def irrep_meta(weight: Weight) -> IrrepMeta:
         fs_indicator=frobenius_schur(weight),
         one_norm=weight.one_norm,
     )
-
-
-def max_dimension(d: int, t: int) -> int:
-    """Largest irrep dimension occurring up to scale t (resource planning)."""
-    dims = [weyl_dimension(w) for w in enumerate_weights(d, t)]
-    return max(dims) if dims else 0
 
 
 # scale sanity shared by the operator modules

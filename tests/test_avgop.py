@@ -174,6 +174,8 @@ class TestConvolutionSquare:
         assert residual <= 1e-8
         assert gap_sq >= gap_plain - 1e-10
         assert gap_plain >= 0.5 * gap_sq - 1e-10
+        serial = convolution_square_gap(haar_pair_d2, 4, threads=1)
+        assert serial == convolution_square_gap(haar_pair_d2, 4, threads=2)
 
     def test_identity_set(self):
         gs = make_gateset(2, [("e", np.eye(2, dtype=complex))])

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapforge
 from gapforge.avgop import gap_at_scale
 from gapforge.bounds import (
     BoundReport,
@@ -138,6 +144,37 @@ class TestMainLowerBound:
         assert doc["params"]["d"] == 2
         assert doc["subset_gaps"]["k"] == 2
         assert isinstance(doc["below_reference_scale"], bool)
+
+    def test_rederivation_check_survives_optimize(self):
+        # a wrong alpha must trip the closed-form vs re-derived comparison even
+        # under python -O, which strips assert statements
+        script = textwrap.dedent("""
+            import dataclasses, warnings
+            from gapforge import bounds
+            from gapforge.constants import BoundParams
+            from gapforge.gates import haar_random_gateset
+
+            assert False, "assert statements must be stripped here"
+            compute = BoundParams.compute
+            BoundParams.compute = classmethod(
+                lambda cls, d, eps0: dataclasses.replace(
+                    compute(d, eps0), alpha=compute(d, eps0).alpha * (1 + 1e-6)
+                )
+            )
+            warnings.simplefilter("ignore")
+            try:
+                bounds.main_lower_bound(haar_random_gateset(2, 2, seed=1729), 0.1, t_override=4)
+            except AssertionError as exc:
+                print("raised:", exc)
+        """)
+        src = str(Path(gapforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: closed-form bound")
 
 
 class TestBCoefficient:

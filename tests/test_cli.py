@@ -5,14 +5,13 @@ import sys
 import numpy as np
 import pytest
 
+from gapforge.avgop import gap_at_scale
 from gapforge.cli import main
-from gapforge.gates import load_gateset, make_gateset, save_gateset
+from gapforge.gates import haar_random_gateset, load_gateset, make_gateset, save_gateset
 
 
 @pytest.fixture()
 def gate_file(tmp_path):
-    from gapforge.gates import haar_random_gateset
-
     p = tmp_path / "pair.json"
     save_gateset(haar_random_gateset(2, 2, seed=1729), p)
     return str(p)
@@ -89,6 +88,7 @@ class TestGapCmd:
         doc = json.loads(out)
         assert 0.0 < doc["gap"] < 1.0
         assert doc["t"] == 4
+        assert "per_weight_norms" not in doc and "iterations" not in doc
         # NDJSON progress: one record per nontrivial weight
         records = [json.loads(l) for l in err.strip().splitlines()]
         assert len(records) == 4
@@ -109,6 +109,8 @@ class TestGapCmd:
         d1, d4 = json.loads(out1), json.loads(out4)
         assert d1["gap"] == d4["gap"]
         assert d1["per_weight_norms"] == d4["per_weight_norms"]
+        want = gap_at_scale(load_gateset(gate_file), 5, threads=1).to_json_dict()
+        assert {key: d1[key] for key in want} == want
 
     def test_identity_gap_zero(self, capsys, identity_file):
         _, out, _ = run_cli(capsys, ["gap", "--gates", identity_file, "--t", "3",
@@ -234,6 +236,9 @@ class TestRandomGatesCmd:
         p.write_text(out)
         gs = load_gateset(p)
         assert gs.k == 1
+        saved = tmp_path / "saved.json"
+        save_gateset(haar_random_gateset(2, 1, seed=3), saved)
+        assert out.encode() == saved.read_bytes()
 
     def test_seed_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, ["random-gates", "--d", "2", "--k", "2", "--seed", "9"])

@@ -9,12 +9,12 @@ from gapforge.irrep import (
     algebra_image,
     build_basis,
     cached_basis,
-    check_generator_relations,
-    frobenius_schur_montecarlo,
     irrep_matrix,
     weyl_character,
 )
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, weyl_dimension
+
+from _oracles import check_generator_relations, frobenius_schur_montecarlo
 
 
 def rand_unitary(d, seed):

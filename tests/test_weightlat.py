@@ -12,7 +12,6 @@ from gapforge.weightlat import (
     enumerate_weights,
     frobenius_schur,
     irrep_meta,
-    weight_one_norm,
     weyl_dimension,
 )
 
@@ -179,7 +178,7 @@ class TestFrobeniusSchur:
     def test_meta(self):
         m = irrep_meta(Weight((2, 0, -2)))
         assert m == IrrepMeta(Weight((2, 0, -2)), 27, 1, 4)
-        assert weight_one_norm(m.weight) == 4
+        assert m.weight.one_norm == 4
 
 
 # -- hypothesis property suite ------------------------------------------------
@@ -197,7 +196,7 @@ def test_nesting(dt):
 def test_one_norm_bound(dt):
     d, t = dt
     for w in enumerate_weights(d, t):
-        n = weight_one_norm(w)
+        n = w.one_norm
         assert n % 2 == 0  # positive and negative parts balance
         assert n <= 2 * t
 
