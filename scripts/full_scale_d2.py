@@ -2,9 +2,9 @@
 """Full-scale d=2 reference run: g_{t0} for a Haar pair at the cheapest grid row.
 
 eps0 = 0.25 gives t0 = 509, so the squared-set averaging operator is assembled
-over all 509 nontrivial weights (block dimensions up to 1019; the big blocks go
-through the iterative path).  One run took 994 s wall (31 min CPU, about
-330 MB RSS) with 2 threads on a 2-core machine.
+over all 509 nontrivial weights (block dimensions up to 1019, each norm a
+dense eigensolve).  With 2 threads on a 2-core machine g_t0 took 1034-1081 s
+wall (about 390 MB peak RSS), and 183 s with OPENBLAS_NUM_THREADS=1.
 
 Note the trade-off along the grid: eps0 = 0.25 minimizes t0 but sits exactly at
 the degeneration point of the prefactor, so the certified lower bound there is

@@ -8,13 +8,12 @@ labelled by the weights up to scale t; the block of weight lambda is
 
 For symmetric S the blocks are Hermitian by construction (each gate is summed
 with its inverse, and pi(U^-1) = pi(U)^dagger entry for entry), so norms come
-from Hermitian eigensolves.  Large blocks use a seeded Lanczos iteration with
-a dense fallback; everything is deterministic for fixed inputs.
+from dense Hermitian eigensolves; everything is deterministic for fixed
+inputs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -23,9 +22,8 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg as spla
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .irrep import cached_basis, irrep_matrix
 from .weightlat import Weight, check_scale, enumerate_nontrivial_weights
 
@@ -43,10 +41,6 @@ __all__ = [
     "convergence_profile",
 ]
 
-DENSE_CUTOFF = 512  # dimensions below this use direct dense eigensolves
-LANCZOS_TOL = 1e-10
-MAXITER_FACTOR = 10  # Lanczos iteration budget = factor * dim
-
 
 @dataclass(frozen=True)
 class BlockOperator:
@@ -54,9 +48,6 @@ class BlockOperator:
 
     scale: int
     blocks: dict  # Weight -> (dim, dim) complex ndarray
-
-    def weights(self) -> list:
-        return list(self.blocks.keys())
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class GapReport:
     gap: float
     worst_weight: Weight
     per_weight_norms: dict  # Weight -> float, canonical weight order
-    iterations: dict  # Weight -> matvec count (0 for dense solves)
 
     def to_json_dict(self) -> dict:
         return {
@@ -77,7 +67,6 @@ class GapReport:
             "per_weight_norms": [
                 [list(w.entries), v] for w, v in self.per_weight_norms.items()
             ],
-            "iterations": [[list(w.entries), n] for w, n in self.iterations.items()],
         }
 
 
@@ -108,79 +97,23 @@ def build_block_operator(gs: "GateSet", t: int) -> BlockOperator:
     return BlockOperator(scale=t, blocks=blocks)
 
 
-def _lanczos_v0(n: int, seed_key) -> np.ndarray:
-    digest = hashlib.blake2b(repr(seed_key).encode(), digest_size=8).digest()
-    rng = np.random.default_rng(int.from_bytes(digest, "big"))
-    v0 = rng.standard_normal(n)
-    return v0 / np.linalg.norm(v0)
-
-
 def block_operator_norm(
-    A: np.ndarray,
-    hermitian: bool = False,
-    dense_cutoff: int = DENSE_CUTOFF,
-    seed_key=None,
-    tol: float = LANCZOS_TOL,
-    return_info: bool = False,
+    A: np.ndarray, hermitian: bool = False, return_info: bool = False
 ):
-    """Spectral norm of one block.
+    """Spectral norm of one block by a dense eigensolve (Hermitian) or SVD.
 
-    Dense eigensolve below dense_cutoff; above it a seeded Lanczos/ARPACK
-    iteration with matvec counting, falling back to the dense path if the
-    iteration does not converge within 10 * dim iterations.
+    return_info=True returns (norm, {"method": "dense", "matvecs": 0}), the
+    shape the perfbench span annotator unpacks.
     """
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise DomainError(f"block must be square, got {A.shape}")
-
-    def dense(method: str):
-        if hermitian:
-            val = float(np.max(np.abs(scipy.linalg.eigvalsh(A))))
-        else:
-            val = float(scipy.linalg.svdvals(A)[0])
-        info = {"method": method, "matvecs": 0, "converged": True}
-        return (val, info) if return_info else val
-
-    if n < dense_cutoff or n < 3:
-        return dense("dense")
-
-    count = {"n": 0}
-    AH = A.conj().T
-
-    def matvec(x):
-        count["n"] += 1
-        return A @ x
-
-    def rmatvec(x):
-        count["n"] += 1
-        return AH @ x
-
-    op = spla.LinearOperator((n, n), matvec=matvec, rmatvec=rmatvec, dtype=np.complex128)
-    v0 = _lanczos_v0(n, seed_key if seed_key is not None else n).astype(np.complex128)
-    maxiter = MAXITER_FACTOR * n
-    try:
-        if hermitian:
-            vals = spla.eigsh(
-                op, k=1, which="LM", tol=tol, v0=v0, maxiter=maxiter,
-                return_eigenvectors=False,
-            )
-            val = float(np.abs(vals[0]))
-        else:
-            s = spla.svds(op, k=1, which="LM", tol=tol, v0=v0, maxiter=maxiter,
-                          return_singular_vectors=False)
-            val = float(s[0])
-    except (spla.ArpackNoConvergence, spla.ArpackError) as exc:
-        warnings.warn(f"Lanczos did not converge on a {n}x{n} block ({exc}); "
-                      f"falling back to a dense solve")
-        try:
-            return dense("dense-fallback")
-        except MemoryError as mem:
-            raise ConvergenceError(
-                f"iteration failed and dense fallback impossible for n={n}"
-            ) from mem
-    info = {"method": "lanczos", "matvecs": count["n"], "converged": True}
-    return (val, info) if return_info else val
+    if hermitian:
+        val = float(np.max(np.abs(scipy.linalg.eigvalsh(A))))
+    else:
+        val = float(scipy.linalg.svdvals(A)[0])
+    return (val, {"method": "dense", "matvecs": 0}) if return_info else val
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -217,7 +150,6 @@ def gap_at_scale(
     gs: "GateSet",
     t: int,
     auto_symmetrize: bool = False,
-    dense_cutoff: int = DENSE_CUTOFF,
     threads: int | None = None,
     progress: Callable | None = None,
 ) -> GapReport:
@@ -239,20 +171,14 @@ def gap_at_scale(
 
     def one(w: Weight):
         B = averaging_block(w, gs)
-        norm, info = block_operator_norm(
-            B,
-            hermitian=True,
-            dense_cutoff=dense_cutoff,
-            seed_key=(w.entries, gs.size),
-            return_info=True,
-        )
+        # perfbench/spans.py wraps avgop.block_operator_norm, unpacks (norm, info)
+        norm, _info = block_operator_norm(B, hermitian=True, return_info=True)
         if progress is not None:
-            progress(w, norm, info)
-        return norm, info
+            progress(w, norm)
+        return norm
 
-    results = _map_weights(one, weights, threads)
-    per_weight = {w: r[0] for w, r in zip(weights, results)}
-    iterations = {w: r[1]["matvecs"] for w, r in zip(weights, results)}
+    norms = _map_weights(one, weights, threads)
+    per_weight = dict(zip(weights, norms))
     worst = max(per_weight.values())
     worst_weight = next(w for w in weights if per_weight[w] == worst)
     gap = 1.0 - worst
@@ -263,16 +189,10 @@ def gap_at_scale(
         gap=gap,
         worst_weight=worst_weight,
         per_weight_norms=per_weight,
-        iterations=iterations,
     )
 
 
-def convolution_square_gap(
-    gs: "GateSet",
-    t: int,
-    dense_cutoff: int = DENSE_CUTOFF,
-    threads: int | None = None,
-) -> tuple:
+def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) -> tuple:
     """Gap of the convolution square (blocks B^dagger B) and the residual of
     the two-sided comparison gap_sq >= gap >= gap_sq / 2."""
     check_scale(t)
@@ -282,14 +202,13 @@ def convolution_square_gap(
 
     def one(w: Weight):
         B = averaging_block(w, gs)
-        kw = dict(dense_cutoff=dense_cutoff, seed_key=(w.entries, gs.size, "sq"))
-        n_plain = block_operator_norm(B, hermitian=True, **kw)
-        n_sq = block_operator_norm(B.conj().T @ B, hermitian=True, **kw)
+        n_plain = block_operator_norm(B, hermitian=True)
+        n_sq = block_operator_norm(B.conj().T @ B, hermitian=True)
         return n_plain, n_sq
 
     results = _map_weights(one, weights, threads)
-    gap_plain = 1.0 - max(r[0] for r in results) if results else 1.0
-    gap_sq = 1.0 - max(r[1] for r in results) if results else 1.0
+    gap_plain = 1.0 - max(r[0] for r in results)
+    gap_sq = 1.0 - max(r[1] for r in results)
     residual = max(0.0, gap_plain - gap_sq, 0.5 * gap_sq - gap_plain)
     if residual > 1e-8:
         warnings.warn(f"convolution-square sandwich violated by {residual:.3e}")

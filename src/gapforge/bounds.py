@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .avgop import DENSE_CUTOFF, gap_at_scale
+from .avgop import gap_at_scale
 from .constants import (
     C_BALL,
     C_CHORD,
@@ -123,7 +123,6 @@ def g_t0(
     eps0: float | None = None,
     t_override: int | None = None,
     check_universality: bool = True,
-    dense_cutoff: int = DENSE_CUTOFF,
     threads: int | None = None,
     progress=None,
 ) -> tuple:
@@ -164,12 +163,7 @@ def g_t0(
     for m in range(k - 1):
         best_gap, best_sub = None, None
         for combo in itertools.combinations(range(k), m):
-            rep = gap_at_scale(
-                subset_squares(gs, combo),
-                t0,
-                dense_cutoff=dense_cutoff,
-                threads=threads,
-            )
+            rep = gap_at_scale(subset_squares(gs, combo), t0, threads=threads)
             if progress is not None:
                 progress(m, combo, rep.gap)
             if best_gap is None or rep.gap < best_gap:
@@ -197,7 +191,6 @@ def main_lower_bound(
     t: int | None = None,
     t_override: int | None = None,
     check_universality: bool = True,
-    dense_cutoff: int = DENSE_CUTOFF,
     threads: int | None = None,
 ) -> BoundReport:
     """gap_t(S) >= alpha * g_t0(S) * log(beta t)^{-2c}, fully evaluated.
@@ -234,7 +227,6 @@ def main_lower_bound(
         eps0=eps0,
         t_override=t_override,
         check_universality=check_universality,
-        dense_cutoff=dense_cutoff,
         threads=threads,
     )
 

@@ -4,7 +4,7 @@ Every command prints exactly one JSON document to stdout (sorted keys, compact
 separators, floats via repr), so identical inputs and seeds produce
 byte-identical output.  Long computations stream NDJSON progress records to
 stderr.  Exit codes: 0 success, 1 I/O, 2 argument or domain error,
-3 resource limit, 4 convergence failure.
+3 resource limit.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ import threading
 from dataclasses import asdict, dataclass
 
 from . import __version__
-from .avgop import (
-    DENSE_CUTOFF,
-    _resolve_threads,
-    convolution_square_gap,
-    gap_at_scale,
-)
+from .avgop import _resolve_threads, convolution_square_gap, gap_at_scale
 from .bounds import g_t0, main_lower_bound, net_length_scale_bound, net_length_covering
 from .constants import BoundParams, emit_tables
 from .errors import DomainError, GapforgeError
@@ -56,7 +51,6 @@ class RunConfig:
     samples: int | None = None
     variant: str | None = None
     gap: float | None = None
-    dense_cutoff: int | None = None
 
     def to_json_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if v is not None}
@@ -141,41 +135,24 @@ def cmd_gap(args) -> int:
     gs = _load_gates(args)
     threads = _resolve_threads(args.threads)
 
-    def progress(w, norm, info):
-        _progress_line(
-            {
-                "event": "block",
-                "weight": list(w.entries),
-                "norm": norm,
-                "matvecs": info["matvecs"],
-                "method": info["method"],
-            }
-        )
+    def progress(w, norm):
+        _progress_line({"event": "block", "weight": list(w.entries), "norm": norm})
 
     rep = gap_at_scale(
         gs,
         args.t,
         auto_symmetrize=args.auto_symmetrize,
-        dense_cutoff=args.dense_cutoff,
         threads=threads,
         progress=progress if not args.no_progress else None,
     )
     payload = rep.to_json_dict()
     if not args.per_irrep:
-        del payload["per_weight_norms"], payload["iterations"]
+        del payload["per_weight_norms"]
     if args.convolution_square:
-        gap_sq, residual = convolution_square_gap(
-            gs, args.t, dense_cutoff=args.dense_cutoff, threads=threads
-        )
+        gap_sq, residual = convolution_square_gap(gs, args.t, threads=threads)
         payload["convolution_square_gap"] = gap_sq
         payload["sandwich_residual"] = residual
-    cfg = RunConfig(
-        command="gap",
-        t=args.t,
-        gates=args.gates,
-        threads=threads,
-        dense_cutoff=args.dense_cutoff,
-    )
+    cfg = RunConfig(command="gap", t=args.t, gates=args.gates, threads=threads)
     _emit(_document(cfg, payload), args)
     return 0
 
@@ -328,10 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, required=True)
     sp.add_argument("--auto-symmetrize", action="store_true")
     sp.add_argument("--per-irrep", action="store_true",
-                    help="include per-weight norms and iteration counts")
+                    help="include per-weight norms")
     sp.add_argument("--convolution-square", action="store_true",
                     help="also report the convolution-square gap and sandwich residual")
-    sp.add_argument("--dense-cutoff", type=int, default=DENSE_CUTOFF)
     add_common(sp, gates=True, threads=True)
     sp.set_defaults(fn=cmd_gap)
 

@@ -25,9 +25,3 @@ class ResourceLimitError(GapforgeError):
     """Computation would exceed a configured cap (irrep dimension, word count)."""
 
     exit_code = 3
-
-
-class ConvergenceError(GapforgeError):
-    """Iterative eigensolver failed and no dense fallback was possible."""
-
-    exit_code = 4

@@ -7,9 +7,8 @@ normalized away with the principal d-th root, which is harmless in PU(d).
 The metric is the projective unitary distance
     D(g, h) = min_theta max_j 2 |sin((theta - psi_j) / 2)|,
 psi_j the eigenphases of g^dagger h.  The inner minimax over the circle is
-attained at the midpoint of the minimal covering arc of the eigenphases, so D
-is computed exactly from the largest circular gap (plus a short golden-section
-polish around the best candidate).
+attained at the midpoint of the minimal covering arc of the eigenphases, so
+D = 2 sin((2 pi - G) / 4) in closed form, G the largest circular gap.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
-from math import pi, sin
+from math import pi
 
 import numpy as np
 
@@ -190,44 +189,18 @@ def haar_random_gateset(d: int, k: int, seed: int, symmetric: bool = True) -> Ga
     return make_gateset(d, pairs, symmetric=symmetric)
 
 
-def _circle_minimax(phases: np.ndarray) -> float:
-    """min over theta of max_j 2|sin((theta - psi_j)/2)| for given phases."""
-    psi = np.sort(np.mod(phases, 2.0 * pi))
-    n = psi.size
-    gaps = np.diff(psi, append=psi[0] + 2.0 * pi)
-
-    def objective(theta: float) -> float:
-        delta = np.mod(theta - psi, 2.0 * pi)
-        delta = np.minimum(delta, 2.0 * pi - delta)
-        return float(2.0 * np.max(np.abs(np.sin(0.5 * delta))))
-
-    # candidate centers: midpoint of the covering arc complementary to each gap
-    best = min(
-        objective(psi[(i + 1) % n] + 0.5 * (2.0 * pi - gaps[i])) for i in range(n)
-    )
-    # golden-section polish around the best candidate (objective is unimodal
-    # near the optimum; this mops up roundoff from the midpoint construction)
-    i_star = int(np.argmax(gaps))
-    lo = psi[(i_star + 1) % n]
-    hi = lo + (2.0 * pi - gaps[i_star])
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1, c2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = objective(c1), objective(c2)
-    for _ in range(60):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = objective(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = objective(c2)
-    return min(best, f1, f2)
+def _projective_distance(psi: np.ndarray) -> np.ndarray:
+    """D from eigenphases psi of g^dagger h along the last axis:
+    2 sin((2 pi - G) / 4), G the largest circular gap between the phases."""
+    psi = np.sort(np.mod(psi, 2.0 * pi), axis=-1)
+    gaps = np.diff(psi, axis=-1)
+    wrap = 2.0 * pi - (psi[..., -1] - psi[..., 0])
+    G = np.maximum(gaps.max(axis=-1, initial=0.0), wrap)
+    return 2.0 * np.sin(np.clip((2.0 * pi - G) / 4.0, 0.0, 0.5 * pi))
 
 
 def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
-    """Projective distance between two unitaries, accurate to ~1e-9."""
+    """Projective distance between two unitaries."""
     g = np.asarray(g, dtype=np.complex128)
     h = np.asarray(h, dtype=np.complex128)
     if g.shape != h.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -235,7 +208,7 @@ def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
     for M in (g, h):
         check_unitary(M, "pu_distance argument")
     psi = np.angle(np.linalg.eigvals(g.conj().T @ h))
-    return _circle_minimax(psi)
+    return float(_projective_distance(psi))
 
 
 def squared_set(gs: GateSet) -> GateSet:
@@ -373,10 +346,5 @@ def _scan_words(words, targets, best) -> None:
     """Tighten best[s] = min(best[s], min_w D(w, target_s)) over the batch."""
     for s in range(targets.shape[0]):
         M = np.einsum("nba,bc->nac", words.conj(), targets[s])
-        psi = np.angle(np.linalg.eigvals(M))
-        psi = np.sort(np.mod(psi, 2.0 * pi), axis=1)
-        gaps = np.diff(psi, axis=1)
-        wrap = 2.0 * pi - (psi[:, -1] - psi[:, 0])
-        G = np.maximum(gaps.max(axis=1, initial=0.0), wrap)
-        dist = 2.0 * np.sin(np.clip((2.0 * pi - G) / 4.0, 0.0, 0.5 * pi))
+        dist = _projective_distance(np.angle(np.linalg.eigvals(M)))
         best[s] = np.minimum(best[s], dist.min())

@@ -14,7 +14,7 @@ from gapforge.avgop import (
     gap_at_scale,
 )
 from gapforge.errors import DomainError
-from gapforge.gates import _haar_unitary, haar_random_gateset, make_gateset
+from gapforge.gates import _haar_unitary, haar_random_gateset, make_gateset, squared_set
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights
 
 
@@ -60,32 +60,13 @@ class TestBlockNorm:
         A = np.array([[0.0, 2.0], [0.0, 0.0]])
         assert block_operator_norm(A) == pytest.approx(2.0)
 
-    def test_lanczos_matches_dense(self):
-        # 100x100 Hermitian block pushed through the iterative path
-        rng = np.random.default_rng(17)
-        M = rng.standard_normal((100, 100)) + 1j * rng.standard_normal((100, 100))
-        A = (M + M.conj().T) / 20
-        dense = block_operator_norm(A, hermitian=True)
-        lanczos, info = block_operator_norm(
-            A, hermitian=True, dense_cutoff=10, seed_key="t", return_info=True
-        )
-        assert info["method"] == "lanczos" and info["matvecs"] > 0
-        assert lanczos == pytest.approx(dense, abs=1e-9)
-
-    def test_lanczos_general_matches_dense(self):
-        rng = np.random.default_rng(18)
-        A = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
-        dense = block_operator_norm(A)
-        lanczos = block_operator_norm(A, dense_cutoff=10, seed_key="s")
-        assert lanczos == pytest.approx(dense, abs=1e-9)
-
-    def test_deterministic_seeding(self):
-        rng = np.random.default_rng(19)
-        M = rng.standard_normal((60, 60))
-        A = (M + M.T) / 10
-        a = block_operator_norm(A, hermitian=True, dense_cutoff=10, seed_key=("w", 4))
-        b = block_operator_norm(A, hermitian=True, dense_cutoff=10, seed_key=("w", 4))
-        assert a == b
+    def test_real_515_block_matches_numpy(self):
+        # squared seed-1729 pair, weight (257, -257): a 515x515 averaging block
+        sq = squared_set(haar_random_gateset(2, 2, seed=1729))
+        B = averaging_block(Weight((257, -257)), sq)
+        assert B.shape == (515, 515)
+        want = np.linalg.norm(B, 2)
+        assert block_operator_norm(B, hermitian=True) == pytest.approx(want, abs=1e-12)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DomainError):

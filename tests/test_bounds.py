@@ -68,7 +68,7 @@ class TestGT0:
     def test_matches_direct_recomputation(self, haar_pair_d2):
         # dense recomputation of the same quantity, straight from definitions
         g, table = g_t0(haar_pair_d2, t_override=20)
-        direct_gap = gap_at_scale(subset_squares(haar_pair_d2), 20, dense_cutoff=10**9).gap
+        direct_gap = gap_at_scale(subset_squares(haar_pair_d2), 20).gap
         want = direct_gap**2 / 4.0
         assert g == pytest.approx(want, abs=1e-9)
 

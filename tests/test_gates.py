@@ -215,6 +215,16 @@ class TestEmpiricalNet:
         b = empirical_net(haar_pair_d2, length=4, eps=0.5, samples=30, seed=4)
         assert b.max_observed_distance <= a.max_observed_distance + 1e-12
 
+    def test_length_one_matches_pu_distance(self, haar_pair_d2):
+        # words of length <= 1 are the identity and the 2k letters; the
+        # targets are the same Haar draws empirical_net takes from its seed
+        est = empirical_net(haar_pair_d2, length=1, eps=0.5, samples=20, seed=8)
+        rng = np.random.default_rng(8)
+        targets = [_haar_unitary(2, rng) for _ in range(20)]
+        words = [np.eye(2)] + [U for _, U in haar_pair_d2.members()]
+        want = max(min(pu_distance(w, T) for w in words) for T in targets)
+        assert est.max_observed_distance == pytest.approx(want, abs=1e-12)
+
     def test_zero_samples_warns(self, haar_pair_d2):
         with pytest.warns(UserWarning, match="samples=0"):
             est = empirical_net(haar_pair_d2, length=2, eps=0.5, samples=0)
