@@ -9,7 +9,9 @@ labelled by the weights up to scale t; the block of weight lambda is
 For symmetric S the blocks are Hermitian by construction (each gate is summed
 with its inverse, and pi(U^-1) = pi(U)^dagger entry for entry), so norms come
 from dense Hermitian eigensolves; everything is deterministic for fixed
-inputs.
+inputs.  subset_norms serves a whole family of pair subsets in one pass over
+the weights: each weight builds every gate image once and sums each subset's
+block from those images.
 """
 
 from __future__ import annotations
@@ -31,23 +33,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .gates import GateSet
 
 __all__ = [
-    "BlockOperator",
     "GapReport",
     "averaging_block",
-    "build_block_operator",
     "block_operator_norm",
+    "subset_norms",
+    "checked_gap",
     "gap_at_scale",
     "convolution_square_gap",
-    "convergence_profile",
 ]
-
-
-@dataclass(frozen=True)
-class BlockOperator:
-    """All nontrivial irrep blocks of the averaging operator at one scale."""
-
-    scale: int
-    blocks: dict  # Weight -> (dim, dim) complex ndarray
 
 
 @dataclass(frozen=True)
@@ -70,31 +63,76 @@ class GapReport:
         }
 
 
+def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable) -> list:
+    """[take(block) for each kept-pair tuple in keeps], in order.
+
+    The block over keep is (1/|keep|) sum of the kept gates' images, for
+    symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
+    Each image is built on first use and dropped after its last, and one block
+    is alive at a time, so memory is at most len(pairs) images plus one block.
+    Images are summed in the order of each keep tuple.
+    """
+    n = basis.dim
+    last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
+    images = {}
+    out = []
+    for j, keep in enumerate(keeps):
+        acc = np.zeros((n, n), dtype=np.complex128)
+        for i in keep:
+            if i not in images:
+                images[i] = _image(basis, pairs[i][1], symmetric)
+            acc += images[i] if last_use[i] > j else images.pop(i)
+        acc /= 2 * len(keep) if symmetric else len(keep)
+        out.append(take(acc))
+        del acc
+    return out
+
+
+def _image(basis, U: np.ndarray, symmetric: bool) -> np.ndarray:
+    P = irrep_matrix(basis, U)
+    return P + P.conj().T if symmetric else P
+
+
 def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     """(1/|S|) sum_{U in S} pi_lambda(U); Hermitian bit-for-bit when S is
     symmetric (pairs enter as P + P^dagger before the real rescale)."""
-    basis = cached_basis(weight)
-    n = basis.dim
-    acc = np.zeros((n, n), dtype=np.complex128)
-    if gs.symmetric:
-        for _, U in gs.pairs:
-            P = irrep_matrix(basis, U)
-            acc += P + P.conj().T
-        acc /= 2 * gs.k
-    else:
-        for _, U in gs.pairs:
-            acc += irrep_matrix(basis, U)
-        acc /= gs.k
-    return acc
+    keep = tuple(range(gs.k))
+    return _block_sums(cached_basis(weight), gs.pairs, [keep], gs.symmetric, lambda B: B)[0]
 
 
-def build_block_operator(gs: "GateSet", t: int) -> BlockOperator:
-    check_scale(t)
-    blocks = {
-        w: averaging_block(w, gs)
-        for w in enumerate_nontrivial_weights(gs.d, t)
-    }
-    return BlockOperator(scale=t, blocks=blocks)
+def subset_norms(
+    gs: "GateSet", t: int, keeps: list, threads: int | None = None, progress=None
+) -> tuple:
+    """(weights, norms) with norms[a][j] the norm of the averaging block of
+    weights[a] over the pairs keeps[j] of the symmetric set gs.
+
+    One pass over the nontrivial weights up to scale t: each weight builds the
+    image of each pair once and forms every subset block from those images.
+    progress(w, norms of w) fires on the worker as each weight finishes.
+    """
+    weights = enumerate_nontrivial_weights(gs.d, t)
+
+    def one(w: Weight):
+        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm)
+        if progress is not None:
+            progress(w, norms)
+        return norms
+
+    return weights, _map_weights(one, weights, threads)
+
+
+def _hermitian_norm(B: np.ndarray) -> float:
+    # perfbench/spans.py wraps avgop.block_operator_norm, unpacks (norm, info)
+    norm, _info = block_operator_norm(B, hermitian=True, return_info=True)
+    return norm
+
+
+def checked_gap(worst_norm: float) -> float:
+    """1 - worst_norm, checked to lie in [-1e-8, 1 + 1e-12]."""
+    gap = 1.0 - worst_norm
+    if not -1e-8 <= gap <= 1.0 + 1e-12:
+        raise AssertionError(f"gap {gap!r} outside [-1e-8, 1 + 1e-12]")
+    return gap
 
 
 def block_operator_norm(
@@ -167,26 +205,17 @@ def gap_at_scale(
                 "to close it under inverses"
             )
         gs = gs.symmetrized()
-    weights = enumerate_nontrivial_weights(gs.d, t)
-
-    def one(w: Weight):
-        B = averaging_block(w, gs)
-        # perfbench/spans.py wraps avgop.block_operator_norm, unpacks (norm, info)
-        norm, _info = block_operator_norm(B, hermitian=True, return_info=True)
-        if progress is not None:
-            progress(w, norm)
-        return norm
-
-    norms = _map_weights(one, weights, threads)
-    per_weight = dict(zip(weights, norms))
+    keep = tuple(range(gs.k))
+    weights, norms = subset_norms(
+        gs, t, [keep], threads,
+        progress=None if progress is None else lambda w, ns: progress(w, ns[0]),
+    )
+    per_weight = {w: ns[0] for w, ns in zip(weights, norms)}
     worst = max(per_weight.values())
     worst_weight = next(w for w in weights if per_weight[w] == worst)
-    gap = 1.0 - worst
-    if not -1e-8 <= gap <= 1.0 + 1e-12:
-        raise AssertionError(f"gap {gap!r} outside [-1e-8, 1 + 1e-12]")
     return GapReport(
         scale=t,
-        gap=gap,
+        gap=checked_gap(worst),
         worst_weight=worst_weight,
         per_weight_norms=per_weight,
     )
@@ -213,25 +242,3 @@ def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) ->
     if residual > 1e-8:
         warnings.warn(f"convolution-square sandwich violated by {residual:.3e}")
     return gap_sq, residual
-
-
-def convergence_profile(gs: "GateSet", t: int, ell_max: int) -> list:
-    """max block norm of the ell-fold product for ell = 1..ell_max.
-
-    Direct power iteration on the blocks; the profile is the exact decay of
-    ||T^ell - T_mu|| restricted to scale t, bounded by (1 - gap)^ell.
-    """
-    check_scale(t)
-    if ell_max < 1:
-        raise DomainError(f"ell_max must be >= 1, got {ell_max}")
-    op = build_block_operator(gs.symmetrized() if not gs.symmetric else gs, t)
-    powers = {w: B.copy() for w, B in op.blocks.items()}
-    profile = []
-    for _ell in range(1, ell_max + 1):
-        worst = max(
-            block_operator_norm(P, hermitian=False) for P in powers.values()
-        )
-        profile.append(float(worst))
-        for w in powers:
-            powers[w] = powers[w] @ op.blocks[w]
-    return profile

@@ -10,8 +10,8 @@ the reference scale t0 -> the aggregate
     gap_t(S) >= alpha(d, eps0) * g_t0(S) * log(beta(d) t)^{-2c}.
 
 The closed form is an algebraic collapse of the per-subset diameter estimates
-(the b-coefficients below) at the canonical eps_m = 1/(4 C t); both routes are
-evaluated and asserted equal to relative 1e-12 on every call.
+(gap_bound_from_diameter below) at the canonical eps_m = 1/(4 C t); both
+routes are evaluated and asserted equal to relative 1e-12 on every call.
 
 Also here: the two epsilon-net length laws derived from a gap.  The covering
 law ell <= (d^2-1)/gap * log(1/eps) + B has a negative intercept B and is
@@ -26,7 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .avgop import gap_at_scale
+# gap_at_scale is not called here; perfbench/spans.py patches bounds.gap_at_scale
+from .avgop import checked_gap, gap_at_scale, subset_norms  # noqa: F401
 from .constants import (
     C_BALL,
     C_CHORD,
@@ -37,16 +38,12 @@ from .constants import (
 )
 from .errors import DomainError
 from .gates import GateSet, squared_set, universality_heuristic
-from .weightlat import IrrepMeta
 
 __all__ = [
     "SubsetGapTable",
     "BoundReport",
-    "subset_squares",
     "g_t0",
     "main_lower_bound",
-    "b_coefficient",
-    "gap_bound_from_b",
     "gap_bound_from_diameter",
     "net_length_covering",
     "net_length_scale_bound",
@@ -101,23 +98,6 @@ class BoundReport:
         }
 
 
-def subset_squares(gs: GateSet, removed=()) -> GateSet:
-    """The squared set S^2 with the listed pair indices removed."""
-    k = gs.k
-    removed = tuple(removed)
-    if len(set(removed)) != len(removed):
-        raise DomainError(f"removal indices must be distinct, got {removed!r}")
-    if any(not (0 <= i < k) for i in removed):
-        raise DomainError(f"removal indices out of range for k={k}: {removed!r}")
-    if len(removed) > max(k - 2, 0):
-        raise DomainError(
-            f"can remove at most k-2 = {k - 2} pairs, got {len(removed)}"
-        )
-    sq = squared_set(gs)
-    pairs = tuple(p for i, p in enumerate(sq.pairs) if i not in removed)
-    return GateSet(d=gs.d, pairs=pairs, symmetric=gs.symmetric)
-
-
 def g_t0(
     gs: GateSet,
     eps0: float | None = None,
@@ -131,6 +111,10 @@ def g_t0(
     Returns (g, SubsetGapTable).  The reference scale is scale_t0(eps0, d)
     unless t_override pins it directly (the t_override path is how the
     expensive reference scales are desk-checked at small t).
+
+    All removal subsets share one pass over the weights, which builds each
+    squared gate's image once per weight.  progress(m, removed, gap) therefore
+    fires only after that pass, once per subset in (m, removed) order.
     """
     if not gs.symmetric:
         raise DomainError("g_t0 needs a symmetric gate set")
@@ -159,16 +143,18 @@ def g_t0(
                 )
             verdicts.append((i, j, v))
 
-    per_m = []
-    for m in range(k - 1):
-        best_gap, best_sub = None, None
-        for combo in itertools.combinations(range(k), m):
-            rep = gap_at_scale(subset_squares(gs, combo), t0, threads=threads)
-            if progress is not None:
-                progress(m, combo, rep.gap)
-            if best_gap is None or rep.gap < best_gap:
-                best_gap, best_sub = rep.gap, combo
-        per_m.append((max(best_gap, 0.0), best_sub))
+    removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
+    keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
+    _weights, norms = subset_norms(sq, t0, keeps, threads=threads)
+    best = {}  # m -> (min gap, removal); the first removal wins ties
+    for j, combo in enumerate(removals):
+        gap = checked_gap(max(row[j] for row in norms))
+        if progress is not None:
+            progress(len(combo), combo, gap)
+        m = len(combo)
+        if m not in best or gap < best[m][0]:
+            best[m] = (gap, combo)
+    per_m = [(max(best[m][0], 0.0), best[m][1]) for m in range(k - 1)]
 
     for m in range(1, len(per_m)):
         if per_m[m][0] > per_m[m - 1][0] + 1e-10:
@@ -264,39 +250,6 @@ def main_lower_bound(
         table=table,
         below_reference_scale=below,
     )
-
-
-def b_coefficient(meta: IrrepMeta, eps: float, ell: float) -> float:
-    """Per-irrep mixing coefficient (sqrt(2 (1 - i/d)) - C ||lambda||_1 eps) / ell."""
-    if meta.one_norm <= 0:
-        raise DomainError("b_coefficient needs a nontrivial weight")
-    top = math.sqrt(2.0 * (1.0 - meta.fs_indicator / meta.dim))
-    cap = top / (C_CHORD * meta.one_norm)
-    if not (0.0 < eps < 1.0 and eps <= cap):
-        raise DomainError(
-            f"eps must satisfy 0 < eps <= {cap:.6g} (and < 1), got {eps}"
-        )
-    if ell <= 0:
-        raise DomainError(f"ell must be positive, got {ell}")
-    return (top - C_CHORD * meta.one_norm * eps) / ell
-
-
-def gap_bound_from_b(b_list, k: int) -> tuple:
-    """(strong, weak) gap bounds from the k-1 subset coefficients.
-
-    strong = (1/8k) sum_m b_m^2,  weak = ((k-1)/8k) b_{k-2}^2; the list is
-    ordered by m, and since b_m is nonincreasing in m, strong >= weak.
-    """
-    if k < 2:
-        raise DomainError(f"need k >= 2, got {k}")
-    b_list = [float(b) for b in b_list]
-    if len(b_list) != k - 1:
-        raise DomainError(f"need k-1 = {k - 1} coefficients, got {len(b_list)}")
-    if any(b < 0 for b in b_list):
-        raise DomainError("b coefficients must be nonnegative")
-    strong = sum(b * b for b in b_list) / (8.0 * k)
-    weak = (k - 1) * b_list[-1] ** 2 / (8.0 * k)
-    return strong, weak
 
 
 def gap_bound_from_diameter(d: int, t: int, k: int, per_m) -> float:

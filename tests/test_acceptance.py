@@ -16,21 +16,20 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from _tabledata import TABLES
-from conftest import SEED
-from gapforge.avgop import (
+from _oracles import (
     build_block_operator,
     convergence_profile,
-    convolution_square_gap,
-    gap_at_scale,
+    gap_bound_from_b,
+    subset_squares,
 )
+from _tabledata import TABLES
+from conftest import SEED
+from gapforge.avgop import convolution_square_gap, gap_at_scale
 from gapforge.bounds import (
     g_t0,
-    gap_bound_from_b,
     main_lower_bound,
     net_length_scale_bound,
     net_length_covering,
-    subset_squares,
 )
 from gapforge.constants import SK_EXPONENT, alpha, beta, scale_t0
 from gapforge.gates import (

@@ -3,13 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import BlockOperator, build_block_operator, convergence_profile
 from gapforge.avgop import (
-    BlockOperator,
     GapReport,
     averaging_block,
     block_operator_norm,
-    build_block_operator,
-    convergence_profile,
     convolution_square_gap,
     gap_at_scale,
 )

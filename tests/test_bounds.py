@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,23 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapforge
+import gapforge.avgop
+from _oracles import b_coefficient, gap_bound_from_b, subset_squares
 from gapforge.avgop import gap_at_scale
 from gapforge.bounds import (
     BoundReport,
     SubsetGapTable,
-    b_coefficient,
     g_t0,
-    gap_bound_from_b,
     gap_bound_from_diameter,
     main_lower_bound,
     net_length_scale_bound,
     net_length_covering,
-    subset_squares,
 )
 from gapforge.constants import SK_EXPONENT, alpha, beta, scale_t0
 from gapforge.errors import DomainError
 from gapforge.gates import haar_random_gateset, make_gateset
-from gapforge.weightlat import Weight, irrep_meta
+from gapforge.weightlat import Weight, enumerate_nontrivial_weights, irrep_meta
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,34 @@ class TestGT0:
         g, table = g_t0(haar_pair_d2, t_override=20)
         direct_gap = gap_at_scale(subset_squares(haar_pair_d2), 20).gap
         want = direct_gap**2 / 4.0
-        assert g == pytest.approx(want, abs=1e-9)
+        assert g == want
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d, k, t", [(2, 3, 6), (2, 4, 6), (3, 3, 2), (3, 4, 2)])
+    def test_per_m_matches_subset_gaps(self, d, k, t, threads):
+        # the one-pass table equals per-subset gap_at_scale minima, bit for bit
+        gs = haar_random_gateset(d, k, seed=1729)
+        _, table = g_t0(gs, t_override=t, check_universality=False, threads=threads)
+        for m, (gap, removed) in enumerate(table.per_m):
+            best_gap, best_sub = None, None
+            for combo in itertools.combinations(range(k), m):
+                sub_gap = gap_at_scale(subset_squares(gs, combo), t, threads=threads).gap
+                if best_gap is None or sub_gap < best_gap:
+                    best_gap, best_sub = sub_gap, combo
+            assert (gap, removed) == (max(best_gap, 0.0), best_sub)
+
+    def test_builds_each_image_once_per_weight(self, monkeypatch):
+        calls = []
+        real = gapforge.avgop.irrep_matrix
+
+        def counting(basis, U):
+            calls.append(basis.weight)
+            return real(basis, U)
+
+        monkeypatch.setattr(gapforge.avgop, "irrep_matrix", counting)
+        k = 4
+        g_t0(haar_random_gateset(2, k, seed=1729), t_override=6, check_universality=False)
+        assert len(calls) == k * len(enumerate_nontrivial_weights(2, 6))
 
     def test_triple_monotone_subsets(self, haar_triple_d2):
         g, table = g_t0(haar_triple_d2, t_override=6)

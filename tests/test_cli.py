@@ -159,6 +159,18 @@ class TestGtzeroCmd:
                           if '"subset"' in l]
         assert len(subset_records) == 1
 
+    def test_subset_records_in_order(self, capsys, tmp_path):
+        # all subsets share one pass; their records follow it in (m, removed) order
+        p = tmp_path / "triple.json"
+        save_gateset(haar_random_gateset(2, 3, seed=1729), p)
+        code, out, err = run_cli(capsys, ["gtzero", "--gates", str(p),
+                                          "--t-override", "4"])
+        assert code == 0
+        records = [json.loads(l) for l in err.strip().splitlines() if '"subset"' in l]
+        assert [(r["m"], r["removed"]) for r in records] == [
+            (0, []), (1, [0]), (1, [1]), (1, [2])
+        ]
+
     def test_needs_scale(self, capsys, gate_file):
         code, _, _ = run_cli(capsys, ["gtzero", "--gates", gate_file])
         assert code == 2
