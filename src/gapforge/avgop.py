@@ -11,7 +11,8 @@ with its inverse, and pi(U^-1) = pi(U)^dagger entry for entry), so norms come
 from dense Hermitian eigensolves; everything is deterministic for fixed
 inputs.  subset_norms serves a whole family of pair subsets in one pass over
 the weights: each weight builds every gate image once and sums each subset's
-block from those images.
+block from those images.  The universality probe reads its verdict off the
+block norms at the small scale T_PROBE.
 """
 
 from __future__ import annotations
@@ -40,7 +41,11 @@ __all__ = [
     "checked_gap",
     "gap_at_scale",
     "convolution_square_gap",
+    "universality_heuristic",
+    "T_PROBE",
 ]
+
+T_PROBE = 3  # scale of the universality probe
 
 
 @dataclass(frozen=True)
@@ -242,3 +247,37 @@ def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) ->
     if residual > 1e-8:
         warnings.warn(f"convolution-square sandwich violated by {residual:.3e}")
     return gap_sq, residual
+
+
+def universality_heuristic(gs: "GateSet") -> str:
+    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE.
+
+    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector
+                         certifies a proper closed subgroup at this scale);
+    'universal-likely' — all block norms <= 1 - 1e-6;
+    'inconclusive'     — in between.
+    """
+    gs = gs.symmetrized()
+    weights, norms = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
+    return _verdict(gs, weights, [ns[0] for ns in norms])
+
+
+def _verdict(gs: "GateSet", weights: list, norms: list) -> str:
+    """universality_heuristic's verdict from the norms of gs's full blocks over
+    the nontrivial weights up to T_PROBE, in canonical order."""
+    top = max(norms)
+    worst = 1.0 - checked_gap(top)
+    if worst >= 1.0 - 1e-8:
+        # confirm with an explicit near-invariant eigenvector of the first
+        # (canonical order) worst block
+        B = averaging_block(weights[norms.index(top)], gs)
+        vals, vecs = np.linalg.eigh(B)
+        i = int(np.argmax(np.abs(vals)))
+        v = vecs[:, i]
+        resid = float(np.linalg.norm(B @ v - vals[i] * v))
+        if not resid <= 1e-8:
+            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
+        return "not-universal"
+    if worst <= 1.0 - 1e-6:
+        return "universal-likely"
+    return "inconclusive"

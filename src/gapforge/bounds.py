@@ -26,8 +26,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-# gap_at_scale is not called here; perfbench/spans.py patches bounds.gap_at_scale
-from .avgop import checked_gap, gap_at_scale, subset_norms  # noqa: F401
+from .avgop import T_PROBE, _verdict, checked_gap, subset_norms
+# not called here; perfbench/spans.py patches both names on bounds
+from .avgop import gap_at_scale, universality_heuristic  # noqa: F401
 from .constants import (
     C_BALL,
     C_CHORD,
@@ -37,7 +38,8 @@ from .constants import (
     covering_law_constants,
 )
 from .errors import DomainError
-from .gates import GateSet, squared_set, universality_heuristic
+from .gates import GateSet, squared_set
+from .weightlat import check_scale
 
 __all__ = [
     "SubsetGapTable",
@@ -113,8 +115,11 @@ def g_t0(
     expensive reference scales are desk-checked at small t).
 
     All removal subsets share one pass over the weights, which builds each
-    squared gate's image once per weight.  progress(m, removed, gap) therefore
-    fires only after that pass, once per subset in (m, removed) order.
+    squared gate's image once per weight.  The m = k-2 removals leave every
+    squared pair, so the universality verdict of each pair is read off its
+    subset's norms up to T_PROBE (the pass then runs to max(t0, T_PROBE)).
+    progress(m, removed, gap) fires only after the pass, once per subset in
+    (m, removed) order.
     """
     if not gs.symmetric:
         raise DomainError("g_t0 needs a symmetric gate set")
@@ -122,20 +127,25 @@ def g_t0(
     if k < 2:
         raise DomainError(f"g_t0 needs k >= 2 gate pairs, got k={k}")
     if t_override is not None:
-        if not isinstance(t_override, int) or t_override < 1:
-            raise DomainError(f"t_override must be an integer >= 1, got {t_override!r}")
-        t0 = t_override
+        t0 = check_scale(t_override)
     else:
         if eps0 is None:
             raise DomainError("g_t0 needs eps0 unless t_override is given")
         t0 = scale_t0(eps0, gs.d)
 
     sq = squared_set(gs)
+    removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
+    keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
+    t_pass = max(t0, T_PROBE) if check_universality else t0
+    weights, norms = subset_norms(sq, t_pass, keeps, threads=threads)
+
     verdicts = []
     if check_universality:
+        probe = [(w, row) for w, row in zip(weights, norms) if w.positive_size <= T_PROBE]
         for i, j in itertools.combinations(range(k), 2):
             sub = GateSet(d=gs.d, pairs=(sq.pairs[i], sq.pairs[j]), symmetric=True)
-            v = universality_heuristic(sub)
+            col = keeps.index((i, j))
+            v = _verdict(sub, [w for w, _ in probe], [row[col] for _, row in probe])
             if v != "universal-likely":
                 warnings.warn(
                     f"squared pair subset ({i}, {j}) looks {v}; the subset gaps "
@@ -143,12 +153,10 @@ def g_t0(
                 )
             verdicts.append((i, j, v))
 
-    removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
-    keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
-    _weights, norms = subset_norms(sq, t0, keeps, threads=threads)
+    rows = [row for w, row in zip(weights, norms) if w.positive_size <= t0]
     best = {}  # m -> (min gap, removal); the first removal wins ties
     for j, combo in enumerate(removals):
-        gap = checked_gap(max(row[j] for row in norms))
+        gap = checked_gap(max(row[j] for row in rows))
         if progress is not None:
             progress(len(combo), combo, gap)
         m = len(combo)
@@ -189,8 +197,7 @@ def main_lower_bound(
     params = BoundParams.compute(gs.d, eps0)
     if t is None:
         t = params.t0
-    if not isinstance(t, int) or t < 1:
-        raise DomainError(f"t must be an integer >= 1, got {t!r}")
+    check_scale(t)
     below = t < params.t0 or (t_override is not None and t_override < params.t0)
     if t < params.t0 and t_override is None:
         raise DomainError(

@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import threading
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .avgop import _resolve_threads, convolution_square_gap, gap_at_scale
@@ -30,30 +29,7 @@ from .gates import (
 )
 from .weightlat import enumerate_nontrivial_weights, enumerate_weights, irrep_meta
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration of one CLI run, echoed into the output doc."""
-
-    command: str
-    d: int | None = None
-    t: int | None = None
-    eps0: float | None = None
-    eps: float | None = None
-    gates: str | None = None
-    k: int | None = None
-    seed: int | None = None
-    threads: int | None = None
-    t_override: int | None = None
-    length: int | None = None
-    samples: int | None = None
-    variant: str | None = None
-    gap: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+__all__ = ["main"]
 
 
 _STDERR_LOCK = threading.Lock()
@@ -80,8 +56,10 @@ def _emit(doc, args) -> None:
         sys.stdout.write(text)
 
 
-def _document(config: RunConfig, payload: dict) -> dict:
-    return {"version": __version__, "config": config.to_json_dict(), **payload}
+def _document(config: dict, payload: dict) -> dict:
+    # config echoes the run's resolved settings; unset (None) ones are left out
+    config = {k: v for k, v in config.items() if v is not None}
+    return {"version": __version__, "config": config, **payload}
 
 
 def cmd_constants(args) -> int:
@@ -91,13 +69,13 @@ def cmd_constants(args) -> int:
             _emit(emit_tables(d_values=d_values, fmt="csv"), args)
             return 0
         rows = emit_tables(d_values=d_values)
-        cfg = RunConfig(command="constants", d=args.d)
+        cfg = dict(command="constants", d=args.d)
         _emit(_document(cfg, {"table": rows}), args)
         return 0
     if args.d is None or args.eps0 is None:
         raise DomainError("constants needs --d and --eps0 (or --table)")
     params = BoundParams.compute(args.d, args.eps0)
-    cfg = RunConfig(command="constants", d=args.d, eps0=args.eps0)
+    cfg = dict(command="constants", d=args.d, eps0=args.eps0)
     _emit(_document(cfg, {"params": params.to_json_dict()}), args)
     return 0
 
@@ -108,7 +86,7 @@ def cmd_weights(args) -> int:
         if args.nontrivial
         else enumerate_weights(args.d, args.t)
     )
-    cfg = RunConfig(command="weights", d=args.d, t=args.t)
+    cfg = dict(command="weights", d=args.d, t=args.t)
     if args.count_only:
         _emit(_document(cfg, {"count": len(ws)}), args)
         return 0
@@ -152,7 +130,7 @@ def cmd_gap(args) -> int:
         gap_sq, residual = convolution_square_gap(gs, args.t, threads=threads)
         payload["convolution_square_gap"] = gap_sq
         payload["sandwich_residual"] = residual
-    cfg = RunConfig(command="gap", t=args.t, gates=args.gates, threads=threads)
+    cfg = dict(command="gap", t=args.t, gates=args.gates, threads=threads)
     _emit(_document(cfg, payload), args)
     return 0
 
@@ -174,7 +152,7 @@ def cmd_gtzero(args) -> int:
         threads=threads,
         progress=progress if not args.no_progress else None,
     )
-    cfg = RunConfig(
+    cfg = dict(
         command="gtzero",
         eps0=args.eps0,
         gates=args.gates,
@@ -196,7 +174,7 @@ def cmd_bound(args) -> int:
         check_universality=not args.no_universality_check,
         threads=threads,
     )
-    cfg = RunConfig(
+    cfg = dict(
         command="bound",
         eps0=args.eps0,
         t=rep.t,
@@ -209,7 +187,7 @@ def cmd_bound(args) -> int:
 
 
 def cmd_net_length(args) -> int:
-    cfg = RunConfig(
+    cfg = dict(
         command="net-length", d=args.d, eps=args.eps, gap=args.gap, variant=args.variant
     )
     if args.variant == "covering":
@@ -232,7 +210,7 @@ def cmd_net_empirical(args) -> int:
         seed=args.seed,
         word_cap=args.word_cap,
     )
-    cfg = RunConfig(
+    cfg = dict(
         command="net-empirical",
         gates=args.gates,
         eps=args.eps,
@@ -256,7 +234,7 @@ def cmd_random_gates(args) -> int:
     if args.out:
         # --out names the gate file here; the run document goes to stdout
         save_gateset(gs, args.out)
-        cfg = RunConfig(command="random-gates", d=args.d, k=args.k, seed=args.seed)
+        cfg = dict(command="random-gates", d=args.d, k=args.k, seed=args.seed)
         doc = _document(cfg, {"written": args.out, "labels": gs.labels()})
         sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         return 0

@@ -29,6 +29,7 @@ import warnings
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
+from .weightlat import check_d
 
 __all__ = [
     "SK_EXPONENT",
@@ -56,25 +57,19 @@ TABLE_EPS0_GRID = {
 }
 
 
-def _check_d(d) -> int:
-    if not isinstance(d, int) or d < 2:
-        raise DomainError(f"d must be an integer >= 2, got {d!r}")
-    return d
-
-
 def c_scale(d: int) -> float:
     return float(d + 2)
 
 
 def eps0_min(d: int) -> float:
     """Largest admissible eps0; alpha vanishes exactly at this point."""
-    _check_d(d)
+    check_d(d)
     return 1.0 / (d + 2)
 
 
 def tau(eps: float, d: int) -> float:
     """Auxiliary net-resolution factor; increases as eps decreases."""
-    _check_d(d)
+    check_d(d)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"tau needs 0 < eps < 1, got {eps}")
     L = math.sqrt(math.log(6.0 * C_BALL / eps))
@@ -83,20 +78,20 @@ def tau(eps: float, d: int) -> float:
 
 def scale_t0(eps0: float, d: int) -> int:
     """Smallest scale at which the bound machinery is guaranteed to engage."""
-    _check_d(d)
+    check_d(d)
     if not 0.0 < eps0 < 1.0:
         raise DomainError(f"scale_t0 needs 0 < eps0 < 1, got {eps0}")
     return math.ceil(5.0 * d**2.5 / eps0 * tau(eps0, d))
 
 
 def beta(d: int) -> float:
-    _check_d(d)
+    check_d(d)
     return 4.0 * C_CHORD / c_scale(d) ** 2
 
 
 def alpha(d: int, eps0: float) -> float:
     """Prefactor of the lower bound; exactly 0 (with a warning) at eps0_min."""
-    _check_d(d)
+    check_d(d)
     top = eps0_min(d)
     if not 0.0 < eps0 <= top:
         raise DomainError(
@@ -132,7 +127,7 @@ class BoundParams:
 
     @classmethod
     def compute(cls, d: int, eps0: float) -> "BoundParams":
-        _check_d(d)
+        check_d(d)
         a = alpha(d, eps0)  # validates eps0 and warns at the boundary
         return cls(
             d=d,
@@ -157,7 +152,7 @@ def covering_law_constants(d: int, gap: float) -> tuple:
     B = -(log C_V - (d^2-1) log 2) / gap is negative, so the law only yields a
     positive length guarantee for eps < 2 / 9.5.
     """
-    _check_d(d)
+    check_d(d)
     if not 0.0 < gap <= 1.0:
         raise DomainError(f"gap must be in (0, 1], got {gap}")
     dim = d * d - 1

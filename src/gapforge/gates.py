@@ -21,6 +21,7 @@ from math import pi
 import numpy as np
 
 from .errors import DomainError, GateFileError, ResourceLimitError
+from .weightlat import check_d
 
 __all__ = [
     "GateSet",
@@ -33,7 +34,6 @@ __all__ = [
     "haar_random_gateset",
     "pu_distance",
     "squared_set",
-    "universality_heuristic",
     "empirical_net",
 ]
 
@@ -105,8 +105,7 @@ def _normalize_gate(U: np.ndarray, d: int, label: str, repair: bool) -> np.ndarr
 
 def make_gateset(d, pairs, symmetric=True, repair=False) -> GateSet:
     """Validate and normalize raw (label, matrix) pairs into a GateSet."""
-    if not isinstance(d, int) or d < 2:
-        raise DomainError(f"d must be an integer >= 2, got {d!r}")
+    check_d(d)
     if len(pairs) < 1:
         raise DomainError("gate set needs at least one gate")
     labels = [lab for lab, _ in pairs]
@@ -221,33 +220,6 @@ def _freeze(M: np.ndarray) -> np.ndarray:
     M = np.ascontiguousarray(M)
     M.setflags(write=False)
     return M
-
-
-def universality_heuristic(gs: GateSet, t_probe: int = 3) -> str:
-    """Probe whether <S> is dense in PU(d) from the gap at a small scale.
-
-    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector
-                         certifies a proper closed subgroup at this scale);
-    'universal-likely' — all block norms <= 1 - 1e-6;
-    'inconclusive'     — in between.
-    """
-    from .avgop import averaging_block, gap_at_scale
-
-    report = gap_at_scale(gs.symmetrized(), t_probe)
-    worst = 1.0 - report.gap
-    if worst >= 1.0 - 1e-8:
-        # confirm with an explicit near-invariant eigenvector of the block
-        B = averaging_block(report.worst_weight, gs.symmetrized())
-        vals, vecs = np.linalg.eigh(B)
-        i = int(np.argmax(np.abs(vals)))
-        v = vecs[:, i]
-        resid = float(np.linalg.norm(B @ v - vals[i] * v))
-        if not resid <= 1e-8:
-            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
-        return "not-universal"
-    if worst <= 1.0 - 1e-6:
-        return "universal-likely"
-    return "inconclusive"
 
 
 def _word_count(n_letters: int, length: int) -> int:

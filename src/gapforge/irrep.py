@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
@@ -114,14 +115,12 @@ def _pattern_weight(pattern: tuple, d: int) -> tuple:
     return tuple(rs[0:1] + [rs[l] - rs[l - 1] for l in range(1, d)])
 
 
-def build_basis(weight: Weight, d: int | None = None, dim_cap: int = DIM_CAP) -> GTBasis:
+def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
     """Construct the GT basis and generator images for one weight.
 
     Raises ResourceLimitError if the Weyl dimension exceeds dim_cap before
     any pattern is materialized.
     """
-    if d is not None and d != weight.d:
-        raise DomainError(f"weight {weight.entries!r} has d={weight.d}, expected {d}")
     d = weight.d
     dim = weyl_dimension(weight)
     if dim > dim_cap:
@@ -260,19 +259,12 @@ def irrep_matrix(basis: GTBasis, U: np.ndarray) -> np.ndarray:
 
     H = -1j * algebra_image(basis, X0)
     H = 0.5 * (H + H.conj().T)
-    off = H.copy()
-    np.fill_diagonal(off, 0.0)
-    if not off.any():
-        # torus element: H already diagonal, exponentiate directly
-        return np.diag(np.exp(1j * np.real(np.diag(H)))).astype(np.complex128)
     w, W = np.linalg.eigh(H)
     return (W * np.exp(1j * w)) @ W.conj().T
 
 
 def _schur_unitary(U: np.ndarray):
     """Eigenvalues and exactly-unitary eigenvectors of a unitary matrix."""
-    import scipy.linalg
-
     T, Z = scipy.linalg.schur(U, output="complex")
     diag = np.diag(T)
     # normal + triangular => diagonal; anything off-diagonal is roundoff

@@ -117,8 +117,7 @@ def enumerate_weights(d: int, t: int) -> list[Weight]:
     partition pairs.  Output is sorted lexicographically descending, trivial
     weight last.
     """
-    if not isinstance(d, int) or d < 2:
-        raise DomainError(f"d must be an integer >= 2, got {d!r}")
+    check_d(d)
     if not isinstance(t, int) or t < 0:
         raise DomainError(f"t must be an integer >= 0, got {t!r}")
     out = []
@@ -138,15 +137,13 @@ def enumerate_nontrivial_weights(d: int, t: int) -> list[Weight]:
     return [w for w in enumerate_weights(d, t) if not w.is_trivial()]
 
 
-def weyl_dimension(weight: Weight, d: int | None = None) -> int:
+def weyl_dimension(weight: Weight) -> int:
     """dim of the irrep with highest weight lambda, by the Weyl formula.
 
     prod_{i<j} (lambda_i - lambda_j + j - i) / (j - i), exact in integer
     arithmetic.
     """
     lam = weight.entries
-    if d is not None and d != len(lam):
-        raise DomainError(f"weight {lam!r} has d={len(lam)}, expected {d}")
     n = len(lam)
     num = 1
     den = 1
@@ -177,7 +174,13 @@ def irrep_meta(weight: Weight) -> IrrepMeta:
     )
 
 
-# scale sanity shared by the operator modules
+# dimension and scale sanity shared by the other modules
+def check_d(d) -> int:
+    if not isinstance(d, int) or d < 2:
+        raise DomainError(f"d must be an integer >= 2, got {d!r}")
+    return d
+
+
 def check_scale(t) -> int:
     if not isinstance(t, int) or t < 1:
         raise DomainError(f"scale t must be an integer >= 1, got {t!r}")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import gapforge
 import gapforge.avgop
 from _oracles import b_coefficient, gap_bound_from_b, subset_squares
-from gapforge.avgop import gap_at_scale
+from gapforge.avgop import gap_at_scale, universality_heuristic
 from gapforge.bounds import (
     BoundReport,
     SubsetGapTable,
@@ -26,7 +27,7 @@ from gapforge.bounds import (
 )
 from gapforge.constants import SK_EXPONENT, alpha, beta, scale_t0
 from gapforge.errors import DomainError
-from gapforge.gates import haar_random_gateset, make_gateset
+from gapforge.gates import GateSet, haar_random_gateset, make_gateset, squared_set
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, irrep_meta
 
 
@@ -86,7 +87,9 @@ class TestGT0:
                     best_gap, best_sub = sub_gap, combo
             assert (gap, removed) == (max(best_gap, 0.0), best_sub)
 
-    def test_builds_each_image_once_per_weight(self, monkeypatch):
+    @pytest.mark.parametrize("check_universality", [False, True])
+    def test_builds_each_image_once_per_weight(self, monkeypatch, check_universality):
+        # the universality verdicts come from the same pass, at no extra images
         calls = []
         real = gapforge.avgop.irrep_matrix
 
@@ -96,8 +99,49 @@ class TestGT0:
 
         monkeypatch.setattr(gapforge.avgop, "irrep_matrix", counting)
         k = 4
-        g_t0(haar_random_gateset(2, k, seed=1729), t_override=6, check_universality=False)
+        g_t0(haar_random_gateset(2, k, seed=1729), t_override=6,
+             check_universality=check_universality)
         assert len(calls) == k * len(enumerate_nontrivial_weights(2, 6))
+
+    @pytest.mark.parametrize("name, t", [
+        (name, t)
+        for name in ["haar-d2-k3", "haar-d2-k4", "haar-d3-k3", "haar-d3-k4",
+                     "commuting-diagonal", "pauli-haar"]
+        for t in [1, 2, 6]
+        if not (name.startswith("haar-d3") and t == 6)  # ~30 s, no new branch
+    ])
+    def test_verdicts_match_pairwise_probe(self, name, t):
+        # the verdicts read off the subset pass equal the standalone probe on
+        # each squared pair, and the pass to max(t, T_PROBE) leaves the table
+        # at scale t unchanged
+        if name.startswith("haar"):
+            _, d, k = name.split("-")  # haar-d<d>-k<k>
+            gs = haar_random_gateset(int(d[1:]), int(k[1:]), seed=1729)
+        elif name == "commuting-diagonal":
+            th = np.exp(1j * np.array([0.4, -0.4]))
+            gs = make_gateset(2, [("a", np.diag(th)), ("b", np.diag(th**2))])
+        else:
+            X = np.array([[0, 1], [1, 0]])
+            Z = np.diag([1, -1])
+            H = haar_random_gateset(2, 1, seed=7).pairs[0][1]
+            gs = make_gateset(2, [("x", X), ("z", Z), ("h", H)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            g, table = g_t0(gs, t_override=t)
+        sq = squared_set(gs).pairs
+        want = tuple(
+            (i, j, universality_heuristic(GateSet(d=gs.d, pairs=(sq[i], sq[j]))))
+            for i, j in itertools.combinations(range(gs.k), 2)
+        )
+        assert table.universality == want
+        warned = [str(w.message) for w in caught if "squared pair subset" in str(w.message)]
+        assert warned == [
+            f"squared pair subset ({i}, {j}) looks {v}; the subset gaps and hence "
+            f"g_t0 may degenerate to zero"
+            for i, j, v in want if v != "universal-likely"
+        ]
+        g_plain, table_plain = g_t0(gs, t_override=t, check_universality=False)
+        assert (g, table.per_m, table.t0) == (g_plain, table_plain.per_m, t)
 
     def test_triple_monotone_subsets(self, haar_triple_d2):
         g, table = g_t0(haar_triple_d2, t_override=6)

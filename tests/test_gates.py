@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapforge
+from gapforge.avgop import universality_heuristic
 from gapforge.errors import DomainError, GateFileError, ResourceLimitError
 from gapforge.gates import (
     GateSet,
@@ -15,7 +21,6 @@ from gapforge.gates import (
     pu_distance,
     save_gateset,
     squared_set,
-    universality_heuristic,
     _haar_unitary,
 )
 
@@ -195,6 +200,19 @@ class TestUniversality:
         # the Pauli pair generates a finite subgroup
         gs = make_gateset(2, [("x", X), ("z", Z)])
         assert universality_heuristic(gs) == "not-universal"
+
+
+def test_import_leaves_operator_layers_out():
+    # gates sits below irrep and avgop (irrep imports it), so it must not
+    # import them back
+    script = "import sys, gapforge.gates; print('gapforge.avgop' in sys.modules)"
+    src = str(Path(gapforge.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestEmpiricalNet:

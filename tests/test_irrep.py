@@ -65,10 +65,6 @@ class TestBasisStructure:
         with pytest.raises(ResourceLimitError):
             build_basis(Weight((30, 0, 0, -30)), dim_cap=1000)
 
-    def test_d_mismatch(self):
-        with pytest.raises(DomainError):
-            build_basis(Weight((1, -1)), d=3)
-
     @pytest.mark.parametrize(
         "entries",
         [(1, -1), (3, -3), (1, 0, -1), (2, -1, -1), (2, 0, -2), (1, 0, 0, -1), (2, 1, -1, -2)],

@@ -158,10 +158,6 @@ class TestDimension:
             (0, 0, 0): 1,
         }
 
-    def test_d_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            weyl_dimension(Weight((1, -1)), d=3)
-
 
 class TestFrobeniusSchur:
     def test_known_values(self):
