@@ -87,9 +87,8 @@ class TestGT0:
                     best_gap, best_sub = sub_gap, combo
             assert (gap, removed) == (max(best_gap, 0.0), best_sub)
 
-    @pytest.mark.parametrize("check_universality", [False, True])
-    def test_builds_each_image_once_per_weight(self, monkeypatch, check_universality):
-        # the universality verdicts come from the same pass, at no extra images
+    @staticmethod
+    def _count_images(monkeypatch, check_universality):
         calls = []
         real = gapforge.avgop.irrep_matrix
 
@@ -102,6 +101,13 @@ class TestGT0:
         g_t0(haar_random_gateset(2, k, seed=1729), t_override=6,
              check_universality=check_universality)
         assert len(calls) == k * len(enumerate_nontrivial_weights(2, 6))
+
+    def test_builds_each_image_once_per_weight(self, monkeypatch):
+        self._count_images(monkeypatch, check_universality=False)
+
+    def test_verdicts_cost_no_extra_images(self, monkeypatch):
+        # the universality verdicts come from the same pass, at no extra images
+        self._count_images(monkeypatch, check_universality=True)
 
     @pytest.mark.parametrize("name, t", [
         (name, t)
