@@ -3,8 +3,9 @@
 
 eps0 = 0.25 gives t0 = 509, so the squared-set averaging operator is assembled
 over all 509 nontrivial weights (block dimensions up to 1019, each norm a
-dense eigensolve).  With 2 threads on a 2-core machine g_t0 took 1034-1081 s
-wall (about 390 MB peak RSS), and 183 s with OPENBLAS_NUM_THREADS=1.
+dense eigensolve).  With 2 pool threads on a 2-core machine g_t0 took 163 s
+wall (about 325 MB peak RSS), and 161 s with OPENBLAS_NUM_THREADS=1: the pool
+pins OpenBLAS to one thread per task either way.
 
 Note the trade-off along the grid: eps0 = 0.25 minimizes t0 but sits exactly at
 the degeneration point of the prefactor, so the certified lower bound there is

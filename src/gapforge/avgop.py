@@ -11,13 +11,21 @@ with its inverse, and pi(U^-1) = pi(U)^dagger entry for entry), so norms come
 from dense Hermitian eigensolves; everything is deterministic for fixed
 inputs.  subset_norms serves a whole family of pair subsets in one pass over
 the weights: each weight builds every gate image once and sums each subset's
-block from those images.  The universality probe reads its verdict off the
-block norms at the small scale T_PROBE.
+block from those images.  It uses the Frobenius-Schur type of each weight
+(PU(d) has no quaternionic irreps): the block of the conjugate weight is the
+complex conjugate of the block of lambda up to a change of basis, so only the
+first of each conjugate pair is computed; a self-conjugate block is taken to
+its real form, a real symmetric matrix.  The universality probe reads its
+verdict off the block norms at the small scale T_PROBE.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import os
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -28,7 +36,7 @@ import scipy.linalg
 
 from .errors import DomainError
 from .irrep import cached_basis, irrep_matrix
-from .weightlat import Weight, check_scale, enumerate_nontrivial_weights
+from .weightlat import Weight, check_scale, enumerate_nontrivial_weights, frobenius_schur
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gates import GateSet
@@ -68,24 +76,27 @@ class GapReport:
         }
 
 
-def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable) -> list:
+def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=False) -> list:
     """[take(block) for each kept-pair tuple in keeps], in order.
 
     The block over keep is (1/|keep|) sum of the kept gates' images, for
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
-    Each image is built on first use and dropped after its last, and one block
-    is alive at a time, so memory is at most len(pairs) images plus one block.
-    Images are summed in the order of each keep tuple.
+    With real_form (self-conjugate weights only), each image is taken to the
+    real form first, so the blocks are real.  Each image is built on first use
+    and dropped after its last, and one block is alive at a time, so memory
+    is at most len(pairs) images plus one block.  Images are summed in the
+    order of each keep tuple.
     """
     n = basis.dim
+    form = _real_form_map(*basis.real_structure) if real_form else None
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
     images = {}
     out = []
     for j, keep in enumerate(keeps):
-        acc = np.zeros((n, n), dtype=np.complex128)
+        acc = np.zeros((n, n), dtype=np.complex128 if form is None else np.float64)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric)
+                images[i] = _image(basis, pairs[i][1], symmetric, form)
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
         out.append(take(acc))
@@ -93,9 +104,52 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable) -> list:
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool) -> np.ndarray:
+def _image(basis, U: np.ndarray, symmetric: bool, form) -> np.ndarray:
     P = irrep_matrix(basis, U)
+    if form is not None:
+        P = _to_real_form(form, P)
     return P + P.conj().T if symmetric else P
+
+
+def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
+    """(u, v, alpha, beta) with row k of C equal to alpha[k] e_u[k] + beta[k]
+    e_v[k], for the unitary C with C^T C = J, J e_i = sign[i] e_perm[i].
+
+    J is a symmetric signed permutation with J^2 = I: a fixed point with sign s
+    gets the row phi e_i, a swapped pair i < q with common sign s the rows
+    phi (e_i + e_q)/sqrt2 and i phi (e_i - e_q)/sqrt2, with phi^2 = s.
+    """
+    k = np.arange(len(perm))
+    phi = np.where(sign > 0, 1.0 + 0j, 1j)
+    fixed = perm == k
+    r = np.where(fixed, 1.0, np.sqrt(0.5)) * phi
+    first = k < perm
+    alpha = np.where(first | fixed, r, 1j * r)
+    beta = np.where(fixed, 0.0, np.where(first, r, -1j * r))
+    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta
+
+
+def _to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
+    """Re(C P C^dagger) for C from _real_form_map, in O(n^2).
+
+    conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
+    is checked to be roundoff.
+    """
+    u, v, alpha, beta = form
+    Y = P[u]
+    Y *= alpha[:, None]
+    T = P[v]
+    T *= beta[:, None]
+    Y += T
+    H = Y[:, u]
+    H *= alpha.conj()
+    T = Y[:, v]
+    T *= beta.conj()
+    H += T
+    imag = float(np.abs(H.imag).max())
+    if not imag <= 1e-10:
+        raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
+    return H.real.copy()
 
 
 def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
@@ -103,6 +157,12 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     symmetric (pairs enter as P + P^dagger before the real rescale)."""
     keep = tuple(range(gs.k))
     return _block_sums(cached_basis(weight), gs.pairs, [keep], gs.symmetric, lambda B: B)[0]
+
+
+def _representatives(weights: list) -> list:
+    """The weights that come first in canonical (descending) order among
+    {w, w.conjugate()}: one of each conjugate pair, every self-conjugate one."""
+    return [w for w in weights if w.entries >= w.conjugate().entries]
 
 
 def subset_norms(
@@ -113,17 +173,28 @@ def subset_norms(
 
     One pass over the nontrivial weights up to scale t: each weight builds the
     image of each pair once and forms every subset block from those images.
-    progress(w, norms of w) fires on the worker as each weight finishes.
+    Only the first of each conjugate pair is computed, and its norms are those
+    of the other, whose block is the complex conjugate of its own up to a
+    change of basis; self-conjugate blocks are normed in their real form.
+    progress(w, norms of w) fires on the worker as each weight finishes, for
+    a conjugate pair once per member.
     """
     weights = enumerate_nontrivial_weights(gs.d, t)
 
     def one(w: Weight):
-        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm)
+        real = frobenius_schur(w) == 1
+        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm, real)
         if progress is not None:
             progress(w, norms)
+            if not real:
+                progress(w.conjugate(), norms)
         return norms
 
-    return weights, _map_weights(one, weights, threads)
+    reps = _representatives(weights)
+    rows = {}
+    for w, norms in zip(reps, _map_weights(one, reps, threads)):
+        rows[w] = rows[w.conjugate()] = norms
+    return weights, [rows[w] for w in weights]
 
 
 def _hermitian_norm(B: np.ndarray) -> float:
@@ -180,13 +251,71 @@ def _map_weights(one: Callable, weights: list, threads: int | None) -> list:
     """[one(w) for w in weights], on a thread pool when threads allow.
 
     Results come back in the order of `weights`, so reductions over them do
-    not depend on the thread count.
+    not depend on the thread count.  Every task runs with OpenBLAS on one
+    thread, on the pool and serially alike: the pool is the parallelism, and
+    one BLAS thread per task keeps the results bit-identical across pool sizes.
     """
     n_threads = _resolve_threads(threads)
-    if n_threads > 1 and len(weights) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(one, weights))
-    return [one(w) for w in weights]
+    with _ONE_BLAS_THREAD:
+        if n_threads > 1 and len(weights) > 1:
+            # builds that keep the count per thread need it on each worker
+            with ThreadPoolExecutor(max_workers=n_threads, initializer=_pin_blas) as pool:
+                return list(pool.map(one, weights))
+        return [one(w) for w in weights]
+
+
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of the loaded OpenBLAS builds that numpy
+    and scipy bundle; empty where there is none, and BLAS runs as configured."""
+    setters = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))  # loaded ones only
+                fn = lib.openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            setters.append(fn)
+    return tuple(setters)
+
+
+def _pin_blas() -> list:
+    """Set every OpenBLAS found to one thread; return the previous counts."""
+    return [set_threads(1) for set_threads in _blas_thread_setters()]
+
+
+class _BlasPin:
+    """Context manager pinning OpenBLAS to one thread for the duration.
+
+    The bundled pthreads builds apply the count to the whole process, so
+    passes that overlap (from different caller threads) share one pin: the
+    first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._previous = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._previous = _pin_blas()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_threads, n in zip(_blas_thread_setters(), self._previous):
+                    set_threads(n)
+
+
+_ONE_BLAS_THREAD = _BlasPin()
 
 
 def gap_at_scale(
@@ -232,7 +361,7 @@ def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) ->
     check_scale(t)
     if not gs.symmetric:
         raise DomainError("convolution_square_gap needs a symmetric gate set")
-    weights = enumerate_nontrivial_weights(gs.d, t)
+    weights = _representatives(enumerate_nontrivial_weights(gs.d, t))
 
     def one(w: Weight):
         B = averaging_block(w, gs)

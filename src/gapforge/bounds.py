@@ -39,7 +39,7 @@ from .constants import (
 )
 from .errors import DomainError
 from .gates import GateSet, squared_set
-from .weightlat import check_scale
+from .weightlat import check_d, check_scale
 
 __all__ = [
     "SubsetGapTable",
@@ -264,8 +264,7 @@ def gap_bound_from_diameter(d: int, t: int, k: int, per_m) -> float:
 
     per_m: (eps_m, diam_m) for m = 0..k-2, with 0 < eps_m <= 1/(2 C t).
     """
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    check_d(d)
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
     per_m = list(per_m)
@@ -301,8 +300,7 @@ def net_length_scale_bound(d: int, gap_t: float, eps: float) -> tuple:
     ell = [(d^2-1)(2 log(1/eps) + log(4 C_b^{3/2} d)) + log 32] / gap_t is a
     valid length once the gap is certified at the returned scale.
     """
-    if d < 2:
-        raise DomainError(f"d must be >= 2, got {d}")
+    check_d(d)
     if not 0.0 < gap_t <= 1.0:
         raise DomainError(f"gap_t must be in (0, 1], got {gap_t}")
     if not 0.0 < eps < 1.0:

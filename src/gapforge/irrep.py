@@ -17,6 +17,10 @@ numerator vanishes, but the denominator can too, so the formula must not be
 evaluated there).  Lowering operators are adjoints, Cartan elements diagonal
 with entries rowsum_l - rowsum_{l-1}.
 
+A self-conjugate irrep also carries its real structure J, a signed
+permutation of the GT basis with conj(pi(U)) = J pi(U) J^T (see
+_real_structure).
+
 Group elements are produced by eigendecomposing U, centering the eigenphases
 to sum zero (the canonical traceless logarithm), pushing the logarithm through
 the algebra representation and re-exponentiating with a Hermitian eigensolve.
@@ -38,7 +42,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
 from .gates import check_unitary
-from .weightlat import Weight, weyl_dimension
+from .weightlat import Weight, frobenius_schur, weyl_dimension
 
 __all__ = [
     "GTBasis",
@@ -63,6 +67,8 @@ class GTBasis:
         downstream matrix deterministic.
     generator_images: {(a, b): sparse matrix} for the Cartan elements (a, a)
         and the simple raising/lowering pairs (l, l+1), (l+1, l).
+    real_structure: (perm, sign) for a self-conjugate weight, with
+        J e_i = sign[i] e_perm[i] the real structure; None otherwise.
     """
 
     weight: Weight
@@ -70,6 +76,7 @@ class GTBasis:
     generator_images: dict
     shift: int
     pattern_weights: np.ndarray = field(repr=False)  # (dim, d) int, unshifted
+    real_structure: tuple | None = field(repr=False, default=None)
     _full_images: dict = field(repr=False, default_factory=dict)
 
     @property
@@ -141,6 +148,7 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
     assert np.all(pw.sum(axis=1) == 0)  # every pattern weight sums to |lambda| = 0
 
     images: dict = {}
+    up = [0] * dim  # up[i]: a pattern that a simple raising operator sends i to
     # Cartan elements: diagonal in the GT basis, integer entries
     for a in range(1, d + 1):
         diag = (pw[:, a - 1] + shift).astype(np.float64)
@@ -174,6 +182,7 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
                 rows_i.append(j)
                 cols_i.append(i)
                 vals.append(sqrt(num / den))
+                up[i] = j
         images[(l, l + 1)] = sp.csr_matrix(
             (np.asarray(vals, dtype=np.complex128), (rows_i, cols_i)), shape=(dim, dim)
         )
@@ -185,9 +194,54 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
         generator_images=images,
         shift=shift,
         pattern_weights=pw,
+        real_structure=(
+            _real_structure(patterns, index, up, images)
+            if frobenius_schur(weight) == 1 else None
+        ),
     )
     _fill_nonsimple(basis)
     return basis
+
+
+def _real_structure(patterns: list, index: dict, up: list, images: dict) -> tuple:
+    """(perm, sign) of the real structure J of a self-conjugate irrep.
+
+    conj(pi(U)) = J pi(U) J^T holds iff J E_ab J^T = -E_ba on the generators
+    (up to a multiple of the identity on the Cartan elements, which the
+    traceless logarithm in irrep_matrix cancels).  Reflecting every row
+    r -> c - reversed(r), c the top entry of the shifted signature, sends each
+    pattern to the one of negated weight, so J permutes the GT basis up to
+    signs.  Every GT amplitude is positive, so J E J^T = -E^T flips the sign
+    along each simple raising edge; a pattern raises only to an earlier one
+    (raising increases the sort key), so one ascending sweep from sign[0] = 1
+    fixes every sign.  The result is checked on every edge.
+    """
+    c = patterns[0][-1][0]
+    perm = np.array(
+        [index[tuple(tuple(c - x for x in reversed(r)) for r in p)] for p in patterns],
+        dtype=np.intp,
+    )
+    sign = [1.0] * len(patterns)
+    for i in range(1, len(patterns)):
+        sign[i] = -sign[up[i]]
+    sign = np.asarray(sign)
+    _check_real_structure(images, perm, sign)
+    return perm, sign
+
+
+def _check_real_structure(images: dict, perm: np.ndarray, sign: np.ndarray) -> None:
+    """Raise unless J = (perm, sign) is a symmetric involution with
+    J E J^T = -E^T for every simple raising operator E."""
+    n = len(perm)
+    if not (np.array_equal(perm[perm], np.arange(n)) and np.array_equal(sign[perm], sign)):
+        raise AssertionError("real structure is not a symmetric involution")
+    J = sp.csr_matrix((sign, (perm, np.arange(n))), shape=(n, n))
+    for (a, b), E in images.items():
+        if b != a + 1:
+            continue
+        err = abs(J @ E @ J.T + E.T).max()
+        if not err <= 1e-12 * max(1.0, abs(E).max()):
+            raise AssertionError(f"real structure fails on E_{a}{b} by {err:.3e}")
 
 
 def _fill_nonsimple(basis: GTBasis) -> None:

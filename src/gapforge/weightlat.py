@@ -91,7 +91,10 @@ class IrrepMeta:
 
     weight: Weight
     dim: int
-    fs_indicator: int  # 1 self-conjugate (real), 0 complex; quaternionic absent
+    # 1: self-conjugate, of real type, so its averaging blocks have a real
+    # form; 0: complex, and the conjugate weight's blocks have the same norms.
+    # Quaternionic (-1) never occurs for PU(d).
+    fs_indicator: int
     one_norm: int
 
 

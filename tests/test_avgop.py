@@ -1,19 +1,36 @@
+import itertools
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import BlockOperator, build_block_operator, convergence_profile
+import gapforge.avgop
 from gapforge.avgop import (
     GapReport,
+    _blas_thread_setters,
+    _map_weights,
+    _to_real_form,
     averaging_block,
     block_operator_norm,
     convolution_square_gap,
     gap_at_scale,
+    subset_norms,
 )
 from gapforge.errors import DomainError
-from gapforge.gates import _haar_unitary, haar_random_gateset, make_gateset, squared_set
-from gapforge.weightlat import Weight, enumerate_nontrivial_weights
+from gapforge.gates import (
+    GateSet,
+    _haar_unitary,
+    haar_random_gateset,
+    make_gateset,
+    squared_set,
+)
+from gapforge.irrep import cached_basis, irrep_matrix
+from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
 def diag_pair(phi=np.pi / 2):
@@ -136,6 +153,101 @@ class TestGapAtScale:
         a = gap_at_scale(make_gateset(2, [("a", u1), ("b", u2)]), 4)
         b = gap_at_scale(make_gateset(2, [("b", u2), ("a", u1)]), 4)
         assert a.gap == pytest.approx(b.gap, abs=1e-13)
+
+
+class TestSubsetNorms:
+    @pytest.mark.parametrize("d, k, t", [(2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2),
+                                         (4, 2, 2), (4, 3, 1)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_averaging_block_norms(self, d, k, t, threads):
+        # conjugate rows are copies and self-conjugate rows come from the real
+        # form; both agree with the complex GT-basis block of their own weight
+        gs = haar_random_gateset(d, k, seed=1729)
+        keeps = [tuple(range(k))] + list(itertools.combinations(range(k), 2))
+        weights, norms = subset_norms(gs, t, keeps, threads=threads)
+        assert weights == enumerate_nontrivial_weights(d, t)
+        for w, row in zip(weights, norms):
+            for keep, got in zip(keeps, row):
+                sub = GateSet(d=d, pairs=tuple(gs.pairs[i] for i in keep), symmetric=True)
+                want = block_operator_norm(averaging_block(w, sub), hermitian=True)
+                assert got == pytest.approx(want, abs=1e-13)
+
+    def test_images_and_bases_of_one_weight_per_conjugate_pair(self, monkeypatch,
+                                                                haar_pair_d3):
+        images, lookups, fired = [], [], []
+        real_image, real_lookup = irrep_matrix, cached_basis
+        monkeypatch.setattr(gapforge.avgop, "irrep_matrix",
+                            lambda b, U: images.append(b.weight) or real_image(b, U))
+        monkeypatch.setattr(gapforge.avgop, "cached_basis",
+                            lambda w: lookups.append(w) or real_lookup(w))
+        rep = gap_at_scale(haar_pair_d3, 4, progress=lambda w, v: fired.append((w, v)))
+        weights = enumerate_nontrivial_weights(3, 4)
+        n_self = sum(frobenius_schur(w) for w in weights)
+        n_canonical = (len(weights) + n_self) // 2
+        assert len(images) == haar_pair_d3.k * n_canonical
+        assert len(lookups) == n_canonical
+        for w in lookups:  # each the first of its pair in canonical order
+            assert weights.index(w) <= weights.index(w.conjugate())
+        # progress still fires once for every weight, conjugates included
+        assert sorted(w.entries for w, _ in fired) == sorted(w.entries for w in weights)
+        assert all(rep.per_weight_norms[w] == v for w, v in fired)
+
+    def test_real_form_rejects_a_complex_remainder(self):
+        b = cached_basis(Weight((1, 0, -1)))
+        form = gapforge.avgop._real_form_map(*b.real_structure)
+        P = irrep_matrix(b, _haar_unitary(3, np.random.default_rng(4)))
+        R = _to_real_form(form, P)
+        assert R.dtype == np.float64
+        with pytest.raises(AssertionError, match="imaginary part"):
+            _to_real_form(form, P * np.exp(0.3j))  # breaks conj(P) = J P J^T
+
+
+@pytest.mark.skipif(not _blas_thread_setters(), reason="no OpenBLAS thread setter")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tasks_run_on_one_blas_thread(threads):
+    setters = _blas_thread_setters()
+    before = [set_threads(2) for set_threads in setters]
+    try:
+        # each setter returns the count it replaces: 1 inside a task
+        seen = _map_weights(lambda w: [s(1) for s in setters], [0, 1, 2], threads)
+        assert seen == [[1] * len(setters)] * 3
+        assert [set_threads(2) for set_threads in setters] == [2] * len(setters)
+    finally:
+        for set_threads, n in zip(setters, before):
+            set_threads(n)
+
+
+@pytest.mark.skipif(not _blas_thread_setters(), reason="no OpenBLAS thread setter")
+def test_overlapping_passes_share_one_blas_pin():
+    # the count is process-wide: passes from several caller threads must all
+    # run pinned, and the count must come back once the last one ends
+    setters = _blas_thread_setters()
+    before = [set_threads(2) for set_threads in setters]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    seen = []
+
+    def task(w):
+        time.sleep(0.001)
+        seen.append([s(1) for s in setters])
+
+    def caller():
+        for _ in range(5):
+            _map_weights(task, list(range(4)), 2)
+
+    callers = [threading.Thread(target=caller) for _ in range(4)]
+    try:
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+        assert not any(c.is_alive() for c in callers)
+        assert seen == [[1] * len(setters)] * (4 * 5 * 4)
+        assert [set_threads(2) for set_threads in setters] == [2] * len(setters)
+    finally:
+        sys.setswitchinterval(interval)
+        for set_threads, n in zip(setters, before):
+            set_threads(n)
 
 
 class TestBlockOperator:

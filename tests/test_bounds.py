@@ -329,6 +329,8 @@ class TestDiameterBound:
             gap_bound_from_diameter(2, t, 2, [(cap, -1.0)])
         with pytest.raises(DomainError):
             gap_bound_from_diameter(2, t, 3, [(cap, 1.0)])
+        with pytest.raises(DomainError, match="d must be an integer >= 2"):
+            gap_bound_from_diameter(2.5, t, 2, [(cap, 1.0)])
 
 
 class TestNetLengths:
@@ -358,6 +360,8 @@ class TestNetLengths:
         assert t_req == scale_t0(0.5, 2)
 
     def test_scale_bound_validation(self):
+        with pytest.raises(DomainError, match="d must be an integer >= 2"):
+            net_length_scale_bound(2.5, 0.3, 0.5)
         with pytest.raises(DomainError):
             net_length_scale_bound(2, 0.0, 0.5)
         with pytest.raises(DomainError):

@@ -211,6 +211,12 @@ class TestNetLengthCmd:
         doc = json.loads(out)
         assert doc["ell"] > 0 and doc["vacuous"] is False
 
+    def test_rejects_d_below_two(self, capsys):
+        code, _, err = run_cli(capsys, ["net-length", "--d", "1", "--gap", "0.1",
+                                        "--eps", "0.1"])
+        assert code == 2
+        assert "d must be an integer >= 2, got 1" in err
+
 
 class TestNetEmpiricalCmd:
     def test_doc_and_determinism(self, capsys, gate_file):

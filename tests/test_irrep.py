@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapforge
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary
 from gapforge.irrep import (
@@ -74,6 +81,57 @@ class TestBasisStructure:
 
     def test_cached_basis_identity(self):
         assert cached_basis(Weight((2, -2))) is cached_basis(Weight((2, -2)))
+
+
+class TestRealStructure:
+    @pytest.mark.parametrize(
+        "entries",
+        [(1, -1), (4, -4), (1, 0, -1), (2, 0, -2), (1, 0, 0, -1), (1, 1, -1, -1),
+         (2, 1, -1, -2)],
+    )
+    def test_signed_permutation_conjugates_images(self, entries):
+        b = build_basis(Weight(entries))
+        perm, sign = b.real_structure
+        n = b.dim
+        J = np.zeros((n, n))
+        J[perm, np.arange(n)] = sign
+        assert sorted(perm) == list(range(n))
+        assert set(sign) <= {-1.0, 1.0}
+        assert np.array_equal(J, J.T)
+        assert np.array_equal(J @ J, np.eye(n))
+        for seed in (1, 2):
+            P = irrep_matrix(b, rand_unitary(b.d, seed))
+            assert np.abs(P.conj() - J @ P @ J.T).max() <= 1e-12
+
+    def test_complex_weight_has_none(self):
+        assert build_basis(Weight((2, -1, -1))).real_structure is None
+
+    def test_corrupted_sign_raises_under_optimize(self):
+        # the edge-by-edge check on J must survive python -O
+        script = textwrap.dedent("""
+            from gapforge.irrep import _check_real_structure, build_basis
+            from gapforge.weightlat import Weight
+
+            assert False, "assert statements must be stripped here"
+            b = build_basis(Weight((2, 0, -2)))
+            perm, sign = b.real_structure
+            _check_real_structure(b.generator_images, perm, sign)
+            for i in (0, 9, 13):  # 9 is a fixed point of perm
+                bad = sign.copy()
+                bad[i] = -bad[i]
+                try:
+                    _check_real_structure(b.generator_images, perm, bad)
+                except AssertionError as exc:
+                    print("raised:", exc)
+        """)
+        src = str(Path(gapforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("raised: real structure") == 3
 
 
 class TestCasimir:
