@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .irrep import cached_basis, irrep_matrix
+from .irrep import cached_basis, irrep_matrix, jy_frame
 from .weightlat import Weight, check_scale, enumerate_nontrivial_weights, frobenius_schur
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,11 +84,13 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     With real_form (self-conjugate weights only), each image is taken to the
     real form first, so the blocks are real.  Each image is built on first use
     and dropped after its last, and one block is alive at a time, so memory
-    is at most len(pairs) images plus one block.  Images are summed in the
-    order of each keep tuple.
+    is at most len(pairs) images plus one block (plus, at d = 2, the Jy frame
+    all images of the weight share).  Images are summed in the order of each
+    keep tuple.
     """
     n = basis.dim
     form = _real_form_map(*basis.real_structure) if real_form else None
+    frame = jy_frame(basis) if basis.d == 2 else None
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
     images = {}
     out = []
@@ -96,7 +98,7 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
         acc = np.zeros((n, n), dtype=np.complex128 if form is None else np.float64)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric, form)
+                images[i] = _image(basis, pairs[i][1], symmetric, form, frame)
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
         out.append(take(acc))
@@ -104,8 +106,8 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool, form) -> np.ndarray:
-    P = irrep_matrix(basis, U)
+def _image(basis, U: np.ndarray, symmetric: bool, form, frame) -> np.ndarray:
+    P = irrep_matrix(basis, U, frame=frame)
     if form is not None:
         P = _to_real_form(form, P)
     return P + P.conj().T if symmetric else P

@@ -21,12 +21,19 @@ A self-conjugate irrep also carries its real structure J, a signed
 permutation of the GT basis with conj(pi(U)) = J pi(U) J^T (see
 _real_structure).
 
-Group elements are produced by eigendecomposing U, centering the eigenphases
-to sum zero (the canonical traceless logarithm), pushing the logarithm through
-the algebra representation and re-exponentiating with a Hermitian eigensolve.
-The result is unitary to machine precision and, because all pattern weights
-are integral and sum-zero kills the overall phase, independent of the phase
-convention of U up to ~1e-10.
+Group elements are produced in one of two ways.  For d >= 3, U is
+eigendecomposed, its eigenphases centered to sum zero (the canonical traceless
+logarithm), the logarithm pushed through the algebra representation and
+re-exponentiated with a Hermitian eigensolve.  For d = 2 the weight (j, -j) is
+the spin-j irrep of SO(3): U / sqrt(det U) = Rz(alpha) Ry(beta) Rz(gamma), and
+
+    pi(U) = diag(e^{-i alpha m}) d^j(beta) diag(e^{-i gamma m})
+
+with m the Jz eigenvalue of each GT vector and d^j(beta) = exp(-i beta Jy)
+taken from the eigenbasis of Jy (a JyFrame, built once per weight by a
+tridiagonal eigensolve).  Either way the result is unitary to machine
+precision and, because all pattern weights are integral and sum-zero kills
+the overall phase, independent of the phase convention of U up to ~1e-10.
 """
 
 from __future__ import annotations
@@ -46,8 +53,10 @@ from .weightlat import Weight, frobenius_schur, weyl_dimension
 
 __all__ = [
     "GTBasis",
+    "JyFrame",
     "build_basis",
     "cached_basis",
+    "jy_frame",
     "irrep_matrix",
     "algebra_image",
     "weyl_character",
@@ -290,22 +299,120 @@ def algebra_image(basis: GTBasis, X: np.ndarray) -> np.ndarray:
     return np.asarray(acc.todense())
 
 
-def irrep_matrix(basis: GTBasis, U: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class JyFrame:
+    """Eigenvectors of Jy for one d = 2 weight, shared by the images of its gates.
+
+    In the GT basis Jy is tridiagonal with zero diagonal, and T = D^dagger Jy D
+    with D = diag(i^r) is real symmetric.  exp(-i beta Jy) = D exp(-i beta T)
+    D^dagger is real (the Wigner d^j(beta)), so its entries with r - c even
+    are those of cos(beta T) and those with r - c odd those of sin(beta T),
+    times i^(r-c) or -i^(r-c+1): s_r s_c with s_r = (-1)^floor(r/2), negated
+    where r is even and c odd.  T anticommutes with diag((-1)^r), so the
+    eigenvector of -mu is that of mu with its odd rows negated, and both
+    parts come from the eigenvectors of mu = 0 .. j alone: with S those
+    scaled by s, the even-even and odd-odd entries are S_e diag(w) S_e^T and
+    S_o diag(w) S_o^T, w = 2 cos(beta mu) (1 at mu = 0), and the even-odd
+    ones S_e diag(2 sin(beta mu)) S_o^T.  even and odd hold about n^2 / 2
+    entries together, so a frame is built per use and never cached.
+    """
+
+    m: np.ndarray  # Jz eigenvalue of each GT vector, (pw_1 - pw_2) / 2
+    even: np.ndarray = field(repr=False)  # S_e: even rows of S, ((n + 1) / 2, j + 1)
+    odd: np.ndarray = field(repr=False)  # S_o: odd rows of S, ((n - 1) / 2, j + 1)
+    mu: np.ndarray = field(repr=False)  # 0 .. j
+
+
+def jy_frame(basis: GTBasis) -> JyFrame:
+    """The JyFrame of a d = 2 basis, by a tridiagonal eigensolve.
+
+    The off-diagonal of T is half the simple raising amplitudes, read off the
+    GT raising operator.  Its spectrum is exactly -j .. j; the computed one is
+    checked against that and replaced by it.
+    """
+    if basis.d != 2:
+        raise DomainError(f"a Jy frame needs d = 2, got d = {basis.d}")
+    n = basis.dim
+    E = basis.generator_images[(1, 2)]
+    if E.nnz != n - 1:
+        raise AssertionError(f"raising operator has {E.nnz} entries, not {n - 1}")
+    # divide and conquer: at n = 1019 its Q is orthogonal to 4e-15, the
+    # default MRRR driver's to 8e-13, for about 1.2x the time
+    mu, Q = scipy.linalg.eigh_tridiagonal(
+        np.zeros(n), 0.5 * E.diagonal(1).real, lapack_driver="stevd"
+    )
+    j = (n - 1) // 2
+    err = float(np.abs(mu - np.arange(-j, j + 1)).max())
+    if not err <= 1e-9 * n:
+        raise AssertionError(f"Jy spectrum is off -j..j by {err:.3e}")
+    S = Q[:, j:] * (1 - (np.arange(n) & 2))[:, None]
+    pw = basis.pattern_weights
+    return JyFrame(
+        m=(pw[:, 0] - pw[:, 1]) / 2,
+        even=np.ascontiguousarray(S[0::2]),
+        odd=np.ascontiguousarray(S[1::2]),
+        mu=np.arange(j + 1.0),
+    )
+
+
+def irrep_matrix(basis: GTBasis, U: np.ndarray, frame: JyFrame | None = None) -> np.ndarray:
     """pi_lambda(U) in the GT basis; unitary to ~1e-12, phase-convention
     independent to ~1e-10.
 
-    U is eigendecomposed by a complex Schur factorization (exactly unitary
-    eigenvectors even for degenerate spectra), its eigenphases centered to the
-    traceless logarithm X0, and exp(d(pi)(X0)) evaluated by a Hermitian
-    eigensolve of -i d(pi)(X0).
+    At d = 2 the image comes from the Euler angles of U on a JyFrame: `frame`
+    if given (it must be jy_frame(basis)), otherwise one built for this call.
+    At d >= 3 `frame` must be None, and U is eigendecomposed by a complex
+    Schur factorization (exactly unitary eigenvectors even for degenerate
+    spectra), its eigenphases centered to the traceless logarithm X0, and
+    exp(d(pi)(X0)) evaluated by a Hermitian eigensolve of -i d(pi)(X0).
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (basis.d, basis.d):
         raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
     check_unitary(U, "gate")
+    if basis.d == 2:
+        if frame is None:
+            frame = jy_frame(basis)
+        elif frame.m.size != basis.dim:
+            raise DomainError(f"frame of dimension {frame.m.size} for a basis of {basis.dim}")
+        return _euler_image(frame, U)
+    if frame is not None:
+        raise DomainError(f"a Jy frame applies to d = 2 only, got d = {basis.d}")
     if basis.dim == 1:
         return np.ones((1, 1), dtype=np.complex128)
+    return _exp_image(basis, U)
 
+
+def _euler_image(frame: JyFrame, U: np.ndarray) -> np.ndarray:
+    """diag(e^{-i alpha m}) d^j(beta) diag(e^{-i gamma m}) for the ZYZ Euler
+    angles of V = U / sqrt(det U) in SU(2): V = Rz(alpha) Ry(beta) Rz(gamma),
+    Rz(phi) = diag(e^{-i phi/2}, e^{i phi/2}).  The sign of the square root
+    only flips the sign of V, which integer spin cannot see.  At beta = 0 or
+    pi one of the arguments below is that of 0, and only alpha + gamma
+    (respectively alpha - gamma) matters, which the formulas still get right.
+    """
+    V = U / np.sqrt(np.linalg.det(U))
+    beta = 2.0 * np.arctan2(abs(V[1, 0]), abs(V[1, 1]))
+    a11, a10 = np.angle(V[1, 1]), np.angle(V[1, 0])
+    x = beta * frame.mu
+    w = 2.0 * np.cos(x)
+    w[0] = 1.0
+    Se, So = frame.even, frame.odd
+    n = frame.m.size
+    d = np.empty((n, n))
+    d[0::2, 0::2] = (Se * w) @ Se.T
+    d[1::2, 1::2] = (So * w) @ So.T
+    X = (Se * (2.0 * np.sin(x))) @ So.T
+    d[1::2, 0::2] = X.T
+    np.negative(X, out=d[0::2, 1::2])
+    P = np.exp(-1j * (a11 + a10) * frame.m)[:, None] * d
+    P *= np.exp(-1j * (a11 - a10) * frame.m)
+    return P
+
+
+def _exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
+    """The eigendecomposition path of irrep_matrix, for a checked gate U; at
+    d = 2 the independent reference for _euler_image."""
     T, Z = _schur_unitary(U)
     theta = np.angle(T)
     theta = theta - theta.mean()

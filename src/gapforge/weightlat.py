@@ -107,6 +107,8 @@ def _partitions(s: int, max_parts: int, max_first: int | None = None) -> Iterato
         return
     first_cap = s if max_first is None else min(s, max_first)
     for f in range(first_cap, 0, -1):
+        if f * max_parts < s:
+            break  # parts <= f cannot reach s; smaller f cannot either
         for rest in _partitions(s - f, max_parts - 1, f):
             yield (f,) + rest
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import sys
 import threading
@@ -29,7 +30,7 @@ from gapforge.gates import (
     make_gateset,
     squared_set,
 )
-from gapforge.irrep import cached_basis, irrep_matrix
+from gapforge.irrep import JyFrame, cached_basis, irrep_matrix
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -176,8 +177,10 @@ class TestSubsetNorms:
                                                                 haar_pair_d3):
         images, lookups, fired = [], [], []
         real_image, real_lookup = irrep_matrix, cached_basis
-        monkeypatch.setattr(gapforge.avgop, "irrep_matrix",
-                            lambda b, U: images.append(b.weight) or real_image(b, U))
+        monkeypatch.setattr(
+            gapforge.avgop, "irrep_matrix",
+            lambda b, U, **kw: images.append(b.weight) or real_image(b, U, **kw),
+        )
         monkeypatch.setattr(gapforge.avgop, "cached_basis",
                             lambda w: lookups.append(w) or real_lookup(w))
         rep = gap_at_scale(haar_pair_d3, 4, progress=lambda w, v: fired.append((w, v)))
@@ -191,6 +194,28 @@ class TestSubsetNorms:
         # progress still fires once for every weight, conjugates included
         assert sorted(w.entries for w, _ in fired) == sorted(w.entries for w in weights)
         assert all(rep.per_weight_norms[w] == v for w, v in fired)
+
+    def test_cached_bases_hold_no_dense_square_array(self):
+        # the d = 2 pass builds a dense Jy frame per weight; it must go with
+        # the weight, not into the basis cache (1.4 GB over all weights at t0)
+        gs = haar_random_gateset(2, 3, seed=1729)
+        weights, _ = subset_norms(gs, 12, [(0, 1, 2), (0, 1)])
+        cached = [gapforge.irrep._CACHE[w.entries] for w in weights]
+
+        def dense_squares(obj, n):
+            if isinstance(obj, np.ndarray):
+                return [obj.shape] if obj.ndim == 2 and obj.shape[0] == obj.shape[1] == n else []
+            if isinstance(obj, JyFrame):
+                return ["JyFrame"]
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            if isinstance(obj, (list, tuple)):
+                return [x for item in obj for x in dense_squares(item, n)]
+            return []
+
+        for b in cached:
+            fields = [getattr(b, f.name) for f in dataclasses.fields(b)]
+            assert dense_squares(fields, b.dim) == [], b.weight
 
     def test_real_form_rejects_a_complex_remainder(self):
         b = cached_basis(Weight((1, 0, -1)))

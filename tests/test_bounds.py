@@ -92,9 +92,9 @@ class TestGT0:
         calls = []
         real = gapforge.avgop.irrep_matrix
 
-        def counting(basis, U):
+        def counting(basis, U, **kw):
             calls.append(basis.weight)
-            return real(basis, U)
+            return real(basis, U, **kw)
 
         monkeypatch.setattr(gapforge.avgop, "irrep_matrix", counting)
         k = 4

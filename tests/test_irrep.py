@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 import gapforge
 from gapforge.errors import DomainError, ResourceLimitError
-from gapforge.gates import _haar_unitary
+from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
+    _exp_image,
     algebra_image,
     build_basis,
     cached_basis,
     irrep_matrix,
+    jy_frame,
     weyl_character,
 )
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, weyl_dimension
@@ -218,12 +220,18 @@ class TestIrrepMatrix:
         assert np.linalg.norm(Pinv - PU.conj().T, 2) <= 1e-6
 
     def test_projective_phase_invariance(self):
-        b = build_basis(Weight((2, 0, -2)))
-        U = rand_unitary(3, 4)
-        for theta in (0.1, 2.0, np.pi / 3, 2 * np.pi / 3):
-            P1 = irrep_matrix(b, U)
-            P2 = irrep_matrix(b, np.exp(1j * theta) * U)
-            assert np.linalg.norm(P1 - P2, 2) <= 1e-10
+        for entries in [(2, 0, -2), (3, -3)]:
+            b = build_basis(Weight(entries))
+            U = rand_unitary(b.d, 4)
+            U = U / np.linalg.det(U) ** (1 / b.d)
+            # at d = 2 the principal sqrt(det) jumps at theta = pi/2, and from
+            # there to theta near pi the Euler path factors -U where theta = 0
+            # factors U
+            for theta in (0.1, 2.0, np.pi / 3, 2 * np.pi / 3, np.pi / 2 - 1e-9,
+                          np.pi / 2 + 1e-9, np.pi - 1e-9, np.pi, np.pi + 1e-9):
+                P1 = irrep_matrix(b, U)
+                P2 = irrep_matrix(b, np.exp(1j * theta) * U)
+                assert np.linalg.norm(P1 - P2, 2) <= 1e-10
 
     def test_character_matches_weyl(self):
         for entries, d in [((1, -1), 2), ((2, -2), 2), ((1, 0, -1), 3), ((2, -1, -1), 3)]:
@@ -248,6 +256,85 @@ class TestIrrepMatrix:
         U = rand_unitary(2, seed)
         P = irrep_matrix(b, U)
         assert np.linalg.norm(P.conj().T @ P - np.eye(b.dim), 2) <= 1e-8
+
+
+def _degenerate_su2_gates() -> list:
+    """Gates whose ZYZ Euler angles degenerate (beta = 0 or pi, or a second
+    row with an entry 0 or 1 in modulus), plus a nearly diagonal one."""
+    h = 1 / np.sqrt(2)
+    e = np.exp(0.7j)
+    b = 1e-9
+    return [
+        np.eye(2), -np.eye(2),
+        np.diag([e, e.conjugate()]),                        # beta = 0
+        np.array([[0, e], [-e.conjugate(), 0]]),            # beta = pi
+        np.array([[0, 1], [1, 0]]),                         # Pauli X
+        np.array([[0, -1j], [1j, 0]]),                      # Pauli Y
+        np.diag([1.0, -1.0]),                               # Pauli Z
+        np.array([[h, h], [h, -h]]),                        # Hadamard
+        np.array([[np.cos(b), -np.sin(b)], [np.sin(b), np.cos(b)]]) @ np.diag([e, 1 / e]),
+    ]
+
+
+class TestEulerImage:
+    """The d = 2 image path against the eigendecomposition path."""
+
+    def test_matches_exp_path_up_to_j60(self):
+        gates = [rand_unitary(2, seed) for seed in (31, 32)] + _degenerate_su2_gates()
+        worst = 0.0
+        for j in range(1, 61):
+            b = cached_basis(Weight((j, -j)))
+            frame = jy_frame(b)
+            for U in gates:
+                U = np.asarray(U, dtype=np.complex128)
+                got = irrep_matrix(b, U, frame=frame)
+                worst = max(worst, float(np.abs(got - _exp_image(b, U)).max()))
+        assert worst <= 1e-12
+
+    def test_frame_built_on_the_fly_is_the_same(self):
+        b = cached_basis(Weight((7, -7)))
+        U = rand_unitary(2, 5)
+        assert np.array_equal(irrep_matrix(b, U), irrep_matrix(b, U, frame=jy_frame(b)))
+
+    def test_frame_spectrum(self):
+        frame = jy_frame(cached_basis(Weight((4, -4))))
+        assert frame.mu.tolist() == list(range(5))
+        assert frame.m.tolist() == list(range(4, -5, -1))  # descending GT order
+        assert (frame.even.shape, frame.odd.shape) == ((5, 5), (4, 5))
+
+    def test_frame_rejected_where_it_does_not_apply(self):
+        b3 = cached_basis(Weight((1, 0, -1)))
+        b2 = cached_basis(Weight((2, -2)))
+        with pytest.raises(DomainError):
+            jy_frame(b3)
+        with pytest.raises(DomainError):
+            irrep_matrix(b3, rand_unitary(3, 1), frame=jy_frame(b2))
+        with pytest.raises(DomainError):
+            irrep_matrix(b2, rand_unitary(2, 1), frame=jy_frame(cached_basis(Weight((3, -3)))))
+
+    def test_checks_the_gate(self):
+        b = cached_basis(Weight((2, -2)))
+        frame = jy_frame(b)
+        with pytest.raises(DomainError):
+            irrep_matrix(b, np.array([[1.0, 0.1], [0.0, 1.0]]), frame=frame)
+        with pytest.raises(DomainError):
+            irrep_matrix(b, np.eye(3), frame=frame)
+
+    @pytest.mark.skipif(
+        not os.environ.get("GAPFORGE_FULL_SCALE"),
+        reason="about 35 s; set GAPFORGE_FULL_SCALE=1 to cross-check up to j = 509",
+    )
+    def test_matches_exp_path_up_to_j509(self):
+        sq = squared_set(haar_random_gateset(2, 2, seed=1729))
+        worst = 0.0
+        for j in range(495, 510):
+            b = build_basis(Weight((j, -j)))  # uncached: 15 bases of dim ~1000
+            frame = jy_frame(b)
+            for _, U in sq.pairs:
+                worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame)
+                                                - _exp_image(b, U)).max()))
+        print(f"max |euler - exp| over j = 495..509: {worst:.3e}")
+        assert worst <= 1e-12
 
 
 class TestWeylCharacter:
