@@ -36,7 +36,13 @@ import scipy.linalg
 
 from .errors import DomainError
 from .irrep import cached_basis, irrep_matrix, jy_frame
-from .weightlat import Weight, check_scale, enumerate_nontrivial_weights, frobenius_schur
+from .weightlat import (
+    Weight,
+    check_scale,
+    enumerate_nontrivial_weights,
+    frobenius_schur,
+    weyl_dimension,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gates import GateSet
@@ -54,6 +60,12 @@ __all__ = [
 ]
 
 T_PROBE = 3  # scale of the universality probe
+# Smallest block dimension whose weight goes to the per-weight pool.  A small
+# block's task is mostly interpreter work under the GIL: on a 2-vCPU host two
+# pool threads ran d = 2 weights of dimension 83..121 at 0.75-0.84x the speed
+# of one thread, broke even at 123..161 and gained 1.05-1.2x from 163 up, and
+# their contention for the GIL made a pass's time swing with the host's load.
+POOL_MIN_DIM = 160
 
 
 @dataclass(frozen=True)
@@ -193,8 +205,9 @@ def subset_norms(
         return norms
 
     reps = _representatives(weights)
+    dims = [weyl_dimension(w) for w in reps]
     rows = {}
-    for w, norms in zip(reps, _map_weights(one, reps, threads)):
+    for w, norms in zip(reps, _map_weights(one, reps, threads, dims)):
         rows[w] = rows[w.conjugate()] = norms
     return weights, [rows[w] for w in weights]
 
@@ -249,21 +262,26 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _map_weights(one: Callable, weights: list, threads: int | None) -> list:
+def _map_weights(one: Callable, weights: list, threads: int | None, dims=None) -> list:
     """[one(w) for w in weights], on a thread pool when threads allow.
 
     Results come back in the order of `weights`, so reductions over them do
-    not depend on the thread count.  Every task runs with OpenBLAS on one
-    thread, on the pool and serially alike: the pool is the parallelism, and
-    one BLAS thread per task keeps the results bit-identical across pool sizes.
+    not depend on the thread count.  Given dims (the block dimension of each
+    weight), only the weights of dimension >= POOL_MIN_DIM go to the pool;
+    the others run on the calling thread after it.  Every task runs with
+    OpenBLAS on one thread, on the pool and serially alike: the pool is the
+    parallelism, and one BLAS thread per task keeps the results bit-identical
+    across pool sizes.
     """
     n_threads = _resolve_threads(threads)
+    pooled = [i for i in range(len(weights)) if dims is None or dims[i] >= POOL_MIN_DIM]
     with _ONE_BLAS_THREAD:
-        if n_threads > 1 and len(weights) > 1:
-            # builds that keep the count per thread need it on each worker
-            with ThreadPoolExecutor(max_workers=n_threads, initializer=_pin_blas) as pool:
-                return list(pool.map(one, weights))
-        return [one(w) for w in weights]
+        if n_threads == 1 or len(pooled) < 2:
+            return [one(w) for w in weights]
+        # builds that keep the count per thread need it on each worker
+        with ThreadPoolExecutor(max_workers=n_threads, initializer=_pin_blas) as pool:
+            done = dict(zip(pooled, pool.map(one, [weights[i] for i in pooled])))
+        return [done[i] if i in done else one(w) for i, w in enumerate(weights)]
 
 
 @functools.cache
@@ -371,7 +389,7 @@ def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) ->
         n_sq = block_operator_norm(B.conj().T @ B, hermitian=True)
         return n_plain, n_sq
 
-    results = _map_weights(one, weights, threads)
+    results = _map_weights(one, weights, threads, [weyl_dimension(w) for w in weights])
     gap_plain = 1.0 - max(r[0] for r in results)
     gap_sq = 1.0 - max(r[1] for r in results)
     residual = max(0.0, gap_plain - gap_sq, 0.5 * gap_sq - gap_plain)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from _oracles import BlockOperator, build_block_operator, convergence_profile
 import gapforge.avgop
 from gapforge.avgop import (
+    POOL_MIN_DIM,
     GapReport,
     _blas_thread_setters,
     _map_weights,
@@ -134,7 +135,8 @@ class TestGapAtScale:
         with pytest.raises(DomainError):
             gap_at_scale(haar_pair_d2, 0)
 
-    def test_thread_count_invariance(self, haar_pair_d2):
+    def test_thread_count_invariance(self, haar_pair_d2, monkeypatch):
+        monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # every weight on the pool
         a = gap_at_scale(haar_pair_d2, 6, threads=1)
         b = gap_at_scale(haar_pair_d2, 6, threads=4)
         assert a.gap == b.gap  # identical code path per block, exact match
@@ -240,6 +242,20 @@ def test_tasks_run_on_one_blas_thread(threads):
     finally:
         for set_threads, n in zip(setters, before):
             set_threads(n)
+
+
+def test_small_blocks_run_on_the_calling_thread():
+    caller = threading.get_ident()
+
+    def task(w):
+        return w, threading.get_ident() == caller
+
+    big, small = POOL_MIN_DIM, POOL_MIN_DIM - 1
+    got = _map_weights(task, list(range(5)), 2, [big, small, big, 3, big])
+    assert got == [(0, False), (1, True), (2, False), (3, True), (4, False)]
+    # a pool for one task does not pay: it runs on the calling thread too
+    assert _map_weights(task, [0, 1], 2, [big, small]) == [(0, True), (1, True)]
+    assert _map_weights(task, [0, 1], 1, [big, big]) == [(0, True), (1, True)]
 
 
 @pytest.mark.skipif(not _blas_thread_setters(), reason="no OpenBLAS thread setter")
