@@ -35,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DomainError
-from .irrep import cached_basis, irrep_matrix, jy_frame
+from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame
 from .weightlat import (
     Weight,
     check_scale,
@@ -88,21 +88,25 @@ class GapReport:
         }
 
 
-def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=False) -> list:
+def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=False,
+                factors=None) -> list:
     """[take(block) for each kept-pair tuple in keeps], in order.
 
     The block over keep is (1/|keep|) sum of the kept gates' images, for
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
     With real_form (self-conjugate weights only), each image is taken to the
-    real form first, so the blocks are real.  Each image is built on first use
-    and dropped after its last, and one block is alive at a time, so memory
-    is at most len(pairs) images plus one block (plus, at d = 2, the Jy frame
-    all images of the weight share).  Images are summed in the order of each
-    keep tuple.
+    real form first, so the blocks are real.  factors[i] are the checked
+    gate_factors of pairs[i]; without them they are made here.  Each image is
+    built on first use and dropped after its last, and one block is alive at
+    a time, so memory is at most len(pairs) images plus one block (plus the
+    JyFrame all images of the weight share).  Images are summed in the order
+    of each keep tuple.
     """
     n = basis.dim
     form = _real_form_map(*basis.real_structure) if real_form else None
-    frame = jy_frame(basis) if basis.d == 2 else None
+    if factors is None:
+        factors = [gate_factors(U) for _, U in pairs]
+    frame = jy_frame(basis)
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
     images = {}
     out = []
@@ -110,7 +114,7 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
         acc = np.zeros((n, n), dtype=np.complex128 if form is None else np.float64)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric, form, frame)
+                images[i] = _image(basis, pairs[i][1], symmetric, form, frame, factors[i])
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
         out.append(take(acc))
@@ -118,8 +122,8 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool, form, frame) -> np.ndarray:
-    P = irrep_matrix(basis, U, frame=frame)
+def _image(basis, U: np.ndarray, symmetric: bool, form, frame, factors) -> np.ndarray:
+    P = irrep_matrix(basis, U, frame=frame, factors=factors)
     if form is not None:
         P = _to_real_form(form, P)
     return P + P.conj().T if symmetric else P
@@ -194,10 +198,12 @@ def subset_norms(
     a conjugate pair once per member.
     """
     weights = enumerate_nontrivial_weights(gs.d, t)
+    factors = [gate_factors(U) for _, U in gs.pairs]
 
     def one(w: Weight):
         real = frobenius_schur(w) == 1
-        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm, real)
+        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm, real,
+                            factors)
         if progress is not None:
             progress(w, norms)
             if not real:

@@ -21,27 +21,30 @@ A self-conjugate irrep also carries its real structure J, a signed
 permutation of the GT basis with conj(pi(U)) = J pi(U) J^T (see
 _real_structure).
 
-Group elements are produced in one of two ways.  For d >= 3, U is
-eigendecomposed, its eigenphases centered to sum zero (the canonical traceless
-logarithm), the logarithm pushed through the algebra representation and
-re-exponentiated with a Hermitian eigensolve.  For d = 2 the weight (j, -j) is
-the spin-j irrep of SO(3): U / sqrt(det U) = Rz(alpha) Ry(beta) Rz(gamma), and
+Group elements go through one cosine-sine factorization at every d:
+U = K1 Ry(beta) K2 up to a phase, with K1, K2 in U(d-1) x U(1) and Ry(beta)
+the rotation by beta/2 in the plane of the last two coordinates
+(scipy.linalg.cossin; at d = 2 the ZYZ Euler angles).  Then
 
-    pi(U) = diag(e^{-i alpha m}) d^j(beta) diag(e^{-i gamma m})
+    pi(U) = pi(K1) exp(-i beta Jy) pi(K2)
 
-with m the Jz eigenvalue of each GT vector and d^j(beta) = exp(-i beta Jy)
-taken from the eigenbasis of Jy (a JyFrame, built once per weight by a
-tridiagonal eigensolve).  Either way the result is unitary to machine
-precision and, because all pattern weights are integral and sum-zero kills
-the overall phase, independent of the phase convention of U up to ~1e-10.
+with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
+real and comes from the eigenvectors of Jy (a JyFrame, built once per weight
+by one eigensolve per set of patterns that share rows 1 .. d-2);
+pi(K) is block diagonal over the runs of patterns with equal row d-1, and
+diagonal at d = 2.  The result is unitary to machine precision and, because
+all pattern weights are integral and sum to zero, independent of the phase
+convention of U up to ~1e-10.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 import warnings
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -53,12 +56,13 @@ from .weightlat import Weight, frobenius_schur, weyl_dimension
 
 __all__ = [
     "GTBasis",
+    "GateFactors",
     "JyFrame",
     "build_basis",
     "cached_basis",
+    "gate_factors",
     "jy_frame",
     "irrep_matrix",
-    "algebra_image",
     "weyl_character",
     "DIM_CAP",
 ]
@@ -281,147 +285,218 @@ def cached_basis(weight: Weight) -> GTBasis:
         return _CACHE.setdefault(key, built)
 
 
-def algebra_image(basis: GTBasis, X: np.ndarray) -> np.ndarray:
-    """d(pi)(X) for an arbitrary gl(d) element X, as a dense matrix."""
-    d = basis.d
-    X = np.asarray(X, dtype=np.complex128)
-    if X.shape != (d, d):
-        raise DomainError(f"algebra element must be {d}x{d}, got {X.shape}")
-    acc = None
-    for (a, b), mat in basis._full_images.items():
-        coeff = X[a - 1, b - 1]
-        if coeff == 0:
-            continue
-        term = mat.multiply(coeff)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return np.zeros((basis.dim, basis.dim), dtype=np.complex128)
-    return np.asarray(acc.todense())
+class _RotationBlock(NamedTuple):
+    """The frame of one set of patterns that share rows 1 .. d-2 (see JyFrame)."""
+
+    even: slice | np.ndarray  # GT indices of the even rows (p even), a slice where they are strided
+    odd: slice | np.ndarray  # GT indices of the odd rows
+    s_even: np.ndarray  # S_e: even rows of S, one column per eigenvalue mu >= 0
+    s_odd: np.ndarray  # S_o: odd rows of S
+    mu: np.ndarray  # the eigenvalues >= 0, exact
 
 
 @dataclass(frozen=True)
 class JyFrame:
-    """Eigenvectors of Jy for one d = 2 weight, shared by the images of its gates.
+    """What the images of one weight share: the eigenvectors of Jy of the su(2)
+    on the last two coordinates, and the U(d-1) x U(1) block layout.
 
-    In the GT basis Jy is tridiagonal with zero diagonal, and T = D^dagger Jy D
-    with D = diag(i^r) is real symmetric.  exp(-i beta Jy) = D exp(-i beta T)
-    D^dagger is real (the Wigner d^j(beta)), so its entries with r - c even
-    are those of cos(beta T) and those with r - c odd those of sin(beta T),
-    times i^(r-c) or -i^(r-c+1): s_r s_c with s_r = (-1)^floor(r/2), negated
-    where r is even and c odd.  T anticommutes with diag((-1)^r), so the
-    eigenvector of -mu is that of mu with its odd rows negated, and both
-    parts come from the eigenvectors of mu = 0 .. j alone: with S those
-    scaled by s, the even-even and odd-odd entries are S_e diag(w) S_e^T and
-    S_o diag(w) S_o^T, w = 2 cos(beta mu) (1 at mu = 0), and the even-odd
-    ones S_e diag(2 sin(beta mu)) S_o^T.  even and odd hold about n^2 / 2
-    entries together, so a frame is built per use and never cached.
+    Jy = (E_{d-1,d} - E_{d,d-1}) / 2i.  In the GT basis D^dagger Jy D with
+    D = diag(i^p), p = pw_d - min pw_d, is the real symmetric T = (E_{d-1,d} +
+    E_{d,d-1}) / 2, and exp(-i beta Jy) = D exp(-i beta T) D^dagger is real:
+    its entries with p_r - p_c even are those of cos(beta T) and those with
+    p_r - p_c odd those of sin(beta T), times s_r s_c with s_r =
+    (-1)^floor(p_r / 2), negated where p_r is even and p_c odd.  T moves only
+    row d-1 of a pattern, so it is block diagonal over the sets of patterns
+    that share rows 1 .. d-2 (one set at d = 2, where T is tridiagonal), and
+    each block's spectrum is exactly that of Jz = (pw_{d-1} - pw_d) / 2 on it.
+    T anticommutes with diag((-1)^p), so the eigenvectors of -mu are those of
+    mu with their odd rows negated, and both parts come from the eigenvectors
+    of mu >= 0 alone: with S those scaled by s, the even-even and odd-odd
+    entries are S_e diag(w) S_e^T and S_o diag(w) S_o^T, w = 2 cos(beta mu)
+    (1 at mu = 0), and the even-odd ones S_e diag(2 sin(beta mu)) S_o^T.
+
+    pi(K) of K in U(d-1) x U(1) is block diagonal over the runs of patterns
+    with equal row d-1 (spans), each block a U(d-1) irrep times a phase.  Two
+    rows that differ by c (1, .., 1) give the same gl(d-1) images up to c on
+    the diagonal, so the blocks of one shape (row minus its last entry) share
+    one eigensolve per K: shapes holds, for the first block of each shape,
+    its dense gl(d-1) images (E_aa taken as diag(pw_a)) and its pw_d, and
+    shape_of the shape and the offset c of each span.  At d = 2 K is
+    diagonal and spans is None.  The rotation blocks hold about
+    sum(b^2) / 2 entries, n^2 / 2 at d = 2, so a frame is built per use and
+    never cached.
     """
 
-    m: np.ndarray  # Jz eigenvalue of each GT vector, (pw_1 - pw_2) / 2
-    even: np.ndarray = field(repr=False)  # S_e: even rows of S, ((n + 1) / 2, j + 1)
-    odd: np.ndarray = field(repr=False)  # S_o: odd rows of S, ((n - 1) / 2, j + 1)
-    mu: np.ndarray = field(repr=False)  # 0 .. j
+    weight: Weight
+    m: np.ndarray  # Jz of the last su(2) on each GT vector, (pw_{d-1} - pw_d) / 2
+    blocks: tuple = field(repr=False)  # _RotationBlock per set of patterns sharing rows 1 .. d-2
+    spans: tuple | None = field(repr=False, default=None)  # (start, stop) of each row-(d-1) run
+    shapes: tuple = field(repr=False, default=())  # (gl(d-1) images, pw_d) per shape
+    shape_of: tuple = field(repr=False, default=())  # (shape index, c) per span
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
-    """The JyFrame of a d = 2 basis, by a tridiagonal eigensolve.
+    """The JyFrame of a basis: one eigensolve per block of T.
 
-    The off-diagonal of T is half the simple raising amplitudes, read off the
-    GT raising operator.  Its spectrum is exactly -j .. j; the computed one is
-    checked against that and replaced by it.
+    T's entries are half the GT amplitudes of E_{d-1,d}.  A tridiagonal block
+    (all of T at d = 2) goes to a tridiagonal eigensolve, any other to a dense
+    one.  Each computed spectrum is checked against the exact one and
+    replaced by it.
     """
-    if basis.d != 2:
-        raise DomainError(f"a Jy frame needs d = 2, got d = {basis.d}")
-    n = basis.dim
-    E = basis.generator_images[(1, 2)]
-    if E.nnz != n - 1:
-        raise AssertionError(f"raising operator has {E.nnz} entries, not {n - 1}")
-    # divide and conquer: at n = 1019 its Q is orthogonal to 4e-15, the
-    # default MRRR driver's to 8e-13, for about 1.2x the time
-    mu, Q = scipy.linalg.eigh_tridiagonal(
-        np.zeros(n), 0.5 * E.diagonal(1).real, lapack_driver="stevd"
-    )
-    j = (n - 1) // 2
-    err = float(np.abs(mu - np.arange(-j, j + 1)).max())
-    if not err <= 1e-9 * n:
-        raise AssertionError(f"Jy spectrum is off -j..j by {err:.3e}")
-    S = Q[:, j:] * (1 - (np.arange(n) & 2))[:, None]
+    d, n = basis.d, basis.dim
     pw = basis.pattern_weights
-    return JyFrame(
-        m=(pw[:, 0] - pw[:, 1]) / 2,
-        even=np.ascontiguousarray(S[0::2]),
-        odd=np.ascontiguousarray(S[1::2]),
-        mu=np.arange(j + 1.0),
+    m = (pw[:, d - 2] - pw[:, d - 1]) / 2
+    p = pw[:, d - 1] - pw[:, d - 1].min()
+    sets: dict = {}
+    for i, pattern in enumerate(basis.patterns):
+        sets.setdefault(pattern[: d - 2], []).append(i)
+    sets = [np.asarray(idx) for idx in sets.values()]
+    which, loc = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for k, idx in enumerate(sets):
+        which[idx], loc[idx] = k, np.arange(idx.size)
+    E = basis.generator_images[(d - 1, d)].tocoo()
+    if not np.array_equal(which[E.row], which[E.col]):
+        raise AssertionError(f"E_{d - 1}{d} moves a pattern's rows 1 .. {d - 2}")
+    order = np.argsort(which[E.row], kind="stable")  # E's entries, set by set
+    cuts = np.searchsorted(which[E.row[order]], np.arange(len(sets) + 1))
+    blocks = []
+    for k, idx in enumerate(sets):
+        at = order[cuts[k] : cuts[k + 1]]
+        vals = 0.5 * E.data[at].real
+        blocks.append(_rotation_block(idx, loc[E.row[at]], loc[E.col[at]], vals, m, p))
+    if d == 2:
+        return JyFrame(weight=basis.weight, m=m, blocks=tuple(blocks))
+    return JyFrame(basis.weight, m, tuple(blocks), *_subgroup_layout(basis))
+
+
+def _rotation_block(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> _RotationBlock:
+    """The frame of the patterns idx; T has the entries vals at (rows, cols)
+    (positions within idx) above the diagonal, and their mirror images."""
+    b = idx.size
+    if np.all(cols - rows == 1):
+        off = np.zeros(b - 1)
+        off[rows] = vals
+        # divide and conquer: at n = 1019 its Q is orthogonal to 4e-15, the
+        # default MRRR driver's to 8e-13, for about 1.2x the time
+        mu, Q = scipy.linalg.eigh_tridiagonal(np.zeros(b), off, lapack_driver="stevd")
+    else:
+        T = np.zeros((b, b))
+        T[rows, cols] = vals
+        mu, Q = np.linalg.eigh(T + T.T)
+    exact = np.sort(m[idx])
+    err = float(np.abs(mu - exact).max())
+    if not err <= 1e-9 * b:
+        raise AssertionError(f"Jy spectrum is off (pw_(d-1) - pw_d) / 2 by {err:.3e}")
+    neg = int(np.searchsorted(exact, 0.0))
+    S = Q[:, neg:] * (1 - (p[idx] & 2))[:, None]
+    odd = (p[idx] & 1).astype(bool)
+    return _RotationBlock(
+        even=_index(idx[~odd]),
+        odd=_index(idx[odd]),
+        s_even=np.ascontiguousarray(S[~odd]),
+        s_odd=np.ascontiguousarray(S[odd]),
+        mu=exact[neg:],
     )
 
 
-def irrep_matrix(basis: GTBasis, U: np.ndarray, frame: JyFrame | None = None) -> np.ndarray:
-    """pi_lambda(U) in the GT basis; unitary to ~1e-12, phase-convention
-    independent to ~1e-10.
+def _index(idx: np.ndarray):
+    """idx as a slice where it is an increasing arithmetic progression."""
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if idx.size and step > 0 and np.array_equal(np.diff(idx), np.full(idx.size - 1, step)):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
 
-    At d = 2 the image comes from the Euler angles of U on a JyFrame: `frame`
-    if given (it must be jy_frame(basis)), otherwise one built for this call.
-    At d >= 3 `frame` must be None, and U is eigendecomposed by a complex
-    Schur factorization (exactly unitary eigenvectors even for degenerate
-    spectra), its eigenphases centered to the traceless logarithm X0, and
-    exp(d(pi)(X0)) evaluated by a Hermitian eigensolve of -i d(pi)(X0).
+
+def _subgroup_layout(basis: GTBasis) -> tuple:
+    """(spans, shapes, shape_of) of a d >= 3 basis, as JyFrame describes."""
+    d, n = basis.d, basis.dim
+    pw = basis.pattern_weights
+    rows = [pattern[d - 2] for pattern in basis.patterns]
+    starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
+    spans = tuple(zip(starts, starts[1:] + [n]))
+    first, shape_of = {}, []  # first span (start, stop) of each shape, in order
+    for s, e in spans:
+        row = rows[s]
+        key = tuple(x - row[-1] for x in row)
+        k, (s0, _) = first.setdefault(key, (len(first), (s, e)))
+        c = row[-1] - rows[s0][-1]
+        if not np.array_equal(pw[s:e, : d - 1] - c, pw[s0 : s0 + e - s, : d - 1]):
+            raise AssertionError(f"row-{d - 1} block at {s} is not its shape's shifted by {c}")
+        shape_of.append((k, c))
+    # the first span of each shape, its gl(d-1) images scattered into one buffer
+    start = np.array([s for _, (s, _) in first.values()])
+    size = np.array([e - s for _, (s, e) in first.values()])
+    shape_at = np.full(n, -1)
+    for k, (s, b) in enumerate(zip(start, size)):
+        shape_at[s : s + b] = k
+    q = (d - 1) ** 2
+    offset = np.concatenate([[0], np.cumsum(q * size * size)])
+    buf = np.zeros(offset[-1])
+    own = np.flatnonzero(shape_at >= 0)
+    for i, (a, b) in enumerate(itertools.product(range(1, d), repeat=2)):  # row-major
+        if a == b:
+            r, c, v = own, own, pw[own, a - 1]
+        else:
+            C = basis._full_images[(a, b)].tocoo()
+            r, c, v = C.row, C.col, C.data.real
+        k = shape_at[r]
+        r, c, v, k = r[k >= 0], c[k >= 0], v[k >= 0], k[k >= 0]
+        buf[offset[k] + (i * size[k] + r - start[k]) * size[k] + c - start[k]] = v
+    shapes = tuple(
+        (buf[offset[k] : offset[k + 1]].reshape(q, b, b), int(pw[s, d - 1]))
+        for k, (s, b) in enumerate(zip(start, size))
+    )
+    return spans, shapes, tuple(shape_of)
+
+
+@dataclass(frozen=True)
+class GateFactors:
+    """U = K1 Ry(beta) K2 up to a phase: K1, K2 in U(d-1) x U(1), and Ry(beta) =
+    exp(beta/2 (E_{d,d-1} - E_{d-1,d})) the rotation by beta/2 in the plane
+    of the last two coordinates (a cosine-sine factorization).  left and
+    right are -i log K1 and -i log K2, Hermitian and block diagonal like K.
+    """
+
+    beta: float
+    left: np.ndarray = field(repr=False)
+    right: np.ndarray = field(repr=False)
+
+
+def gate_factors(U: np.ndarray) -> GateFactors:
+    """The GateFactors of a gate, which is checked to be unitary.
+
+    At d = 2 they are the ZYZ Euler angles of V = U / sqrt(det U):
+    V = Rz(alpha) Ry(beta) Rz(gamma), Rz(phi) = diag(e^{-i phi/2}, e^{i phi/2}).
+    The sign of the square root only flips the sign of V, which integer spin
+    cannot see.  At beta = 0 or pi one of the arguments below is that of 0,
+    and only alpha + gamma (respectively alpha - gamma) matters, which the
+    formulas still get right.  At d >= 3 they come from scipy.linalg.cossin,
+    the logarithm of each U(d-1) factor from its complex Schur form.
     """
     U = np.asarray(U, dtype=np.complex128)
-    if U.shape != (basis.d, basis.d):
-        raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
+    if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2:
+        raise DomainError(f"gate must be a d x d matrix with d >= 2, got shape {U.shape}")
     check_unitary(U, "gate")
-    if basis.d == 2:
-        if frame is None:
-            frame = jy_frame(basis)
-        elif frame.m.size != basis.dim:
-            raise DomainError(f"frame of dimension {frame.m.size} for a basis of {basis.dim}")
-        return _euler_image(frame, U)
-    if frame is not None:
-        raise DomainError(f"a Jy frame applies to d = 2 only, got d = {basis.d}")
-    if basis.dim == 1:
-        return np.ones((1, 1), dtype=np.complex128)
-    return _exp_image(basis, U)
+    if U.shape[0] == 2:
+        V = U / np.sqrt(np.linalg.det(U))
+        beta = 2.0 * np.arctan2(abs(V[1, 0]), abs(V[1, 1]))
+        a11, a10 = np.angle(V[1, 1]), np.angle(V[1, 0])
+        return GateFactors(beta, _rz_log(a11 + a10), _rz_log(a11 - a10))
+    (k1, c1), theta, (k2, c2) = scipy.linalg.cossin(U, p=len(U) - 1, q=len(U) - 1, separate=True)
+    return GateFactors(2.0 * float(theta[0]), _subgroup_log(k1, c1), _subgroup_log(k2, c2))
 
 
-def _euler_image(frame: JyFrame, U: np.ndarray) -> np.ndarray:
-    """diag(e^{-i alpha m}) d^j(beta) diag(e^{-i gamma m}) for the ZYZ Euler
-    angles of V = U / sqrt(det U) in SU(2): V = Rz(alpha) Ry(beta) Rz(gamma),
-    Rz(phi) = diag(e^{-i phi/2}, e^{i phi/2}).  The sign of the square root
-    only flips the sign of V, which integer spin cannot see.  At beta = 0 or
-    pi one of the arguments below is that of 0, and only alpha + gamma
-    (respectively alpha - gamma) matters, which the formulas still get right.
-    """
-    V = U / np.sqrt(np.linalg.det(U))
-    beta = 2.0 * np.arctan2(abs(V[1, 0]), abs(V[1, 1]))
-    a11, a10 = np.angle(V[1, 1]), np.angle(V[1, 0])
-    x = beta * frame.mu
-    w = 2.0 * np.cos(x)
-    w[0] = 1.0
-    Se, So = frame.even, frame.odd
-    n = frame.m.size
-    d = np.empty((n, n))
-    d[0::2, 0::2] = (Se * w) @ Se.T
-    d[1::2, 1::2] = (So * w) @ So.T
-    X = (Se * (2.0 * np.sin(x))) @ So.T
-    d[1::2, 0::2] = X.T
-    np.negative(X, out=d[0::2, 1::2])
-    P = np.exp(-1j * (a11 + a10) * frame.m)[:, None] * d
-    P *= np.exp(-1j * (a11 - a10) * frame.m)
-    return P
+def _rz_log(phi: float) -> np.ndarray:
+    half = 0.5 * phi
+    return np.diag([-half, half]).astype(np.complex128)
 
 
-def _exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
-    """The eigendecomposition path of irrep_matrix, for a checked gate U; at
-    d = 2 the independent reference for _euler_image."""
-    T, Z = _schur_unitary(U)
-    theta = np.angle(T)
-    theta = theta - theta.mean()
-    X0 = (Z * (1j * theta)) @ Z.conj().T
-
-    H = -1j * algebra_image(basis, X0)
-    H = 0.5 * (H + H.conj().T)
-    w, W = np.linalg.eigh(H)
-    return (W * np.exp(1j * w)) @ W.conj().T
+def _subgroup_log(k: np.ndarray, c: np.ndarray) -> np.ndarray:
+    phases, Z = _schur_unitary(k)
+    L = np.zeros((len(k) + 1,) * 2, dtype=np.complex128)
+    L[:-1, :-1] = (Z * np.angle(phases)) @ Z.conj().T
+    L[-1, -1] = np.angle(c[0, 0])
+    return L
 
 
 def _schur_unitary(U: np.ndarray):
@@ -433,6 +508,89 @@ def _schur_unitary(U: np.ndarray):
     if not resid < 1e-8:
         raise AssertionError(f"Schur factor of a unitary is not diagonal: {resid:.3e}")
     return diag / np.abs(diag), Z
+
+
+def irrep_matrix(
+    basis: GTBasis, U: np.ndarray, frame: JyFrame | None = None,
+    factors: GateFactors | None = None,
+) -> np.ndarray:
+    """pi_lambda(U) in the GT basis; unitary to ~1e-12, phase-convention
+    independent to ~1e-10.
+
+    The image is pi(K1) pi(Ry(beta)) pi(K2) for the factors of U: `factors`
+    if given (they must be gate_factors(U), which checked U), otherwise made
+    and checked for this call; and on a JyFrame: `frame` if given (it must be
+    jy_frame(basis)), otherwise one built for this call.  pi(Ry(beta)) comes
+    from the frame's eigenvectors of Jy, real, block by block; pi(K) is
+    diagonal at d = 2 and otherwise one small Hermitian eigensolve per shape
+    of U(d-1) block.  The pattern weights sum to zero, so the phase that the
+    factors drop is invisible.
+    """
+    U = np.asarray(U, dtype=np.complex128)
+    if U.shape != (basis.d, basis.d):
+        raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
+    if factors is None:
+        factors = gate_factors(U)
+    elif factors.left.shape != U.shape:
+        raise DomainError(f"factors of a {len(factors.left)}x{len(factors.left)} gate for "
+                          f"d = {basis.d}")
+    if frame is None:
+        frame = jy_frame(basis)
+    elif frame.weight != basis.weight:
+        raise DomainError(f"frame of weight {frame.weight.entries} for a basis of "
+                          f"{basis.weight.entries}")
+    R = _rotation(frame, factors.beta)
+    if frame.spans is None:  # d = 2: pi(K) = diag(e^{-i alpha m})
+        alpha, gamma = (float((L[1, 1] - L[0, 0]).real) for L in (factors.left, factors.right))
+        P = np.exp(-1j * alpha * frame.m)[:, None] * R
+        P *= np.exp(-1j * gamma * frame.m)
+        return P
+    P = np.empty(R.shape, dtype=np.complex128)
+    for (s, e), A in zip(frame.spans, _subgroup_image(frame, factors.left)):
+        np.matmul(A, R[s:e], out=P[s:e])
+    for (s, e), B in zip(frame.spans, _subgroup_image(frame, factors.right)):
+        P[:, s:e] = P[:, s:e] @ B
+    return P
+
+
+def _rotation(frame: JyFrame, beta: float) -> np.ndarray:
+    """pi(Ry(beta)) = exp(-i beta Jy), real, from the frame (see JyFrame)."""
+    n = frame.m.size
+    R = np.empty((n, n)) if len(frame.blocks) == 1 else np.zeros((n, n))
+    for blk in frame.blocks:
+        x = beta * blk.mu
+        w = 2.0 * np.cos(x)
+        w[blk.mu == 0] = 1.0
+        Se, So = blk.s_even, blk.s_odd
+        R[_grid(blk.even, blk.even)] = (Se * w) @ Se.T
+        R[_grid(blk.odd, blk.odd)] = (So * w) @ So.T
+        X = (Se * (2.0 * np.sin(x))) @ So.T
+        R[_grid(blk.odd, blk.even)] = X.T
+        R[_grid(blk.even, blk.odd)] = -X
+    return R
+
+
+def _grid(rows, cols) -> tuple:
+    if isinstance(rows, slice) or isinstance(cols, slice):
+        return rows, cols
+    return np.ix_(rows, cols)
+
+
+def _subgroup_image(frame: JyFrame, L: np.ndarray) -> list:
+    """The diagonal blocks of pi(K), K = exp(i L), one per span.
+
+    The block of a span with offset c from its shape's first is
+    e^{i c (tr Y - (d-1) phi)} times that one's, Y = L[:-1, :-1], phi = L[-1, -1].
+    """
+    Y, phi = L[:-1, :-1], float(L[-1, -1].real)
+    rate = float(np.trace(Y).real) - len(Y) * phi
+    first = []
+    for gens, pw_d in frame.shapes:
+        H = (Y.ravel() @ gens.reshape(len(gens), -1)).reshape(gens.shape[1:])
+        H[np.diag_indices_from(H)] += phi * pw_d
+        w, W = np.linalg.eigh(H)
+        first.append((W * np.exp(1j * w)) @ W.conj().T)
+    return [first[k] * np.exp(1j * c * rate) if c else first[k] for k, c in frame.shape_of]
 
 
 def weyl_character(weight: Weight, phases) -> complex:

@@ -8,7 +8,9 @@ holds every averaging block at one scale, and convergence_profile powers them;
 b_coefficient is the per-irrep mixing coefficient of the diameter estimate,
 and gap_bound_from_b sums those coefficients into a gap bound.  subset_squares
 builds one removal subset of the squared set, the reference for the one-pass
-subset table of g_t0.
+subset table of g_t0.  algebra_image is d(pi) of a gl(d) element as a dense
+matrix, and exp_image the image of a gate by the eigendecomposition of its
+logarithm's image, the reference for irrep_matrix at every d.
 """
 
 import math
@@ -21,7 +23,7 @@ from gapforge.avgop import averaging_block, block_operator_norm
 from gapforge.constants import C_CHORD
 from gapforge.errors import DomainError
 from gapforge.gates import GateSet, _haar_unitary, squared_set
-from gapforge.irrep import GTBasis, weyl_character
+from gapforge.irrep import GTBasis, _schur_unitary, weyl_character
 from gapforge.weightlat import (
     IrrepMeta,
     Weight,
@@ -153,3 +155,38 @@ def subset_squares(gs: GateSet, removed=()) -> GateSet:
     sq = squared_set(gs)
     pairs = tuple(p for i, p in enumerate(sq.pairs) if i not in removed)
     return GateSet(d=gs.d, pairs=pairs, symmetric=gs.symmetric)
+
+
+def algebra_image(basis: GTBasis, X: np.ndarray) -> np.ndarray:
+    """d(pi)(X) for an arbitrary gl(d) element X, as a dense matrix."""
+    d = basis.d
+    X = np.asarray(X, dtype=np.complex128)
+    if X.shape != (d, d):
+        raise DomainError(f"algebra element must be {d}x{d}, got {X.shape}")
+    acc = None
+    for (a, b), mat in basis._full_images.items():
+        coeff = X[a - 1, b - 1]
+        if coeff == 0:
+            continue
+        term = mat.multiply(coeff)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    return np.asarray(acc.todense())
+
+
+def exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
+    """pi(U) by the eigendecomposition of U, the independent reference for
+    irrep_matrix at every d: U's eigenphases centered to the traceless
+    logarithm X0 (exactly unitary eigenvectors from a complex Schur form,
+    even for degenerate spectra), and exp(d(pi)(X0)) by a Hermitian
+    eigensolve of -i d(pi)(X0)."""
+    T, Z = _schur_unitary(U)
+    theta = np.angle(T)
+    theta = theta - theta.mean()
+    X0 = (Z * (1j * theta)) @ Z.conj().T
+
+    H = -1j * algebra_image(basis, X0)
+    H = 0.5 * (H + H.conj().T)
+    w, W = np.linalg.eigh(H)
+    return (W * np.exp(1j * w)) @ W.conj().T

@@ -135,13 +135,14 @@ class TestGapAtScale:
         with pytest.raises(DomainError):
             gap_at_scale(haar_pair_d2, 0)
 
-    def test_thread_count_invariance(self, haar_pair_d2, monkeypatch):
+    def test_thread_count_invariance(self, haar_pair_d2, haar_pair_d3, monkeypatch):
         monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # every weight on the pool
-        a = gap_at_scale(haar_pair_d2, 6, threads=1)
-        b = gap_at_scale(haar_pair_d2, 6, threads=4)
-        assert a.gap == b.gap  # identical code path per block, exact match
-        assert a.per_weight_norms == b.per_weight_norms
-        assert a.worst_weight == b.worst_weight
+        for gs, t in ((haar_pair_d2, 6), (haar_pair_d3, 4)):
+            a = gap_at_scale(gs, t, threads=1)
+            b = gap_at_scale(gs, t, threads=4)
+            assert a.gap == b.gap  # identical code path per block, exact match
+            assert a.per_weight_norms == b.per_weight_norms
+            assert a.worst_weight == b.worst_weight
 
     def test_report_serialization(self, haar_pair_d2):
         rep = gap_at_scale(haar_pair_d2, 2)
@@ -198,11 +199,14 @@ class TestSubsetNorms:
         assert all(rep.per_weight_norms[w] == v for w, v in fired)
 
     def test_cached_bases_hold_no_dense_square_array(self):
-        # the d = 2 pass builds a dense Jy frame per weight; it must go with
-        # the weight, not into the basis cache (1.4 GB over all weights at t0)
-        gs = haar_random_gateset(2, 3, seed=1729)
-        weights, _ = subset_norms(gs, 12, [(0, 1, 2), (0, 1)])
-        cached = [gapforge.irrep._CACHE[w.entries] for w in weights]
+        # each pass builds a Jy frame per weight (dense at d = 2); it must go
+        # with the weight, not into the basis cache (1.4 GB over all weights at t0)
+        cached = []
+        for d, t in ((2, 12), (3, 5)):
+            gs = haar_random_gateset(d, 3, seed=1729)
+            weights, _ = subset_norms(gs, t, [(0, 1, 2), (0, 1)])
+            reps = gapforge.avgop._representatives(weights)  # the weights a pass looks up
+            cached += [gapforge.irrep._CACHE[w.entries] for w in reps]
 
         def dense_squares(obj, n):
             if isinstance(obj, np.ndarray):

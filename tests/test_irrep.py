@@ -5,6 +5,7 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import scipy.linalg
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,17 +14,21 @@ import gapforge
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
-    _exp_image,
-    algebra_image,
     build_basis,
     cached_basis,
+    gate_factors,
     irrep_matrix,
     jy_frame,
     weyl_character,
 )
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, weyl_dimension
 
-from _oracles import check_generator_relations, frobenius_schur_montecarlo
+from _oracles import (
+    algebra_image,
+    check_generator_relations,
+    exp_image,
+    frobenius_schur_montecarlo,
+)
 
 
 def rand_unitary(d, seed):
@@ -288,7 +293,7 @@ class TestEulerImage:
             for U in gates:
                 U = np.asarray(U, dtype=np.complex128)
                 got = irrep_matrix(b, U, frame=frame)
-                worst = max(worst, float(np.abs(got - _exp_image(b, U)).max()))
+                worst = max(worst, float(np.abs(got - exp_image(b, U)).max()))
         assert worst <= 1e-12
 
     def test_frame_built_on_the_fly_is_the_same(self):
@@ -298,15 +303,21 @@ class TestEulerImage:
 
     def test_frame_spectrum(self):
         frame = jy_frame(cached_basis(Weight((4, -4))))
-        assert frame.mu.tolist() == list(range(5))
+        (block,) = frame.blocks  # T is one tridiagonal block at d = 2
+        assert block.mu.tolist() == list(range(5))
         assert frame.m.tolist() == list(range(4, -5, -1))  # descending GT order
-        assert (frame.even.shape, frame.odd.shape) == ((5, 5), (4, 5))
+        assert np.arange(9)[block.even].tolist() == [0, 2, 4, 6, 8]
+        assert np.arange(9)[block.odd].tolist() == [1, 3, 5, 7]
+        assert (block.s_even.shape, block.s_odd.shape) == ((5, 5), (4, 5))
+        assert frame.spans is None  # K is diagonal at d = 2
 
     def test_frame_rejected_where_it_does_not_apply(self):
         b3 = cached_basis(Weight((1, 0, -1)))
         b2 = cached_basis(Weight((2, -2)))
+        # a conjugate weight has the dimension but not the frame
+        b21 = cached_basis(Weight((2, -1, -1)))
         with pytest.raises(DomainError):
-            jy_frame(b3)
+            irrep_matrix(b21, rand_unitary(3, 1), frame=jy_frame(cached_basis(Weight((1, 1, -2)))))
         with pytest.raises(DomainError):
             irrep_matrix(b3, rand_unitary(3, 1), frame=jy_frame(b2))
         with pytest.raises(DomainError):
@@ -332,8 +343,134 @@ class TestEulerImage:
             frame = jy_frame(b)
             for _, U in sq.pairs:
                 worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame)
-                                                - _exp_image(b, U)).max()))
+                                                - exp_image(b, U)).max()))
         print(f"max |euler - exp| over j = 495..509: {worst:.3e}")
+        assert worst <= 1e-12
+
+
+def _degenerate_cs_gates(d: int, seed: int) -> list:
+    """Gates whose cosine-sine factorization degenerates: theta = 0 (I, a
+    diagonal gate, a gate already in U(d-1) x U(1)), theta = pi/2 (a cyclic
+    permutation) and theta = 1e-9."""
+    rng = np.random.default_rng(seed)
+
+    def block_gate():
+        K = np.eye(d, dtype=np.complex128)
+        K[:-1, :-1] = _haar_unitary(d - 1, rng)
+        K[-1, -1] = np.exp(1j * rng.uniform(-np.pi, np.pi))
+        return K
+
+    h = 1e-9
+    rot = np.eye(d, dtype=np.complex128)
+    rot[d - 2:, d - 2:] = [[np.cos(h), -np.sin(h)], [np.sin(h), np.cos(h)]]
+    return [
+        np.eye(d),
+        np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, d))),
+        np.roll(np.eye(d), 1, axis=0),
+        block_gate(),
+        block_gate() @ rot @ block_gate(),
+    ]
+
+
+def _cs_oracle_error(weights, gates) -> float:
+    worst = 0.0
+    for w in weights:
+        b = cached_basis(w)
+        frame = jy_frame(b)
+        for U in gates:
+            got = irrep_matrix(b, U, frame=frame)
+            worst = max(worst, float(np.abs(got - exp_image(b, U)).max()))
+    return worst
+
+
+class TestCosineSineImage:
+    """The d >= 3 image path against the eigendecomposition path."""
+
+    @pytest.mark.parametrize("d, t", [(3, 6), (4, 3)])
+    def test_matches_exp_path(self, d, t):
+        gates = [rand_unitary(d, seed) for seed in (41, 42)] + _degenerate_cs_gates(d, 43)
+        assert _cs_oracle_error(enumerate_nontrivial_weights(d, t), gates) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_factors_rebuild_the_gate(self, d):
+        for U in [rand_unitary(d, 44)] + _degenerate_cs_gates(d, 45):
+            f = gate_factors(U)
+            c, s = np.cos(f.beta / 2), np.sin(f.beta / 2)
+            rot = np.eye(d)
+            rot[d - 2:, d - 2:] = [[c, -s], [s, c]]
+            for L in (f.left, f.right):  # Hermitian, block diagonal like U(d-1) x U(1)
+                assert np.abs(L - L.conj().T).max() <= 1e-14
+                assert not L[:-1, -1].any() and not L[-1, :-1].any()
+            M = scipy.linalg.expm(1j * f.left) @ rot @ scipy.linalg.expm(1j * f.right)
+            phase = np.trace(U.conj().T @ M) / d  # M = phase * U
+            assert abs(abs(phase) - 1) <= 1e-12
+            assert np.abs(M - phase * U).max() <= 1e-12
+
+    @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (4, -1, -3), (2, 1, -1, -2)])
+    def test_frame_spectrum_and_shapes(self, entries):
+        b = cached_basis(Weight(entries))
+        frame = jy_frame(b)
+        n, d = b.dim, b.d
+        E = b.generator_images[(d - 1, d)].toarray().real
+        T = 0.5 * (E + E.T)
+        p = b.pattern_weights[:, d - 1] - b.pattern_weights[:, d - 1].min()
+        seen = []
+        for block in frame.blocks:
+            even = np.arange(n)[block.even]
+            odd = np.arange(n)[block.odd]
+            idx = np.concatenate([even, odd])
+            seen += idx.tolist()
+            mu = block.mu
+            assert block.s_even.shape == (even.size, mu.size)
+            assert block.s_odd.shape == (odd.size, mu.size)
+            assert np.all(p[even] % 2 == 0) and np.all(p[odd] % 2 == 1)
+            # the spectrum of T on the block is +-mu, exactly Jz = (pw_{d-1} - pw_d) / 2
+            assert sorted(np.concatenate([-mu[mu > 0], mu])) == sorted(frame.m[idx])
+            # the columns, unscaled by s = (-1)^floor(p / 2), are orthonormal eigenvectors
+            Q = np.concatenate([block.s_even, block.s_odd]) * (1 - (p[idx] & 2))[:, None]
+            assert np.abs(Q.T @ Q - np.eye(mu.size)).max() <= 1e-13
+            assert np.abs(T[np.ix_(idx, idx)] @ Q - Q * mu).max() <= 1e-12
+            assert not T[np.ix_(idx, np.setdiff1d(np.arange(n), idx))].any()
+        assert sorted(seen) == list(range(n))
+        # spans: the runs of equal row d-1, one shape and offset each
+        starts = [s for s, _ in frame.spans]
+        assert starts[0] == 0 and [e for _, e in frame.spans][-1] == n
+        assert [e for _, e in frame.spans][:-1] == starts[1:]
+        rows = [{pattern[d - 2] for pattern in b.patterns[s:e]} for s, e in frame.spans]
+        assert all(len(r) == 1 for r in rows)
+        assert all(r != q for r, q in zip(rows, rows[1:]))
+        assert len(frame.shape_of) == len(frame.spans)
+        for (k, c), (s, e) in zip(frame.shape_of, frame.spans):
+            gens, _ = frame.shapes[k]
+            assert gens.shape == ((d - 1) ** 2, e - s, e - s)
+
+    def test_frame_built_on_the_fly_is_the_same(self):
+        b = cached_basis(Weight((3, 0, -3)))
+        U = rand_unitary(3, 46)
+        assert np.array_equal(irrep_matrix(b, U), irrep_matrix(b, U, frame=jy_frame(b)))
+
+    def test_factors_passed_in_are_used(self):
+        b = cached_basis(Weight((2, 0, -2)))
+        U = rand_unitary(3, 47)
+        f = gate_factors(U)
+        assert np.array_equal(irrep_matrix(b, U), irrep_matrix(b, U, factors=f))
+        with pytest.raises(DomainError):
+            irrep_matrix(b, U, factors=gate_factors(rand_unitary(2, 47)))
+        with pytest.raises(DomainError):
+            gate_factors(np.eye(3)[:, :2])
+
+    @pytest.mark.skipif(
+        not os.environ.get("GAPFORGE_FULL_SCALE"),
+        reason="about 30 s; set GAPFORGE_FULL_SCALE=1 to cross-check n = 512, 595, 729",
+    )
+    def test_matches_exp_path_at_d3_t8(self):
+        sq = haar_random_gateset(3, 2, seed=1729).symmetrized()
+        weights = [w for w in enumerate_nontrivial_weights(3, 8)
+                   if weyl_dimension(w) in (512, 595, 729)]
+        assert len(weights) >= 3
+        gates = [U for _, U in sq.pairs] + _degenerate_cs_gates(3, 48)
+        worst = _cs_oracle_error(weights, gates)
+        print(f"max |cs - exp| over n = 512, 595, 729: {worst:.3e}")
         assert worst <= 1e-12
 
 

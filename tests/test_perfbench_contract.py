@@ -8,6 +8,7 @@ from pathlib import Path
 import gapforge.avgop
 import gapforge.bounds
 from gapforge.gates import haar_random_gateset
+from gapforge.weightlat import enumerate_nontrivial_weights
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
@@ -31,3 +32,22 @@ def test_traced_ops_match_untraced():
     assert {"irrep.image", "avgop.norm", "bounds.g_t0"} <= names
     metrics = spans.layer_metrics([], recorder.spans, 2)
     assert metrics["irrep.image.calls"] > 0
+
+
+def test_traced_d3_gap_records_images():
+    # gap-d3 runs the cosine-sine image path: the gate factors are made once
+    # per pass and reach avgop.irrep_matrix(basis, U, ...) by keyword
+    pair = haar_random_gateset(3, 2, seed=1729)
+    want = gapforge.avgop.gap_at_scale(pair, 3)
+
+    recorder = spans.Recorder()
+    with spans.installed(recorder):
+        got = gapforge.avgop.gap_at_scale(pair, 3)
+
+    assert got == want
+    images = [s for s in recorder.spans if s.name == "irrep.image"]
+    weights = {s.attrs["key"].split("/")[0] for s in images}
+    canonical = gapforge.avgop._representatives(enumerate_nontrivial_weights(3, 3))
+    assert weights == {str(w.entries) for w in canonical}
+    metrics = spans.layer_metrics([], recorder.spans, 1)
+    assert metrics["irrep.image.calls"] == len(images) == pair.k * len(canonical)
