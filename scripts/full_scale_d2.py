@@ -4,10 +4,11 @@
 eps0 = 0.25 gives t0 = 509, so the squared-set averaging operator is assembled
 over all 509 nontrivial weights (block dimensions up to 1019, each image from
 the Euler angles of its gate on a per-weight Jy eigenbasis, each norm a dense
-real symmetric eigensolve).  With 2 pool threads on a 2-core machine
-(Intel Xeon, 8 GB) the run took 60-70 s wall (median 66 s of three runs) at
-279 MB peak RSS with OPENBLAS_NUM_THREADS=1, and 68 s without it: the pool
-pins OpenBLAS to one thread per task either way.
+real symmetric eigensolve, run with the GIL released).  With 2 pool threads
+on a 2-core machine (Intel Xeon, 8 GB) the run took 27-30 s wall (median 28 s
+of three), 51-56 s CPU and 277 MB peak RSS, against 40-43 s at the same CPU
+time while the eigensolves held the GIL; the pool pins OpenBLAS to one thread
+per task, so OPENBLAS_NUM_THREADS does not change the result.
 
 The bound goes through bounds.main_lower_bound, which re-derives the closed
 form from the per-subset diameter estimates and checks that both agree.  Note

@@ -36,6 +36,7 @@ import scipy.linalg
 
 from .errors import DomainError
 from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame
+from .lapack import eigvalsh
 from .weightlat import (
     Weight,
     check_scale,
@@ -60,12 +61,14 @@ __all__ = [
 ]
 
 T_PROBE = 3  # scale of the universality probe
-# Smallest block dimension whose weight goes to the per-weight pool.  A small
-# block's task is mostly interpreter work under the GIL: on a 2-vCPU host two
-# pool threads ran d = 2 weights of dimension 83..121 at 0.75-0.84x the speed
-# of one thread, broke even at 123..161 and gained 1.05-1.2x from 163 up, and
-# their contention for the GIL made a pass's time swing with the host's load.
-POOL_MIN_DIM = 160
+# Smallest block dimension whose weight goes to the per-weight pool; the
+# smaller ones run on the calling thread.  While scipy's eigvalsh held the GIL
+# this was 160: two threads ran d = 2 weights of dimension 83..121 slower than
+# one.  With the norm and the Jy frame off the GIL (lapack), g_t0 at d = 2,
+# t = 60 (dimensions 3..121) took 29 % less time per op at 40 than at 160, in
+# 10 of 10 paired runs on 2 vCPUs, for 3 % more peak RSS.  Lower values were
+# not measured.
+POOL_MIN_DIM = 40
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,8 @@ def checked_gap(worst_norm: float) -> float:
 def block_operator_norm(
     A: np.ndarray, hermitian: bool = False, return_info: bool = False
 ):
-    """Spectral norm of one block by a dense eigensolve (Hermitian) or SVD.
+    """Spectral norm of one block by a dense eigensolve (Hermitian; LAPACK
+    runs without the GIL, see lapack.eigvalsh) or SVD.
 
     return_info=True returns (norm, {"method": "dense", "matvecs": 0}), the
     shape the perfbench span annotator unpacks.
@@ -245,7 +249,7 @@ def block_operator_norm(
     if A.shape != (n, n):
         raise DomainError(f"block must be square, got {A.shape}")
     if hermitian:
-        val = float(np.max(np.abs(scipy.linalg.eigvalsh(A))))
+        val = float(np.max(np.abs(eigvalsh(A))))
     else:
         val = float(scipy.linalg.svdvals(A)[0])
     return (val, {"method": "dense", "matvecs": 0}) if return_info else val

@@ -52,6 +52,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
 from .gates import check_unitary
+from .lapack import eigh_tridiagonal
 from .weightlat import Weight, frobenius_schur, weyl_dimension
 
 __all__ = [
@@ -378,7 +379,7 @@ def _rotation_block(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> _Rot
         off[rows] = vals
         # divide and conquer: at n = 1019 its Q is orthogonal to 4e-15, the
         # default MRRR driver's to 8e-13, for about 1.2x the time
-        mu, Q = scipy.linalg.eigh_tridiagonal(np.zeros(b), off, lapack_driver="stevd")
+        mu, Q = eigh_tridiagonal(np.zeros(b), off)
     else:
         T = np.zeros((b, b))
         T[rows, cols] = vals

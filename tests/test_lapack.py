@@ -1,0 +1,152 @@
+"""gapforge.lapack against the scipy.linalg functions it stands in for."""
+
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import gapforge
+from gapforge.avgop import block_operator_norm
+from gapforge.lapack import eigh_tridiagonal, eigvalsh
+
+
+def _hermitian(n: int, dtype, seed: int = 0) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((n, n))
+    return X + X.conj().T
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 121, 600])
+def test_norm_matches_scipy_bit_for_bit(n, dtype):
+    A = _hermitian(n, dtype, seed=n)
+    want = scipy.linalg.eigvalsh(A)
+    assert np.array_equal(eigvalsh(A), want)
+    assert block_operator_norm(A, hermitian=True) == np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 50, 1019])
+def test_tridiagonal_frame_matches_scipy_bit_for_bit(b):
+    off = np.random.default_rng(b).standard_normal(b - 1)
+    mu, Q = eigh_tridiagonal(np.zeros(b), off)
+    want_mu, want_Q = scipy.linalg.eigh_tridiagonal(np.zeros(b), off, lapack_driver="stevd")
+    assert np.array_equal(mu, want_mu)
+    assert np.array_equal(Q, want_Q)
+    assert Q.flags.f_contiguous
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_as_scipy_does(bad):
+    A = _hermitian(4, complex)
+    A[3, 1] = bad
+    with pytest.raises(ValueError):
+        scipy.linalg.eigvalsh(A)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigvalsh(A)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigvalsh(A.real)
+    off = np.ones(3)
+    off[1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigh_tridiagonal(np.zeros(4), off)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigh_tridiagonal(np.array([0.0, bad, 0.0, 0.0]), np.ones(3))
+
+
+def test_shape_is_checked():
+    with pytest.raises(ValueError, match="square"):
+        eigvalsh(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="size n - 1"):
+        eigh_tridiagonal(np.zeros(4), np.zeros(4))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inputs_are_not_modified(dtype, order):
+    # LAPACK overwrites the matrix it is given; a column-major float64 input
+    # is exactly the layout it wants, so it is the one a missing copy exposes
+    A = np.array(_hermitian(121, dtype), order=order)
+    before = A.copy()
+    eigvalsh(A)
+    assert np.array_equal(A, before)
+    d, e = np.zeros(50), np.arange(1.0, 50.0)
+    eigh_tridiagonal(d, e)
+    assert np.array_equal(d, np.zeros(50)) and np.array_equal(e, np.arange(1.0, 50.0))
+
+
+def test_solve_releases_the_gil():
+    # A Python thread keeps counting while a solve runs on another thread.  A
+    # solve that held the GIL would stall it for all but the short Python
+    # parts; the short switch interval keeps those from leaking counts.
+    A = _hermitian(600, complex)
+    count = 0
+    stop = threading.Event()
+
+    def spin():
+        nonlocal count
+        while not stop.is_set():
+            count += 1
+
+    spun = []
+
+    def solve():
+        start, t0 = count, time.perf_counter()
+        for _ in range(3):
+            eigvalsh(A)
+        spun.append((count - start, time.perf_counter() - t0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    spinner = threading.Thread(target=spin)
+    try:
+        spinner.start()
+        time.sleep(0.05)
+        start, t0 = count, time.perf_counter()
+        time.sleep(0.05)  # the spinner alone: its rate
+        rate = (count - start) / (time.perf_counter() - t0)
+        worker = threading.Thread(target=solve)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+    finally:
+        stop.set()
+        spinner.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not spinner.is_alive()
+    iterations, seconds = spun[0]
+    assert iterations >= 1000
+    assert iterations >= 0.1 * rate * seconds, (iterations, rate, seconds)
+
+
+def test_checks_survive_python_O():
+    # a non-finite block and a LAPACK error (ldz = 0 is illegal) both raise
+    script = textwrap.dedent("""
+        import ctypes
+        import numpy as np
+        from gapforge.lapack import _call, _int, eigvalsh
+        try:
+            eigvalsh(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+        except ValueError:
+            print("non-finite raised")
+        buf = (ctypes.c_double * 8)()
+        try:
+            _call("dstevd", b"V", _int(2), buf, buf, buf, _int(0), buf, _int(-1), buf, _int(-1))
+        except np.linalg.LinAlgError as exc:
+            print(exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()  # LAPACK's own message may come between
+    assert lines[0] == "non-finite raised"
+    assert lines[-1] == "LAPACK dstevd failed with info = -6"
