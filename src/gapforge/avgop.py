@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import DomainError
 from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame
@@ -223,7 +223,7 @@ def subset_norms(
 
 def _hermitian_norm(B: np.ndarray) -> float:
     # perfbench/spans.py wraps avgop.block_operator_norm, unpacks (norm, info)
-    norm, _info = block_operator_norm(B, hermitian=True, return_info=True)
+    norm, _info = block_operator_norm(B, return_info=True)
     return norm
 
 
@@ -235,11 +235,9 @@ def checked_gap(worst_norm: float) -> float:
     return gap
 
 
-def block_operator_norm(
-    A: np.ndarray, hermitian: bool = False, return_info: bool = False
-):
-    """Spectral norm of one block by a dense eigensolve (Hermitian; LAPACK
-    runs without the GIL, see lapack.eigvalsh) or SVD.
+def block_operator_norm(A: np.ndarray, return_info: bool = False):
+    """Spectral norm of one Hermitian block by a dense eigensolve (LAPACK
+    runs without the GIL, see lapack.eigvalsh).
 
     return_info=True returns (norm, {"method": "dense", "matvecs": 0}), the
     shape the perfbench span annotator unpacks.
@@ -248,10 +246,7 @@ def block_operator_norm(
     n = A.shape[0]
     if A.shape != (n, n):
         raise DomainError(f"block must be square, got {A.shape}")
-    if hermitian:
-        val = float(np.max(np.abs(eigvalsh(A))))
-    else:
-        val = float(scipy.linalg.svdvals(A)[0])
+    val = float(np.max(np.abs(eigvalsh(A))))
     return (val, {"method": "dense", "matvecs": 0}) if return_info else val
 
 
@@ -395,8 +390,8 @@ def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) ->
 
     def one(w: Weight):
         B = averaging_block(w, gs)
-        n_plain = block_operator_norm(B, hermitian=True)
-        n_sq = block_operator_norm(B.conj().T @ B, hermitian=True)
+        n_plain = block_operator_norm(B)
+        n_sq = block_operator_norm(B.conj().T @ B)
         return n_plain, n_sq
 
     results = _map_weights(one, weights, threads, [weyl_dimension(w) for w in weights])

@@ -9,6 +9,18 @@ The metric is the projective unitary distance
 psi_j the eigenphases of g^dagger h.  The inner minimax over the circle is
 attained at the midpoint of the minimal covering arc of the eigenphases, so
 D = 2 sin((2 pi - G) / 4) in closed form, G the largest circular gap.
+
+empirical_net needs, per Haar target, only the nearest enumerated word, and
+the trace bounds D from below without an eigensolve.  If the eigenphases of
+M = W^dagger T lie in a minimal arc of half-width a centred at c, then
+Re(e^{-ic} tr M) = sum_j cos(psi_j - c) >= d cos a, so with D = 2 sin(a / 2)
+    D^2 = 2 - 2 cos a >= 2 - 2 |tr M| / d,
+with equality at d = 2.  |tr(W^dagger T)| = |<vec W, vec T>|, so one complex
+GEMM bounds a whole chunk of (word, target) pairs.  Each target first takes
+the exact D of its smallest-bound word; only words whose squared bound is
+within a rounding slack of the lowered best then get an exact D.  A pruned
+word has a computed D above best, so the minimum runs over the same
+floating-point values as an eigensolve of every pair, and is bit-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +54,13 @@ REPAIR_TOL = 1e-6  # polar-decomposition repair window for file input
 DET_SKIP_TOL = 1e-12  # skip det normalization when already special unitary
 
 WORD_CAP = 10_000_000  # default cap on enumerated words in empirical nets
-_BATCH = 65536  # word-matrix batch size for distance scans
+_BATCH = 65536  # (word, target) pairs per distance-scan chunk
+# Squared-units slack of the trace-bound prune.  The computed bound and the
+# computed D^2 each sit within about d^2 * 1e-16 of their exact values (a
+# d^2-term dot product of unit-size entries; the eigenphases of a unitary,
+# D <= 2), together under 1e-13 up to d = 30.  1e-9 leaves 1e4x headroom, so
+# no word whose computed D could reach best is pruned.
+_PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,8 +300,7 @@ def empirical_net(
         next_mats, next_last = _extend_level(level_mats, level_last, mats, k)
         if next_mats.shape[0] == 0:
             break
-        for lo in range(0, next_mats.shape[0], _BATCH):
-            _scan_words(next_mats[lo : lo + _BATCH], targets, best)
+        _scan_words(next_mats, targets, best)
         level_mats, level_last = next_mats, next_last
 
     covered = float(np.mean(best <= eps))
@@ -314,9 +331,32 @@ def _extend_level(level_mats, level_last, mats, k):
     return np.concatenate(out_mats), np.concatenate(out_last)
 
 
+def _trace_bound_sq(words, targets) -> np.ndarray:
+    """(words, targets) array of 2 - 2 |tr(W^dagger T)| / d <= D(W, T)^2,
+    one complex GEMM: tr(W^dagger T) = <vec W, vec T>."""
+    n, d = words.shape[0], words.shape[-1]
+    tr = words.reshape(n, d * d).conj() @ targets.reshape(-1, d * d).T
+    return 2.0 - (2.0 / d) * np.abs(tr)
+
+
+def _pair_distances(words, targets) -> np.ndarray:
+    """D(words[i], targets[i]) by an eigensolve of each W^dagger T."""
+    M = np.einsum("nba,nbc->nac", words.conj(), targets)
+    return _projective_distance(np.angle(np.linalg.eigvals(M)))
+
+
 def _scan_words(words, targets, best) -> None:
-    """Tighten best[s] = min(best[s], min_w D(w, target_s)) over the batch."""
-    for s in range(targets.shape[0]):
-        M = np.einsum("nba,bc->nac", words.conj(), targets[s])
-        dist = _projective_distance(np.angle(np.linalg.eigvals(M)))
-        best[s] = np.minimum(best[s], dist.min())
+    """Tighten best[s] = min(best[s], min_w D(w, target_s)) over the words.
+
+    Chunks of at most _BATCH (word, target) pairs.  In each, every target
+    first takes the exact D of its smallest-bound word; then only the words
+    whose trace bound can reach the lowered best get an exact D.
+    """
+    step = max(1, _BATCH // targets.shape[0])
+    for lo in range(0, words.shape[0], step):
+        chunk = words[lo : lo + step]
+        bound_sq = _trace_bound_sq(chunk, targets)
+        first = bound_sq.argmin(axis=0)
+        np.minimum(best, _pair_distances(chunk[first], targets), out=best)
+        w, s = np.nonzero(bound_sq <= best * best + _PRUNE_SLACK)
+        np.minimum.at(best, s, _pair_distances(chunk[w], targets[s]))

@@ -11,18 +11,29 @@ builds one removal subset of the squared set, the reference for the one-pass
 subset table of g_t0.  algebra_image is d(pi) of a gl(d) element as a dense
 matrix, and exp_image the image of a gate by the eigendecomposition of its
 logarithm's image, the reference for irrep_matrix at every d.
+spectral_norm is the largest singular value of a block, Hermitian or not.  brute_force_scan and brute_force_net are empirical_net's scan
+without the trace-bound prune: an eigensolve for every (word, target) pair.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from gapforge.avgop import averaging_block, block_operator_norm
+from gapforge.avgop import averaging_block
 from gapforge.constants import C_CHORD
 from gapforge.errors import DomainError
-from gapforge.gates import GateSet, _haar_unitary, squared_set
+from gapforge.gates import (
+    GateSet,
+    NetEstimate,
+    _BATCH,
+    _extend_level,
+    _haar_unitary,
+    _projective_distance,
+    squared_set,
+)
 from gapforge.irrep import GTBasis, _schur_unitary, weyl_character
 from gapforge.weightlat import (
     IrrepMeta,
@@ -98,9 +109,7 @@ def convergence_profile(gs, t: int, ell_max: int) -> list:
     powers = {w: B.copy() for w, B in op.blocks.items()}
     profile = []
     for _ell in range(1, ell_max + 1):
-        worst = max(
-            block_operator_norm(P, hermitian=False) for P in powers.values()
-        )
+        worst = max(spectral_norm(P) for P in powers.values())
         profile.append(float(worst))
         for w in powers:
             powers[w] = powers[w] @ op.blocks[w]
@@ -190,3 +199,42 @@ def exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
     H = 0.5 * (H + H.conj().T)
     w, W = np.linalg.eigh(H)
     return (W * np.exp(1j * w)) @ W.conj().T
+
+
+def spectral_norm(A: np.ndarray) -> float:
+    """Largest singular value of A by a dense SVD."""
+    return float(scipy.linalg.svdvals(A)[0])
+
+
+def brute_force_scan(words, targets, best) -> None:
+    """best[s] = min(best[s], min_w D(w, target_s)), every pair eigensolved."""
+    for s in range(targets.shape[0]):
+        M = np.einsum("nba,bc->nac", words.conj(), targets[s])
+        dist = _projective_distance(np.angle(np.linalg.eigvals(M)))
+        best[s] = np.minimum(best[s], dist.min())
+
+
+def brute_force_net(gs: GateSet, length: int, eps: float, samples: int,
+                    seed: int = 0) -> NetEstimate:
+    """empirical_net for samples >= 1 by brute_force_scan over each level."""
+    mem = gs.symmetrized().members()
+    mats = np.stack([U for _, U in mem])
+    rng = np.random.default_rng(seed)
+    targets = np.stack([_haar_unitary(gs.d, rng) for _ in range(samples)])
+    best = np.full(samples, np.inf)
+    level_mats = np.eye(gs.d, dtype=np.complex128)[None, :, :]
+    level_last = np.array([-1])
+    brute_force_scan(level_mats, targets, best)
+    for _ in range(length):
+        level_mats, level_last = _extend_level(level_mats, level_last, mats, gs.k)
+        if level_mats.shape[0] == 0:
+            break
+        for lo in range(0, level_mats.shape[0], _BATCH):
+            brute_force_scan(level_mats[lo : lo + _BATCH], targets, best)
+    return NetEstimate(
+        length=length,
+        eps=float(eps),
+        samples=samples,
+        covered_fraction=float(np.mean(best <= eps)),
+        max_observed_distance=float(best.max()),
+    )

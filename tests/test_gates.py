@@ -10,10 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapforge
+import gapforge.gates
+from _oracles import brute_force_net, brute_force_scan
 from gapforge.avgop import universality_heuristic
 from gapforge.errors import DomainError, GateFileError, ResourceLimitError
 from gapforge.gates import (
     GateSet,
+    _extend_level,
+    _pair_distances,
+    _scan_words,
+    _trace_bound_sq,
     empirical_net,
     haar_random_gateset,
     load_gateset,
@@ -27,6 +33,7 @@ from gapforge.gates import (
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+S = np.diag([1, 1j])
 
 
 class TestGateSet:
@@ -264,3 +271,140 @@ class TestEmpiricalNet:
             empirical_net(haar_pair_d2, length=-1, eps=0.5, samples=5)
         with pytest.raises(DomainError):
             empirical_net(haar_pair_d2, length=2, eps=0.5, samples=-2)
+
+
+def _words(gs, length):
+    """Every word of length <= `length` over the symmetric set, in
+    empirical_net's order."""
+    mem = gs.symmetrized().members()
+    mats = np.stack([U for _, U in mem])
+    level, last = np.eye(gs.d, dtype=np.complex128)[None], np.array([-1])
+    out = [level]
+    for _ in range(length):
+        level, last = _extend_level(level, last, mats, gs.k)
+        out.append(level)
+    return np.concatenate(out)
+
+
+def _with_first_target(d, seed):
+    # its gate t is, up to phase, the first Haar target of empirical_net(seed)
+    t = _haar_unitary(d, np.random.default_rng(seed))
+    u = _haar_unitary(d, np.random.default_rng(seed + 1))
+    return make_gateset(d, [("t", t), ("u", u)])
+
+
+NET_SETS = {
+    "haar-d2": lambda: haar_random_gateset(2, 2, seed=1729),
+    "haar-d2-asym": lambda: haar_random_gateset(2, 2, seed=5, symmetric=False),
+    "haar-d3": lambda: haar_random_gateset(3, 2, seed=1729),
+    "haar-d3-asym": lambda: haar_random_gateset(3, 2, seed=6, symmetric=False),
+    "haar-d4": lambda: haar_random_gateset(4, 2, seed=7),
+    "haar-d4-asym": lambda: haar_random_gateset(4, 2, seed=8, symmetric=False),
+    "pauli": lambda: make_gateset(2, [("x", X), ("z", Z)]),
+    "h-s": lambda: make_gateset(2, [("h", H), ("s", S)]),
+    "h-s-asym": lambda: make_gateset(2, [("h", H), ("s", S)], symmetric=False),
+    "with-identity": lambda: make_gateset(
+        3, [("e", np.eye(3)), ("u", _haar_unitary(3, np.random.default_rng(9)))]),
+    "word-is-target-d2": lambda: _with_first_target(2, 12),
+    "word-is-target-d3": lambda: _with_first_target(3, 12),
+}
+
+
+class TestNetMatchesBruteForce:
+    """The trace-bound prune changes which pairs are eigensolved, never the
+    result: every NetEstimate field equals the brute-force scan's."""
+
+    @pytest.mark.parametrize("name", sorted(NET_SETS))
+    @pytest.mark.parametrize("length", [0, 1, 2, 6])
+    def test_estimate_bit_identical(self, name, length):
+        gs = NET_SETS[name]()
+        got = empirical_net(gs, length, 0.45, samples=24, seed=12)
+        assert got == brute_force_net(gs, length, 0.45, samples=24, seed=12)
+
+    def test_word_equal_to_target_gives_zero(self):
+        gs = NET_SETS["word-is-target-d2"]()
+        est = empirical_net(gs, 1, 1e-6, samples=24, seed=12)
+        assert est.covered_fraction == 1 / 24
+
+    @pytest.mark.parametrize("name", ["pauli", "h-s", "haar-d2", "haar-d3", "with-identity"])
+    @pytest.mark.parametrize("batch", [1, 7, 30, 91, 65536])
+    def test_per_target_bit_identical_across_chunkings(self, name, batch, monkeypatch):
+        # a third of the targets are words themselves (D = 0, and in the
+        # finite groups tied with many other words), the rest Haar draws
+        gs = NET_SETS[name]()
+        words = _words(gs, 5)
+        rng = np.random.default_rng(3)
+        targets = np.concatenate([
+            words[rng.choice(words.shape[0], 10, replace=False)],
+            np.stack([_haar_unitary(gs.d, rng) for _ in range(20)]),
+        ])
+        want = np.full(30, np.inf)
+        brute_force_scan(words, targets, want)
+        monkeypatch.setattr(gapforge.gates, "_BATCH", batch)
+        got = np.full(30, np.inf)
+        _scan_words(words, targets, got)
+        assert np.array_equal(got, want)
+
+    def test_exact_distances_only_for_words_that_can_win(self, monkeypatch):
+        # at d = 2 the bound is D^2 itself, so after each target's
+        # smallest-bound word only that word stays within the slack
+        gs = haar_random_gateset(2, 2, seed=1729)
+        words = _words(gs, 6)
+        rng = np.random.default_rng(4)
+        targets = np.stack([_haar_unitary(2, rng) for _ in range(40)])
+        pairs = []
+
+        def counted(w, t):
+            pairs.append(w.shape[0])
+            return _pair_distances(w, t)
+
+        monkeypatch.setattr(gapforge.gates, "_pair_distances", counted)
+        best = np.full(40, np.inf)
+        _scan_words(words, targets, best)
+        n_chunks = -(-words.shape[0] // (gapforge.gates._BATCH // 40))
+        assert sum(pairs) <= 2 * 40 * n_chunks + 40
+        want = np.full(40, np.inf)
+        brute_force_scan(words, targets, want)
+        assert np.array_equal(best, want)
+
+    def test_memory_bounded_by_chunks(self):
+        # one unchunked (words x targets) trace block at length 8 and 800
+        # targets would be 8748 x 800 complex entries, 112 MB
+        import tracemalloc
+
+        gs = haar_random_gateset(2, 2, seed=1729)
+        tracemalloc.start()
+        try:
+            empirical_net(gs, 8, 0.5, samples=800, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
+
+class TestTraceBound:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_lower_bound_on_haar_pairs(self, d):
+        rng = np.random.default_rng(d)
+        words = np.stack([_haar_unitary(d, rng) for _ in range(60)])
+        targets = np.stack([_haar_unitary(d, rng) for _ in range(50)])
+        bound = np.sqrt(np.maximum(_trace_bound_sq(words, targets), 0.0))
+        w, t = np.indices(bound.shape).reshape(2, -1)
+        D = _pair_distances(words[w], targets[t]).reshape(bound.shape)
+        assert np.all(bound <= D + 1e-13)
+
+    def test_equality_at_d2(self):
+        # near pairs too: targets a small rotation exp(i s G) away from a word
+        rng = np.random.default_rng(2)
+        words = np.stack([_haar_unitary(2, rng) for _ in range(400)])
+        near = []
+        for W, scale in zip(words, np.geomspace(1e-3, 3.0, 400)):
+            G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            w, V = np.linalg.eigh(G + G.conj().T)
+            near.append(W @ (V * np.exp(1j * scale * w / np.abs(w).max())) @ V.conj().T)
+        targets = np.stack(near)
+        bound = np.sqrt(np.maximum(_trace_bound_sq(words, targets).diagonal(), 0.0))
+        D = _pair_distances(words, targets)
+        keep = D >= 1e-3
+        assert keep.sum() > 350
+        assert np.max(np.abs(bound[keep] - D[keep])) <= 1e-12

@@ -31,7 +31,7 @@ def test_norm_matches_scipy_bit_for_bit(n, dtype):
     A = _hermitian(n, dtype, seed=n)
     want = scipy.linalg.eigvalsh(A)
     assert np.array_equal(eigvalsh(A), want)
-    assert block_operator_norm(A, hermitian=True) == np.max(np.abs(want))
+    assert block_operator_norm(A) == np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 50, 1019])
