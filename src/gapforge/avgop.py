@@ -17,6 +17,15 @@ complex conjugate of the block of lambda up to a change of basis, so only the
 first of each conjugate pair is computed; a self-conjugate block is taken to
 its real form, a real symmetric matrix.  The universality probe reads its
 verdict off the block norms at the small scale T_PROBE.
+
+g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
+eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
+the maxima sit in practice.  Every other block gets the ceiling theta_j (that
+stage's maximum of the subset, less _CEILING_SLACK) when two Cholesky
+factorizations prove its norm below theta_j (lapack.certify_norm_below), and
+an eigensolve otherwise.  A certified block's eigensolve could not have
+reached the maximum, so every subset's maximum is the same float as with
+eigensolves throughout.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import scipy
 
 from .errors import DomainError
 from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame
-from .lapack import eigvalsh
+from .lapack import certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
     check_scale,
@@ -66,9 +75,20 @@ T_PROBE = 3  # scale of the universality probe
 # this was 160: two threads ran d = 2 weights of dimension 83..121 slower than
 # one.  With the norm and the Jy frame off the GIL (lapack), g_t0 at d = 2,
 # t = 60 (dimensions 3..121) took 29 % less time per op at 40 than at 160, in
-# 10 of 10 paired runs on 2 vCPUs, for 3 % more peak RSS.  Lower values were
-# not measured.
+# 10 of 10 paired runs on 2 vCPUs, for 3 % more peak RSS.  With certificates,
+# which also solve every weight below this bar exactly, perfbench op_s_p50 on
+# 2 vCPUs over seeds 11-13 (gtzero-k4) and 21-23 (gap-d3) was, at 40, 80 and
+# 122: gtzero-k4 0.243-0.248, 0.264-0.270 and 0.404-0.422 s (at 122 no block
+# of t = 60 is certified); gap-d3 0.504-0.512, 0.498-0.509 and 0.480-0.505 s.
+# gtzero-k4 gains nothing above 40, so the bar stays there.
 POOL_MIN_DIM = 40
+# How far below a subset's exact maximum its certified ceiling sits.  A block
+# certified below theta has a true norm under theta, and its eigvalsh norm
+# errs from that by at most p(n) u ||B|| (LAPACK's bound for dsyevr and
+# zheevr, p(n) a modest function of n; averaging blocks have norm <= 1):
+# under 1.2e-11 even at p(n) = 10 n, n = 10^4.  1e-9 leaves 80x headroom, so
+# a certified block's computed norm could never have reached the maximum.
+_CEILING_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -93,7 +113,7 @@ class GapReport:
 
 def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=False,
                 factors=None) -> list:
-    """[take(block) for each kept-pair tuple in keeps], in order.
+    """[take(j, block of keeps[j]) for each kept-pair tuple in keeps], in order.
 
     The block over keep is (1/|keep|) sum of the kept gates' images, for
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
@@ -120,7 +140,7 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
                 images[i] = _image(basis, pairs[i][1], symmetric, form, frame, factors[i])
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
-        out.append(take(acc))
+        out.append(take(j, acc))
         del acc
     return out
 
@@ -177,7 +197,8 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     """(1/|S|) sum_{U in S} pi_lambda(U); Hermitian bit-for-bit when S is
     symmetric (pairs enter as P + P^dagger before the real rescale)."""
     keep = tuple(range(gs.k))
-    return _block_sums(cached_basis(weight), gs.pairs, [keep], gs.symmetric, lambda B: B)[0]
+    return _block_sums(cached_basis(weight), gs.pairs, [keep], gs.symmetric,
+                       lambda j, B: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -187,7 +208,8 @@ def _representatives(weights: list) -> list:
 
 
 def subset_norms(
-    gs: "GateSet", t: int, keeps: list, threads: int | None = None, progress=None
+    gs: "GateSet", t: int, keeps: list, threads: int | None = None, progress=None,
+    certify: bool = False,
 ) -> tuple:
     """(weights, norms) with norms[a][j] the norm of the averaging block of
     weights[a] over the pairs keeps[j] of the symmetric set gs.
@@ -199,25 +221,47 @@ def subset_norms(
     change of basis; self-conjugate blocks are normed in their real form.
     progress(w, norms of w) fires on the worker as each weight finishes, for
     a conjugate pair once per member.
+
+    With certify, only the column maxima are exact.  The weights up to
+    T_PROBE and those of dimension below POOL_MIN_DIM get exact norms first;
+    theta_j is their maximum in column j less _CEILING_SLACK.  Every other
+    entry is exact or the certified ceiling theta_j, an upper bound on its
+    norm strictly below the column maximum.  An entry is a ceiling only when
+    certify_norm_below proves it, and the eigensolve it replaces would have
+    returned a norm below the maximum, so each column maximum is the same
+    float as without certify, at any thread count.
     """
     weights = enumerate_nontrivial_weights(gs.d, t)
     factors = [gate_factors(U) for _, U in gs.pairs]
 
-    def one(w: Weight):
-        real = frobenius_schur(w) == 1
-        norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, _hermitian_norm, real,
-                            factors)
-        if progress is not None:
-            progress(w, norms)
-            if not real:
-                progress(w.conjugate(), norms)
-        return norms
+    def run(ws: list, take: Callable) -> list:
+        def one(w: Weight):
+            real = frobenius_schur(w) == 1
+            norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, take, real, factors)
+            if progress is not None:
+                progress(w, norms)
+                if not real:
+                    progress(w.conjugate(), norms)
+            return norms
+
+        return _map_weights(one, ws, threads, [weyl_dimension(w) for w in ws])
 
     reps = _representatives(weights)
-    dims = [weyl_dimension(w) for w in reps]
+    exact = [not certify or w.positive_size <= T_PROBE or weyl_dimension(w) < POOL_MIN_DIM
+             for w in reps]
+    first = [w for w, e in zip(reps, exact) if e]
+    rest = [w for w, e in zip(reps, exact) if not e]
     rows = {}
-    for w, norms in zip(reps, _map_weights(one, reps, threads, dims)):
+    for w, norms in zip(first, run(first, lambda j, B: _hermitian_norm(B))):
         rows[w] = rows[w.conjugate()] = norms
+    if rest:
+        ceilings = [max(rows[w][j] for w in first) - _CEILING_SLACK for j in range(len(keeps))]
+
+        def bounded(j: int, B: np.ndarray) -> float:
+            return ceilings[j] if certify_norm_below(B, ceilings[j]) else _hermitian_norm(B)
+
+        for w, norms in zip(rest, run(rest, bounded)):
+            rows[w] = rows[w.conjugate()] = norms
     return weights, [rows[w] for w in weights]
 
 

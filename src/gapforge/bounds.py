@@ -118,6 +118,10 @@ def g_t0(
     squared gate's image once per weight.  The m = k-2 removals leave every
     squared pair, so the universality verdict of each pair is read off its
     subset's norms up to T_PROBE (the pass then runs to max(t0, T_PROBE)).
+    The pass certifies, rather than solves, the blocks that cannot set a
+    subset's maximum (subset_norms(certify=True)); the maxima, and so the
+    table, are the same floats as from exact norms.  Its rows above t0 exist
+    only when t0 < T_PROBE, and are then all exact.
     progress(m, removed, gap) fires only after the pass, once per subset in
     (m, removed) order.
     """
@@ -137,7 +141,7 @@ def g_t0(
     removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
     keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
     t_pass = max(t0, T_PROBE) if check_universality else t0
-    weights, norms = subset_norms(sq, t_pass, keeps, threads=threads)
+    weights, norms = subset_norms(sq, t_pass, keeps, threads=threads, certify=True)
 
     verdicts = []
     if check_universality:

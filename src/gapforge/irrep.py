@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import warnings
 from dataclasses import dataclass, field
 from math import sqrt
 from typing import NamedTuple
@@ -64,7 +63,6 @@ __all__ = [
     "gate_factors",
     "jy_frame",
     "irrep_matrix",
-    "weyl_character",
     "DIM_CAP",
 ]
 
@@ -592,49 +590,3 @@ def _subgroup_image(frame: JyFrame, L: np.ndarray) -> list:
         w, W = np.linalg.eigh(H)
         first.append((W * np.exp(1j * w)) @ W.conj().T)
     return [first[k] * np.exp(1j * c * rate) if c else first[k] for k, c in frame.shape_of]
-
-
-def weyl_character(weight: Weight, phases) -> complex:
-    """Character of the irrep at a group element with the given eigenphases.
-
-    Ratio of alternants det(x_i^{lambda_j + d - j}) / det(x_i^{d - j}) with
-    x_i = exp(i phi_i).  Near-coincident phases (circular gap < 1e-8) make the
-    ratio 0/0; we then warn and fall back to averaging two symmetrically
-    perturbed evaluations, which is accurate to O(h^2) with h = 1e-5.
-    """
-    lam = weight.entries
-    d = weight.d
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.shape != (d,):
-        raise DomainError(f"need {d} phases, got shape {phases.shape}")
-
-    x = np.exp(1j * phases)
-    dists = [abs(x[i] - x[j]) for i in range(d) for j in range(i + 1, d)]
-    if min(dists) >= 1e-8:
-        return _alternant_ratio(lam, phases)
-
-    warnings.warn(
-        f"near-coincident eigenphases (gap {min(dists):.2e}); using perturbed evaluation",
-        stacklevel=2,
-    )
-    if max(dists) < 1e-8:
-        # fully degenerate torus element: chi = dim * exp(i |lambda| phi) = dim
-        return complex(weyl_dimension(weight))
-    # step size balances the h^2 truncation error against roundoff in the
-    # alternant, whose denominator shrinks like h^(#clustered pairs)
-    p = sum(1 for dd in dists if dd < 1e-3)
-    h = (2.3e-16) ** (1.0 / (p + 2))
-    ramp = np.arange(d, dtype=np.float64)
-    ramp -= ramp.mean()
-    plus = _alternant_ratio(lam, phases + h * ramp)
-    minus = _alternant_ratio(lam, phases - h * ramp)
-    return 0.5 * (plus + minus)
-
-
-def _alternant_ratio(lam, phases) -> complex:
-    d = len(lam)
-    expo_num = np.array([lam[j] + d - 1 - j for j in range(d)], dtype=np.float64)
-    expo_den = np.arange(d - 1, -1, -1, dtype=np.float64)
-    num = np.linalg.det(np.exp(1j * np.outer(phases, expo_num)))
-    den = np.linalg.det(np.exp(1j * np.outer(phases, expo_den)))
-    return complex(num / den)

@@ -1,12 +1,15 @@
-"""Symmetric eigensolves through scipy's LAPACK, with the GIL released.
+"""Symmetric eigensolves and Cholesky through scipy's LAPACK, with the GIL
+released.
 
 scipy.linalg's LAPACK wrappers hold the GIL while LAPACK runs, so two pool
 threads solving two blocks take turns.  The functions here call the same
 routines, the ones scipy.linalg.cython_lapack exports from scipy's own
 OpenBLAS, through ctypes, which releases the GIL for each foreign call.  They
-pass what scipy.linalg.eigvalsh and scipy.linalg.eigh_tridiagonal
-(lapack_driver="stevd") pass: the same driver, triangle, tolerance and queried
-workspace, on a column-major copy.  So their results are the same bits.
+pass what scipy.linalg.eigvalsh, scipy.linalg.eigh_tridiagonal
+(lapack_driver="stevd") and scipy.linalg.cholesky pass: the same driver,
+triangle, tolerance and queried workspace, on a column-major copy.  So their
+results are the same bits.  certify_norm_below proves ||B|| < theta with two
+Cholesky factorizations, in place of an eigensolve.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from ctypes import byref, c_double, c_int
 import numpy as np
 from scipy.linalg import cython_lapack
 
-__all__ = ["eigvalsh", "eigh_tridiagonal"]
+__all__ = ["eigvalsh", "eigh_tridiagonal", "certify_norm_below"]
+
+_U = np.finfo(np.float64).eps / 2  # unit roundoff
+_ETA = float(np.finfo(np.float64).smallest_subnormal)
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi)
@@ -41,17 +47,21 @@ def _routine(name: str):
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
 
 
-def _call(name: str, *args) -> None:
+def _call(name: str, *args, pivot_ok: bool = False) -> int:
     """Run LAPACK's `name` on args and check its info, which it appends.
 
-    Pass every buffer as an object that holds it (a _view of a numpy array,
-    a ctypes array or a byref), never as a bare address, whose array may be
-    freed before LAPACK writes to it.  args keeps them until the call returns.
+    info < 0 (an illegal argument) raises; so does info > 0 unless pivot_ok,
+    where it is returned for the caller to read (potrf: a leading minor is not
+    positive definite).  Pass every buffer as an object that holds it (a _view
+    of a numpy array, a ctypes array or a byref), never as a bare address,
+    whose array may be freed before LAPACK writes to it.  args keeps them
+    until the call returns.
     """
     info = c_int()
     _routine(name)(*args, byref(info))
-    if not info.value == 0:
+    if not (info.value == 0 or pivot_ok and info.value > 0):
         raise np.linalg.LinAlgError(f"LAPACK {name} failed with info = {info.value}")
+    return info.value
 
 
 def _view(a: np.ndarray):
@@ -125,3 +135,60 @@ def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple:
     lwork, liwork = int(work.value), iwork.value
     _call("dstevd", *head, (c_double * lwork)(), _int(lwork), (c_int * liwork)(), _int(liwork))
     return w, z
+
+
+def _potrf(a: np.ndarray) -> bool:
+    """Cholesky-factor the column-major a in place from its lower triangle;
+    False where LAPACK meets a pivot that is not positive (info > 0)."""
+    n = a.shape[0]
+    name = "zpotrf" if np.iscomplexobj(a) else "dpotrf"
+    return _call(name, b"L", _int(n), _view(a), _int(max(n, 1)), pivot_ok=True) == 0
+
+
+# Why a completed Cholesky proves ||B|| < theta.  Let s be the shift, tau =
+# fl(theta - s) and G the matrix LAPACK factors: -+b_ij off the diagonal
+# (exact), fl(tau -+ b_ii) on it.  If the floating-point Cholesky of G runs
+# to completion (every pivot positive), then G + dG = R^H R is positive
+# definite with |dG| <= gamma_m |R^H| |R| (Demmel's bound; Higham, Accuracy
+# and Stability of Numerical Algorithms, ch. 10), gamma_m = m u / (1 - m u),
+# m = n + 1.  A complex multiply-add errs by at most sqrt(2) gamma_2 + u
+# (Higham, ch. 3), under twice the real count, so m = 2n + 4 for zpotrf.
+# With r_i^2 = (R^H R)_ii <= g_ii / (1 - gamma_m) this gives ||dG|| <=
+# gamma_m / (1 - gamma_m) tr G (Rump, "Verification of positive
+# definiteness", BIT 46 (2006) 433, who adds 4n(2(n + 1) + max g_ii) eta for
+# underflow, eta the smallest subnormal), so lambda_min(G) > -rho with rho
+# the sum of the two.
+# Now theta I -+ B = G + D with D diagonal: D_ii >= s - 2u W, W = theta +
+# max |b_ii|, for the roundings of tau and of tau -+ b_ii, while tr G <=
+# (1 + u) n W.  So theta I -+ B is positive definite once s >= 2u W + rho.
+# s = 2(mn + 1) u W + 4n(2m + W) eta is nearly twice that, which covers the
+# rounding of s and W themselves.  By Sylvester's law of inertia both signs
+# positive definite means every eigenvalue of B lies in (-theta, theta).
+def certify_norm_below(B: np.ndarray, theta: float) -> bool:
+    """True only if ||B||_2 < theta is proved for the real symmetric or complex
+    Hermitian B read from its lower triangle: theta I - B and theta I + B,
+    shifted down by Rump's constant plus the rounding of forming them, both
+    pass a floating-point Cholesky (dpotrf or zpotrf, without the GIL).
+    False means no proof, not that ||B||_2 >= theta; theta <= 0 gives False.
+    B is not modified.
+    """
+    B = np.asarray(B)
+    n = B.shape[0]
+    if B.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {B.shape}")
+    _finite(B)
+    cplx = np.iscomplexobj(B)
+    m = 2 * n + 4 if cplx else n + 1
+    W = theta + float(np.abs(np.diagonal(B).real).max(initial=0.0))
+    s = 2.0 * (m * n + 1) * _U * W + 4.0 * n * (2.0 * m + W) * _ETA
+    if not 0.0 < s < theta:  # theta <= 0 or NaN, or a shift that swamps it
+        return False
+    tau = theta - s
+    dtype = np.complex128 if cplx else np.float64
+    diag = np.diag_indices(n)
+    for sign in (-1.0, 1.0):
+        G = np.multiply(B, sign, dtype=dtype, order="F")  # exact; LAPACK overwrites it
+        G[diag] += tau
+        if not _potrf(G):
+            return False
+    return True

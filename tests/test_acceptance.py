@@ -21,6 +21,7 @@ from _oracles import (
     convergence_profile,
     gap_bound_from_b,
     subset_squares,
+    weyl_character,
 )
 from _tabledata import TABLES
 from conftest import SEED
@@ -38,7 +39,7 @@ from gapforge.gates import (
     haar_random_gateset,
     make_gateset,
 )
-from gapforge.irrep import cached_basis, irrep_matrix, weyl_character
+from gapforge.irrep import cached_basis, irrep_matrix
 from gapforge.weightlat import (
     Weight,
     enumerate_nontrivial_weights,

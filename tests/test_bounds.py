@@ -28,7 +28,12 @@ from gapforge.bounds import (
 from gapforge.constants import SK_EXPONENT, alpha, beta, scale_t0
 from gapforge.errors import DomainError
 from gapforge.gates import GateSet, haar_random_gateset, make_gateset, squared_set
-from gapforge.weightlat import Weight, enumerate_nontrivial_weights, irrep_meta
+from gapforge.weightlat import (
+    Weight,
+    enumerate_nontrivial_weights,
+    irrep_meta,
+    weyl_dimension,
+)
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +186,131 @@ class TestGT0:
         with pytest.warns(UserWarning, match="looks not-universal"):
             g, table = g_t0(gs, t_override=3)
         assert g == pytest.approx(0.0, abs=1e-10)
+
+
+class TestCertifiedPass:
+    """g_t0's pass certifies the blocks that cannot set a subset maximum
+    (subset_norms(certify=True)); its results must equal those of exact norms."""
+
+    @staticmethod
+    def _exact_g_t0(monkeypatch, *args, **kwargs):
+        # the same reduction over exact subset_norms, no certificate tried
+        certified = gapforge.bounds.subset_norms
+        with monkeypatch.context() as m, warnings.catch_warnings(record=True) as caught:
+            m.setattr(gapforge.bounds, "subset_norms",
+                      lambda *a, certify, **kw: certified(*a, **kw))
+            warnings.simplefilter("always")
+            return g_t0(*args, **kwargs), [str(w.message) for w in caught]
+
+    @staticmethod
+    def _count(monkeypatch):
+        """(exact solves, certificates proved, certificates failed), live."""
+        counts = {"exact": 0, True: 0, False: 0}
+        norm, certify = gapforge.avgop.block_operator_norm, gapforge.avgop.certify_norm_below
+
+        def counting_norm(*a, **kw):
+            counts["exact"] += 1
+            return norm(*a, **kw)
+
+        def counting_certify(B, theta):
+            ok = certify(B, theta)
+            counts[ok] += 1
+            return ok
+
+        monkeypatch.setattr(gapforge.avgop, "block_operator_norm", counting_norm)
+        monkeypatch.setattr(gapforge.avgop, "certify_norm_below", counting_certify)
+        return counts
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("d, k, t", [
+        (2, 2, 30), (2, 3, 30), (2, 4, 30), (3, 2, 6), (3, 3, 6), (3, 4, 5), (4, 2, 4),
+    ])
+    def test_bit_identical_to_exact_norms(self, monkeypatch, d, k, t, threads):
+        if threads == 2:
+            monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # stage 2 on the pool
+        gs = haar_random_gateset(d, k, seed=1729)
+        want, want_warned = self._exact_g_t0(monkeypatch, gs, t_override=t, threads=threads)
+        counts = self._count(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = g_t0(gs, t_override=t, threads=threads)
+        assert got == want
+        assert [str(w.message) for w in caught] == want_warned
+        assert counts[True] > 0  # the case exercises certificates
+
+    def test_maximum_in_stage_two_falls_back(self, monkeypatch):
+        # seed 3: three subsets take their maximum at j = 40, 40 and 22 (n = 81,
+        # 81, 45), above T_PROBE and POOL_MIN_DIM, so the stage-1 ceilings sit
+        # below them and those blocks must fail their certificates
+        gs = haar_random_gateset(2, 4, seed=3)
+        sq = squared_set(gs)
+        removals = [c for m in range(3) for c in itertools.combinations(range(4), m)]
+        keeps = [tuple(i for i in range(4) if i not in c) for c in removals]
+        weights, exact = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1)
+        counts = self._count(monkeypatch)
+        got_weights, got = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1, certify=True)
+        assert got_weights == weights
+        late = [j for j in range(len(keeps))
+                if weyl_dimension(max(zip(weights, exact), key=lambda r: r[1][j])[0]) >= 40]
+        assert late == [4, 9, 10]
+        assert counts[False] >= len(late)
+        ceilings = 0
+        for j in range(len(keeps)):
+            top = max(r[j] for r in exact)
+            assert max(r[j] for r in got) == top
+            for row, want in zip(got, exact):
+                # a ceiling bounds the exact norm and stays below the maximum
+                assert row[j] == want[j] or want[j] - 1e-12 < row[j] < top
+                ceilings += row[j] != want[j]
+        assert ceilings == counts[True]
+        assert g_t0(gs, t_override=60) == self._exact_g_t0(monkeypatch, gs, t_override=60)[0]
+
+    def test_exact_solves_are_counted(self, monkeypatch):
+        # stage 1 (the weights up to T_PROBE and below POOL_MIN_DIM) pays one
+        # eigensolve per subset; stage 2 one per failed certificate
+        gs = haar_random_gateset(2, 4, seed=3)
+        counts = self._count(monkeypatch)
+        g_t0(gs, t_override=60)
+        weights = enumerate_nontrivial_weights(2, 60)
+        first = sum(weyl_dimension(w) < gapforge.avgop.POOL_MIN_DIM for w in weights)
+        assert first == 19  # j = 1 .. 19
+        blocks = 11 * len(weights)  # 11 removal subsets at k = 4
+        assert counts["exact"] == 11 * first + counts[False]
+        assert counts[True] + counts[False] == 11 * (len(weights) - first)
+        assert 3 <= counts[False] <= 20
+        assert counts["exact"] < 0.35 * blocks
+
+    def test_fallback_survives_python_O(self):
+        # the certificates, their fallbacks and the bit-identity all hold
+        # under python -O, which strips assert statements
+        script = textwrap.dedent("""
+            import gapforge.avgop, gapforge.bounds
+            from gapforge.gates import haar_random_gateset
+
+            assert False, "assert statements must be stripped here"
+            certify, failed = gapforge.avgop.certify_norm_below, []
+
+            def counting(B, theta):
+                ok = certify(B, theta)
+                failed.append(not ok)
+                return ok
+
+            gapforge.avgop.certify_norm_below = counting
+            gs = haar_random_gateset(2, 4, seed=3)
+            g, table = gapforge.bounds.g_t0(gs, t_override=60)
+            gapforge.avgop.certify_norm_below = lambda B, theta: False
+            exact = gapforge.bounds.g_t0(gs, t_override=60)
+            print(sum(failed), len(failed), (g, table) == exact, repr(g))
+        """)
+        src = str(Path(gapforge.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        n_failed, n_tried, same, g = proc.stdout.split()
+        assert 3 <= int(n_failed) < int(n_tried) and same == "True"
+        assert float(g) == g_t0(haar_random_gateset(2, 4, seed=3), t_override=60)[0]
 
 
 class TestMainLowerBound:

@@ -19,7 +19,6 @@ from gapforge.irrep import (
     gate_factors,
     irrep_matrix,
     jy_frame,
-    weyl_character,
 )
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, weyl_dimension
 
@@ -28,6 +27,7 @@ from _oracles import (
     check_generator_relations,
     exp_image,
     frobenius_schur_montecarlo,
+    weyl_character,
 )
 
 

@@ -14,7 +14,8 @@ import scipy.linalg
 
 import gapforge
 from gapforge.avgop import block_operator_norm
-from gapforge.lapack import eigh_tridiagonal, eigvalsh
+import gapforge.lapack
+from gapforge.lapack import _call, _int, _potrf, _view, certify_norm_below, eigh_tridiagonal, eigvalsh
 
 
 def _hermitian(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -150,3 +151,103 @@ def test_checks_survive_python_O():
     lines = proc.stdout.splitlines()  # LAPACK's own message may come between
     assert lines[0] == "non-finite raised"
     assert lines[-1] == "LAPACK dstevd failed with info = -6"
+
+
+def _unit_norm(n: int, dtype, seed: int) -> np.ndarray:
+    B = _hermitian(n, dtype, seed)
+    return B / np.max(np.abs(scipy.linalg.eigvalsh(B)))
+
+
+def _exact_spectrum(n: int, theta: float, dtype, seed: int) -> np.ndarray:
+    # H diag(lam) H^T / n for a Sylvester Hadamard H (H^T H = n I) and dyadic
+    # lam: every entry is exact, so the eigenvalues are lam exactly, and
+    # max |lam| = theta; complex Hermitian after a diagonal unitary of +-1, +-i
+    H = np.ones((1, 1))
+    while H.shape[0] < n:
+        H = np.block([[H, H], [H, -H]])
+    rng = np.random.default_rng(seed)
+    lam = rng.integers(-63, 64, n) / 64.0 * theta
+    lam[rng.integers(n)] = theta * rng.choice([-1.0, 1.0])
+    B = (H * lam) @ H.T / n
+    if dtype is complex:
+        phase = 1j ** rng.integers(0, 4, n)
+        B = phase[:, None] * B * phase.conj()[None, :]
+    return B
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 121, 600])
+def test_cholesky_matches_scipy_bit_for_bit(n, dtype):
+    B = _hermitian(n, dtype, seed=n)
+    A = B @ B.conj().T + np.eye(n)
+    a = np.array(A, order="F")
+    assert _potrf(a)
+    assert np.array_equal(np.tril(a), scipy.linalg.cholesky(A, lower=True))
+    # not positive definite: an answer here, where scipy raises
+    assert not _potrf(np.array(-A, order="F"))
+    with pytest.raises(np.linalg.LinAlgError):
+        scipy.linalg.cholesky(-A, lower=True)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 16, 64, 256])
+def test_norm_exactly_theta_is_never_certified(n, dtype):
+    for seed in range(5):
+        for theta in (1.0, 0.75, 3.0):
+            B = _exact_spectrum(n, theta, dtype, seed)
+            assert np.max(np.abs(scipy.linalg.eigvalsh(B))) == pytest.approx(theta, abs=1e-12)
+            assert not certify_norm_below(B, theta)
+            assert not certify_norm_below(B, np.nextafter(theta, 0.0))
+            assert certify_norm_below(B, theta + 1e-8)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 3, 41, 121, 600])
+def test_norm_just_below_theta_is_certified(n, dtype):
+    B = _unit_norm(n, dtype, seed=n)
+    norm = block_operator_norm(B)
+    assert certify_norm_below(B, norm + 1e-8)
+    assert not certify_norm_below(B, norm)
+    assert not certify_norm_below(B, 0.5 * norm)
+    for theta in (0.0, -1.0, np.nan):
+        assert not certify_norm_below(B, theta)
+
+
+@pytest.mark.parametrize("dtype, routine", [(float, "dpotrf"), (complex, "zpotrf")])
+def test_certificate_factors_with_potrf(monkeypatch, dtype, routine):
+    called = []
+    real = gapforge.lapack._routine
+
+    def recording(name):
+        called.append(name)
+        return real(name)
+
+    monkeypatch.setattr(gapforge.lapack, "_routine", recording)
+    B = _unit_norm(50, dtype, seed=3)
+    assert certify_norm_below(B, 1.0 + 1e-8)
+    assert called == [routine, routine]  # theta I - B, then theta I + B
+    called.clear()
+    assert not certify_norm_below(B, 0.9)
+    assert called and set(called) == {routine}
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_certificate_inputs_are_checked_and_kept(dtype):
+    B = np.array(_unit_norm(121, dtype, seed=5), order="F")
+    before = B.copy()
+    assert certify_norm_below(B, 2.0)
+    assert not certify_norm_below(B, 0.5)
+    assert np.array_equal(B, before)
+    for bad in (np.nan, np.inf):
+        B[3, 1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            certify_norm_below(B, 2.0)
+    with pytest.raises(ValueError, match="square"):
+        certify_norm_below(np.zeros((2, 3)), 1.0)
+
+
+def test_potrf_illegal_argument_raises():
+    # info > 0 (a pivot that is not positive) is an answer; info < 0 is not
+    a = np.asfortranarray(np.eye(2))
+    with pytest.raises(np.linalg.LinAlgError, match="info = -4"):
+        _call("dpotrf", b"L", _int(2), _view(a), _int(1), pivot_ok=True)
