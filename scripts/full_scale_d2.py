@@ -2,15 +2,17 @@
 """Full-scale d=2 reference run: the lower bound for a Haar pair at the cheapest grid row.
 
 eps0 = 0.25 gives t0 = 509, so the squared-set averaging operator is assembled
-over all 509 nontrivial weights (block dimensions up to 1019, each image from
-the Euler angles of its gate on a per-weight Jy eigenbasis).  The 19 blocks
-of dimension below 40 get a dense real symmetric eigensolve; the other 490
-are certified below the largest of those by two Cholesky factorizations, all
-with the GIL released.  With 2 pool threads on a 2-core machine (Intel Xeon,
-8 GB) the run took 23-25 s wall, 43-45 s CPU and 279 MB peak RSS, against
-26-30 s with an eigensolve per block and 40-43 s while the eigensolves held
-the GIL; eps0 = 0.24 (t0 = 535) took 26.5 s.  The pool pins OpenBLAS to one
-thread per task, so OPENBLAS_NUM_THREADS does not change the result.
+over all 509 nontrivial weights (block dimensions up to 1019, each image built
+real from the Euler angles of its gate on a per-weight Jy eigenbasis).  The
+19 blocks of dimension below 40 get a dense real symmetric eigensolve; the
+other 490 are certified below the largest of those by two Cholesky
+factorizations, all with the GIL released.  With 2 pool threads on a 2-core
+machine (Intel Xeon, 8 GB) the run took 18-23 s wall, 32-34 s CPU and
+181-183 MB peak RSS (29-30 s and 154 MB on one thread), against 26 s, 47-48 s
+CPU and 279 MB while each image was built complex and mapped to the real
+form; eps0 = 0.24 (t0 = 535) took 19 s against 29 s.  The pool pins
+OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not change the
+result.
 
 The bound goes through bounds.main_lower_bound, which re-derives the closed
 form from the per-subset diameter estimates and checks that both agree.  Note

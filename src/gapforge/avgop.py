@@ -15,8 +15,11 @@ block from those images.  It uses the Frobenius-Schur type of each weight
 (PU(d) has no quaternionic irreps): the block of the conjugate weight is the
 complex conjugate of the block of lambda up to a change of basis, so only the
 first of each conjugate pair is computed; a self-conjugate block is taken to
-its real form, a real symmetric matrix.  The universality probe reads its
-verdict off the block norms at the small scale T_PROBE.
+its real form, a real symmetric matrix.  At d = 2, where every weight is
+self-conjugate, irrep builds each image in the real basis directly; at
+d >= 3 the complex image goes through the real-form map (_to_real_form).
+The universality probe reads its verdict off the block norms at the small
+scale T_PROBE.
 
 g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
 eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
@@ -117,8 +120,9 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
 
     The block over keep is (1/|keep|) sum of the kept gates' images, for
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
-    With real_form (self-conjugate weights only), each image is taken to the
-    real form first, so the blocks are real.  factors[i] are the checked
+    With real_form (self-conjugate weights only), each image is real: built
+    so at d = 2 (irrep_matrix(real=True)), taken to the real form by the map
+    at d >= 3, so the blocks are real.  factors[i] are the checked
     gate_factors of pairs[i]; without them they are made here.  Each image is
     built on first use and dropped after its last, and one block is alive at
     a time, so memory is at most len(pairs) images plus one block (plus the
@@ -126,7 +130,8 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     of each keep tuple.
     """
     n = basis.dim
-    form = _real_form_map(*basis.real_structure) if real_form else None
+    real = real_form and basis.d == 2  # irrep builds these images real
+    form = _real_form_map(*basis.real_structure) if real_form and not real else None
     if factors is None:
         factors = [gate_factors(U) for _, U in pairs]
     frame = jy_frame(basis)
@@ -134,10 +139,10 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     images = {}
     out = []
     for j, keep in enumerate(keeps):
-        acc = np.zeros((n, n), dtype=np.complex128 if form is None else np.float64)
+        acc = np.zeros((n, n), dtype=np.float64 if real_form else np.complex128)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric, form, frame, factors[i])
+                images[i] = _image(basis, pairs[i][1], symmetric, form, frame, factors[i], real)
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
         out.append(take(j, acc))
@@ -145,8 +150,8 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool, form, frame, factors) -> np.ndarray:
-    P = irrep_matrix(basis, U, frame=frame, factors=factors)
+def _image(basis, U: np.ndarray, symmetric: bool, form, frame, factors, real) -> np.ndarray:
+    P = irrep_matrix(basis, U, frame=frame, factors=factors, real=real)
     if form is not None:
         P = _to_real_form(form, P)
     return P + P.conj().T if symmetric else P

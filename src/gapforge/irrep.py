@@ -30,11 +30,16 @@ the rotation by beta/2 in the plane of the last two coordinates
 
 with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
 real and comes from the eigenvectors of Jy (a JyFrame, built once per weight
-by one eigensolve per set of patterns that share rows 1 .. d-2);
-pi(K) is block diagonal over the runs of patterns with equal row d-1, and
-diagonal at d = 2.  The result is unitary to machine precision and, because
-all pattern weights are integral and sum to zero, independent of the phase
-convention of U up to ~1e-10.
+and pass by one solve per set of patterns that share rows 1 .. d-2: the SVD
+of a bidiagonal half where the set is a chain, as at d = 2, else a dense
+eigensolve); pi(K) is block diagonal over the runs of patterns with equal
+row d-1, and diagonal at d = 2.  The result is unitary to machine precision
+and, because all pattern weights are integral and sum to zero, independent
+of the phase convention of U up to ~1e-10.
+
+At d = 2 every weight is self-conjugate, and irrep_matrix(real=True) builds
+the image straight in the real basis C with C^T C = J, C pi(U) C^dagger, in
+real arithmetic (_real_image).
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
 from .gates import check_unitary
-from .lapack import eigh_tridiagonal
+from .lapack import bidiagonal_svd
 from .weightlat import Weight, frobenius_schur, weyl_dimension
 
 __all__ = [
@@ -90,6 +95,7 @@ class GTBasis:
     pattern_weights: np.ndarray = field(repr=False)  # (dim, d) int, unshifted
     real_structure: tuple | None = field(repr=False, default=None)
     _full_images: dict = field(repr=False, default_factory=dict)
+    _memo: dict = field(repr=False, default_factory=dict)  # gate-independent O(n) data
 
     @property
     def dim(self) -> int:
@@ -308,11 +314,14 @@ class JyFrame:
     row d-1 of a pattern, so it is block diagonal over the sets of patterns
     that share rows 1 .. d-2 (one set at d = 2, where T is tridiagonal), and
     each block's spectrum is exactly that of Jz = (pw_{d-1} - pw_d) / 2 on it.
-    T anticommutes with diag((-1)^p), so the eigenvectors of -mu are those of
-    mu with their odd rows negated, and both parts come from the eigenvectors
-    of mu >= 0 alone: with S those scaled by s, the even-even and odd-odd
-    entries are S_e diag(w) S_e^T and S_o diag(w) S_o^T, w = 2 cos(beta mu)
-    (1 at mu = 0), and the even-odd ones S_e diag(2 sin(beta mu)) S_o^T.
+    T has a zero diagonal and anticommutes with diag((-1)^p), so the
+    eigenvectors of -mu are those of mu with their odd rows negated, and both
+    parts come from the eigenvectors of mu >= 0 alone: with S those scaled by
+    s, the even-even and odd-odd entries are S_e diag(w) S_e^T and
+    S_o diag(w) S_o^T, w = 2 cos(beta mu) (1 at mu = 0), and the even-odd ones
+    S_e diag(2 sin(beta mu)) S_o^T.  On a chain (a tridiagonal block, all of T
+    at d = 2) the parity alternates, T[even, odd] is bidiagonal, and its SVD
+    gives S_e and S_o directly (_rotation_block).
 
     pi(K) of K in U(d-1) x U(1) is block diagonal over the runs of patterns
     with equal row d-1 (spans), each block a U(d-1) irrep times a phase.  Two
@@ -321,9 +330,10 @@ class JyFrame:
     one eigensolve per K: shapes holds, for the first block of each shape,
     its dense gl(d-1) images (E_aa taken as diag(pw_a)) and its pw_d, and
     shape_of the shape and the offset c of each span.  At d = 2 K is
-    diagonal and spans is None.  The rotation blocks hold about
-    sum(b^2) / 2 entries, n^2 / 2 at d = 2, so a frame is built per use and
-    never cached.
+    diagonal, spans is None and fold holds what _real_image needs.  The
+    rotation blocks hold about sum(b^2) / 2 entries, n^2 / 2 at d = 2, so a
+    frame is built per use and never cached; only its O(n) inputs are kept
+    with the basis (_frame_inputs).
     """
 
     weight: Weight
@@ -332,16 +342,37 @@ class JyFrame:
     spans: tuple | None = field(repr=False, default=None)  # (start, stop) of each row-(d-1) run
     shapes: tuple = field(repr=False, default=())  # (gl(d-1) images, pw_d) per shape
     shape_of: tuple = field(repr=False, default=())  # (shape index, c) per span
+    fold: tuple | None = field(repr=False, default=None)  # d = 2: (a, b, probe), see _real_fold
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
-    """The JyFrame of a basis: one eigensolve per block of T.
+    """The JyFrame of a basis: one solve per block of T.
 
-    T's entries are half the GT amplitudes of E_{d-1,d}.  A tridiagonal block
-    (all of T at d = 2) goes to a tridiagonal eigensolve, any other to a dense
-    one.  Each computed spectrum is checked against the exact one and
-    replaced by it.
+    A block of T that is a chain (tridiagonal with no zero coupling, all of T
+    at d = 2) comes from the SVD of its bidiagonal half, any other from a
+    dense eigensolve.  Each computed spectrum is checked against the exact
+    one and replaced by it.
     """
+    m, fold, inputs = _frame_inputs(basis)
+    blocks = tuple(_rotation_block(*block) for block in inputs)
+    if basis.d == 2:
+        return JyFrame(weight=basis.weight, m=m, blocks=blocks, fold=fold)
+    return JyFrame(basis.weight, m, blocks, *_subgroup_layout(basis))
+
+
+def _frame_inputs(basis: GTBasis) -> tuple:
+    """(m, fold, block inputs) of a basis's JyFrame: everything but the solves.
+
+    O(n), so it is kept with the basis, made on first use (two threads that
+    race make equal values, and the first stored is kept).  T's entries are
+    half the GT amplitudes of E_{d-1,d}; each block gets its GT indices split
+    by the parity of p, its exact spectrum, the signs s and either its
+    bidiagonal half (a chain) or its entries (see _rotation_block).  fold is
+    _real_fold's at d = 2, else None.
+    """
+    inputs = basis._memo.get("frame_inputs")
+    if inputs is not None:
+        return inputs
     d, n = basis.d, basis.dim
     pw = basis.pattern_weights
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
@@ -362,39 +393,67 @@ def jy_frame(basis: GTBasis) -> JyFrame:
     for k, idx in enumerate(sets):
         at = order[cuts[k] : cuts[k + 1]]
         vals = 0.5 * E.data[at].real
-        blocks.append(_rotation_block(idx, loc[E.row[at]], loc[E.col[at]], vals, m, p))
-    if d == 2:
-        return JyFrame(weight=basis.weight, m=m, blocks=tuple(blocks))
-    return JyFrame(basis.weight, m, tuple(blocks), *_subgroup_layout(basis))
+        blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]], vals, m, p))
+    inputs = (m, _real_fold(m) if d == 2 else None, tuple(blocks))
+    return basis._memo.setdefault("frame_inputs", inputs)
 
 
-def _rotation_block(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> _RotationBlock:
-    """The frame of the patterns idx; T has the entries vals at (rows, cols)
-    (positions within idx) above the diagonal, and their mirror images."""
+def _block_inputs(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> tuple:
+    """The gate-independent inputs of _rotation_block for the patterns idx; T
+    has the entries vals at (rows, cols) (positions within idx) above the
+    diagonal, and their mirror images."""
     b = idx.size
-    if np.all(cols - rows == 1):
-        off = np.zeros(b - 1)
-        off[rows] = vals
-        # divide and conquer: at n = 1019 its Q is orthogonal to 4e-15, the
-        # default MRRR driver's to 8e-13, for about 1.2x the time
-        mu, Q = eigh_tridiagonal(np.zeros(b), off)
-    else:
-        T = np.zeros((b, b))
-        T[rows, cols] = vals
-        mu, Q = np.linalg.eigh(T + T.T)
-    exact = np.sort(m[idx])
-    err = float(np.abs(mu - exact).max())
-    if not err <= 1e-9 * b:
-        raise AssertionError(f"Jy spectrum is off (pw_(d-1) - pw_d) / 2 by {err:.3e}")
-    neg = int(np.searchsorted(exact, 0.0))
-    S = Q[:, neg:] * (1 - (p[idx] & 2))[:, None]
+    s = (1 - (p[idx] & 2)).astype(np.float64)
     odd = (p[idx] & 1).astype(bool)
+    head = ((_index(idx[~odd]), _index(idx[odd])), np.sort(m[idx]), s[~odd], s[odd])
+    off = np.zeros(b - 1)
+    off[rows] = vals
+    if rows.size == b - 1 and np.all(cols - rows == 1) and np.all(off != 0):
+        # a chain: p alternates along it, so L = T[F, G], F its positions
+        # 0, 2, .. and G 1, 3, .., is lower bidiagonal; an odd chain's L has
+        # one column fewer than rows, padded with zeros to square
+        diag = np.zeros((b + 1) // 2)
+        diag[: b // 2] = off[0::2]
+        return *head, (diag, off[1::2], bool(odd[0])), None
+    return *head, None, (rows, cols, vals, odd)
+
+
+def _rotation_block(split, exact, s_even, s_odd, chain, dense) -> _RotationBlock:
+    """The frame of one block from its _block_inputs.
+
+    A chain's T is [[0, L], [L^T, 0]] on (F, G).  With L = U diag(sigma) V^T
+    its eigenvectors are (u, +-v) / sqrt2 for +-sigma, and (u, 0) for the
+    zero singular value that an odd chain's padding adds (V's column for it
+    is the padding coordinate, dropped).
+    """
+    mu = exact[int(np.searchsorted(exact, 0.0)) :]
+    if chain is not None:
+        diag, sub, first_odd = chain
+        sigma, U, Vt = bidiagonal_svd(diag, sub)
+        got, size_G = sigma[::-1], exact.size - diag.size
+        S_F = U[:, ::-1] * sqrt(0.5)
+        S_G = Vt[::-1, :size_G].T * sqrt(0.5)
+        if size_G < diag.size:  # an odd chain: sigma = 0 gives (u, 0)
+            S_F[:, 0] = U[:, -1]
+            S_G[:, 0] = 0.0
+        Q_even, Q_odd = (S_G, S_F) if first_odd else (S_F, S_G)
+        err = float(np.abs(got - mu).max(initial=0.0)) if got.shape == mu.shape else np.inf
+    else:
+        rows, cols, vals, odd = dense
+        T = np.zeros((exact.size,) * 2)
+        T[rows, cols] = vals
+        got, Q = np.linalg.eigh(T + T.T)
+        err = float(np.abs(got - exact).max())
+        Q = Q[:, exact.size - mu.size :]
+        Q_even, Q_odd = Q[~odd], Q[odd]
+    if not err <= 1e-9 * exact.size:
+        raise AssertionError(f"Jy spectrum is off (pw_(d-1) - pw_d) / 2 by {err:.3e}")
     return _RotationBlock(
-        even=_index(idx[~odd]),
-        odd=_index(idx[odd]),
-        s_even=np.ascontiguousarray(S[~odd]),
-        s_odd=np.ascontiguousarray(S[odd]),
-        mu=exact[neg:],
+        even=split[0],
+        odd=split[1],
+        s_even=np.ascontiguousarray(Q_even * s_even[:, None]),
+        s_odd=np.ascontiguousarray(Q_odd * s_odd[:, None]),
+        mu=mu,
     )
 
 
@@ -511,7 +570,7 @@ def _schur_unitary(U: np.ndarray):
 
 def irrep_matrix(
     basis: GTBasis, U: np.ndarray, frame: JyFrame | None = None,
-    factors: GateFactors | None = None,
+    factors: GateFactors | None = None, real: bool = False,
 ) -> np.ndarray:
     """pi_lambda(U) in the GT basis; unitary to ~1e-12, phase-convention
     independent to ~1e-10.
@@ -524,10 +583,16 @@ def irrep_matrix(
     diagonal at d = 2 and otherwise one small Hermitian eigensolve per shape
     of U(d-1) block.  The pattern weights sum to zero, so the phase that the
     factors drop is invisible.
+
+    With real (d = 2 only), the image is the real orthogonal C pi(U) C^dagger
+    in the real basis C with C^T C = J (_real_fold), built without complex
+    arithmetic.
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (basis.d, basis.d):
         raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
+    if real and basis.d != 2:
+        raise DomainError(f"real images are built at d = 2 only, not d = {basis.d}")
     if factors is None:
         factors = gate_factors(U)
     elif factors.left.shape != U.shape:
@@ -541,6 +606,8 @@ def irrep_matrix(
     R = _rotation(frame, factors.beta)
     if frame.spans is None:  # d = 2: pi(K) = diag(e^{-i alpha m})
         alpha, gamma = (float((L[1, 1] - L[0, 0]).real) for L in (factors.left, factors.right))
+        if real:
+            return _real_image(frame, R, alpha, gamma)
         P = np.exp(-1j * alpha * frame.m)[:, None] * R
         P *= np.exp(-1j * gamma * frame.m)
         return P
@@ -573,6 +640,58 @@ def _grid(rows, cols) -> tuple:
     if isinstance(rows, slice) or isinstance(cols, slice):
         return rows, cols
     return np.ix_(rows, cols)
+
+
+def _real_fold(m: np.ndarray) -> tuple:
+    """(a, b, probe) of the real basis at d = 2, for _real_image.
+
+    At d = 2 the real structure is J e_r = (-1)^r e_r', r' = n - 1 - r, and
+    the rows of C are conj(rho_r) h_r^T with h_r = a_r e_r + b_r e_r' real and
+    rho_r in {1, i}: for r above the middle a_r = b_r = (-1)^r / sqrt2 and
+    rho_r = i^(r mod 2), below it a_r = -b_r = 1 / sqrt2 and rho_r =
+    i^(1 - r mod 2), and at the middle j a = (-1)^j, b = 0, rho = i^(j mod 2)
+    (the J-odd fixed point of an odd j is on the i side).  These are the rows
+    of _real_form_map for this J.  probe is a fixed unit vector.
+    """
+    n = m.size
+    r = np.arange(n)
+    a = np.where(r < n // 2, (-1.0) ** r, 1.0) * sqrt(0.5)
+    b = np.where(r < n // 2, a, -a)
+    a[n // 2], b[n // 2] = (-1.0) ** (n // 2), 0.0
+    probe = np.cos(1.0 + 2.0 * r)  # any fixed vector; this one has no symmetry in r <-> r'
+    return a, b, probe / np.linalg.norm(probe)
+
+
+def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+    """C pi(U) C^dagger at d = 2, pi(U) = D(alpha) R D(gamma), D(phi) =
+    diag(e^{-i phi m}), in real arithmetic.
+
+    R = pi(Ry(beta)) is real and commutes with J, so H^T R H (H the columns
+    h_r) vanishes where rho_k != rho_l: it is R_+ (+) R_-, the blocks on the
+    J-even and J-odd vectors, and C R C^dagger equals it.  rho* H^T D(phi)
+    H rho is the real M(phi) with cos(phi m_r) on the diagonal and
+    -sin(phi m_r) at (r, r').  So the image is M(alpha) H^T R H M(gamma),
+    and H M(gamma) has the column cos(gamma m_l) h_l + sin(gamma m_l) h_l',
+    which puts A_l on e_l and B_l on e_l': two folds of R against its
+    reversal, O(n^2).  The probe checks that the result is orthogonal on a
+    fixed vector and that its trace is that of pi(U), whose imaginary part
+    (R's J-symmetry) must vanish.
+    """
+    a, b, probe = frame.fold
+    x = np.multiply.outer((gamma, -alpha, alpha + gamma), frame.m)
+    c, s = np.cos(x), np.sin(x)
+    # (A, B) of H M(gamma) in row 0, of H M(-alpha) = (M(alpha) H^T)^T in row 1
+    A = a * c[:2] + b[::-1] * s[:2]
+    B = b * c[:2] + a[::-1] * s[:2]
+    Y = R * A[0]
+    Y += R[:, ::-1] * B[0]
+    Q = Y * A[1, :, None]
+    Q += Y[::-1] * B[1, :, None]
+    y, r = Q @ probe, np.diagonal(R)
+    err = max(abs(y @ y - 1.0), abs(np.trace(Q) - r @ c[2]), abs(r @ s[2]))
+    if not err <= 1e-9:
+        raise AssertionError(f"real image fails its probe by {err:.3e}")
+    return Q
 
 
 def _subgroup_image(frame: JyFrame, L: np.ndarray) -> list:

@@ -1,15 +1,16 @@
-"""Symmetric eigensolves and Cholesky through scipy's LAPACK, with the GIL
-released.
+"""Symmetric eigensolves, bidiagonal SVD and Cholesky through scipy's LAPACK,
+with the GIL released.
 
 scipy.linalg's LAPACK wrappers hold the GIL while LAPACK runs, so two pool
 threads solving two blocks take turns.  The functions here call the same
 routines, the ones scipy.linalg.cython_lapack exports from scipy's own
-OpenBLAS, through ctypes, which releases the GIL for each foreign call.  They
-pass what scipy.linalg.eigvalsh, scipy.linalg.eigh_tridiagonal
-(lapack_driver="stevd") and scipy.linalg.cholesky pass: the same driver,
-triangle, tolerance and queried workspace, on a column-major copy.  So their
-results are the same bits.  certify_norm_below proves ||B|| < theta with two
-Cholesky factorizations, in place of an eigensolve.
+OpenBLAS, through ctypes, which releases the GIL for each foreign call.
+eigvalsh and the Cholesky factorizations pass what scipy.linalg.eigvalsh and
+scipy.linalg.cholesky pass: the same driver, triangle, tolerance and queried
+workspace, on a column-major copy.  So their results are the same bits.
+bidiagonal_svd runs dbdsdc, which scipy does not wrap.  certify_norm_below
+proves ||B|| < theta with two Cholesky factorizations, in place of an
+eigensolve.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from ctypes import byref, c_double, c_int
 import numpy as np
 from scipy.linalg import cython_lapack
 
-__all__ = ["eigvalsh", "eigh_tridiagonal", "certify_norm_below"]
+__all__ = ["eigvalsh", "bidiagonal_svd", "certify_norm_below"]
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.finfo(np.float64).smallest_subnormal)
@@ -114,27 +115,25 @@ def eigvalsh(A: np.ndarray) -> np.ndarray:
     return w
 
 
-def eigh_tridiagonal(d: np.ndarray, e: np.ndarray) -> tuple:
-    """(w, Z): the ascending eigenvalues and column-major orthonormal
-    eigenvectors of the symmetric tridiagonal matrix with diagonal d and
-    off-diagonal e, by divide and conquer (dstevd).  Bit for bit
-    scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd"); d and e are
-    not modified.
+def bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> tuple:
+    """(s, U, Vt): the singular values, descending, and column-major
+    orthogonal U and Vt with U diag(s) Vt = B, the n x n lower bidiagonal B
+    with diagonal d and subdiagonal e, by divide and conquer (dbdsdc).  d and
+    e are not modified.
     """
-    w = np.array(d, dtype=np.float64)  # dstevd returns the eigenvalues in d
-    n = w.size
-    if w.shape != (n,) or np.shape(e) != (max(n - 1, 0),):
+    s = np.array(d, dtype=np.float64)  # dbdsdc returns the singular values in d
+    n = s.size
+    if s.shape != (n,) or np.shape(e) != (max(n - 1, 0),):
         raise ValueError(f"expected d of size n and e of size n - 1, got {np.shape(d)}, {np.shape(e)}")
     off = np.zeros(max(n - 1, 1))
-    off[: n - 1] = e  # dstevd destroys it
-    _finite(w, off)
-    z = np.empty((n, n), order="F")
-    head = (b"V", _int(n), _view(w), _view(off), _view(z), _int(max(n, 1)))
-    work, iwork = c_double(), c_int()  # the workspace query's answers
-    _call("dstevd", *head, byref(work), _int(-1), byref(iwork), _int(-1))
-    lwork, liwork = int(work.value), iwork.value
-    _call("dstevd", *head, (c_double * lwork)(), _int(lwork), (c_int * liwork)(), _int(liwork))
-    return w, z
+    off[: n - 1] = e  # dbdsdc destroys it
+    _finite(s, off)
+    u, vt = np.empty((n, n), order="F"), np.empty((n, n), order="F")
+    ld = _int(max(n, 1))
+    # uplo, compq, n, d, e, u, ldu, vt, ldvt, q, iq (not read for compq I), work, iwork
+    _call("dbdsdc", b"L", b"I", _int(n), _view(s), _view(off), _view(u), ld, _view(vt), ld,
+          (c_double * 1)(), (c_int * 1)(), (c_double * (3 * n * n + 4 * n))(), (c_int * (8 * n))())
+    return s, u, vt
 
 
 def _potrf(a: np.ndarray) -> bool:
@@ -176,19 +175,24 @@ def certify_norm_below(B: np.ndarray, theta: float) -> bool:
     n = B.shape[0]
     if B.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {B.shape}")
-    _finite(B)
     cplx = np.iscomplexobj(B)
+    # one column-major copy, scanned by a dot product (non-finite also where
+    # it merely overflows, which _finite then clears); theta I -+ B come from
+    # it by the same np.multiply(B, -+1.0) as ever, but on contiguous memory
+    P = np.array(B, dtype=np.complex128 if cplx else np.float64, order="F")
+    flat = P.ravel(order="K")  # a view: P is contiguous
+    if not np.isfinite(np.vdot(flat, flat)):
+        _finite(P)
+    diag = flat[:: n + 1]
     m = 2 * n + 4 if cplx else n + 1
-    W = theta + float(np.abs(np.diagonal(B).real).max(initial=0.0))
+    W = theta + float(np.abs(diag.real).max(initial=0.0))
     s = 2.0 * (m * n + 1) * _U * W + 4.0 * n * (2.0 * m + W) * _ETA
     if not 0.0 < s < theta:  # theta <= 0 or NaN, or a shift that swamps it
         return False
     tau = theta - s
-    dtype = np.complex128 if cplx else np.float64
-    diag = np.diag_indices(n)
     for sign in (-1.0, 1.0):
-        G = np.multiply(B, sign, dtype=dtype, order="F")  # exact; LAPACK overwrites it
-        G[diag] += tau
+        G = np.multiply(P, sign)  # exact; column-major like P, LAPACK overwrites it
+        G.ravel(order="K")[:: n + 1] += tau
         if not _potrf(G):
             return False
     return True

@@ -224,6 +224,27 @@ class TestSubsetNorms:
             fields = [getattr(b, f.name) for f in dataclasses.fields(b)]
             assert dense_squares(fields, b.dim) == [], b.weight
 
+    def test_d2_images_are_real_without_the_map(self, monkeypatch):
+        # at d = 2 every image comes real from irrep; the map serves d >= 3 only
+        mapped, dtypes = [], []
+        real_map, real_image = gapforge.avgop._to_real_form, irrep_matrix
+        monkeypatch.setattr(gapforge.avgop, "_to_real_form",
+                            lambda form, P: mapped.append(P.shape) or real_map(form, P))
+
+        def image(b, U, **kw):
+            P = real_image(b, U, **kw)
+            dtypes.append((b.d, P.dtype))
+            return P
+
+        monkeypatch.setattr(gapforge.avgop, "irrep_matrix", image)
+        gs = haar_random_gateset(2, 3, seed=1729)
+        subset_norms(gs, 12, [(0, 1, 2), (0, 1)], threads=1)
+        assert mapped == []
+        assert len(dtypes) == 3 * 12 and set(dtypes) == {(2, np.dtype(np.float64))}
+        subset_norms(haar_random_gateset(3, 2, seed=1729), 2, [(0, 1)], threads=1)
+        assert mapped  # (1, 0, -1) is self-conjugate
+        assert {dt for d, dt in dtypes if d == 3} == {np.dtype(np.complex128)}
+
     def test_real_form_rejects_a_complex_remainder(self):
         b = cached_basis(Weight((1, 0, -1)))
         form = gapforge.avgop._real_form_map(*b.real_structure)

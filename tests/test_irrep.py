@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapforge
+from gapforge.avgop import _real_form_map, _to_real_form
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
@@ -337,15 +338,85 @@ class TestEulerImage:
     )
     def test_matches_exp_path_up_to_j509(self):
         sq = squared_set(haar_random_gateset(2, 2, seed=1729))
-        worst = 0.0
+        worst = worst_real = 0.0
         for j in range(495, 510):
             b = build_basis(Weight((j, -j)))  # uncached: 15 bases of dim ~1000
             frame = jy_frame(b)
+            form = _real_form_map(*b.real_structure)
             for _, U in sq.pairs:
-                worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame)
-                                                - exp_image(b, U)).max()))
-        print(f"max |euler - exp| over j = 495..509: {worst:.3e}")
+                want = exp_image(b, U)
+                worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame) - want).max()))
+                real = irrep_matrix(b, U, frame=frame, real=True)
+                worst_real = max(worst_real,
+                                 float(np.abs(real - _to_real_form(form, want)).max()))
+        print(f"max |euler - exp| over j = 495..509: {worst:.3e}, real form {worst_real:.3e}")
         assert worst <= 1e-12
+        assert worst_real <= 3e-13
+
+
+class TestRealImage:
+    """The d = 2 image built in the real basis, against the complex image
+    taken there by the real-form map."""
+
+    def test_matches_the_real_form_map_up_to_j60(self):
+        # odd and even j; Haar gates, and beta = 0 and beta = pi among the others
+        gates = [rand_unitary(2, seed) for seed in (51, 52)] + _degenerate_su2_gates()
+        worst = 0.0
+        for j in range(1, 61):
+            b = cached_basis(Weight((j, -j)))
+            frame = jy_frame(b)
+            form = _real_form_map(*b.real_structure)
+            for U in gates:
+                U = np.asarray(U, dtype=np.complex128)
+                got = irrep_matrix(b, U, frame=frame, real=True)
+                assert got.dtype == np.float64
+                want = _to_real_form(form, irrep_matrix(b, U, frame=frame))
+                worst = max(worst, float(np.abs(got - want).max()))
+        assert worst <= 1e-13
+
+    def test_real_images_are_d2_only(self):
+        b = cached_basis(Weight((1, 0, -1)))
+        with pytest.raises(DomainError, match="d = 2 only"):
+            irrep_matrix(b, rand_unitary(3, 53), real=True)
+
+    def test_svd_frame_is_orthonormal_at_n1019(self):
+        b = build_basis(Weight((509, -509)))  # uncached
+        (block,) = jy_frame(b).blocks
+        n = b.dim
+        S = np.empty((n, block.mu.size))
+        S[block.even], S[block.odd] = block.s_even, block.s_odd
+        S *= (1 - (np.arange(n) & 2))[:, None]  # p = GT index at d = 2
+        assert block.mu.tolist() == list(range(510))
+        assert np.abs(S.T @ S - np.eye(block.mu.size)).max() <= 1e-13
+        E = b.generator_images[(1, 2)]
+        T = 0.5 * (E + E.T).real
+        assert np.abs(T @ S - S * block.mu).max() <= 1e-12
+
+    def test_probe_survives_python_O(self):
+        # a frame whose even rows are off by 1e-6 gives a real image that is
+        # not orthogonal; the probe must raise under -O too
+        script = textwrap.dedent("""
+            import dataclasses
+            import numpy as np
+            from gapforge.irrep import cached_basis, irrep_matrix, jy_frame
+            from gapforge.weightlat import Weight
+            b = cached_basis(Weight((5, -5)))
+            frame = jy_frame(b)
+            (block,) = frame.blocks
+            bad = dataclasses.replace(
+                frame, blocks=(block._replace(s_even=block.s_even * (1 + 1e-6)),))
+            U = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+            irrep_matrix(b, U, frame=frame, real=True)
+            try:
+                irrep_matrix(b, U, frame=bad, real=True)
+            except AssertionError as exc:
+                print(exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("real image fails its probe by")
 
 
 def _degenerate_cs_gates(d: int, seed: int) -> list:

@@ -15,7 +15,7 @@ import scipy.linalg
 import gapforge
 from gapforge.avgop import block_operator_norm
 import gapforge.lapack
-from gapforge.lapack import _call, _int, _potrf, _view, certify_norm_below, eigh_tridiagonal, eigvalsh
+from gapforge.lapack import _call, _int, _potrf, _view, bidiagonal_svd, certify_norm_below, eigvalsh
 
 
 def _hermitian(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -35,14 +35,18 @@ def test_norm_matches_scipy_bit_for_bit(n, dtype):
     assert block_operator_norm(A) == np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("b", [1, 2, 3, 50, 1019])
-def test_tridiagonal_frame_matches_scipy_bit_for_bit(b):
-    off = np.random.default_rng(b).standard_normal(b - 1)
-    mu, Q = eigh_tridiagonal(np.zeros(b), off)
-    want_mu, want_Q = scipy.linalg.eigh_tridiagonal(np.zeros(b), off, lapack_driver="stevd")
-    assert np.array_equal(mu, want_mu)
-    assert np.array_equal(Q, want_Q)
-    assert Q.flags.f_contiguous
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 510])
+def test_bidiagonal_svd_factors_the_matrix(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    B = np.diag(d) + np.diag(e, -1)  # lower bidiagonal
+    s, U, Vt = bidiagonal_svd(d, e)
+    assert U.flags.f_contiguous and Vt.flags.f_contiguous
+    assert np.all(np.diff(s) <= 0)
+    assert np.abs(s - np.linalg.svd(B, compute_uv=False)).max() <= 1e-13 * n
+    assert np.abs((U * s) @ Vt - B).max() <= 1e-13 * n
+    assert np.abs(U.T @ U - np.eye(n)).max() <= 1e-13
+    assert np.abs(Vt @ Vt.T - np.eye(n)).max() <= 1e-13
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -58,16 +62,16 @@ def test_non_finite_input_raises_as_scipy_does(bad):
     off = np.ones(3)
     off[1] = bad
     with pytest.raises(ValueError, match="infs or NaNs"):
-        eigh_tridiagonal(np.zeros(4), off)
+        bidiagonal_svd(np.ones(4), off)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        eigh_tridiagonal(np.array([0.0, bad, 0.0, 0.0]), np.ones(3))
+        bidiagonal_svd(np.array([1.0, bad, 1.0, 1.0]), np.ones(3))
 
 
 def test_shape_is_checked():
     with pytest.raises(ValueError, match="square"):
         eigvalsh(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="size n - 1"):
-        eigh_tridiagonal(np.zeros(4), np.zeros(4))
+        bidiagonal_svd(np.zeros(4), np.zeros(4))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -79,9 +83,9 @@ def test_inputs_are_not_modified(dtype, order):
     before = A.copy()
     eigvalsh(A)
     assert np.array_equal(A, before)
-    d, e = np.zeros(50), np.arange(1.0, 50.0)
-    eigh_tridiagonal(d, e)
-    assert np.array_equal(d, np.zeros(50)) and np.array_equal(e, np.arange(1.0, 50.0))
+    d, e = np.ones(50), np.arange(1.0, 50.0)
+    bidiagonal_svd(d, e)
+    assert np.array_equal(d, np.ones(50)) and np.array_equal(e, np.arange(1.0, 50.0))
 
 
 def test_solve_releases_the_gil():
