@@ -32,10 +32,15 @@ with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
 real and comes from the eigenvectors of Jy (a JyFrame, built once per weight
 and pass by one solve per set of patterns that share rows 1 .. d-2: the SVD
 of a bidiagonal half where the set is a chain, as at d = 2, else a dense
-eigensolve); pi(K) is block diagonal over the runs of patterns with equal
-row d-1, and diagonal at d = 2.  The result is unitary to machine precision
-and, because all pattern weights are integral and sum to zero, independent
-of the phase convention of U up to ~1e-10.
+eigensolve); pi(K) is diagonal at d = 2, else block diagonal over the runs
+of patterns with equal row d-1, each block a phase times the image of K's
+U(d-1) part in the irrep of the run's shape (its row less its last entry).
+That image depends on the gate and the shape alone: it is solved once per
+shape and gate side and kept with the gate's factors (GateFactors), for
+every weight of a pass; the run layout is kept with the basis.  The result
+is unitary to machine precision and, because all pattern weights are
+integral and sum to zero, independent of the phase convention of U up to
+~1e-10.
 
 At d = 2 every weight is self-conjugate, and irrep_matrix(real=True) builds
 the image straight in the real basis C with C^T C = J, C pi(U) C^dagger, in
@@ -44,6 +49,8 @@ real arithmetic (_real_image).
 
 from __future__ import annotations
 
+import cmath
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -174,33 +181,9 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
 
     # simple raising operators, then adjoints
     for l in range(1, d):
-        rows_i, cols_i, vals = [], [], []
-        for i, p in enumerate(patterns):
-            row = p[l - 1]
-            for k in range(l):
-                bumped = row[:k] + (row[k] + 1,) + row[k + 1 :]
-                target = p[: l - 1] + (bumped,) + p[l:]
-                j = index.get(target)
-                if j is None:
-                    continue  # interlacing broken, amplitude is zero
-                akl = row[k] - (k + 1)
-                num = 1
-                for jj in range(l + 1):
-                    num *= p[l][jj] - (jj + 1) - akl
-                for jj in range(l - 1):
-                    num *= p[l - 2][jj] - (jj + 1) - akl - 1
-                num = -num
-                den = 1
-                for jj in range(l):
-                    if jj == k:
-                        continue
-                    ajl = row[jj] - (jj + 1)
-                    den *= (ajl - akl) * (ajl - akl - 1)
-                assert den != 0 and num >= 0, (p, k, num, den)
-                rows_i.append(j)
-                cols_i.append(i)
-                vals.append(sqrt(num / den))
-                up[i] = j
+        rows_i, cols_i, vals = _raising(patterns, index, l)
+        for j, i in zip(rows_i, cols_i):
+            up[i] = j
         images[(l, l + 1)] = sp.csr_matrix(
             (np.asarray(vals, dtype=np.complex128), (rows_i, cols_i)), shape=(dim, dim)
         )
@@ -219,6 +202,39 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
     )
     _fill_nonsimple(basis)
     return basis
+
+
+def _raising(patterns: list, index: dict, l: int) -> tuple:
+    """(rows, cols, vals) of the simple raising operator E_{l,l+1} on the GT
+    patterns (index: pattern -> position), by the formula in the module
+    docstring, column by column."""
+    rows_i, cols_i, vals = [], [], []
+    for i, p in enumerate(patterns):
+        row = p[l - 1]
+        for k in range(l):
+            bumped = row[:k] + (row[k] + 1,) + row[k + 1 :]
+            target = p[: l - 1] + (bumped,) + p[l:]
+            j = index.get(target)
+            if j is None:
+                continue  # interlacing broken, amplitude is zero
+            akl = row[k] - (k + 1)
+            num = 1
+            for jj in range(l + 1):
+                num *= p[l][jj] - (jj + 1) - akl
+            for jj in range(l - 1):
+                num *= p[l - 2][jj] - (jj + 1) - akl - 1
+            num = -num
+            den = 1
+            for jj in range(l):
+                if jj == k:
+                    continue
+                ajl = row[jj] - (jj + 1)
+                den *= (ajl - akl) * (ajl - akl - 1)
+            assert den != 0 and num >= 0, (p, k, num, den)
+            rows_i.append(j)
+            cols_i.append(i)
+            vals.append(sqrt(num / den))
+    return rows_i, cols_i, vals
 
 
 def _real_structure(patterns: list, index: dict, up: list, images: dict) -> tuple:
@@ -295,6 +311,7 @@ class _RotationBlock(NamedTuple):
 
     even: slice | np.ndarray  # GT indices of the even rows (p even), a slice where they are strided
     odd: slice | np.ndarray  # GT indices of the odd rows
+    grids: tuple  # where the (even, even), (odd, odd), (odd, even), (even, odd) parts go in R
     s_even: np.ndarray  # S_e: even rows of S, one column per eigenvalue mu >= 0
     s_odd: np.ndarray  # S_o: odd rows of S
     mu: np.ndarray  # the eigenvalues >= 0, exact
@@ -324,24 +341,26 @@ class JyFrame:
     gives S_e and S_o directly (_rotation_block).
 
     pi(K) of K in U(d-1) x U(1) is block diagonal over the runs of patterns
-    with equal row d-1 (spans), each block a U(d-1) irrep times a phase.  Two
-    rows that differ by c (1, .., 1) give the same gl(d-1) images up to c on
-    the diagonal, so the blocks of one shape (row minus its last entry) share
-    one eigensolve per K: shapes holds, for the first block of each shape,
-    its dense gl(d-1) images (E_aa taken as diag(pw_a)) and its pw_d, and
-    shape_of the shape and the offset c of each span.  At d = 2 K is
+    with equal row d-1 (spans), each block a U(d-1) irrep times a phase.  A
+    span's row is its shape (the row minus its last entry r) shifted by
+    r (1, .., 1), and its gl(d-1) images are those of the shape's own GT
+    basis with r - shift added to every E_aa (_shape_generators), so the
+    block is a phase times exp(i Y.G) of its shape, in every weight alike
+    (_subgroup_image).  shapes holds (shape, G) for each shape of the weight,
+    G its dense gl(d-1) images with E_aa the shape's pattern weights, and
+    shape_of (shape index, r - shift, pw_d) for each span.  At d = 2 K is
     diagonal, spans is None and fold holds what _real_image needs.  The
     rotation blocks hold about sum(b^2) / 2 entries, n^2 / 2 at d = 2, so a
-    frame is built per use and never cached; only its O(n) inputs are kept
-    with the basis (_frame_inputs).
+    frame is built per use and never cached; only its O(n) inputs and the
+    span layout are kept with the basis (_frame_inputs, _subgroup_layout).
     """
 
     weight: Weight
     m: np.ndarray  # Jz of the last su(2) on each GT vector, (pw_{d-1} - pw_d) / 2
     blocks: tuple = field(repr=False)  # _RotationBlock per set of patterns sharing rows 1 .. d-2
     spans: tuple | None = field(repr=False, default=None)  # (start, stop) of each row-(d-1) run
-    shapes: tuple = field(repr=False, default=())  # (gl(d-1) images, pw_d) per shape
-    shape_of: tuple = field(repr=False, default=())  # (shape index, c) per span
+    shapes: tuple = field(repr=False, default=())  # (shape, gl(d-1) images G) per shape
+    shape_of: tuple = field(repr=False, default=())  # (shape index, r - shift, pw_d) per span
     fold: tuple | None = field(repr=False, default=None)  # d = 2: (a, b, probe), see _real_fold
 
 
@@ -405,7 +424,9 @@ def _block_inputs(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> tuple:
     b = idx.size
     s = (1 - (p[idx] & 2)).astype(np.float64)
     odd = (p[idx] & 1).astype(bool)
-    head = ((_index(idx[~odd]), _index(idx[odd])), np.sort(m[idx]), s[~odd], s[odd])
+    e, o = _index(idx[~odd]), _index(idx[odd])
+    grids = (_grid(e, e), _grid(o, o), _grid(o, e), _grid(e, o))
+    head = ((e, o, grids), np.sort(m[idx]), s[~odd], s[odd])
     off = np.zeros(b - 1)
     off[rows] = vals
     if rows.size == b - 1 and np.all(cols - rows == 1) and np.all(off != 0):
@@ -449,8 +470,7 @@ def _rotation_block(split, exact, s_even, s_odd, chain, dense) -> _RotationBlock
     if not err <= 1e-9 * exact.size:
         raise AssertionError(f"Jy spectrum is off (pw_(d-1) - pw_d) / 2 by {err:.3e}")
     return _RotationBlock(
-        even=split[0],
-        odd=split[1],
+        *split,
         s_even=np.ascontiguousarray(Q_even * s_even[:, None]),
         s_odd=np.ascontiguousarray(Q_odd * s_odd[:, None]),
         mu=mu,
@@ -466,45 +486,96 @@ def _index(idx: np.ndarray):
 
 
 def _subgroup_layout(basis: GTBasis) -> tuple:
-    """(spans, shapes, shape_of) of a d >= 3 basis, as JyFrame describes."""
+    """(spans, shapes, shape_of) of a d >= 3 basis, as JyFrame describes.
+
+    Gate-independent, so it is kept with the basis, made on first use (two
+    threads that race make equal values, and the first stored is kept).
+    Each span's pattern weights are checked to be its shape's shifted by
+    r - shift, and every E_ab (a != b < d) to be block diagonal over the
+    spans with its shape's G as each block.
+    """
+    layout = basis._memo.get("subgroup_layout")
+    if layout is not None:
+        return layout
     d, n = basis.d, basis.dim
     pw = basis.pattern_weights
     rows = [pattern[d - 2] for pattern in basis.patterns]
     starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
     spans = tuple(zip(starts, starts[1:] + [n]))
-    first, shape_of = {}, []  # first span (start, stop) of each shape, in order
+    index, shape_of = {}, []  # index: shape -> its position, in order of first use
     for s, e in spans:
         row = rows[s]
-        key = tuple(x - row[-1] for x in row)
-        k, (s0, _) = first.setdefault(key, (len(first), (s, e)))
-        c = row[-1] - rows[s0][-1]
-        if not np.array_equal(pw[s:e, : d - 1] - c, pw[s0 : s0 + e - s, : d - 1]):
+        shape = tuple(x - row[-1] for x in row)
+        k = index.setdefault(shape, len(index))
+        c, pw_d = row[-1] - basis.shift, int(pw[s, d - 1])
+        _, weights = _shape_generators(shape)
+        if not (np.array_equal(pw[s:e, : d - 1], weights + c) and np.all(pw[s:e, d - 1] == pw_d)):
             raise AssertionError(f"row-{d - 1} block at {s} is not its shape's shifted by {c}")
-        shape_of.append((k, c))
-    # the first span of each shape, its gl(d-1) images scattered into one buffer
-    start = np.array([s for _, (s, _) in first.values()])
-    size = np.array([e - s for _, (s, e) in first.values()])
-    shape_at = np.full(n, -1)
-    for k, (s, b) in enumerate(zip(start, size)):
-        shape_at[s : s + b] = k
-    q = (d - 1) ** 2
-    offset = np.concatenate([[0], np.cumsum(q * size * size)])
-    buf = np.zeros(offset[-1])
-    own = np.flatnonzero(shape_at >= 0)
+        shape_of.append((k, c, pw_d))
+    shapes = tuple((shape, _shape_generators(shape)[0]) for shape in index)
+    _check_span_images(basis, spans, [G for _, G in shapes], [k for k, _, _ in shape_of])
+    layout = (spans, shapes, tuple(shape_of))
+    return basis._memo.setdefault("subgroup_layout", layout)
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_generators(shape: tuple) -> tuple:
+    """(G, weights) of the U(q) irrep of signature shape, q = len(shape), on
+    its own GT basis in _enumerate_patterns order: G[(a-1) q + b-1] the dense
+    image of E_ab, read-only, with E_aa = diag(weights[:, a-1]) the pattern
+    weights.  Made from the shape alone, so every span of the shape, in any
+    weight, gets the same bits; kept for the process, like cached bases."""
+    q = len(shape)
+    patterns = _enumerate_patterns(shape)
+    index = {p: i for i, p in enumerate(patterns)}
+    b = len(patterns)
+    weights = np.array([_pattern_weight(p, q) for p in patterns], dtype=np.int64)
+    G = np.zeros((q, q, b, b))
+    for a in range(q):
+        np.fill_diagonal(G[a, a], weights[:, a])
+    for l in range(1, q):
+        rows_i, cols_i, vals = _raising(patterns, index, l)
+        G[l - 1, l, rows_i, cols_i] = vals
+        G[l, l - 1] = G[l - 1, l].T
+    for span in range(2, q):  # the nested commutators of _fill_nonsimple
+        for a in range(q - span):
+            c = a + span
+            G[a, c] = G[a, c - 1] @ G[c - 1, c] - G[c - 1, c] @ G[a, c - 1]
+            G[c, a] = G[a, c].T
+    G = G.reshape(q * q, b, b)
+    G.flags.writeable = False
+    return G, weights
+
+
+def _check_span_images(basis: GTBasis, spans: tuple, gens: list, shape_of: list) -> None:
+    """Raise unless every E_ab, a != b < d, of the basis is block diagonal over
+    the spans, the block of a span that of its shape, gens[shape_of[span]].
+
+    Each stored entry must sit in a span and match the shape's entry there,
+    and the entries' squares must add up to those of the shapes' blocks, so
+    the shapes carry nothing the basis lacks.
+    """
+    d = basis.d
+    size = np.array([len(G[0]) for G in gens])
+    offset = np.concatenate([[0], np.cumsum([G.size for G in gens])])
+    flat = np.concatenate([G.ravel() for G in gens])
+    span_at = np.repeat(np.arange(len(spans)), [e - s for s, e in spans])
+    start = np.array([s for s, _ in spans])
+    k_of = np.array(shape_of)
     for i, (a, b) in enumerate(itertools.product(range(1, d), repeat=2)):  # row-major
         if a == b:
-            r, c, v = own, own, pw[own, a - 1]
-        else:
-            C = basis._full_images[(a, b)].tocoo()
-            r, c, v = C.row, C.col, C.data.real
-        k = shape_at[r]
-        r, c, v, k = r[k >= 0], c[k >= 0], v[k >= 0], k[k >= 0]
-        buf[offset[k] + (i * size[k] + r - start[k]) * size[k] + c - start[k]] = v
-    shapes = tuple(
-        (buf[offset[k] : offset[k + 1]].reshape(q, b, b), int(pw[s, d - 1]))
-        for k, (s, b) in enumerate(zip(start, size))
-    )
-    return spans, shapes, tuple(shape_of)
+            continue
+        C = basis._full_images[(a, b)].tocoo()
+        at = span_at[C.row]
+        if not np.array_equal(at, span_at[C.col]):
+            raise AssertionError(f"E_{a}{b} moves a pattern's row {d - 1}")
+        k = k_of[at]
+        want = flat[offset[k] + (i * size[k] + C.row - start[at]) * size[k] + C.col - start[at]]
+        square = np.array([np.dot(G[i].ravel(), G[i].ravel()) for G in gens])[k_of].sum()
+        err = max(float(np.abs(C.data - want).max(initial=0.0)),
+                  abs(float(np.vdot(C.data, C.data).real) - square))
+        if not err <= 1e-12 * max(1.0, square):
+            raise AssertionError(f"E_{a}{b} is not its spans' shape images (off by {err:.3e})")
 
 
 @dataclass(frozen=True)
@@ -513,11 +584,15 @@ class GateFactors:
     exp(beta/2 (E_{d,d-1} - E_{d-1,d})) the rotation by beta/2 in the plane
     of the last two coordinates (a cosine-sine factorization).  left and
     right are -i log K1 and -i log K2, Hermitian and block diagonal like K.
+    At d >= 3, shape_images holds, for left and right, exp(i Y.G) of each
+    U(d-1) shape that an image has asked for (_subgroup_image), so a pass
+    that keeps its factors solves each shape once per gate side.
     """
 
     beta: float
     left: np.ndarray = field(repr=False)
     right: np.ndarray = field(repr=False)
+    shape_images: tuple = field(repr=False, compare=False, default_factory=lambda: ({}, {}))
 
 
 def gate_factors(U: np.ndarray) -> GateFactors:
@@ -580,9 +655,10 @@ def irrep_matrix(
     and checked for this call; and on a JyFrame: `frame` if given (it must be
     jy_frame(basis)), otherwise one built for this call.  pi(Ry(beta)) comes
     from the frame's eigenvectors of Jy, real, block by block; pi(K) is
-    diagonal at d = 2 and otherwise one small Hermitian eigensolve per shape
-    of U(d-1) block.  The pattern weights sum to zero, so the phase that the
-    factors drop is invisible.
+    diagonal at d = 2 and otherwise block diagonal, one small Hermitian
+    eigensolve per U(d-1) shape, kept with the factors for the next weight
+    that has the shape.  The pattern weights sum to zero, so the phase that
+    the factors drop is invisible.
 
     With real (d = 2 only), the image is the real orthogonal C pi(U) C^dagger
     in the real basis C with C^T C = J (_real_fold), built without complex
@@ -611,10 +687,11 @@ def irrep_matrix(
         P = np.exp(-1j * alpha * frame.m)[:, None] * R
         P *= np.exp(-1j * gamma * frame.m)
         return P
+    left, right = factors.shape_images
     P = np.empty(R.shape, dtype=np.complex128)
-    for (s, e), A in zip(frame.spans, _subgroup_image(frame, factors.left)):
+    for (s, e), A in zip(frame.spans, _subgroup_image(frame, factors.left, left)):
         np.matmul(A, R[s:e], out=P[s:e])
-    for (s, e), B in zip(frame.spans, _subgroup_image(frame, factors.right)):
+    for (s, e), B in zip(frame.spans, _subgroup_image(frame, factors.right, right)):
         P[:, s:e] = P[:, s:e] @ B
     return P
 
@@ -628,11 +705,12 @@ def _rotation(frame: JyFrame, beta: float) -> np.ndarray:
         w = 2.0 * np.cos(x)
         w[blk.mu == 0] = 1.0
         Se, So = blk.s_even, blk.s_odd
-        R[_grid(blk.even, blk.even)] = (Se * w) @ Se.T
-        R[_grid(blk.odd, blk.odd)] = (So * w) @ So.T
+        ee, oo, oe, eo = blk.grids
+        R[ee] = (Se * w) @ Se.T
+        R[oo] = (So * w) @ So.T
         X = (Se * (2.0 * np.sin(x))) @ So.T
-        R[_grid(blk.odd, blk.even)] = X.T
-        R[_grid(blk.even, blk.odd)] = -X
+        R[oe] = X.T
+        R[eo] = -X
     return R
 
 
@@ -694,18 +772,27 @@ def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np
     return Q
 
 
-def _subgroup_image(frame: JyFrame, L: np.ndarray) -> list:
+_SHAPE_LOCK = threading.Lock()  # serializes the filling of GateFactors.shape_images
+
+
+def _subgroup_image(frame: JyFrame, L: np.ndarray, table: dict) -> list:
     """The diagonal blocks of pi(K), K = exp(i L), one per span.
 
-    The block of a span with offset c from its shape's first is
-    e^{i c (tr Y - (d-1) phi)} times that one's, Y = L[:-1, :-1], phi = L[-1, -1].
+    With Y = L[:-1, :-1] and phi = L[-1, -1], the block of a span of shape G,
+    offset r - shift and last weight pw_d is e^{i ((r - shift) tr Y + phi
+    pw_d)} exp(i Y.G), Y.G = sum_ab Y_ab G_ab.  table maps each shape to
+    exp(i Y.G) for this L: a shape missing from it is solved here, under a
+    lock so that threads sharing L solve it once, and the entry depends on
+    Y and the shape alone, whichever weight or thread asks first.
     """
     Y, phi = L[:-1, :-1], float(L[-1, -1].real)
-    rate = float(np.trace(Y).real) - len(Y) * phi
-    first = []
-    for gens, pw_d in frame.shapes:
-        H = (Y.ravel() @ gens.reshape(len(gens), -1)).reshape(gens.shape[1:])
-        H[np.diag_indices_from(H)] += phi * pw_d
-        w, W = np.linalg.eigh(H)
-        first.append((W * np.exp(1j * w)) @ W.conj().T)
-    return [first[k] * np.exp(1j * c * rate) if c else first[k] for k, c in frame.shape_of]
+    if any(shape not in table for shape, _ in frame.shapes):
+        with _SHAPE_LOCK:
+            for shape, G in frame.shapes:
+                if shape not in table:
+                    H = (Y.ravel() @ G.reshape(len(G), -1)).reshape(G.shape[1:])
+                    w, W = np.linalg.eigh(H)
+                    table[shape] = (W * np.exp(1j * w)) @ W.conj().T
+    images = [table[shape] for shape, _ in frame.shapes]
+    tr = float(np.trace(Y).real)
+    return [images[k] * cmath.exp(1j * (c * tr + pw_d * phi)) for k, c, pw_d in frame.shape_of]

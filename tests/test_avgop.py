@@ -31,7 +31,7 @@ from gapforge.gates import (
     make_gateset,
     squared_set,
 )
-from gapforge.irrep import JyFrame, cached_basis, irrep_matrix
+from gapforge.irrep import JyFrame, cached_basis, irrep_matrix, jy_frame
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -138,12 +138,33 @@ class TestGapAtScale:
 
     def test_thread_count_invariance(self, haar_pair_d2, haar_pair_d3, monkeypatch):
         monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # every weight on the pool
-        for gs, t in ((haar_pair_d2, 6), (haar_pair_d3, 4)):
+        haar_set_d4 = haar_random_gateset(4, 2, seed=1729)
+        for gs, t in ((haar_pair_d2, 6), (haar_pair_d3, 4), (haar_set_d4, 3)):
             a = gap_at_scale(gs, t, threads=1)
             b = gap_at_scale(gs, t, threads=4)
             assert a.gap == b.gap  # identical code path per block, exact match
             assert a.per_weight_norms == b.per_weight_norms
             assert a.worst_weight == b.worst_weight
+
+    def test_one_subgroup_solve_per_shape_and_gate_side(self, haar_pair_d3, monkeypatch):
+        # the U(2) images are the complex eigensolves (the frames' are real);
+        # a d = 3, t = 8 pass runs one per distinct shape per side of a gate
+        shapes = {shape for w in enumerate_nontrivial_weights(3, 8)
+                  for shape, _ in jy_frame(cached_basis(w)).shapes}
+        assert len(shapes) == 17
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        for threads in (1, 2):
+            calls.clear()
+            gap_at_scale(haar_pair_d3, 8, threads=threads)
+            assert 0 < len(calls) <= len(shapes) * 2 * haar_pair_d3.k
 
     def test_report_serialization(self, haar_pair_d2):
         rep = gap_at_scale(haar_pair_d2, 2)

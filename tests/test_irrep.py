@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -511,9 +512,13 @@ class TestCosineSineImage:
         assert all(len(r) == 1 for r in rows)
         assert all(r != q for r, q in zip(rows, rows[1:]))
         assert len(frame.shape_of) == len(frame.spans)
-        for (k, c), (s, e) in zip(frame.shape_of, frame.spans):
-            gens, _ = frame.shapes[k]
+        assert len({shape for shape, _ in frame.shapes}) == len(frame.shapes)
+        for (k, c, pw_d), (s, e), (row,) in zip(frame.shape_of, frame.spans, rows):
+            shape, gens = frame.shapes[k]
+            assert shape == tuple(x - row[-1] for x in row)
             assert gens.shape == ((d - 1) ** 2, e - s, e - s)
+            assert c == row[-1] - b.shift
+            assert np.all(b.pattern_weights[s:e, d - 1] == pw_d)
 
     def test_frame_built_on_the_fly_is_the_same(self):
         b = cached_basis(Weight((3, 0, -3)))
@@ -543,6 +548,95 @@ class TestCosineSineImage:
         worst = _cs_oracle_error(weights, gates)
         print(f"max |cs - exp| over n = 512, 595, 729: {worst:.3e}")
         assert worst <= 1e-12
+
+
+class TestShapeTable:
+    """The exp(i Y.G) of each U(d-1) shape that a gate's factors keep across
+    the weights of a pass."""
+
+    @pytest.mark.parametrize("d, t", [(3, 5), (4, 3)])
+    def test_shared_factors_match_fresh_ones_bit_for_bit(self, d, t):
+        weights = enumerate_nontrivial_weights(d, t)
+        U = rand_unitary(d, 61)
+        fresh = {w: irrep_matrix(cached_basis(w), U, factors=gate_factors(U)) for w in weights}
+        shapes = {shape for w in weights for shape, _ in jy_frame(cached_basis(w)).shapes}
+        for order in (weights, weights[::-1]):
+            shared = gate_factors(U)
+            for w in order:
+                got = irrep_matrix(cached_basis(w), U, factors=shared)
+                assert np.array_equal(got, fresh[w]), w
+            assert all(set(table) == shapes for table in shared.shape_images)
+
+    def test_threads_sharing_factors_solve_each_shape_once(self, monkeypatch):
+        # eight threads, each walking the weights from another start, share
+        # one gate's factors; a lost or doubled table entry would show in the
+        # count of U(3) solves or in the bits
+        weights = enumerate_nontrivial_weights(4, 3)
+        U = rand_unitary(4, 62)
+        frames = {w: jy_frame(cached_basis(w)) for w in weights}
+        fresh = {w: irrep_matrix(cached_basis(w), U, frame=frames[w]) for w in weights}
+        shapes = {shape for f in frames.values() for shape, _ in f.shapes}
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a, *args, **kwargs):
+            if np.iscomplexobj(a):
+                calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        shared = gate_factors(U)
+        got = {}
+
+        def work(i):
+            for w in weights[i:] + weights[:i]:
+                got[i, w] = irrep_matrix(cached_basis(w), U, frame=frames[w], factors=shared)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert len(got) == 8 * len(weights)
+        assert all(np.array_equal(P, fresh[w]) for (_, w), P in got.items())
+        assert len(calls) == 2 * len(shapes)
+
+    def test_span_checks_survive_python_O(self):
+        # a shape's images off by 1e-6, and two shapes of one size swapped,
+        # must raise under -O too
+        script = textwrap.dedent("""
+            import numpy as np
+            from gapforge.irrep import _check_span_images, _subgroup_layout, cached_basis
+            from gapforge.weightlat import Weight
+            b = cached_basis(Weight((2, 1, -1, -2)))
+            spans, shapes, shape_of = _subgroup_layout(b)
+            gens = [G.copy() for _, G in shapes]
+            ks = [k for k, _, _ in shape_of]
+            _check_span_images(b, spans, gens, ks)
+            size = [len(G[0]) for G in gens]
+            k = size.index(max(size))
+            bad = gens[:k] + [gens[k] + 1e-6] + gens[k + 1:]
+            twins = [(i, j) for i in range(len(gens)) for j in range(i)
+                     if size[i] == size[j] and i in ks and j in ks]
+            i, j = twins[0]
+            swapped = [{i: j, j: i}.get(x, x) for x in ks]
+            for g, s in ((bad, ks), (gens, swapped)):
+                try:
+                    _check_span_images(b, spans, g, s)
+                except AssertionError as exc:
+                    print(exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("is not its spans' shape images") == 2
 
 
 class TestWeylCharacter:
