@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Run a fixed list of CLI commands on fixed Haar gate sets, one JSON line each.
+
+    PYTHONPATH=old/src python scripts/cli_fixtures.py > old.ndjson
+    PYTHONPATH=new/src python scripts/cli_fixtures.py > new.ndjson
+    python scripts/cli_fixtures.py old.ndjson new.ndjson
+
+The first form writes the gate files into a temporary directory (under fixed
+relative names, so the config echo does not depend on it), runs every command
+through gapforge.cli.main with an explicit thread count and prints
+{"argv", "exit", "stdout"} per command; stderr is discarded.  Two trees that
+compute the same numbers print the same bytes.  The second form compares two
+such outputs command by command: it prints each command whose stdout differs,
+with the JSON keys that moved and the largest absolute move of a numeric one,
+and exits 1 if any command differs.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+GATE_FILES = {  # name: (d, k, seed, symmetric)
+    "d2k2.json": (2, 2, 1729, True),
+    "d2k3.json": (2, 3, 7, True),
+    "d2k1.json": (2, 1, 3, True),
+    "d3k2.json": (3, 2, 1729, True),
+    "d4k2.json": (4, 2, 1729, True),
+    "d2k2-one-sided.json": (2, 2, 11, False),
+}
+
+
+def commands() -> list:
+    cmds = []
+    for gates, t in (("d2k2.json", 8), ("d2k3.json", 6), ("d2k1.json", 4),
+                     ("d3k2.json", 4), ("d4k2.json", 2)):
+        for extra in ([], ["--per-irrep"], ["--convolution-square"],
+                      ["--per-irrep", "--convolution-square"]):
+            cmds.append(["gap", "--gates", gates, "--t", str(t), "--threads", "2",
+                         "--no-progress", *extra])
+    cmds.append(["gap", "--gates", "d2k2.json", "--t", "8", "--threads", "1",
+                 "--no-progress", "--per-irrep"])
+    for extra in ([], ["--convolution-square"]):
+        cmds.append(["gap", "--gates", "d2k2-one-sided.json", "--t", "6", "--threads", "2",
+                     "--no-progress", "--auto-symmetrize", *extra])
+    for gates, t in (("d2k2.json", 20), ("d2k3.json", 8), ("d3k2.json", 3)):
+        cmds.append(["gtzero", "--gates", gates, "--t-override", str(t), "--threads", "2",
+                     "--no-progress"])
+    for gates, eps0, t in (("d2k2.json", "0.1", 20), ("d2k3.json", "0.25", 8)):
+        cmds.append(["bound", "--gates", gates, "--eps0", eps0, "--t-override", str(t),
+                     "--threads", "2", "--no-progress"])
+    cmds += [
+        ["constants", "--table"],
+        ["constants", "--table", "--format", "csv"],
+        ["constants", "--d", "2", "--eps0", "0.1"],
+        ["weights", "--d", "3", "--t", "2"],
+        ["weights", "--d", "2", "--t", "10", "--nontrivial", "--count-only"],
+    ]
+    return cmds
+
+
+def run() -> int:
+    from gapforge.cli import main
+    from gapforge.gates import haar_random_gateset, save_gateset
+
+    sys.stderr.write(f"gapforge from {os.path.dirname(sys.modules['gapforge'].__file__)}\n")
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, (d, k, seed, symmetric) in GATE_FILES.items():
+                save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+            for argv in commands():
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                line = {"argv": " ".join(argv), "exit": code, "stdout": out.getvalue()}
+                print(json.dumps(line, sort_keys=True), flush=True)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+def _moves(a, b, key="") -> list:
+    """[(key, |a - b| or None)] for the leaves of two JSON values that differ;
+    None where the difference is not between two numbers."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return [m for k in sorted(a) for m in _moves(a[k], b[k], f"{key}.{k}")]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [m for i, (x, y) in enumerate(zip(a, b)) for m in _moves(x, y, f"{key}[{i}]")]
+    if a == b:
+        return []
+    numbers = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    return [(key, abs(a - b) if numbers else None)]
+
+
+def compare(old_path: str, new_path: str) -> int:
+    with open(old_path) as fh:
+        old = [json.loads(line) for line in fh]
+    with open(new_path) as fh:
+        new = {r["argv"]: r for r in map(json.loads, fh)}
+    differ = 0
+    for o in old:
+        n = new.get(o["argv"])
+        if n == o:
+            continue
+        differ += 1
+        report = {"argv": o["argv"]}
+        if n is None:
+            report["missing"] = True
+        elif n["exit"] != o["exit"]:
+            report["exit"] = [o["exit"], n["exit"]]
+        else:
+            try:
+                moves = _moves(json.loads(o["stdout"]), json.loads(n["stdout"]))
+            except ValueError:  # not JSON (CSV)
+                moves = [("stdout", None)]
+            report["moved"] = sorted({k.split("[")[0] for k, _ in moves})
+            sizes = [m for _, m in moves if m is not None]
+            # None when a value other than a number moved
+            report["max_move"] = max(sizes) if len(sizes) == len(moves) else None
+        print(json.dumps(report, sort_keys=True))
+    print(json.dumps({"commands": len(old), "identical": len(old) - differ}))
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 3:
+        sys.exit(compare(sys.argv[1], sys.argv[2]))
+    if len(sys.argv) != 1:
+        sys.exit(__doc__)
+    sys.exit(run())

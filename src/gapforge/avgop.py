@@ -38,7 +38,6 @@ import functools
 import glob
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -67,7 +66,6 @@ __all__ = [
     "subset_norms",
     "checked_gap",
     "gap_at_scale",
-    "convolution_square_gap",
     "universality_heuristic",
     "T_PROBE",
 ]
@@ -427,29 +425,6 @@ def gap_at_scale(
         worst_weight=worst_weight,
         per_weight_norms=per_weight,
     )
-
-
-def convolution_square_gap(gs: "GateSet", t: int, threads: int | None = None) -> tuple:
-    """Gap of the convolution square (blocks B^dagger B) and the residual of
-    the two-sided comparison gap_sq >= gap >= gap_sq / 2."""
-    check_scale(t)
-    if not gs.symmetric:
-        raise DomainError("convolution_square_gap needs a symmetric gate set")
-    weights = _representatives(enumerate_nontrivial_weights(gs.d, t))
-
-    def one(w: Weight):
-        B = averaging_block(w, gs)
-        n_plain = block_operator_norm(B)
-        n_sq = block_operator_norm(B.conj().T @ B)
-        return n_plain, n_sq
-
-    results = _map_weights(one, weights, threads, [weyl_dimension(w) for w in weights])
-    gap_plain = 1.0 - max(r[0] for r in results)
-    gap_sq = 1.0 - max(r[1] for r in results)
-    residual = max(0.0, gap_plain - gap_sq, 0.5 * gap_sq - gap_plain)
-    if residual > 1e-8:
-        warnings.warn(f"convolution-square sandwich violated by {residual:.3e}")
-    return gap_sq, residual
 
 
 def universality_heuristic(gs: "GateSet") -> str:

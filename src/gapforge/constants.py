@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -162,18 +161,18 @@ def covering_law_constants(d: int, gap: float) -> tuple:
     return slope, B, C_V
 
 
-def emit_tables(d_values=(2, 3, 4), eps0_grid=None, fmt: str = "rows"):
-    """Reference tables of (d, eps0, t0, alpha, beta).
+def emit_tables(d_values=(2, 3, 4), fmt: str = "rows"):
+    """Reference tables of (d, eps0, t0, alpha, beta) over TABLE_EPS0_GRID.
 
-    fmt: 'rows' (list of dicts), 'csv' (string, columns d,eps0,t0,alpha,beta),
-    or 'json' (string).  alpha is reported in scientific notation with three
-    significant digits in the text formats, matching the reference layout.
+    fmt: 'rows' (list of dicts) or 'csv' (string, columns d,eps0,t0,alpha,beta,
+    alpha in scientific notation with three significant digits, matching the
+    reference layout).
     """
     rows = []
     for d in d_values:
-        grid = TABLE_EPS0_GRID.get(d) if eps0_grid is None else eps0_grid
+        grid = TABLE_EPS0_GRID.get(d)
         if grid is None:
-            raise DomainError(f"no default eps0 grid for d={d}; pass eps0_grid")
+            raise DomainError(f"no reference eps0 grid for d={d}")
         for eps0 in grid:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # boundary rows are expected
@@ -198,6 +197,4 @@ def emit_tables(d_values=(2, 3, 4), eps0_grid=None, fmt: str = "rows"):
                 [r["d"], r["eps0"], r["t0"], f"{r['alpha']:.2e}", f"{r['beta']:.3f}"]
             )
         return buf.getvalue()
-    if fmt == "json":
-        return json.dumps(rows, sort_keys=True, separators=(",", ":"))
     raise DomainError(f"unknown table format {fmt!r}")

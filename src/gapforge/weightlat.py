@@ -49,21 +49,6 @@ class Weight:
         if sum(e) != 0:
             raise DomainError(f"weight entries must sum to zero, got {e!r}")
 
-    @classmethod
-    def from_signature(cls, sig) -> "Weight":
-        """Build from any nonincreasing integer signature by shifting to sum zero.
-
-        The shift must be integral, i.e. sum(sig) divisible by len(sig);
-        otherwise the signature does not descend to PU(d).
-        """
-        sig = tuple(int(x) for x in sig)
-        d = len(sig)
-        s = sum(sig)
-        if d == 0 or s % d != 0:
-            raise DomainError(f"signature {sig!r} has no integral sum-zero shift")
-        c = s // d
-        return cls(tuple(x - c for x in sig))
-
     @property
     def d(self) -> int:
         return len(self.entries)

@@ -11,7 +11,9 @@ builds one removal subset of the squared set, the reference for the one-pass
 subset table of g_t0.  algebra_image is d(pi) of a gl(d) element as a dense
 matrix, and exp_image the image of a gate by the eigendecomposition of its
 logarithm's image, the reference for irrep_matrix at every d.
-spectral_norm is the largest singular value of a block, Hermitian or not.  brute_force_scan and brute_force_net are empirical_net's scan
+spectral_norm is the largest singular value of a block, Hermitian or not, and
+squared_blocks_gap the gap of the convolution square from explicit B^dagger B
+products.  brute_force_scan and brute_force_net are empirical_net's scan
 without the trace-bound prune: an eigensolve for every (word, target) pair.
 weyl_character is the character of an irrep from the eigenphases of a group
 element, by the Weyl character formula.
@@ -208,6 +210,13 @@ def exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
 def spectral_norm(A: np.ndarray) -> float:
     """Largest singular value of A by a dense SVD."""
     return float(scipy.linalg.svdvals(A)[0])
+
+
+def squared_blocks_gap(gs, t: int) -> float:
+    """Gap of the convolution square at scale t: 1 - max ||B^dagger B|| over
+    the explicit products of build_block_operator's blocks."""
+    blocks = build_block_operator(gs, t).blocks.values()
+    return 1.0 - max(spectral_norm(B.conj().T @ B) for B in blocks)
 
 
 def brute_force_scan(words, targets, best) -> None:

@@ -20,12 +20,13 @@ from _oracles import (
     build_block_operator,
     convergence_profile,
     gap_bound_from_b,
+    squared_blocks_gap,
     subset_squares,
     weyl_character,
 )
 from _tabledata import TABLES
 from conftest import SEED
-from gapforge.avgop import convolution_square_gap, gap_at_scale
+from gapforge.avgop import gap_at_scale
 from gapforge.bounds import (
     g_t0,
     main_lower_bound,
@@ -161,9 +162,9 @@ def test_criterion_4_gap_suite(criterion):
             gap_at_scale(gs, 6).gap, abs=1e-8
         )
 
-        # convolution-square sandwich
-        gap_sq, residual = convolution_square_gap(gs, 6)
-        assert residual <= 1e-8
+        # convolution square: explicit B^dagger B products have norm ||B||^2
+        gap = gap_at_scale(gs, 6).gap
+        assert squared_blocks_gap(gs, 6) == pytest.approx(1.0 - (1.0 - gap) ** 2, abs=1e-12)
 
         # convergence profile under the (1 - gap)^ell envelope
         rep = gap_at_scale(gs, 4)

@@ -1,6 +1,9 @@
 import dataclasses
 import itertools
+import json
+import os
 import sys
+import tempfile
 import threading
 import time
 
@@ -9,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import BlockOperator, build_block_operator, convergence_profile, spectral_norm
+from _oracles import (
+    BlockOperator,
+    build_block_operator,
+    convergence_profile,
+    spectral_norm,
+    squared_blocks_gap,
+)
 import gapforge.avgop
 from gapforge.avgop import (
     POOL_MIN_DIM,
@@ -19,16 +28,17 @@ from gapforge.avgop import (
     _to_real_form,
     averaging_block,
     block_operator_norm,
-    convolution_square_gap,
     gap_at_scale,
     subset_norms,
 )
+from gapforge.cli import main
 from gapforge.errors import DomainError
 from gapforge.gates import (
     GateSet,
     _haar_unitary,
     haar_random_gateset,
     make_gateset,
+    save_gateset,
     squared_set,
 )
 from gapforge.irrep import JyFrame, cached_basis, irrep_matrix, jy_frame
@@ -346,21 +356,41 @@ class TestBlockOperator:
         assert op.scale == 4
 
 
+def cli_convolution_square(gs, t, threads=1) -> dict:
+    """The document of `gap --convolution-square` on gs at scale t, less the
+    config echo (its temporary path and thread count)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        gates, out = os.path.join(tmp, "gates.json"), os.path.join(tmp, "gap.json")
+        save_gateset(gs, gates)
+        assert main(["gap", "--gates", gates, "--t", str(t), "--convolution-square",
+                     "--threads", str(threads), "--no-progress", "--out", out]) == 0
+        with open(out) as fh:
+            doc = json.load(fh)
+    del doc["config"]
+    return doc
+
+
+def check_against_squared_blocks(gs, t) -> dict:
+    """The CLI's convolution-square gap against 1 - max ||B^dagger B|| over the
+    oracle's blocks B, and the sandwich gap_sq >= gap >= gap_sq / 2."""
+    doc = cli_convolution_square(gs, t)
+    gap_sq = squared_blocks_gap(gs, t)
+    assert doc["convolution_square_gap"] == pytest.approx(gap_sq, abs=1e-12)
+    assert doc["sandwich_residual"] <= 1e-12
+    assert gap_sq >= doc["gap"] - 1e-12 and doc["gap"] >= 0.5 * gap_sq - 1e-12
+    return doc
+
+
 class TestConvolutionSquare:
-    def test_sandwich(self, haar_pair_d2):
-        gap_sq, residual = convolution_square_gap(haar_pair_d2, 4)
-        gap_plain = gap_at_scale(haar_pair_d2, 4).gap
-        assert residual <= 1e-8
-        assert gap_sq >= gap_plain - 1e-10
-        assert gap_plain >= 0.5 * gap_sq - 1e-10
-        serial = convolution_square_gap(haar_pair_d2, 4, threads=1)
-        assert serial == convolution_square_gap(haar_pair_d2, 4, threads=2)
+    def test_sandwich(self, haar_pair_d2, haar_pair_d3):
+        for gs, t in ((haar_pair_d2, 4), (haar_pair_d3, 3)):
+            doc = check_against_squared_blocks(gs, t)
+            assert doc == cli_convolution_square(gs, t, threads=2)
 
     def test_identity_set(self):
         gs = make_gateset(2, [("e", np.eye(2, dtype=complex))])
-        gap_sq, residual = convolution_square_gap(gs, 2)
-        assert gap_sq == pytest.approx(0.0, abs=1e-12)
-        assert residual <= 1e-8
+        doc = check_against_squared_blocks(gs, 2)
+        assert doc["convolution_square_gap"] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestConvergenceProfile:
@@ -400,6 +430,4 @@ def test_gap_in_range_property(seed, t):
 def test_sandwich_property(seed):
     # the two-sided comparison between gap and squared-operator gap holds for
     # any symmetric set, mixing or not (single pairs are the degenerate case)
-    gs = haar_random_gateset(2, 1, seed=seed)
-    gap_sq, residual = convolution_square_gap(gs, 2)
-    assert residual <= 1e-8
+    check_against_squared_blocks(haar_random_gateset(2, 1, seed=seed), 2)

@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+import gapforge.avgop
 from gapforge.avgop import gap_at_scale
 from gapforge.cli import main
 from gapforge.gates import haar_random_gateset, load_gateset, make_gateset, save_gateset
+from gapforge.weightlat import enumerate_nontrivial_weights
 
 
 @pytest.fixture()
@@ -55,6 +57,11 @@ class TestConstantsCmd:
     def test_missing_args(self, capsys):
         code, _, err = run_cli(capsys, ["constants"])
         assert code == 2 and "eps0" in err
+
+    def test_csv_needs_table(self, capsys):
+        code, _, err = run_cli(capsys, ["constants", "--d", "2", "--eps0", "0.1",
+                                        "--format", "csv"])
+        assert code == 2 and "--table" in err
 
     def test_out_of_domain(self, capsys):
         code, _, err = run_cli(capsys, ["constants", "--d", "2", "--eps0", "0.4"])
@@ -124,6 +131,38 @@ class TestGapCmd:
         assert doc["sandwich_residual"] <= 1e-8
         assert doc["convolution_square_gap"] >= doc["gap"] - 1e-10
 
+    def test_convolution_square_of_symmetrized_set(self, capsys, tmp_path):
+        p = tmp_path / "one_sided.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1729, symmetric=False), p)
+        assert '"symmetric": false' in p.read_text()
+        code, out, err = run_cli(capsys, ["gap", "--gates", str(p), "--t", "4",
+                                          "--auto-symmetrize", "--convolution-square",
+                                          "--no-progress"])
+        assert code == 0, err
+        doc = json.loads(out)
+        want = 1.0 - (1.0 - doc["gap"]) ** 2
+        assert doc["convolution_square_gap"] == pytest.approx(want, abs=1e-14)
+
+    def test_convolution_square_builds_no_extra_images(self, capsys, gate_file,
+                                                       monkeypatch):
+        calls = []
+        real = gapforge.avgop.irrep_matrix
+
+        def counting(basis, U, **kw):
+            calls.append(basis.weight)
+            return real(basis, U, **kw)
+
+        monkeypatch.setattr(gapforge.avgop, "irrep_matrix", counting)
+        argv = ["gap", "--gates", gate_file, "--t", "5", "--no-progress"]
+        counts = []
+        for extra in ([], ["--convolution-square"]):
+            calls.clear()
+            code, _, _ = run_cli(capsys, argv + extra)
+            assert code == 0
+            counts.append(len(calls))
+        # one image per gate and weight (every d = 2 weight is self-conjugate)
+        assert counts == [2 * len(enumerate_nontrivial_weights(2, 5))] * 2
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["gap", "--gates", str(tmp_path / "no.json"),
                                         "--t", "2"])
@@ -145,6 +184,13 @@ class TestGapCmd:
         code, _, _ = run_cli(capsys, ["gap", "--gates", gate_file, "--t", "2",
                                       "--no-progress"])
         assert code == 2
+
+    def test_rejects_csv(self, capsys, gate_file):
+        # only constants --table writes CSV; elsewhere argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--gates", gate_file, "--t", "6", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 class TestGtzeroCmd:

@@ -68,14 +68,6 @@ class TestWeight:
         with pytest.raises(DomainError):
             Weight((0,))
 
-    def test_from_signature_shifts(self):
-        # (4,2,0) and (2,0,-2) label the same PU(3) irrep
-        assert Weight.from_signature((4, 2, 0)) == Weight((2, 0, -2))
-
-    def test_from_signature_nonintegral_shift(self):
-        with pytest.raises(DomainError):
-            Weight.from_signature((1, 0, 0))
-
     def test_conjugate(self):
         assert Weight((2, -1, -1)).conjugate() == Weight((1, 1, -2))
         assert Weight((1, 0, -1)).conjugate() == Weight((1, 0, -1))
