@@ -15,11 +15,9 @@ block from those images.  It uses the Frobenius-Schur type of each weight
 (PU(d) has no quaternionic irreps): the block of the conjugate weight is the
 complex conjugate of the block of lambda up to a change of basis, so only the
 first of each conjugate pair is computed; a self-conjugate block is taken to
-its real form, a real symmetric matrix.  At d = 2, where every weight is
-self-conjugate, irrep builds each image in the real basis directly; at
-d >= 3 the complex image goes through the real-form map (_to_real_form).
-The universality probe reads its verdict off the block norms at the small
-scale T_PROBE.
+its real form, a real symmetric matrix, by summing images that irrep returns
+in its real basis (irrep_matrix(real=True)).  The universality probe reads
+its verdict off the block norms at the small scale T_PROBE.
 
 g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
 eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
@@ -112,35 +110,29 @@ class GapReport:
         }
 
 
-def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=False,
-                factors=None) -> list:
+def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
+                take: Callable) -> list:
     """[take(j, block of keeps[j]) for each kept-pair tuple in keeps], in order.
 
     The block over keep is (1/|keep|) sum of the kept gates' images, for
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
-    With real_form (self-conjugate weights only), each image is real: built
-    so at d = 2 (irrep_matrix(real=True)), taken to the real form by the map
-    at d >= 3, so the blocks are real.  factors[i] are the checked
-    gate_factors of pairs[i]; without them they are made here.  Each image is
-    built on first use and dropped after its last, and one block is alive at
-    a time, so memory is at most len(pairs) images plus one block (plus the
-    JyFrame all images of the weight share).  Images are summed in the order
-    of each keep tuple.
+    factors[i] are the checked gate_factors of pairs[i].  With real
+    (self-conjugate weights only), each image is irrep_matrix(real=True), so
+    the blocks are real.  Each image is built on first use and dropped after
+    its last, and one block is alive at a time, so memory is at most
+    len(pairs) images plus one block (plus the JyFrame all images of the
+    weight share).  Images are summed in the order of each keep tuple.
     """
     n = basis.dim
-    real = real_form and basis.d == 2  # irrep builds these images real
-    form = _real_form_map(*basis.real_structure) if real_form and not real else None
-    if factors is None:
-        factors = [gate_factors(U) for _, U in pairs]
     frame = jy_frame(basis)
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
     images = {}
     out = []
     for j, keep in enumerate(keeps):
-        acc = np.zeros((n, n), dtype=np.float64 if real_form else np.complex128)
+        acc = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric, form, frame, factors[i], real)
+                images[i] = _image(basis, pairs[i][1], symmetric, frame, factors[i], real)
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep) if symmetric else len(keep)
         out.append(take(j, acc))
@@ -148,60 +140,18 @@ def _block_sums(basis, pairs, keeps, symmetric: bool, take: Callable, real_form=
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool, form, frame, factors, real) -> np.ndarray:
+def _image(basis, U: np.ndarray, symmetric: bool, frame, factors, real: bool) -> np.ndarray:
+    # a call of its own, so P is freed on return and only the sum stays alive
     P = irrep_matrix(basis, U, frame=frame, factors=factors, real=real)
-    if form is not None:
-        P = _to_real_form(form, P)
     return P + P.conj().T if symmetric else P
-
-
-def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
-    """(u, v, alpha, beta) with row k of C equal to alpha[k] e_u[k] + beta[k]
-    e_v[k], for the unitary C with C^T C = J, J e_i = sign[i] e_perm[i].
-
-    J is a symmetric signed permutation with J^2 = I: a fixed point with sign s
-    gets the row phi e_i, a swapped pair i < q with common sign s the rows
-    phi (e_i + e_q)/sqrt2 and i phi (e_i - e_q)/sqrt2, with phi^2 = s.
-    """
-    k = np.arange(len(perm))
-    phi = np.where(sign > 0, 1.0 + 0j, 1j)
-    fixed = perm == k
-    r = np.where(fixed, 1.0, np.sqrt(0.5)) * phi
-    first = k < perm
-    alpha = np.where(first | fixed, r, 1j * r)
-    beta = np.where(fixed, 0.0, np.where(first, r, -1j * r))
-    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta
-
-
-def _to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
-    """Re(C P C^dagger) for C from _real_form_map, in O(n^2).
-
-    conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
-    is checked to be roundoff.
-    """
-    u, v, alpha, beta = form
-    Y = P[u]
-    Y *= alpha[:, None]
-    T = P[v]
-    T *= beta[:, None]
-    Y += T
-    H = Y[:, u]
-    H *= alpha.conj()
-    T = Y[:, v]
-    T *= beta.conj()
-    H += T
-    imag = float(np.abs(H.imag).max())
-    if not imag <= 1e-10:
-        raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
-    return H.real.copy()
 
 
 def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     """(1/|S|) sum_{U in S} pi_lambda(U); Hermitian bit-for-bit when S is
     symmetric (pairs enter as P + P^dagger before the real rescale)."""
-    keep = tuple(range(gs.k))
-    return _block_sums(cached_basis(weight), gs.pairs, [keep], gs.symmetric,
-                       lambda j, B: B)[0]
+    factors = [gate_factors(U) for _, U in gs.pairs]
+    return _block_sums(cached_basis(weight), gs.pairs, factors, [tuple(range(gs.k))],
+                       gs.symmetric, False, lambda j, B: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -240,7 +190,7 @@ def subset_norms(
     def run(ws: list, take: Callable) -> list:
         def one(w: Weight):
             real = frobenius_schur(w) == 1
-            norms = _block_sums(cached_basis(w), gs.pairs, keeps, True, take, real, factors)
+            norms = _block_sums(cached_basis(w), gs.pairs, factors, keeps, True, real, take)
             if progress is not None:
                 progress(w, norms)
                 if not real:
@@ -314,19 +264,19 @@ def _resolve_threads(threads: int | None) -> int:
     return os.cpu_count() or 1
 
 
-def _map_weights(one: Callable, weights: list, threads: int | None, dims=None) -> list:
+def _map_weights(one: Callable, weights: list, threads: int | None, dims: list) -> list:
     """[one(w) for w in weights], on a thread pool when threads allow.
 
     Results come back in the order of `weights`, so reductions over them do
-    not depend on the thread count.  Given dims (the block dimension of each
-    weight), only the weights of dimension >= POOL_MIN_DIM go to the pool;
+    not depend on the thread count.  dims holds the block dimension of each
+    weight: only the weights of dimension >= POOL_MIN_DIM go to the pool;
     the others run on the calling thread after it.  Every task runs with
     OpenBLAS on one thread, on the pool and serially alike: the pool is the
     parallelism, and one BLAS thread per task keeps the results bit-identical
     across pool sizes.
     """
     n_threads = _resolve_threads(threads)
-    pooled = [i for i in range(len(weights)) if dims is None or dims[i] >= POOL_MIN_DIM]
+    pooled = [i for i, n in enumerate(dims) if n >= POOL_MIN_DIM]
     with _ONE_BLAS_THREAD:
         if n_threads == 1 or len(pooled) < 2:
             return [one(w) for w in weights]

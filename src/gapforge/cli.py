@@ -3,8 +3,9 @@
 Every command prints exactly one JSON document to stdout (sorted keys, compact
 separators, floats via repr), so identical inputs and seeds produce
 byte-identical output.  Long computations stream NDJSON progress records to
-stderr.  Exit codes: 0 success, 1 I/O, 2 argument or domain error,
-3 resource limit.
+stderr, and every Python warning goes there as one {"event": "warning"}
+record, with --no-progress too.  Exit codes: 0 success, 1 I/O, 2 argument or
+domain error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import sys
 import threading
+import warnings
 
 from . import __version__
 from .avgop import _resolve_threads, gap_at_scale
@@ -39,6 +41,11 @@ def _progress_line(payload: dict) -> None:
     with _STDERR_LOCK:
         sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
         sys.stderr.flush()
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    # replaces warnings.showwarning, whose two-line text would break the NDJSON stream
+    _progress_line({"event": "warning", "category": category.__name__, "message": str(message)})
 
 
 def _emit(doc, args) -> None:
@@ -338,14 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except GapforgeError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.fn(args)
+        except GapforgeError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return exc.exit_code
+        except OSError as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 1
 
 
 if __name__ == "__main__":

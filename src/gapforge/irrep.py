@@ -37,14 +37,15 @@ of patterns with equal row d-1, each block a phase times the image of K's
 U(d-1) part in the irrep of the run's shape (its row less its last entry).
 That image depends on the gate and the shape alone: it is solved once per
 shape and gate side and kept with the gate's factors (GateFactors), for
-every weight of a pass; the run layout is kept with the basis.  The result
+every weight of a pass; the run layout is a field of the basis.  The result
 is unitary to machine precision and, because all pattern weights are
 integral and sum to zero, independent of the phase convention of U up to
 ~1e-10.
 
-At d = 2 every weight is self-conjugate, and irrep_matrix(real=True) builds
-the image straight in the real basis C with C^T C = J, C pi(U) C^dagger, in
-real arithmetic (_real_image).
+For a self-conjugate weight, at any d, irrep_matrix(real=True) returns the
+real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, whose
+rows the basis holds: at d = 2 built in real arithmetic (_real_image), at
+d >= 3 the complex image taken there by an O(n^2) map (_to_real_form).
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ DIM_CAP = 2_000_000  # refuse to build bases above this dimension
 
 @dataclass(frozen=True)
 class GTBasis:
-    """Gelfand-Tsetlin basis of one irrep.
+    """Gelfand-Tsetlin basis of one irrep, with every gate-independent datum
+    of its images.  build_basis fills every field and nothing writes to one
+    afterwards, so threads share a basis without locks.
 
     patterns: tuple of GT patterns; a pattern is a tuple of rows, rows[l-1]
         of length l, rows[-1] the shifted signature.  Order is lexicographic
@@ -93,6 +96,22 @@ class GTBasis:
         and the simple raising/lowering pairs (l, l+1), (l+1, l).
     real_structure: (perm, sign) for a self-conjugate weight, with
         J e_i = sign[i] e_perm[i] the real structure; None otherwise.
+    real_basis: the rows of the real basis C with C^T C = J of a
+        self-conjugate weight, None otherwise: (a, b, probe) at d = 2
+        (_real_fold), (u, v, alpha, beta) at d >= 3 (_real_form_map).
+    m: Jz = (pw_{d-1} - pw_d) / 2 of the last su(2) on each GT vector.
+    jy_blocks: the inputs of each solve of a JyFrame (_jy_blocks).
+    spans, shapes, shape_of: the layout of pi(K), K in U(d-1) x U(1), at
+        d >= 3; None, (), () at d = 2, where pi(K) is diagonal.  pi(K) is
+        block diagonal over the runs of patterns with equal row d-1 (spans),
+        each block a U(d-1) irrep times a phase.  A span's row is its shape
+        (the row minus its last entry r) shifted by r (1, .., 1), and its
+        gl(d-1) images are those of the shape's own GT basis with r - shift
+        added to every E_aa (_shape_generators), so the block is a phase
+        times exp(i Y.G) of its shape, in every weight alike
+        (_subgroup_image).  shapes holds (shape, G) for each shape of the
+        weight, G its dense gl(d-1) images with E_aa the shape's pattern
+        weights, and shape_of (shape index, r - shift, pw_d) for each span.
     """
 
     weight: Weight
@@ -100,9 +119,14 @@ class GTBasis:
     generator_images: dict
     shift: int
     pattern_weights: np.ndarray = field(repr=False)  # (dim, d) int, unshifted
-    real_structure: tuple | None = field(repr=False, default=None)
-    _full_images: dict = field(repr=False, default_factory=dict)
-    _memo: dict = field(repr=False, default_factory=dict)  # gate-independent O(n) data
+    real_structure: tuple | None = field(repr=False)
+    real_basis: tuple | None = field(repr=False)
+    m: np.ndarray = field(repr=False)
+    jy_blocks: tuple = field(repr=False)
+    spans: tuple | None = field(repr=False)  # (start, stop) of each row-(d-1) run
+    shapes: tuple = field(repr=False)  # (shape, gl(d-1) images G) per shape
+    shape_of: tuple = field(repr=False)  # (shape index, r - shift, pw_d) per span
+    _full_images: dict = field(repr=False)  # E_ab for every a != b, and the E_aa
 
     @property
     def dim(self) -> int:
@@ -189,19 +213,26 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
         )
         images[(l + 1, l)] = images[(l, l + 1)].conj().T.tocsr()
 
-    basis = GTBasis(
+    full = _nonsimple_images(images, d)
+    real = _real_structure(patterns, index, up, images) if frobenius_schur(weight) == 1 else None
+    m = (pw[:, d - 2] - pw[:, d - 1]) / 2
+    real_basis = None if real is None else _real_fold(dim) if d == 2 else _real_form_map(*real)
+    spans, shapes, shape_of = _subgroup_layout(patterns, pw, shift, full) if d > 2 else (None, (), ())
+    return GTBasis(
         weight=weight,
         patterns=tuple(patterns),
         generator_images=images,
         shift=shift,
         pattern_weights=pw,
-        real_structure=(
-            _real_structure(patterns, index, up, images)
-            if frobenius_schur(weight) == 1 else None
-        ),
+        real_structure=real,
+        real_basis=real_basis,
+        m=m,
+        jy_blocks=_jy_blocks(patterns, pw, images[(d - 1, d)], m),
+        spans=spans,
+        shapes=shapes,
+        shape_of=shape_of,
+        _full_images=full,
     )
-    _fill_nonsimple(basis)
-    return basis
 
 
 def _raising(patterns: list, index: dict, l: int) -> tuple:
@@ -278,17 +309,16 @@ def _check_real_structure(images: dict, perm: np.ndarray, sign: np.ndarray) -> N
             raise AssertionError(f"real structure fails on E_{a}{b} by {err:.3e}")
 
 
-def _fill_nonsimple(basis: GTBasis) -> None:
-    """Derive E_ab for |a-b| > 1 from nested commutators; store all pairs."""
-    d = basis.d
-    full = basis._full_images
-    full.update(basis.generator_images)
+def _nonsimple_images(images: dict, d: int) -> dict:
+    """images with E_ab for |a-b| > 1 added, from nested commutators."""
+    full = dict(images)
     for span in range(2, d):
         for a in range(1, d - span + 1):
             b = a + span
             e_ab = full[(a, b - 1)] @ full[(b - 1, b)] - full[(b - 1, b)] @ full[(a, b - 1)]
             full[(a, b)] = e_ab.tocsr()
             full[(b, a)] = e_ab.conj().T.tocsr()
+    return full
 
 
 _CACHE: dict = {}
@@ -319,8 +349,8 @@ class _RotationBlock(NamedTuple):
 
 @dataclass(frozen=True)
 class JyFrame:
-    """What the images of one weight share: the eigenvectors of Jy of the su(2)
-    on the last two coordinates, and the U(d-1) x U(1) block layout.
+    """The eigenvectors of Jy of the su(2) on the last two coordinates, which
+    the images of one weight share.
 
     Jy = (E_{d-1,d} - E_{d,d-1}) / 2i.  In the GT basis D^dagger Jy D with
     D = diag(i^p), p = pw_d - min pw_d, is the real symmetric T = (E_{d-1,d} +
@@ -340,28 +370,13 @@ class JyFrame:
     at d = 2) the parity alternates, T[even, odd] is bidiagonal, and its SVD
     gives S_e and S_o directly (_rotation_block).
 
-    pi(K) of K in U(d-1) x U(1) is block diagonal over the runs of patterns
-    with equal row d-1 (spans), each block a U(d-1) irrep times a phase.  A
-    span's row is its shape (the row minus its last entry r) shifted by
-    r (1, .., 1), and its gl(d-1) images are those of the shape's own GT
-    basis with r - shift added to every E_aa (_shape_generators), so the
-    block is a phase times exp(i Y.G) of its shape, in every weight alike
-    (_subgroup_image).  shapes holds (shape, G) for each shape of the weight,
-    G its dense gl(d-1) images with E_aa the shape's pattern weights, and
-    shape_of (shape index, r - shift, pw_d) for each span.  At d = 2 K is
-    diagonal, spans is None and fold holds what _real_image needs.  The
-    rotation blocks hold about sum(b^2) / 2 entries, n^2 / 2 at d = 2, so a
-    frame is built per use and never cached; only its O(n) inputs and the
-    span layout are kept with the basis (_frame_inputs, _subgroup_layout).
+    The rotation blocks hold about sum(b^2) / 2 entries, n^2 / 2 at d = 2, so
+    a frame is built per weight and pass and never cached; the solves' O(n)
+    inputs are a field of the basis (jy_blocks).
     """
 
     weight: Weight
-    m: np.ndarray  # Jz of the last su(2) on each GT vector, (pw_{d-1} - pw_d) / 2
     blocks: tuple = field(repr=False)  # _RotationBlock per set of patterns sharing rows 1 .. d-2
-    spans: tuple | None = field(repr=False, default=None)  # (start, stop) of each row-(d-1) run
-    shapes: tuple = field(repr=False, default=())  # (shape, gl(d-1) images G) per shape
-    shape_of: tuple = field(repr=False, default=())  # (shape index, r - shift, pw_d) per span
-    fold: tuple | None = field(repr=False, default=None)  # d = 2: (a, b, probe), see _real_fold
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
@@ -372,38 +387,27 @@ def jy_frame(basis: GTBasis) -> JyFrame:
     dense eigensolve.  Each computed spectrum is checked against the exact
     one and replaced by it.
     """
-    m, fold, inputs = _frame_inputs(basis)
-    blocks = tuple(_rotation_block(*block) for block in inputs)
-    if basis.d == 2:
-        return JyFrame(weight=basis.weight, m=m, blocks=blocks, fold=fold)
-    return JyFrame(basis.weight, m, blocks, *_subgroup_layout(basis))
+    return JyFrame(basis.weight, tuple(_rotation_block(*block) for block in basis.jy_blocks))
 
 
-def _frame_inputs(basis: GTBasis) -> tuple:
-    """(m, fold, block inputs) of a basis's JyFrame: everything but the solves.
+def _jy_blocks(patterns: list, pw: np.ndarray, E, m: np.ndarray) -> tuple:
+    """The inputs of each solve of a JyFrame, for the basis of the patterns
+    with pattern weights pw, E = E_{d-1,d} and m its Jz.
 
-    O(n), so it is kept with the basis, made on first use (two threads that
-    race make equal values, and the first stored is kept).  T's entries are
-    half the GT amplitudes of E_{d-1,d}; each block gets its GT indices split
-    by the parity of p, its exact spectrum, the signs s and either its
-    bidiagonal half (a chain) or its entries (see _rotation_block).  fold is
-    _real_fold's at d = 2, else None.
+    T's entries are half the GT amplitudes of E; each block gets its GT
+    indices split by the parity of p, its exact spectrum, the signs s and
+    either its bidiagonal half (a chain) or its entries (see _rotation_block).
     """
-    inputs = basis._memo.get("frame_inputs")
-    if inputs is not None:
-        return inputs
-    d, n = basis.d, basis.dim
-    pw = basis.pattern_weights
-    m = (pw[:, d - 2] - pw[:, d - 1]) / 2
+    n, d = pw.shape
     p = pw[:, d - 1] - pw[:, d - 1].min()
     sets: dict = {}
-    for i, pattern in enumerate(basis.patterns):
+    for i, pattern in enumerate(patterns):
         sets.setdefault(pattern[: d - 2], []).append(i)
     sets = [np.asarray(idx) for idx in sets.values()]
     which, loc = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
     for k, idx in enumerate(sets):
         which[idx], loc[idx] = k, np.arange(idx.size)
-    E = basis.generator_images[(d - 1, d)].tocoo()
+    E = E.tocoo()
     if not np.array_equal(which[E.row], which[E.col]):
         raise AssertionError(f"E_{d - 1}{d} moves a pattern's rows 1 .. {d - 2}")
     order = np.argsort(which[E.row], kind="stable")  # E's entries, set by set
@@ -413,8 +417,7 @@ def _frame_inputs(basis: GTBasis) -> tuple:
         at = order[cuts[k] : cuts[k + 1]]
         vals = 0.5 * E.data[at].real
         blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]], vals, m, p))
-    inputs = (m, _real_fold(m) if d == 2 else None, tuple(blocks))
-    return basis._memo.setdefault("frame_inputs", inputs)
+    return tuple(blocks)
 
 
 def _block_inputs(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> tuple:
@@ -485,21 +488,16 @@ def _index(idx: np.ndarray):
     return idx
 
 
-def _subgroup_layout(basis: GTBasis) -> tuple:
-    """(spans, shapes, shape_of) of a d >= 3 basis, as JyFrame describes.
+def _subgroup_layout(patterns: list, pw: np.ndarray, shift: int, full: dict) -> tuple:
+    """(spans, shapes, shape_of) of a d >= 3 basis, as GTBasis describes, for
+    the patterns with pattern weights pw and images full.
 
-    Gate-independent, so it is kept with the basis, made on first use (two
-    threads that race make equal values, and the first stored is kept).
     Each span's pattern weights are checked to be its shape's shifted by
     r - shift, and every E_ab (a != b < d) to be block diagonal over the
     spans with its shape's G as each block.
     """
-    layout = basis._memo.get("subgroup_layout")
-    if layout is not None:
-        return layout
-    d, n = basis.d, basis.dim
-    pw = basis.pattern_weights
-    rows = [pattern[d - 2] for pattern in basis.patterns]
+    n, d = pw.shape
+    rows = [pattern[d - 2] for pattern in patterns]
     starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
     spans = tuple(zip(starts, starts[1:] + [n]))
     index, shape_of = {}, []  # index: shape -> its position, in order of first use
@@ -507,15 +505,14 @@ def _subgroup_layout(basis: GTBasis) -> tuple:
         row = rows[s]
         shape = tuple(x - row[-1] for x in row)
         k = index.setdefault(shape, len(index))
-        c, pw_d = row[-1] - basis.shift, int(pw[s, d - 1])
+        c, pw_d = row[-1] - shift, int(pw[s, d - 1])
         _, weights = _shape_generators(shape)
         if not (np.array_equal(pw[s:e, : d - 1], weights + c) and np.all(pw[s:e, d - 1] == pw_d)):
             raise AssertionError(f"row-{d - 1} block at {s} is not its shape's shifted by {c}")
         shape_of.append((k, c, pw_d))
     shapes = tuple((shape, _shape_generators(shape)[0]) for shape in index)
-    _check_span_images(basis, spans, [G for _, G in shapes], [k for k, _, _ in shape_of])
-    layout = (spans, shapes, tuple(shape_of))
-    return basis._memo.setdefault("subgroup_layout", layout)
+    _check_span_images(full, d, spans, [G for _, G in shapes], [k for k, _, _ in shape_of])
+    return spans, shapes, tuple(shape_of)
 
 
 @functools.lru_cache(maxsize=None)
@@ -537,7 +534,7 @@ def _shape_generators(shape: tuple) -> tuple:
         rows_i, cols_i, vals = _raising(patterns, index, l)
         G[l - 1, l, rows_i, cols_i] = vals
         G[l, l - 1] = G[l - 1, l].T
-    for span in range(2, q):  # the nested commutators of _fill_nonsimple
+    for span in range(2, q):  # the nested commutators of _nonsimple_images
         for a in range(q - span):
             c = a + span
             G[a, c] = G[a, c - 1] @ G[c - 1, c] - G[c - 1, c] @ G[a, c - 1]
@@ -547,15 +544,14 @@ def _shape_generators(shape: tuple) -> tuple:
     return G, weights
 
 
-def _check_span_images(basis: GTBasis, spans: tuple, gens: list, shape_of: list) -> None:
-    """Raise unless every E_ab, a != b < d, of the basis is block diagonal over
-    the spans, the block of a span that of its shape, gens[shape_of[span]].
+def _check_span_images(full: dict, d: int, spans: tuple, gens: list, shape_of: list) -> None:
+    """Raise unless every E_ab, a != b < d, in full is block diagonal over the
+    spans, the block of a span that of its shape, gens[shape_of[span]].
 
     Each stored entry must sit in a span and match the shape's entry there,
     and the entries' squares must add up to those of the shapes' blocks, so
     the shapes carry nothing the basis lacks.
     """
-    d = basis.d
     size = np.array([len(G[0]) for G in gens])
     offset = np.concatenate([[0], np.cumsum([G.size for G in gens])])
     flat = np.concatenate([G.ravel() for G in gens])
@@ -565,7 +561,7 @@ def _check_span_images(basis: GTBasis, spans: tuple, gens: list, shape_of: list)
     for i, (a, b) in enumerate(itertools.product(range(1, d), repeat=2)):  # row-major
         if a == b:
             continue
-        C = basis._full_images[(a, b)].tocoo()
+        C = full[(a, b)].tocoo()
         at = span_at[C.row]
         if not np.array_equal(at, span_at[C.col]):
             raise AssertionError(f"E_{a}{b} moves a pattern's row {d - 1}")
@@ -660,15 +656,16 @@ def irrep_matrix(
     that has the shape.  The pattern weights sum to zero, so the phase that
     the factors drop is invisible.
 
-    With real (d = 2 only), the image is the real orthogonal C pi(U) C^dagger
-    in the real basis C with C^T C = J (_real_fold), built without complex
-    arithmetic.
+    With real (a self-conjugate weight only), the image is the real
+    orthogonal C pi(U) C^dagger in the real basis C with C^T C = J
+    (basis.real_basis): built without complex arithmetic at d = 2
+    (_real_image), taken there by _to_real_form at d >= 3.
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (basis.d, basis.d):
         raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
-    if real and basis.d != 2:
-        raise DomainError(f"real images are built at d = 2 only, not d = {basis.d}")
+    if real and basis.real_basis is None:
+        raise DomainError(f"real images need a self-conjugate weight, not {basis.weight.entries}")
     if factors is None:
         factors = gate_factors(U)
     elif factors.left.shape != U.shape:
@@ -679,26 +676,26 @@ def irrep_matrix(
     elif frame.weight != basis.weight:
         raise DomainError(f"frame of weight {frame.weight.entries} for a basis of "
                           f"{basis.weight.entries}")
-    R = _rotation(frame, factors.beta)
-    if frame.spans is None:  # d = 2: pi(K) = diag(e^{-i alpha m})
+    R = _rotation(frame, basis.dim, factors.beta)
+    if basis.spans is None:  # d = 2: pi(K) = diag(e^{-i alpha m})
         alpha, gamma = (float((L[1, 1] - L[0, 0]).real) for L in (factors.left, factors.right))
         if real:
-            return _real_image(frame, R, alpha, gamma)
-        P = np.exp(-1j * alpha * frame.m)[:, None] * R
-        P *= np.exp(-1j * gamma * frame.m)
+            return _real_image(basis, R, alpha, gamma)
+        P = np.exp(-1j * alpha * basis.m)[:, None] * R
+        P *= np.exp(-1j * gamma * basis.m)
         return P
     left, right = factors.shape_images
     P = np.empty(R.shape, dtype=np.complex128)
-    for (s, e), A in zip(frame.spans, _subgroup_image(frame, factors.left, left)):
+    for (s, e), A in zip(basis.spans, _subgroup_image(basis, factors.left, left)):
         np.matmul(A, R[s:e], out=P[s:e])
-    for (s, e), B in zip(frame.spans, _subgroup_image(frame, factors.right, right)):
+    del R  # freed before the right factor's and the real form's temporaries
+    for (s, e), B in zip(basis.spans, _subgroup_image(basis, factors.right, right)):
         P[:, s:e] = P[:, s:e] @ B
-    return P
+    return _to_real_form(basis.real_basis, P) if real else P
 
 
-def _rotation(frame: JyFrame, beta: float) -> np.ndarray:
-    """pi(Ry(beta)) = exp(-i beta Jy), real, from the frame (see JyFrame)."""
-    n = frame.m.size
+def _rotation(frame: JyFrame, n: int, beta: float) -> np.ndarray:
+    """pi(Ry(beta)) = exp(-i beta Jy), n x n and real, from the frame (see JyFrame)."""
     R = np.empty((n, n)) if len(frame.blocks) == 1 else np.zeros((n, n))
     for blk in frame.blocks:
         x = beta * blk.mu
@@ -720,8 +717,8 @@ def _grid(rows, cols) -> tuple:
     return np.ix_(rows, cols)
 
 
-def _real_fold(m: np.ndarray) -> tuple:
-    """(a, b, probe) of the real basis at d = 2, for _real_image.
+def _real_fold(n: int) -> tuple:
+    """(a, b, probe) of the real basis of dimension n at d = 2, for _real_image.
 
     At d = 2 the real structure is J e_r = (-1)^r e_r', r' = n - 1 - r, and
     the rows of C are conj(rho_r) h_r^T with h_r = a_r e_r + b_r e_r' real and
@@ -731,7 +728,6 @@ def _real_fold(m: np.ndarray) -> tuple:
     (the J-odd fixed point of an odd j is on the i side).  These are the rows
     of _real_form_map for this J.  probe is a fixed unit vector.
     """
-    n = m.size
     r = np.arange(n)
     a = np.where(r < n // 2, (-1.0) ** r, 1.0) * sqrt(0.5)
     b = np.where(r < n // 2, a, -a)
@@ -740,7 +736,7 @@ def _real_fold(m: np.ndarray) -> tuple:
     return a, b, probe / np.linalg.norm(probe)
 
 
-def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
     """C pi(U) C^dagger at d = 2, pi(U) = D(alpha) R D(gamma), D(phi) =
     diag(e^{-i phi m}), in real arithmetic.
 
@@ -755,8 +751,8 @@ def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np
     fixed vector and that its trace is that of pi(U), whose imaginary part
     (R's J-symmetry) must vanish.
     """
-    a, b, probe = frame.fold
-    x = np.multiply.outer((gamma, -alpha, alpha + gamma), frame.m)
+    a, b, probe = basis.real_basis
+    x = np.multiply.outer((gamma, -alpha, alpha + gamma), basis.m)
     c, s = np.cos(x), np.sin(x)
     # (A, B) of H M(gamma) in row 0, of H M(-alpha) = (M(alpha) H^T)^T in row 1
     A = a * c[:2] + b[::-1] * s[:2]
@@ -772,10 +768,51 @@ def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np
     return Q
 
 
+def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
+    """(u, v, alpha, beta) with row k of C equal to alpha[k] e_u[k] + beta[k]
+    e_v[k], for the unitary C with C^T C = J, J e_i = sign[i] e_perm[i].
+
+    J is a symmetric signed permutation with J^2 = I: a fixed point with sign s
+    gets the row phi e_i, a swapped pair i < q with common sign s the rows
+    phi (e_i + e_q)/sqrt2 and i phi (e_i - e_q)/sqrt2, with phi^2 = s.
+    """
+    k = np.arange(len(perm))
+    phi = np.where(sign > 0, 1.0 + 0j, 1j)
+    fixed = perm == k
+    r = np.where(fixed, 1.0, np.sqrt(0.5)) * phi
+    first = k < perm
+    alpha = np.where(first | fixed, r, 1j * r)
+    beta = np.where(fixed, 0.0, np.where(first, r, -1j * r))
+    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta
+
+
+def _to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
+    """Re(C P C^dagger) for C from _real_form_map, in O(n^2).
+
+    conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
+    is checked to be roundoff.
+    """
+    u, v, alpha, beta = form
+    Y = P[u]
+    Y *= alpha[:, None]
+    T = P[v]
+    T *= beta[:, None]
+    Y += T
+    H = Y[:, u]
+    H *= alpha.conj()
+    T = Y[:, v]
+    T *= beta.conj()
+    H += T
+    imag = float(np.abs(H.imag).max())
+    if not imag <= 1e-10:
+        raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
+    return H.real.copy()
+
+
 _SHAPE_LOCK = threading.Lock()  # serializes the filling of GateFactors.shape_images
 
 
-def _subgroup_image(frame: JyFrame, L: np.ndarray, table: dict) -> list:
+def _subgroup_image(basis: GTBasis, L: np.ndarray, table: dict) -> list:
     """The diagonal blocks of pi(K), K = exp(i L), one per span.
 
     With Y = L[:-1, :-1] and phi = L[-1, -1], the block of a span of shape G,
@@ -786,13 +823,13 @@ def _subgroup_image(frame: JyFrame, L: np.ndarray, table: dict) -> list:
     Y and the shape alone, whichever weight or thread asks first.
     """
     Y, phi = L[:-1, :-1], float(L[-1, -1].real)
-    if any(shape not in table for shape, _ in frame.shapes):
+    if any(shape not in table for shape, _ in basis.shapes):
         with _SHAPE_LOCK:
-            for shape, G in frame.shapes:
+            for shape, G in basis.shapes:
                 if shape not in table:
                     H = (Y.ravel() @ G.reshape(len(G), -1)).reshape(G.shape[1:])
                     w, W = np.linalg.eigh(H)
                     table[shape] = (W * np.exp(1j * w)) @ W.conj().T
-    images = [table[shape] for shape, _ in frame.shapes]
+    images = [table[shape] for shape, _ in basis.shapes]
     tr = float(np.trace(Y).real)
-    return [images[k] * cmath.exp(1j * (c * tr + pw_d * phi)) for k, c, pw_d in frame.shape_of]
+    return [images[k] * cmath.exp(1j * (c * tr + pw_d * phi)) for k, c, pw_d in basis.shape_of]

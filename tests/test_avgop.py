@@ -25,7 +25,6 @@ from gapforge.avgop import (
     GapReport,
     _blas_thread_setters,
     _map_weights,
-    _to_real_form,
     averaging_block,
     block_operator_norm,
     gap_at_scale,
@@ -41,7 +40,7 @@ from gapforge.gates import (
     save_gateset,
     squared_set,
 )
-from gapforge.irrep import JyFrame, cached_basis, irrep_matrix, jy_frame
+from gapforge.irrep import JyFrame, _to_real_form, cached_basis, irrep_matrix
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -160,7 +159,7 @@ class TestGapAtScale:
         # the U(2) images are the complex eigensolves (the frames' are real);
         # a d = 3, t = 8 pass runs one per distinct shape per side of a gate
         shapes = {shape for w in enumerate_nontrivial_weights(3, 8)
-                  for shape, _ in jy_frame(cached_basis(w)).shapes}
+                  for shape, _ in cached_basis(w).shapes}
         assert len(shapes) == 17
         calls = []
         eigh = np.linalg.eigh
@@ -255,35 +254,55 @@ class TestSubsetNorms:
             fields = [getattr(b, f.name) for f in dataclasses.fields(b)]
             assert dense_squares(fields, b.dim) == [], b.weight
 
-    def test_d2_images_are_real_without_the_map(self, monkeypatch):
-        # at d = 2 every image comes real from irrep; the map serves d >= 3 only
-        mapped, dtypes = [], []
-        real_map, real_image = gapforge.avgop._to_real_form, irrep_matrix
-        monkeypatch.setattr(gapforge.avgop, "_to_real_form",
-                            lambda form, P: mapped.append(P.shape) or real_map(form, P))
+    @pytest.mark.parametrize("d, t", [(2, 6), (3, 3)])
+    def test_passes_write_nothing_into_cached_bases(self, d, t, monkeypatch):
+        # build_basis returns a finished basis: a pass reads its fields and
+        # replaces or adds to none of them (fresh bases, that no pass has used)
+        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+        gs = haar_random_gateset(d, 3, seed=1729)
+        reps = gapforge.avgop._representatives(enumerate_nontrivial_weights(d, t))
+        bases = [cached_basis(w) for w in reps]
+
+        def snapshot(b):
+            fields = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
+            items = {name: list(v.items()) for name, v in fields.items() if isinstance(v, dict)}
+            return fields, items
+
+        before = [snapshot(b) for b in bases]
+        subset_norms(gs, t, [(0, 1, 2), (0, 1)], threads=2)
+        for b, (fields, items) in zip(bases, before):
+            now, now_items = snapshot(b)
+            assert all(now[name] is value for name, value in fields.items()), b.weight
+            for name, pairs in items.items():
+                assert len(now_items[name]) == len(pairs), (b.weight, name)
+                assert all(k is k2 and v is v2 for (k, v), (k2, v2) in zip(pairs, now_items[name]))
+
+    def test_self_conjugate_images_are_real(self, monkeypatch):
+        # irrep returns each self-conjugate image in its real basis, at every
+        # d, and every other image complex
+        dtypes = []
+        real_image = irrep_matrix
 
         def image(b, U, **kw):
             P = real_image(b, U, **kw)
-            dtypes.append((b.d, P.dtype))
+            dtypes.append((b.weight, P.dtype))
             return P
 
         monkeypatch.setattr(gapforge.avgop, "irrep_matrix", image)
-        gs = haar_random_gateset(2, 3, seed=1729)
-        subset_norms(gs, 12, [(0, 1, 2), (0, 1)], threads=1)
-        assert mapped == []
-        assert len(dtypes) == 3 * 12 and set(dtypes) == {(2, np.dtype(np.float64))}
-        subset_norms(haar_random_gateset(3, 2, seed=1729), 2, [(0, 1)], threads=1)
-        assert mapped  # (1, 0, -1) is self-conjugate
-        assert {dt for d, dt in dtypes if d == 3} == {np.dtype(np.complex128)}
+        subset_norms(haar_random_gateset(2, 3, seed=1729), 12, [(0, 1, 2), (0, 1)], threads=1)
+        assert len(dtypes) == 3 * 12 and {dt for _, dt in dtypes} == {np.dtype(np.float64)}
+        dtypes.clear()
+        subset_norms(haar_random_gateset(3, 2, seed=1729), 3, [(0, 1)], threads=1)
+        kinds = {(frobenius_schur(w), dt) for w, dt in dtypes}
+        assert kinds == {(1, np.dtype(np.float64)), (0, np.dtype(np.complex128))}
 
     def test_real_form_rejects_a_complex_remainder(self):
         b = cached_basis(Weight((1, 0, -1)))
-        form = gapforge.avgop._real_form_map(*b.real_structure)
         P = irrep_matrix(b, _haar_unitary(3, np.random.default_rng(4)))
-        R = _to_real_form(form, P)
+        R = _to_real_form(b.real_basis, P)
         assert R.dtype == np.float64
         with pytest.raises(AssertionError, match="imaginary part"):
-            _to_real_form(form, P * np.exp(0.3j))  # breaks conj(P) = J P J^T
+            _to_real_form(b.real_basis, P * np.exp(0.3j))  # breaks conj(P) = J P J^T
 
 
 @pytest.mark.skipif(not _blas_thread_setters(), reason="no OpenBLAS thread setter")
@@ -293,7 +312,8 @@ def test_tasks_run_on_one_blas_thread(threads):
     before = [set_threads(2) for set_threads in setters]
     try:
         # each setter returns the count it replaces: 1 inside a task
-        seen = _map_weights(lambda w: [s(1) for s in setters], [0, 1, 2], threads)
+        seen = _map_weights(lambda w: [s(1) for s in setters], [0, 1, 2], threads,
+                            [POOL_MIN_DIM] * 3)
         assert seen == [[1] * len(setters)] * 3
         assert [set_threads(2) for set_threads in setters] == [2] * len(setters)
     finally:
@@ -331,7 +351,7 @@ def test_overlapping_passes_share_one_blas_pin():
 
     def caller():
         for _ in range(5):
-            _map_weights(task, list(range(4)), 2)
+            _map_weights(task, list(range(4)), 2, [POOL_MIN_DIM] * 4)
 
     callers = [threading.Thread(target=caller) for _ in range(4)]
     try:

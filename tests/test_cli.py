@@ -1,6 +1,10 @@
+import contextlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,11 +228,14 @@ class TestGtzeroCmd:
 
 class TestBoundCmd:
     def test_doc(self, capsys, gate_file):
-        with pytest.warns(UserWarning, match="below the reference scale"):
-            code, out, _ = run_cli(capsys, [
-                "bound", "--gates", gate_file, "--eps0", "0.1",
-                "--t-override", "8", "--no-progress",
-            ])
+        code, out, err = run_cli(capsys, [
+            "bound", "--gates", gate_file, "--eps0", "0.1",
+            "--t-override", "8", "--no-progress",
+        ])
+        # the warning is an NDJSON record on stderr, under --no-progress too
+        (record,) = [json.loads(line) for line in err.splitlines()]
+        assert record["event"] == "warning" and record["category"] == "UserWarning"
+        assert "below the reference scale" in record["message"]
         assert code == 0
         doc = json.loads(out)
         assert doc["lower_bound"] > 0
@@ -317,6 +324,27 @@ class TestOutFile:
                                         "--out", str(p)])
         assert code == 0 and out == ""
         assert json.loads(p.read_text())["count"] == 4
+
+
+def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
+    # every command of scripts/cli_fixtures.py, warnings included
+    path = Path(__file__).resolve().parents[1] / "scripts" / "cli_fixtures.py"
+    spec = importlib.util.spec_from_file_location("cli_fixtures", path)
+    fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fixtures)
+    monkeypatch.chdir(tmp_path)
+    for name, (d, k, seed, symmetric) in fixtures.GATE_FILES.items():
+        save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+    events = []
+    for argv in fixtures.commands():
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, argv
+        for line in err.getvalue().splitlines():
+            record = json.loads(line)
+            assert isinstance(record, dict), (argv, line)
+            events.append(record["event"])
+    assert "warning" in events  # bound below the reference scale warns
 
 
 def test_entry_point_smoke():

@@ -12,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapforge
-from gapforge.avgop import _real_form_map, _to_real_form
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
+    _real_form_map,
+    _to_real_form,
     build_basis,
     cached_basis,
     gate_factors,
@@ -304,14 +305,14 @@ class TestEulerImage:
         assert np.array_equal(irrep_matrix(b, U), irrep_matrix(b, U, frame=jy_frame(b)))
 
     def test_frame_spectrum(self):
-        frame = jy_frame(cached_basis(Weight((4, -4))))
-        (block,) = frame.blocks  # T is one tridiagonal block at d = 2
+        b = cached_basis(Weight((4, -4)))
+        (block,) = jy_frame(b).blocks  # T is one tridiagonal block at d = 2
         assert block.mu.tolist() == list(range(5))
-        assert frame.m.tolist() == list(range(4, -5, -1))  # descending GT order
+        assert b.m.tolist() == list(range(4, -5, -1))  # descending GT order
         assert np.arange(9)[block.even].tolist() == [0, 2, 4, 6, 8]
         assert np.arange(9)[block.odd].tolist() == [1, 3, 5, 7]
         assert (block.s_even.shape, block.s_odd.shape) == ((5, 5), (4, 5))
-        assert frame.spans is None  # K is diagonal at d = 2
+        assert b.spans is None  # K is diagonal at d = 2
 
     def test_frame_rejected_where_it_does_not_apply(self):
         b3 = cached_basis(Weight((1, 0, -1)))
@@ -356,8 +357,8 @@ class TestEulerImage:
 
 
 class TestRealImage:
-    """The d = 2 image built in the real basis, against the complex image
-    taken there by the real-form map."""
+    """Images in the real basis: at d = 2 built there, against the complex
+    image taken there by the real-form map; at d >= 3 that map's."""
 
     def test_matches_the_real_form_map_up_to_j60(self):
         # odd and even j; Haar gates, and beta = 0 and beta = pi among the others
@@ -375,9 +376,20 @@ class TestRealImage:
                 worst = max(worst, float(np.abs(got - want).max()))
         assert worst <= 1e-13
 
-    def test_real_images_are_d2_only(self):
-        b = cached_basis(Weight((1, 0, -1)))
-        with pytest.raises(DomainError, match="d = 2 only"):
+    @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (1, 0, 0, -1)])
+    def test_matches_the_real_form_of_the_exp_path_at_d3_d4(self, entries):
+        b = cached_basis(Weight(entries))
+        d = b.d
+        form = _real_form_map(*b.real_structure)
+        for U in [rand_unitary(d, seed) for seed in (54, 55)] + _degenerate_cs_gates(d, 56):
+            got = irrep_matrix(b, U, real=True)
+            assert got.dtype == np.float64
+            assert np.abs(got - _to_real_form(form, exp_image(b, U))).max() <= 1e-12
+
+    def test_real_images_need_a_self_conjugate_weight(self):
+        b = cached_basis(Weight((2, -1, -1)))
+        assert b.real_basis is None
+        with pytest.raises(DomainError, match="self-conjugate"):
             irrep_matrix(b, rand_unitary(3, 53), real=True)
 
     def test_svd_frame_is_orthonormal_at_n1019(self):
@@ -497,7 +509,7 @@ class TestCosineSineImage:
             assert block.s_odd.shape == (odd.size, mu.size)
             assert np.all(p[even] % 2 == 0) and np.all(p[odd] % 2 == 1)
             # the spectrum of T on the block is +-mu, exactly Jz = (pw_{d-1} - pw_d) / 2
-            assert sorted(np.concatenate([-mu[mu > 0], mu])) == sorted(frame.m[idx])
+            assert sorted(np.concatenate([-mu[mu > 0], mu])) == sorted(b.m[idx])
             # the columns, unscaled by s = (-1)^floor(p / 2), are orthonormal eigenvectors
             Q = np.concatenate([block.s_even, block.s_odd]) * (1 - (p[idx] & 2))[:, None]
             assert np.abs(Q.T @ Q - np.eye(mu.size)).max() <= 1e-13
@@ -505,16 +517,16 @@ class TestCosineSineImage:
             assert not T[np.ix_(idx, np.setdiff1d(np.arange(n), idx))].any()
         assert sorted(seen) == list(range(n))
         # spans: the runs of equal row d-1, one shape and offset each
-        starts = [s for s, _ in frame.spans]
-        assert starts[0] == 0 and [e for _, e in frame.spans][-1] == n
-        assert [e for _, e in frame.spans][:-1] == starts[1:]
-        rows = [{pattern[d - 2] for pattern in b.patterns[s:e]} for s, e in frame.spans]
+        starts = [s for s, _ in b.spans]
+        assert starts[0] == 0 and [e for _, e in b.spans][-1] == n
+        assert [e for _, e in b.spans][:-1] == starts[1:]
+        rows = [{pattern[d - 2] for pattern in b.patterns[s:e]} for s, e in b.spans]
         assert all(len(r) == 1 for r in rows)
         assert all(r != q for r, q in zip(rows, rows[1:]))
-        assert len(frame.shape_of) == len(frame.spans)
-        assert len({shape for shape, _ in frame.shapes}) == len(frame.shapes)
-        for (k, c, pw_d), (s, e), (row,) in zip(frame.shape_of, frame.spans, rows):
-            shape, gens = frame.shapes[k]
+        assert len(b.shape_of) == len(b.spans)
+        assert len({shape for shape, _ in b.shapes}) == len(b.shapes)
+        for (k, c, pw_d), (s, e), (row,) in zip(b.shape_of, b.spans, rows):
+            shape, gens = b.shapes[k]
             assert shape == tuple(x - row[-1] for x in row)
             assert gens.shape == ((d - 1) ** 2, e - s, e - s)
             assert c == row[-1] - b.shift
@@ -559,7 +571,7 @@ class TestShapeTable:
         weights = enumerate_nontrivial_weights(d, t)
         U = rand_unitary(d, 61)
         fresh = {w: irrep_matrix(cached_basis(w), U, factors=gate_factors(U)) for w in weights}
-        shapes = {shape for w in weights for shape, _ in jy_frame(cached_basis(w)).shapes}
+        shapes = {shape for w in weights for shape, _ in cached_basis(w).shapes}
         for order in (weights, weights[::-1]):
             shared = gate_factors(U)
             for w in order:
@@ -575,7 +587,7 @@ class TestShapeTable:
         U = rand_unitary(4, 62)
         frames = {w: jy_frame(cached_basis(w)) for w in weights}
         fresh = {w: irrep_matrix(cached_basis(w), U, frame=frames[w]) for w in weights}
-        shapes = {shape for f in frames.values() for shape, _ in f.shapes}
+        shapes = {shape for w in weights for shape, _ in cached_basis(w).shapes}
         calls = []
         eigh = np.linalg.eigh
 
@@ -612,13 +624,13 @@ class TestShapeTable:
         # must raise under -O too
         script = textwrap.dedent("""
             import numpy as np
-            from gapforge.irrep import _check_span_images, _subgroup_layout, cached_basis
+            from gapforge.irrep import _check_span_images, cached_basis
             from gapforge.weightlat import Weight
             b = cached_basis(Weight((2, 1, -1, -2)))
-            spans, shapes, shape_of = _subgroup_layout(b)
-            gens = [G.copy() for _, G in shapes]
-            ks = [k for k, _, _ in shape_of]
-            _check_span_images(b, spans, gens, ks)
+            spans, full = b.spans, b._full_images
+            gens = [G.copy() for _, G in b.shapes]
+            ks = [k for k, _, _ in b.shape_of]
+            _check_span_images(full, 4, spans, gens, ks)
             size = [len(G[0]) for G in gens]
             k = size.index(max(size))
             bad = gens[:k] + [gens[k] + 1e-6] + gens[k + 1:]
@@ -628,7 +640,7 @@ class TestShapeTable:
             swapped = [{i: j, j: i}.get(x, x) for x in ks]
             for g, s in ((bad, ks), (gens, swapped)):
                 try:
-                    _check_span_images(b, spans, g, s)
+                    _check_span_images(full, 4, spans, g, s)
                 except AssertionError as exc:
                     print(exc)
         """)
