@@ -7,12 +7,13 @@ real from the Euler angles of its gate on a per-weight Jy eigenbasis).  The
 19 blocks of dimension below 40 get a dense real symmetric eigensolve; the
 other 490 are certified below the largest of those by two Cholesky
 factorizations, all with the GIL released.  With 2 pool threads on a 2-core
-machine (Intel Xeon, 8 GB) the run took 18-23 s wall, 32-34 s CPU and
-181-183 MB peak RSS (29-30 s and 154 MB on one thread), against 26 s, 47-48 s
-CPU and 279 MB while each image was built complex and mapped to the real
-form; eps0 = 0.24 (t0 = 535) took 19 s against 29 s.  The pool pins
-OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not change the
-result.
+machine (Intel Xeon, 8 GB) the run took 12.7 s wall, 21.7 s CPU and 162 MB
+peak RSS (21.2 s and 154 MB on one thread); eps0 = 0.17 (t0 = 820) took
+66.9 s, 126 s CPU and 306 MB.  The
+pool pins OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not
+change the result.  The g_t0 line gives the run's wall and CPU time (all
+threads) and the process's peak RSS (ru_maxrss); --out writes them as
+elapsed_s, cpu_s and peak_rss_mb.
 
 The bound goes through bounds.main_lower_bound, which re-derives the closed
 form from the per-subset diameter estimates and checks that both agree.  Note
@@ -26,6 +27,7 @@ largest blocks in the billions of entries.
 
 import argparse
 import json
+import resource
 import sys
 import time
 import warnings
@@ -47,14 +49,15 @@ def main() -> int:
     args = ap.parse_args()
 
     gs = haar_random_gateset(2, 2, seed=args.seed)
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     with warnings.catch_warnings():
         # boundary eps0 rows and dry runs below t0 warn; the report says so below
         warnings.simplefilter("ignore")
         rep = main_lower_bound(
             gs, args.eps0, t_override=args.t_override, threads=args.threads
         )
-    elapsed = time.perf_counter() - start
+    elapsed, cpu = time.perf_counter() - start, time.process_time() - cpu_start
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux: KiB
 
     params, table = rep.params, rep.table
     print(f"d=2 Haar pair, seed={args.seed}")
@@ -65,7 +68,8 @@ def main() -> int:
         print(f"  subset m={m} removed={removed}: gap={gap:.12f}")
     for i, j, verdict in table.universality:
         print(f"  squared pair ({i}, {j}): {verdict}")
-    print(f"g_t0 = {rep.g_t0:.12f}   ({elapsed:.1f}s)")
+    print(f"g_t0 = {rep.g_t0:.12f}   ({elapsed:.1f} s wall, {cpu:.1f} s CPU, "
+          f"{peak_rss_mb:.0f} MB peak RSS)")
     if params.alpha > 0.0:
         kind = "diagnostic (below t0)" if rep.below_reference_scale else "certified"
         print(f"{kind} lower bound at t={rep.t}: {rep.lower_bound:.6e}")
@@ -74,7 +78,8 @@ def main() -> int:
               "at this grid row — rerun with a smaller eps0 for a positive one")
 
     if args.out:
-        doc = {"seed": args.seed, **rep.to_json_dict(), "elapsed_s": elapsed}
+        doc = {"seed": args.seed, **rep.to_json_dict(), "elapsed_s": elapsed, "cpu_s": cpu,
+               "peak_rss_mb": peak_rss_mb}
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -17,7 +17,11 @@ complex conjugate of the block of lambda up to a change of basis, so only the
 first of each conjugate pair is computed; a self-conjugate block is taken to
 its real form, a real symmetric matrix, by summing images that irrep returns
 in its real basis (irrep_matrix(real=True)).  The universality probe reads
-its verdict off the block norms at the small scale T_PROBE.
+its verdict off the block norms at the small scale T_PROBE.  Each image is
+symmetrized in place and summed into its block as soon as it is built, so a
+weight holds its block, the image being built (folded in place by irrep),
+the images a later subset reuses and the buffer LAPACK factors: one subset
+takes about 3 n^2 doubles at d = 2 and 4.5 n^2 at d >= 3.
 
 g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
 eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
@@ -44,7 +48,7 @@ import numpy as np
 import scipy
 
 from .errors import DomainError
-from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame
+from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame, rows_per_tile
 from .lapack import certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
@@ -118,10 +122,11 @@ def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
     symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
     factors[i] are the checked gate_factors of pairs[i].  With real
     (self-conjugate weights only), each image is irrep_matrix(real=True), so
-    the blocks are real.  Each image is built on first use and dropped after
-    its last, and one block is alive at a time, so memory is at most
-    len(pairs) images plus one block (plus the JyFrame all images of the
-    weight share).  Images are summed in the order of each keep tuple.
+    the blocks are real.  Each image is built on first use, summed into the
+    block at once, and dropped after its last use; one block is alive at a
+    time, and take owns it.  So memory is the block, the image being built
+    and the images that a later keep reuses (plus the JyFrame all images of
+    the weight share).  Images are summed in the order of each keep tuple.
     """
     n = basis.dim
     frame = jy_frame(basis)
@@ -141,9 +146,25 @@ def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
 
 
 def _image(basis, U: np.ndarray, symmetric: bool, frame, factors, real: bool) -> np.ndarray:
-    # a call of its own, so P is freed on return and only the sum stays alive
+    """The image of U, for symmetric sets P + P^dagger formed in place.
+
+    Strip s:e reads only entries that no earlier strip wrote: its diagonal
+    block D becomes D + D^dagger, the rest of its rows P[s:e, e:] +
+    P[e:, s:e]^dagger and the columns below D their adjoint, the bits of
+    P + P.conj().T either way.
+    """
     P = irrep_matrix(basis, U, frame=frame, factors=factors, real=real)
-    return P + P.conj().T if symmetric else P
+    if symmetric:
+        step = rows_per_tile(len(P))
+        for s in range(0, len(P), step):
+            e = s + step
+            D = P[s:e, s:e]
+            D += np.conjugate(D.T)  # a copy, since D reads itself
+            if e < len(P):
+                top = P[s:e, e:]
+                top += P[e:, s:e].conj().T
+                P[e:, s:e] = top.conj().T
+    return P
 
 
 def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:

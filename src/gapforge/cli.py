@@ -4,8 +4,9 @@ Every command prints exactly one JSON document to stdout (sorted keys, compact
 separators, floats via repr), so identical inputs and seeds produce
 byte-identical output.  Long computations stream NDJSON progress records to
 stderr, and every Python warning goes there as one {"event": "warning"}
-record, with --no-progress too.  Exit codes: 0 success, 1 I/O, 2 argument or
-domain error, 3 resource limit.
+record, with --no-progress too.  A failing command, argument errors
+included, writes one {"event": "error"} record there, with its exit code:
+0 success, 1 I/O, 2 argument or domain error, 3 resource limit.
 """
 
 from __future__ import annotations
@@ -46,6 +47,19 @@ def _progress_line(payload: dict) -> None:
 def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
     # replaces warnings.showwarning, whose two-line text would break the NDJSON stream
     _progress_line({"event": "warning", "category": category.__name__, "message": str(message)})
+
+
+def _error_line(category: str, message: str, exit_code: int) -> None:
+    _progress_line({"event": "error", "category": category, "message": message,
+                    "exit_code": exit_code})
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors as one NDJSON error record (exit 2)."""
+
+    def error(self, message):
+        _error_line("UsageError", f"{self.prog}: {message}", 2)
+        self.exit(2)
 
 
 def _emit(doc, args) -> None:
@@ -255,7 +269,7 @@ def cmd_random_gates(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="gapforge",
         description="Spectral gaps and calculable lower bounds for gate sets in PU(d).",
     )
@@ -349,12 +363,10 @@ def main(argv=None) -> int:
         warnings.showwarning = _warning_line
         try:
             return args.fn(args)
-        except GapforgeError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return exc.exit_code
-        except OSError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return 1
+        except (GapforgeError, OSError) as exc:
+            code = exc.exit_code if isinstance(exc, GapforgeError) else 1
+            _error_line(type(exc).__name__, str(exc), code)
+            return code
 
 
 if __name__ == "__main__":

@@ -44,7 +44,6 @@ __all__ = [
     "dump_gateset",
     "save_gateset",
     "haar_random_gateset",
-    "pu_distance",
     "squared_set",
     "empirical_net",
 ]
@@ -214,18 +213,6 @@ def _projective_distance(psi: np.ndarray) -> np.ndarray:
     wrap = 2.0 * pi - (psi[..., -1] - psi[..., 0])
     G = np.maximum(gaps.max(axis=-1, initial=0.0), wrap)
     return 2.0 * np.sin(np.clip((2.0 * pi - G) / 4.0, 0.0, 0.5 * pi))
-
-
-def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
-    """Projective distance between two unitaries."""
-    g = np.asarray(g, dtype=np.complex128)
-    h = np.asarray(h, dtype=np.complex128)
-    if g.shape != h.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError(f"need equal square matrices, got {g.shape} and {h.shape}")
-    for M in (g, h):
-        check_unitary(M, "pu_distance argument")
-    psi = np.angle(np.linalg.eigvals(g.conj().T @ h))
-    return float(_projective_distance(psi))
 
 
 def squared_set(gs: GateSet) -> GateSet:

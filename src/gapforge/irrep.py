@@ -46,6 +46,9 @@ For a self-conjugate weight, at any d, irrep_matrix(real=True) returns the
 real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, whose
 rows the basis holds: at d = 2 built in real arithmetic (_real_image), at
 d >= 3 the complex image taken there by an O(n^2) map (_to_real_form).
+Images are built and folded in place, a slab of temporaries at a time
+(rows_per_tile), so an image allocates little beyond its own n^2 entries;
+a real d >= 3 image also holds its complex form until it is mapped.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ __all__ = [
 ]
 
 DIM_CAP = 2_000_000  # refuse to build bases above this dimension
+# Entries in each slab of temporaries when an image is folded or summed in
+# place (256 KB of doubles): an image's temporaries are one slab, not O(n^2)
+_TILE = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -98,7 +104,7 @@ class GTBasis:
         J e_i = sign[i] e_perm[i] the real structure; None otherwise.
     real_basis: the rows of the real basis C with C^T C = J of a
         self-conjugate weight, None otherwise: (a, b, probe) at d = 2
-        (_real_fold), (u, v, alpha, beta) at d >= 3 (_real_form_map).
+        (_real_fold), (u, v, alpha, beta, lead) at d >= 3 (_real_form_map).
     m: Jz = (pw_{d-1} - pw_d) / 2 of the last su(2) on each GT vector.
     jy_blocks: the inputs of each solve of a JyFrame (_jy_blocks).
     spans, shapes, shape_of: the layout of pi(K), K in U(d-1) x U(1), at
@@ -676,27 +682,33 @@ def irrep_matrix(
     elif frame.weight != basis.weight:
         raise DomainError(f"frame of weight {frame.weight.entries} for a basis of "
                           f"{basis.weight.entries}")
-    R = _rotation(frame, basis.dim, factors.beta)
+    n = basis.dim
     if basis.spans is None:  # d = 2: pi(K) = diag(e^{-i alpha m})
+        R = _rotation(frame, np.empty((n, n)), factors.beta)
         alpha, gamma = (float((L[1, 1] - L[0, 0]).real) for L in (factors.left, factors.right))
         if real:
             return _real_image(basis, R, alpha, gamma)
         P = np.exp(-1j * alpha * basis.m)[:, None] * R
         P *= np.exp(-1j * gamma * basis.m)
         return P
+    # R is built in P's real part; each span's rows of R serve only that
+    # span's rows of pi(K1) R, made from a copy of them as (Re A) R + i (Im A) R
+    P = np.zeros((n, n), dtype=np.complex128)
+    R = _rotation(frame, P.real, factors.beta)
     left, right = factors.shape_images
-    P = np.empty(R.shape, dtype=np.complex128)
     for (s, e), A in zip(basis.spans, _subgroup_image(basis, factors.left, left)):
-        np.matmul(A, R[s:e], out=P[s:e])
-    del R  # freed before the right factor's and the real form's temporaries
+        slab = np.ascontiguousarray(R[s:e])
+        P[s:e].real = A.real @ slab
+        P[s:e].imag = A.imag @ slab
     for (s, e), B in zip(basis.spans, _subgroup_image(basis, factors.right, right)):
         P[:, s:e] = P[:, s:e] @ B
     return _to_real_form(basis.real_basis, P) if real else P
 
 
-def _rotation(frame: JyFrame, n: int, beta: float) -> np.ndarray:
-    """pi(Ry(beta)) = exp(-i beta Jy), n x n and real, from the frame (see JyFrame)."""
-    R = np.empty((n, n)) if len(frame.blocks) == 1 else np.zeros((n, n))
+def _rotation(frame: JyFrame, R: np.ndarray, beta: float) -> np.ndarray:
+    """pi(Ry(beta)) = exp(-i beta Jy), real, written into R and returned (see
+    JyFrame).  Entries outside the frame's blocks are left as they are: R
+    comes zeroed unless one block covers it, as at d = 2."""
     for blk in frame.blocks:
         x = beta * blk.mu
         w = 2.0 * np.cos(x)
@@ -707,8 +719,15 @@ def _rotation(frame: JyFrame, n: int, beta: float) -> np.ndarray:
         R[oo] = (So * w) @ So.T
         X = (Se * (2.0 * np.sin(x))) @ So.T
         R[oe] = X.T
-        R[eo] = -X
+        R[eo] = np.negative(X, out=X)
     return R
+
+
+def rows_per_tile(n: int) -> int:
+    """Rows of an n-wide slab of _TILE entries: the step of the loops that
+    fold or sum an n x n image in place, one slab of temporaries at a time
+    (one step, the whole image, up to n = 181)."""
+    return max(1, _TILE // n)
 
 
 def _grid(rows, cols) -> tuple:
@@ -738,7 +757,7 @@ def _real_fold(n: int) -> tuple:
 
 def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
     """C pi(U) C^dagger at d = 2, pi(U) = D(alpha) R D(gamma), D(phi) =
-    diag(e^{-i phi m}), in real arithmetic.
+    diag(e^{-i phi m}), in real arithmetic, folded in place in R.
 
     R = pi(Ry(beta)) is real and commutes with J, so H^T R H (H the columns
     h_r) vanishes where rho_k != rho_l: it is R_+ (+) R_-, the blocks on the
@@ -747,7 +766,8 @@ def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np
     -sin(phi m_r) at (r, r').  So the image is M(alpha) H^T R H M(gamma),
     and H M(gamma) has the column cos(gamma m_l) h_l + sin(gamma m_l) h_l',
     which puts A_l on e_l and B_l on e_l': two folds of R against its
-    reversal, O(n^2).  The probe checks that the result is orthogonal on a
+    reversal, O(n^2), the first row by row and the second column by column,
+    a slab at a time.  The probe checks that the result is orthogonal on a
     fixed vector and that its trace is that of pi(U), whose imaginary part
     (R's J-symmetry) must vanish.
     """
@@ -757,20 +777,30 @@ def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np
     # (A, B) of H M(gamma) in row 0, of H M(-alpha) = (M(alpha) H^T)^T in row 1
     A = a * c[:2] + b[::-1] * s[:2]
     B = b * c[:2] + a[::-1] * s[:2]
-    Y = R * A[0]
-    Y += R[:, ::-1] * B[0]
-    Q = Y * A[1, :, None]
-    Q += Y[::-1] * B[1, :, None]
-    y, r = Q @ probe, np.diagonal(R)
-    err = max(abs(y @ y - 1.0), abs(np.trace(Q) - r @ c[2]), abs(r @ s[2]))
+    r = np.diagonal(R)
+    trace, imag = r @ c[2], r @ s[2]  # before the folds overwrite R
+    step = rows_per_tile(len(R))
+    for i in range(0, len(R), step):  # Y = R A + R[:, ::-1] B, row by row
+        Y = R[i : i + step]
+        T = Y[:, ::-1] * B[0]
+        Y *= A[0]
+        Y += T
+    for i in range(0, len(R), step):  # Q = A Y + B Y[::-1], column by column
+        Q = R[:, i : i + step]
+        T = Q[::-1] * B[1, :, None]
+        Q *= A[1, :, None]
+        Q += T
+    y = R @ probe
+    err = max(abs(y @ y - 1.0), abs(np.trace(R) - trace), abs(imag))
     if not err <= 1e-9:
         raise AssertionError(f"real image fails its probe by {err:.3e}")
-    return Q
+    return R
 
 
 def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
-    """(u, v, alpha, beta) with row k of C equal to alpha[k] e_u[k] + beta[k]
-    e_v[k], for the unitary C with C^T C = J, J e_i = sign[i] e_perm[i].
+    """(u, v, alpha, beta, lead) with row k of C equal to alpha[k] e_u[k] +
+    beta[k] e_v[k], for the unitary C with C^T C = J, J e_i = sign[i]
+    e_perm[i]; lead holds each u once, ascending.
 
     J is a symmetric signed permutation with J^2 = I: a fixed point with sign s
     gets the row phi e_i, a swapped pair i < q with common sign s the rows
@@ -783,30 +813,39 @@ def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
     first = k < perm
     alpha = np.where(first | fixed, r, 1j * r)
     beta = np.where(fixed, 0.0, np.where(first, r, -1j * r))
-    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta
+    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta, np.flatnonzero(k <= perm)
 
 
 def _to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
-    """Re(C P C^dagger) for C from _real_form_map, in O(n^2).
+    """Re(C P C^dagger) for C from _real_form_map, in O(n^2); P is overwritten.
 
     conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
-    is checked to be roundoff.
+    is checked to be roundoff.  C's rows mix the rows of P pair by pair, so
+    Y = C P is folded in place, a slab of pairs at a time; the columns of
+    Y C^dagger go a slab at a time into the real result.
     """
-    u, v, alpha, beta = form
-    Y = P[u]
-    Y *= alpha[:, None]
-    T = P[v]
-    T *= beta[:, None]
-    Y += T
-    H = Y[:, u]
-    H *= alpha.conj()
-    T = Y[:, v]
-    T *= beta.conj()
-    H += T
-    imag = float(np.abs(H.imag).max())
-    if not imag <= 1e-10:
-        raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
-    return H.real.copy()
+    u, v, alpha, beta, lead = form
+    step = rows_per_tile(len(P))
+    for i in range(0, lead.size, step):
+        first = lead[i : i + step]
+        X, Z = P[first], P[v[first]]  # rows closed under the pairing
+        for k in (first, v[first]):
+            Y = X * alpha[k, None]
+            Y += Z * beta[k, None]
+            P[k] = Y
+    H = np.empty(P.shape)
+    for i in range(0, len(P), step):
+        cols = slice(i, i + step)
+        Y = P[:, u[cols]]
+        Y *= alpha[cols].conj()
+        T = P[:, v[cols]]
+        T *= beta[cols].conj()
+        Y += T
+        imag = float(np.abs(Y.imag).max())
+        if not imag <= 1e-10:
+            raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
+        H[:, cols] = Y.real
+    return H
 
 
 _SHAPE_LOCK = threading.Lock()  # serializes the filling of GateFactors.shape_images

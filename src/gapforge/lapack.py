@@ -5,12 +5,13 @@ scipy.linalg's LAPACK wrappers hold the GIL while LAPACK runs, so two pool
 threads solving two blocks take turns.  The functions here call the same
 routines, the ones scipy.linalg.cython_lapack exports from scipy's own
 OpenBLAS, through ctypes, which releases the GIL for each foreign call.
-eigvalsh and the Cholesky factorizations pass what scipy.linalg.eigvalsh and
-scipy.linalg.cholesky pass: the same driver, triangle, tolerance and queried
-workspace, on a column-major copy.  So their results are the same bits.
-bidiagonal_svd runs dbdsdc, which scipy does not wrap.  certify_norm_below
-proves ||B|| < theta with two Cholesky factorizations, in place of an
-eigensolve.
+eigvalsh passes what scipy.linalg.eigvalsh passes: the same driver, triangle,
+tolerance and queried workspace, on a column-major copy, so its results are
+the same bits.  bidiagonal_svd runs dbdsdc, which scipy does not wrap.
+certify_norm_below proves ||B|| < theta with two Cholesky factorizations, one
+sign at a time in one row-major work array, in place of an eigensolve;
+LAPACK reads the array's lower triangle as the upper one of its transpose,
+so no transposing copy is made.
 """
 
 from __future__ import annotations
@@ -137,16 +138,20 @@ def bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> tuple:
 
 
 def _potrf(a: np.ndarray) -> bool:
-    """Cholesky-factor the column-major a in place from its lower triangle;
-    False where LAPACK meets a pivot that is not positive (info > 0)."""
+    """Cholesky-factor the row-major a in place from its lower triangle, read
+    as the upper triangle of the column-major a^T (scipy.linalg.cholesky(a.T,
+    lower=False) on the same memory); False where LAPACK meets a pivot that
+    is not positive (info > 0)."""
     n = a.shape[0]
     name = "zpotrf" if np.iscomplexobj(a) else "dpotrf"
-    return _call(name, b"L", _int(n), _view(a), _int(max(n, 1)), pivot_ok=True) == 0
+    return _call(name, b"U", _int(n), _view(a.T), _int(max(n, 1)), pivot_ok=True) == 0
 
 
 # Why a completed Cholesky proves ||B|| < theta.  Let s be the shift, tau =
-# fl(theta - s) and G the matrix LAPACK factors: -+b_ij off the diagonal
-# (exact), fl(tau -+ b_ii) on it.  If the floating-point Cholesky of G runs
+# fl(theta - s) and G the Hermitian matrix of the lower triangle LAPACK
+# reads: -+b_ij off the diagonal (exact), fl(tau -+ b_ii) on it.  LAPACK
+# factors G^T = conj(G), which has G's eigenvalues, diagonal and trace, so
+# what follows holds for either.  If the floating-point Cholesky of G runs
 # to completion (every pivot positive), then G + dG = R^H R is positive
 # definite with |dG| <= gamma_m |R^H| |R| (Demmel's bound; Higham, Accuracy
 # and Stability of Numerical Algorithms, ch. 10), gamma_m = m u / (1 - m u),
@@ -176,23 +181,23 @@ def certify_norm_below(B: np.ndarray, theta: float) -> bool:
     if B.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {B.shape}")
     cplx = np.iscomplexobj(B)
-    # one column-major copy, scanned by a dot product (non-finite also where
-    # it merely overflows, which _finite then clears); theta I -+ B come from
-    # it by the same np.multiply(B, -+1.0) as ever, but on contiguous memory
-    P = np.array(B, dtype=np.complex128 if cplx else np.float64, order="F")
-    flat = P.ravel(order="K")  # a view: P is contiguous
+    # scanned by a dot product (non-finite also where it merely overflows,
+    # which _finite then clears)
+    flat = B.ravel(order="K")  # a view where B is contiguous
     if not np.isfinite(np.vdot(flat, flat)):
-        _finite(P)
-    diag = flat[:: n + 1]
+        _finite(B)
     m = 2 * n + 4 if cplx else n + 1
-    W = theta + float(np.abs(diag.real).max(initial=0.0))
+    W = theta + float(np.abs(np.diagonal(B).real).max(initial=0.0))
     s = 2.0 * (m * n + 1) * _U * W + 4.0 * n * (2.0 * m + W) * _ETA
     if not 0.0 < s < theta:  # theta <= 0 or NaN, or a shift that swamps it
         return False
     tau = theta - s
+    # one row-major work array, which LAPACK overwrites, one sign at a time
+    G = np.empty((n, n), dtype=np.complex128 if cplx else np.float64)
+    diag = G.ravel()[:: n + 1]  # a view: G is contiguous
     for sign in (-1.0, 1.0):
-        G = np.multiply(P, sign)  # exact; column-major like P, LAPACK overwrites it
-        G.ravel(order="K")[:: n + 1] += tau
+        np.multiply(B, sign, out=G)  # exact
+        diag += tau
         if not _potrf(G):
             return False
     return True

@@ -16,7 +16,8 @@ squared_blocks_gap the gap of the convolution square from explicit B^dagger B
 products.  brute_force_scan and brute_force_net are empirical_net's scan
 without the trace-bound prune: an eigensolve for every (word, target) pair.
 weyl_character is the character of an irrep from the eigenphases of a group
-element, by the Weyl character formula.
+element, by the Weyl character formula.  pu_distance is the projective
+distance between two unitaries, from the eigenphases of g^dagger h.
 """
 
 import math
@@ -37,6 +38,7 @@ from gapforge.gates import (
     _extend_level,
     _haar_unitary,
     _projective_distance,
+    check_unitary,
     squared_set,
 )
 from gapforge.irrep import GTBasis, _schur_unitary
@@ -297,3 +299,15 @@ def _alternant_ratio(lam, phases) -> complex:
     num = np.linalg.det(np.exp(1j * np.outer(phases, expo_num)))
     den = np.linalg.det(np.exp(1j * np.outer(phases, expo_den)))
     return complex(num / den)
+
+
+def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
+    """Projective distance between two unitaries."""
+    g = np.asarray(g, dtype=np.complex128)
+    h = np.asarray(h, dtype=np.complex128)
+    if g.shape != h.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DomainError(f"need equal square matrices, got {g.shape} and {h.shape}")
+    for M in (g, h):
+        check_unitary(M, "pu_distance argument")
+    psi = np.angle(np.linalg.eigvals(g.conj().T @ h))
+    return float(_projective_distance(psi))

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from _oracles import (
     BlockOperator,
     build_block_operator,
     convergence_profile,
+    exp_image,
     spectral_norm,
     squared_blocks_gap,
 )
@@ -24,6 +26,8 @@ from gapforge.avgop import (
     POOL_MIN_DIM,
     GapReport,
     _blas_thread_setters,
+    _block_sums,
+    _hermitian_norm,
     _map_weights,
     averaging_block,
     block_operator_norm,
@@ -40,7 +44,8 @@ from gapforge.gates import (
     save_gateset,
     squared_set,
 )
-from gapforge.irrep import JyFrame, _to_real_form, cached_basis, irrep_matrix
+from gapforge.irrep import JyFrame, _to_real_form, cached_basis, gate_factors, irrep_matrix
+from gapforge.lapack import certify_norm_below
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -299,10 +304,77 @@ class TestSubsetNorms:
     def test_real_form_rejects_a_complex_remainder(self):
         b = cached_basis(Weight((1, 0, -1)))
         P = irrep_matrix(b, _haar_unitary(3, np.random.default_rng(4)))
-        R = _to_real_form(b.real_basis, P)
+        R = _to_real_form(b.real_basis, P.copy())  # it overwrites P
         assert R.dtype == np.float64
         with pytest.raises(AssertionError, match="imaginary part"):
             _to_real_form(b.real_basis, P * np.exp(0.3j))  # breaks conj(P) = J P J^T
+
+
+class TestLargeBlocks:
+    """The values and the memory of blocks above n = 200, where the images,
+    the real form and the symmetrized sums work a slab at a time."""
+
+    def test_lps_norms_at_t150(self, lps_gates):
+        # a theorem bounds every block; the maximum sits at j = 114 (n = 229)
+        bound = 2.0 * np.sqrt(5.0) / 6.0
+        norms = gap_at_scale(lps_gates, 150).per_weight_norms
+        assert max(norms.values()) <= bound
+        assert max(norms.values()) >= bound - 1e-4
+        for j, want in ((1, 1 / 15), (2, 37 / 75), (3, 43 / 75)):
+            assert norms[Weight((j, -j))] == pytest.approx(want, abs=2e-15)
+
+    def test_d3_norms_match_blocks_of_the_exp_path(self, haar_pair_d3):
+        # (5, 0, -5), n = 216, in the real form; (6, -1, -5), n = 260, complex
+        norms = gap_at_scale(haar_pair_d3, 6).per_weight_norms
+        for entries in ((5, 0, -5), (6, -1, -5)):
+            b = cached_basis(Weight(entries))
+            assert b.dim > 200
+            P = sum(exp_image(b, U) for _, U in haar_pair_d3.pairs)
+            want = np.abs(np.linalg.eigvalsh((P + P.conj().T) / 4)).max()
+            assert norms[Weight(entries)] == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("entries, real", [((100, -100), True), ((100, -100), False),
+                                                ((6, 0, -6), True), ((6, -1, -5), False)])
+    def test_blocks_are_sums_of_p_plus_p_dagger_bit_for_bit(self, entries, real,
+                                                            haar_pair_d2, haar_pair_d3):
+        # each image is symmetrized in place, strip by strip (n > 181: several)
+        gs = haar_pair_d2 if len(entries) == 2 else haar_pair_d3
+        b = cached_basis(Weight(entries))
+        factors = [gate_factors(U) for _, U in gs.pairs]
+        (B,) = _block_sums(b, gs.pairs, factors, [(0, 1)], True, real, lambda j, B: B)
+        want = 0.0
+        for (_, U), f in zip(gs.pairs, factors):
+            P = irrep_matrix(b, U, factors=f, real=real)
+            want = want + (P + P.conj().T)
+        assert b.dim > 181
+        assert np.array_equal(B, want / 4)
+        assert np.array_equal(B, B.conj().T)
+
+    @pytest.mark.parametrize("entries, certify, budget", [
+        ((8, 0, -8), False, 6.0),  # n = 729, real form
+        ((8, -1, -7), False, 6.0),  # n = 595, complex
+        ((200, -200), True, 3.5),  # n = 401, certified
+    ])
+    def test_block_memory_budget(self, entries, certify, budget, haar_pair_d2, haar_pair_d3):
+        # what one weight's block and norm allocate, in n^2 doubles
+        w = Weight(entries)
+        gs = squared_set(haar_pair_d2) if w.d == 2 else haar_pair_d3
+        b = cached_basis(w)
+        factors = [gate_factors(U) for _, U in gs.pairs]
+
+        def take(j, B):
+            return certify_norm_below(B, 0.95) if certify else _hermitian_norm(B)
+
+        args = (b, gs.pairs, factors, [(0, 1)], True, frobenius_schur(w) == 1, take)
+        _block_sums(*args)  # solves the gates' U(d-1) shapes, kept with the factors
+        tracemalloc.start()
+        try:
+            (norm,) = _block_sums(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert norm is True if certify else 0.8 < norm < 0.9
+        assert peak <= budget * 8 * b.dim ** 2, f"{peak / (8 * b.dim ** 2):.2f} n^2 doubles"
 
 
 @pytest.mark.skipif(not _blas_thread_setters(), reason="no OpenBLAS thread setter")

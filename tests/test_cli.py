@@ -347,6 +347,29 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     assert "warning" in events  # bound below the reference scale warns
 
 
+@pytest.mark.parametrize("argv, code, category", [
+    (["constants"], 2, "DomainError"),
+    (["weights", "--d", "2", "--t", "2", "--bogus"], 2, "UsageError"),
+    (["gap", "--gates", "no-such-file.json", "--t", "2"], 1, "GateFileError"),
+])
+def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
+                                                      monkeypatch):
+    # a failing command ends its stderr with one error record, and keeps its exit code
+    monkeypatch.chdir(tmp_path)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse exits from parse_args
+            got = exc.code
+    assert got == code and out.getvalue() == ""
+    records = [json.loads(line) for line in err.getvalue().splitlines()]
+    assert all(isinstance(r, dict) for r in records) and records
+    assert records[-1]["event"] == "error"
+    assert (records[-1]["category"], records[-1]["exit_code"]) == (category, code)
+    assert records[-1]["message"]
+
+
 def test_entry_point_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "gapforge.cli", "--version"],

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import gapforge
 import gapforge.gates
-from _oracles import brute_force_net, brute_force_scan
+from _oracles import brute_force_net, brute_force_scan, pu_distance
 from gapforge.avgop import universality_heuristic
 from gapforge.errors import DomainError, GateFileError, ResourceLimitError
 from gapforge.gates import (
@@ -24,7 +24,6 @@ from gapforge.gates import (
     haar_random_gateset,
     load_gateset,
     make_gateset,
-    pu_distance,
     save_gateset,
     squared_set,
     _haar_unitary,

@@ -184,13 +184,14 @@ def _exact_spectrum(n: int, theta: float, dtype, seed: int) -> np.ndarray:
 def test_cholesky_matches_scipy_bit_for_bit(n, dtype):
     B = _hermitian(n, dtype, seed=n)
     A = B @ B.conj().T + np.eye(n)
-    a = np.array(A, order="F")
+    a = np.array(A)  # row-major: LAPACK reads A's lower triangle as A^T's upper one
     assert _potrf(a)
-    assert np.array_equal(np.tril(a), scipy.linalg.cholesky(A, lower=True))
+    assert np.array_equal(np.tril(a), scipy.linalg.cholesky(A.T, lower=False).T)
+    assert np.abs(np.tril(a) - scipy.linalg.cholesky(A, lower=True)).max() <= 1e-12 * n
     # not positive definite: an answer here, where scipy raises
-    assert not _potrf(np.array(-A, order="F"))
+    assert not _potrf(np.array(-A))
     with pytest.raises(np.linalg.LinAlgError):
-        scipy.linalg.cholesky(-A, lower=True)
+        scipy.linalg.cholesky(-A.T, lower=False)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
