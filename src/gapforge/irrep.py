@@ -15,7 +15,9 @@ operator E_{l,l+1} sends a pattern M to sum_k c_k(M) * (M + delta_{k,l}) with
 where a_{k,l} = m_{k,l} - k.  Moves that break interlacing are skipped (their
 numerator vanishes, but the denominator can too, so the formula must not be
 evaluated there).  Lowering operators are adjoints, Cartan elements diagonal
-with entries rowsum_l - rowsum_{l-1}.
+with entries rowsum_l - rowsum_{l-1}.  One builder serves every d, in arrays
+(GTBasis): patterns enumerated a row at a time, moves looked up by integer
+keys, amplitudes for all patterns at once from exact integer products.
 
 A self-conjugate irrep also carries its real structure J, a signed
 permutation of the GT basis with conj(pi(U)) = J pi(U) J^T (see
@@ -91,15 +93,17 @@ _TILE = 1 << 15
 @dataclass(frozen=True)
 class GTBasis:
     """Gelfand-Tsetlin basis of one irrep, with every gate-independent datum
-    of its images.  build_basis fills every field and nothing writes to one
-    afterwards, so threads share a basis without locks.
+    of its images, in arrays: no Python object per pattern.  build_basis
+    fills every field and nothing writes to one afterwards, so threads share
+    a basis without locks.
 
-    patterns: tuple of GT patterns; a pattern is a tuple of rows, rows[l-1]
-        of length l, rows[-1] the shifted signature.  Order is lexicographic
-        descending on the flattened rows, a fixed convention that makes every
-        downstream matrix deterministic.
-    generator_images: {(a, b): sparse matrix} for the Cartan elements (a, a)
-        and the simple raising/lowering pairs (l, l+1), (l+1, l).
+    patterns: (dim, d(d-1)/2) int array, one GT pattern per row: its rows
+        d-1, .., 1 (row l has l entries) flattened, row d being the shifted
+        signature; in descending lexicographic order, a fixed convention that
+        makes every downstream matrix deterministic.
+    amplitudes: (rows, cols, vals) of each simple raising operator E_{l,l+1}:
+        E e_cols = vals e_rows, by column, then by raised entry.  E_{l+1,l}
+        is its transpose, E_aa diagonal (pattern weights + shift).
     real_structure: (perm, sign) for a self-conjugate weight, with
         J e_i = sign[i] e_perm[i] the real structure; None otherwise.
     real_basis: the rows of the real basis C with C^T C = J of a
@@ -109,30 +113,29 @@ class GTBasis:
     jy_blocks: the inputs of each solve of a JyFrame (_jy_blocks).
     spans, shapes, shape_of: the layout of pi(K), K in U(d-1) x U(1), at
         d >= 3; None, (), () at d = 2, where pi(K) is diagonal.  pi(K) is
-        block diagonal over the runs of patterns with equal row d-1 (spans),
-        each block a U(d-1) irrep times a phase.  A span's row is its shape
-        (the row minus its last entry r) shifted by r (1, .., 1), and its
-        gl(d-1) images are those of the shape's own GT basis with r - shift
-        added to every E_aa (_shape_generators), so the block is a phase
-        times exp(i Y.G) of its shape, in every weight alike
-        (_subgroup_image).  shapes holds (shape, G) for each shape of the
-        weight, G its dense gl(d-1) images with E_aa the shape's pattern
-        weights, and shape_of (shape index, r - shift, pw_d) for each span.
+        block diagonal over the runs of patterns with equal row d-1 (spans,
+        a (start, stop) row each), each block a U(d-1) irrep times a phase.
+        A span's row is its shape (the row minus its last entry r) shifted
+        by r (1, .., 1), and its gl(d-1) images are those of the shape's own
+        GT basis with r - shift added to every E_aa (_shape_generators), so
+        the block is a phase times exp(i Y.G) of its shape, in every weight
+        alike (_subgroup_image).  shapes holds (shape, G) for each shape of
+        the weight, G its dense gl(d-1) images with E_aa the shape's pattern
+        weights, and shape_of a (shape index, r - shift, pw_d) row per span.
     """
 
     weight: Weight
-    patterns: tuple
-    generator_images: dict
+    patterns: np.ndarray = field(repr=False)
+    amplitudes: tuple = field(repr=False)
     shift: int
     pattern_weights: np.ndarray = field(repr=False)  # (dim, d) int, unshifted
     real_structure: tuple | None = field(repr=False)
     real_basis: tuple | None = field(repr=False)
     m: np.ndarray = field(repr=False)
     jy_blocks: tuple = field(repr=False)
-    spans: tuple | None = field(repr=False)  # (start, stop) of each row-(d-1) run
+    spans: np.ndarray | None = field(repr=False)  # (start, stop) of each row-(d-1) run
     shapes: tuple = field(repr=False)  # (shape, gl(d-1) images G) per shape
-    shape_of: tuple = field(repr=False)  # (shape index, r - shift, pw_d) per span
-    _full_images: dict = field(repr=False)  # E_ab for every a != b, and the E_aa
+    shape_of: np.ndarray | tuple = field(repr=False)  # (shape index, r - shift, pw_d) per span
 
     @property
     def dim(self) -> int:
@@ -143,42 +146,8 @@ class GTBasis:
         return self.weight.d
 
 
-def _enumerate_patterns(sig: tuple) -> list:
-    """All GT patterns with top row sig, descending lex on (row_{d-1},...,row_1)."""
-    d = len(sig)
-    patterns = []
-
-    def descend(rows):
-        upper = rows[-1]
-        l = len(upper) - 1
-        if l == 0:
-            patterns.append(tuple(reversed(rows)))
-            return
-        choices = [range(upper[i], max(upper[i + 1] - 1, -1), -1) for i in range(l)]
-
-        def rec(prefix, i):
-            if i == l:
-                descend(rows + [tuple(prefix)])
-                return
-            for v in choices[i]:
-                # nonincreasing within the row follows from interlacing with
-                # the row above; guard kept as a cheap defensive check
-                assert not prefix or v <= prefix[-1]
-                rec(prefix + [v], i + 1)
-
-        rec([], 0)
-
-    descend([tuple(sig)])
-    return patterns
-
-
-def _pattern_weight(pattern: tuple, d: int) -> tuple:
-    rs = [sum(pattern[l]) for l in range(d)]
-    return tuple(rs[0:1] + [rs[l] - rs[l - 1] for l in range(1, d)])
-
-
 def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
-    """Construct the GT basis and generator images for one weight.
+    """Construct the GT basis of one weight.
 
     Raises ResourceLimitError if the Weyl dimension exceeds dim_cap before
     any pattern is materialized.
@@ -186,95 +155,149 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
     d = weight.d
     dim = weyl_dimension(weight)
     if dim > dim_cap:
-        raise ResourceLimitError(
-            f"irrep {weight.entries!r} has dimension {dim} > cap {dim_cap}"
-        )
+        raise ResourceLimitError(f"irrep {weight.entries!r} has dimension {dim} > cap {dim_cap}")
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
-
-    patterns = _enumerate_patterns(sig)
-    assert len(patterns) == dim
-    index = {p: i for i, p in enumerate(patterns)}
-
-    pw = np.empty((dim, d), dtype=np.int64)
-    for i, p in enumerate(patterns):
-        pw[i] = _pattern_weight(p, d)
-    pw -= shift  # back to the sum-zero normalization
-    assert np.all(pw.sum(axis=1) == 0)  # every pattern weight sums to |lambda| = 0
-
-    images: dict = {}
-    up = [0] * dim  # up[i]: a pattern that a simple raising operator sends i to
-    # Cartan elements: diagonal in the GT basis, integer entries
-    for a in range(1, d + 1):
-        diag = (pw[:, a - 1] + shift).astype(np.float64)
-        images[(a, a)] = sp.diags(diag, format="csr", dtype=np.complex128)
-
-    # simple raising operators, then adjoints
-    for l in range(1, d):
-        rows_i, cols_i, vals = _raising(patterns, index, l)
-        for j, i in zip(rows_i, cols_i):
-            up[i] = j
-        images[(l, l + 1)] = sp.csr_matrix(
-            (np.asarray(vals, dtype=np.complex128), (rows_i, cols_i)), shape=(dim, dim)
-        )
-        images[(l + 1, l)] = images[(l, l + 1)].conj().T.tocsr()
-
-    full = _nonsimple_images(images, d)
-    real = _real_structure(patterns, index, up, images) if frobenius_schur(weight) == 1 else None
+    P = _patterns(sig)
+    if len(P) != dim:
+        raise AssertionError(f"{len(P)} GT patterns for an irrep of dimension {dim}")
+    pw = _pattern_weights(P, sig) - shift  # back to the sum-zero normalization
+    if np.any(pw.sum(axis=1)):
+        raise AssertionError("a pattern weight does not sum to |lambda| = 0")
+    amplitudes = _amplitudes(P, sig)
+    real = _real_structure(P, sig, amplitudes) if frobenius_schur(weight) == 1 else None
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
     real_basis = None if real is None else _real_fold(dim) if d == 2 else _real_form_map(*real)
-    spans, shapes, shape_of = _subgroup_layout(patterns, pw, shift, full) if d > 2 else (None, (), ())
-    return GTBasis(
-        weight=weight,
-        patterns=tuple(patterns),
-        generator_images=images,
-        shift=shift,
-        pattern_weights=pw,
-        real_structure=real,
-        real_basis=real_basis,
-        m=m,
-        jy_blocks=_jy_blocks(patterns, pw, images[(d - 1, d)], m),
-        spans=spans,
-        shapes=shapes,
-        shape_of=shape_of,
-        _full_images=full,
-    )
+    spans, shapes, shape_of = None, (), ()
+    if d > 2:  # the images of gl(d-1), a, b < d, act within the spans
+        spans, shapes, shape_of = _subgroup_layout(P, pw, shift, _gl_images(amplitudes[:-1], dim))
+    return GTBasis(weight=weight, patterns=P, amplitudes=amplitudes, shift=shift,
+                   pattern_weights=pw, real_structure=real, real_basis=real_basis, m=m,
+                   jy_blocks=_jy_blocks(P, pw, amplitudes[-1], m), spans=spans, shapes=shapes,
+                   shape_of=shape_of)
 
 
-def _raising(patterns: list, index: dict, l: int) -> tuple:
-    """(rows, cols, vals) of the simple raising operator E_{l,l+1} on the GT
-    patterns (index: pattern -> position), by the formula in the module
-    docstring, column by column."""
-    rows_i, cols_i, vals = [], [], []
-    for i, p in enumerate(patterns):
-        row = p[l - 1]
+def _patterns(sig: tuple) -> np.ndarray:
+    """Every GT pattern with top row sig, laid out as GTBasis.patterns.
+
+    Row by row from d-1 down and entry by entry, each partial pattern is
+    repeated once per value its next entry takes between the two entries
+    above it, in descending order, so the patterns come out in descending
+    lexicographic order; interlacing makes each row nonincreasing.
+    """
+    P = np.zeros((1, 0), dtype=np.int64)
+    upper = np.array([sig], dtype=np.int64)
+    for l in range(len(sig) - 1, 0, -1):
+        for i in range(l):
+            count = upper[:, i] - upper[:, i + 1] + 1
+            take = np.repeat(np.arange(len(P)), count)
+            step = np.arange(take.size) - (np.cumsum(count) - count)[take]
+            P = np.column_stack([P[take], upper[take, i] - step])
+            upper = upper[take]
+        upper = P[:, -l:]
+    return P
+
+
+def _rows(P: np.ndarray, sig: tuple) -> list:
+    """[row 0 (empty), row 1, .., row d] of the patterns P: views of P, and
+    the top row sig."""
+    d = len(sig)
+    inner = [P[:, (d * (d - 1) - l * (l + 1)) // 2 :][:, :l] for l in range(1, d)]
+    return [P[:, :0], *inner, np.repeat(np.array([sig], dtype=np.int64), len(P), axis=0)]
+
+
+def _pattern_weights(P: np.ndarray, sig: tuple) -> np.ndarray:
+    """(n, d) pattern weights rowsum_l - rowsum_{l-1} of the patterns P."""
+    sums = np.column_stack([row.sum(axis=1) for row in _rows(P, sig)])
+    return sums[:, 1:] - sums[:, :-1]
+
+
+def _amplitudes(P: np.ndarray, sig: tuple) -> tuple:
+    """GTBasis.amplitudes of the patterns P with top row sig, by the formula
+    in the module docstring: for all patterns at once, one raised entry k of
+    row l at a time.
+
+    The move is made where it keeps interlacing, m_{k,l} + 1 <= m_{k,l+1}
+    and m_{k-1,l-1}; its target is looked up among P.  Products of the
+    formula's integer factors must stay below 2^53, so that sqrt(num / den)
+    has the bits of exact rational arithmetic, and num >= 0 < den, so that
+    the square root is real; otherwise the move raises.
+    """
+    d = len(sig)
+    m = _rows(P, sig)
+    a = [row - np.arange(1, row.shape[-1] + 1) for row in m]  # a_{j,l} = m_{j,l} - j
+    out = []
+    for l in range(1, d):
+        src, vals, targets = [], [], []
         for k in range(l):
-            bumped = row[:k] + (row[k] + 1,) + row[k + 1 :]
-            target = p[: l - 1] + (bumped,) + p[l:]
-            j = index.get(target)
-            if j is None:
-                continue  # interlacing broken, amplitude is zero
-            akl = row[k] - (k + 1)
-            num = 1
-            for jj in range(l + 1):
-                num *= p[l][jj] - (jj + 1) - akl
-            for jj in range(l - 1):
-                num *= p[l - 2][jj] - (jj + 1) - akl - 1
-            num = -num
-            den = 1
-            for jj in range(l):
-                if jj == k:
-                    continue
-                ajl = row[jj] - (jj + 1)
-                den *= (ajl - akl) * (ajl - akl - 1)
-            assert den != 0 and num >= 0, (p, k, num, den)
-            rows_i.append(j)
-            cols_i.append(i)
-            vals.append(sqrt(num / den))
-    return rows_i, cols_i, vals
+            ok = m[l][:, k] < m[l + 1][:, k]
+            if k:
+                ok &= m[l][:, k] < m[l - 1][:, k - 1]
+            i = np.flatnonzero(ok)
+            x = a[l][i, k, None]
+            num = -_product(np.concatenate([a[l + 1][i] - x, a[l - 1][i] - x - 1], axis=1))
+            F = a[l][i][:, [j for j in range(l) if j != k]] - x
+            den = _product(F * (F - 1))
+            if not ((num >= 0).all() and (den > 0).all()):
+                raise AssertionError(f"a GT amplitude of E_{l}{l + 1} has num < 0 or den <= 0")
+            targets.append(P[i])
+            targets[-1][:, (d * (d - 1) - l * (l + 1)) // 2 + k] += 1  # m_{k,l} + 1
+            src.append(i)
+            vals.append(np.sqrt(num / den))
+        cols = np.concatenate(src)
+        order = np.argsort(cols, kind="stable")
+        rows = _find(P, np.concatenate(targets))
+        out.append((rows[order], cols[order], np.concatenate(vals)[order]))
+    return tuple(out)
 
 
-def _real_structure(patterns: list, index: dict, up: list, images: dict) -> tuple:
+def _product(F: np.ndarray) -> np.ndarray:
+    """The row products of the int array F in float64, which must stay below
+    2^53: every partial product multiplies integers of modulus >= 1 (or 0),
+    so it is exact until the product reaches 2^53, and reaches it then."""
+    p = F.astype(np.float64).prod(axis=1)
+    if np.abs(p).max(initial=0.0) >= 2.0**53:
+        raise ResourceLimitError("a GT amplitude's numerator or denominator reaches 2^53")
+    return p
+
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of an int array, in the rows' lexicographic order
+    and equal only for equal rows: the columns as the digits of a mixed-radix
+    number, the keys recoded to their ranks where a digit would overflow."""
+    key, bound = np.zeros(len(rows), dtype=np.int64), 1
+    for col in rows.T:
+        lo = int(col.min())
+        width = int(col.max()) - lo + 1
+        if bound * width > 1 << 62:
+            _, key = np.unique(key, return_inverse=True)
+            bound = int(key.max()) + 1
+        key = key * width + (col - lo)
+        bound *= width
+    return key
+
+
+def _find(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The position in P, whose rows descend strictly, of each row of Q;
+    raises if one is missing."""
+    n = len(P)
+    key = _keys(np.concatenate([P, Q]))
+    ascending, want = key[n - 1 :: -1], key[n:]
+    pos = np.searchsorted(ascending, want).clip(max=n - 1)
+    if not np.array_equal(ascending[pos], want):
+        raise AssertionError("a raised or reflected GT pattern is not one of the basis")
+    return n - 1 - pos
+
+
+def _groups(key: np.ndarray) -> tuple:
+    """(which, first): the group of each key, equal keys forming one group
+    and the groups numbered in order of first use, and each group's first
+    position."""
+    _, first, which = np.unique(key, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[which], np.sort(first)
+
+
+def _real_structure(P: np.ndarray, sig: tuple, amplitudes: tuple) -> tuple:
     """(perm, sign) of the real structure J of a self-conjugate irrep.
 
     conj(pi(U)) = J pi(U) J^T holds iff J E_ab J^T = -E_ba on the generators
@@ -283,48 +306,49 @@ def _real_structure(patterns: list, index: dict, up: list, images: dict) -> tupl
     r -> c - reversed(r), c the top entry of the shifted signature, sends each
     pattern to the one of negated weight, so J permutes the GT basis up to
     signs.  Every GT amplitude is positive, so J E J^T = -E^T flips the sign
-    along each simple raising edge; a pattern raises only to an earlier one
-    (raising increases the sort key), so one ascending sweep from sign[0] = 1
-    fixes every sign.  The result is checked on every edge.
+    along each simple raising edge; every edge adds 1 to the sum h of rows
+    1 .. d-1, and every pattern but the first has an edge up, so sign =
+    (-1)^(h[0] - h) with sign[0] = 1.  The result is checked on every edge.
     """
-    c = patterns[0][-1][0]
-    perm = np.array(
-        [index[tuple(tuple(c - x for x in reversed(r)) for r in p)] for p in patterns],
-        dtype=np.intp,
-    )
-    sign = [1.0] * len(patterns)
-    for i in range(1, len(patterns)):
-        sign[i] = -sign[up[i]]
-    sign = np.asarray(sign)
-    _check_real_structure(images, perm, sign)
+    perm = _find(P, sig[0] - np.hstack([row[:, ::-1] for row in _rows(P, sig)[-2:0:-1]]))
+    h = P.sum(axis=1)
+    sign = 1.0 - 2.0 * ((h[0] - h) & 1)
+    _check_real_structure(amplitudes, perm, sign)
     return perm, sign
 
 
-def _check_real_structure(images: dict, perm: np.ndarray, sign: np.ndarray) -> None:
+def _check_real_structure(amplitudes: tuple, perm: np.ndarray, sign: np.ndarray) -> None:
     """Raise unless J = (perm, sign) is a symmetric involution with
-    J E J^T = -E^T for every simple raising operator E."""
+    J E J^T = -E^T for every simple raising operator E: J E J^T puts the
+    entry v at (r, c) of E at (perm r, perm c) as sign[r] sign[c] v, so the
+    mirrored positions (perm c, perm r) must be E's own, with values that
+    cancel E's there."""
     n = len(perm)
     if not (np.array_equal(perm[perm], np.arange(n)) and np.array_equal(sign[perm], sign)):
         raise AssertionError("real structure is not a symmetric involution")
-    J = sp.csr_matrix((sign, (perm, np.arange(n))), shape=(n, n))
-    for (a, b), E in images.items():
-        if b != a + 1:
-            continue
-        err = abs(J @ E @ J.T + E.T).max()
-        if not err <= 1e-12 * max(1.0, abs(E).max()):
-            raise AssertionError(f"real structure fails on E_{a}{b} by {err:.3e}")
+    for l, (rows, cols, vals) in enumerate(amplitudes, 1):
+        key, mirror = rows * n + cols, perm[cols] * n + perm[rows]
+        at, to = np.argsort(key), np.argsort(mirror)
+        err = (float(np.abs(vals[at] + (sign[rows] * sign[cols] * vals)[to]).max(initial=0.0))
+               if np.array_equal(key[at], mirror[to]) else np.inf)
+        if not err <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
+            raise AssertionError(f"real structure fails on E_{l}{l + 1} by {err:.3e}")
 
 
-def _nonsimple_images(images: dict, d: int) -> dict:
-    """images with E_ab for |a-b| > 1 added, from nested commutators."""
-    full = dict(images)
-    for span in range(2, d):
-        for a in range(1, d - span + 1):
+def _gl_images(amplitudes: tuple, n: int) -> dict:
+    """{(a, b): (rows, cols, vals)} of E_ab for every a != b <= q on n
+    patterns, from the amplitudes of E_{l,l+1}, l < q: the simple pairs
+    directly, E_ab for |a - b| > 1 from nested commutators of sparse
+    matrices."""
+    q = len(amplitudes) + 1
+    images = {(l, l + 1): E for l, E in enumerate(amplitudes, 1)}
+    S = {ab: sp.csr_matrix((v, (r, c)), shape=(n, n)) for ab, (r, c, v) in images.items() if q > 2}
+    for span in range(2, q):
+        for a in range(1, q - span + 1):
             b = a + span
-            e_ab = full[(a, b - 1)] @ full[(b - 1, b)] - full[(b - 1, b)] @ full[(a, b - 1)]
-            full[(a, b)] = e_ab.tocsr()
-            full[(b, a)] = e_ab.conj().T.tocsr()
-    return full
+            S[(a, b)] = (S[(a, b - 1)] @ S[(b - 1, b)] - S[(b - 1, b)] @ S[(a, b - 1)]).tocoo()
+            images[(a, b)] = S[(a, b)].row, S[(a, b)].col, S[(a, b)].data
+    return {**images, **{(b, a): (c, r, v) for (a, b), (r, c, v) in images.items()}}
 
 
 _CACHE: dict = {}
@@ -396,33 +420,33 @@ def jy_frame(basis: GTBasis) -> JyFrame:
     return JyFrame(basis.weight, tuple(_rotation_block(*block) for block in basis.jy_blocks))
 
 
-def _jy_blocks(patterns: list, pw: np.ndarray, E, m: np.ndarray) -> tuple:
+def _jy_blocks(P: np.ndarray, pw: np.ndarray, E: tuple, m: np.ndarray) -> tuple:
     """The inputs of each solve of a JyFrame, for the basis of the patterns
-    with pattern weights pw, E = E_{d-1,d} and m its Jz.
+    P with pattern weights pw, E the amplitudes of E_{d-1,d} and m its Jz.
 
     T's entries are half the GT amplitudes of E; each block gets its GT
     indices split by the parity of p, its exact spectrum, the signs s and
-    either its bidiagonal half (a chain) or its entries (see _rotation_block).
+    either its bidiagonal half (a chain) or its entries, row by row (see
+    _rotation_block).  The blocks are the sets of patterns that share rows
+    1 .. d-2, in order of first use.
     """
     n, d = pw.shape
     p = pw[:, d - 1] - pw[:, d - 1].min()
-    sets: dict = {}
-    for i, pattern in enumerate(patterns):
-        sets.setdefault(pattern[: d - 2], []).append(i)
-    sets = [np.asarray(idx) for idx in sets.values()]
-    which, loc = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
-    for k, idx in enumerate(sets):
-        which[idx], loc[idx] = k, np.arange(idx.size)
-    E = E.tocoo()
-    if not np.array_equal(which[E.row], which[E.col]):
+    which, _ = _groups(_keys(P[:, d - 1 :]))
+    idx = np.argsort(which, kind="stable")  # the patterns, set by set
+    cuts = np.searchsorted(which[idx], np.arange(which.max() + 2))
+    loc = np.empty(n, dtype=np.intp)
+    loc[idx] = np.arange(n) - cuts[which[idx]]
+    rows, cols, vals = E
+    if not np.array_equal(which[rows], which[cols]):
         raise AssertionError(f"E_{d - 1}{d} moves a pattern's rows 1 .. {d - 2}")
-    order = np.argsort(which[E.row], kind="stable")  # E's entries, set by set
-    cuts = np.searchsorted(which[E.row[order]], np.arange(len(sets) + 1))
+    order = np.lexsort((cols, rows, which[rows]))  # E's entries, set by set, row-major
+    ecuts = np.searchsorted(which[rows[order]], np.arange(cuts.size))
     blocks = []
-    for k, idx in enumerate(sets):
-        at = order[cuts[k] : cuts[k + 1]]
-        vals = 0.5 * E.data[at].real
-        blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]], vals, m, p))
+    for k in range(cuts.size - 1):
+        at = order[ecuts[k] : ecuts[k + 1]]
+        blocks.append(_block_inputs(idx[cuts[k] : cuts[k + 1]], loc[rows[at]], loc[cols[at]],
+                                    0.5 * vals[at], m, p))
     return tuple(blocks)
 
 
@@ -489,58 +513,46 @@ def _rotation_block(split, exact, s_even, s_odd, chain, dense) -> _RotationBlock
 def _index(idx: np.ndarray):
     """idx as a slice where it is an increasing arithmetic progression."""
     step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-    if idx.size and step > 0 and np.array_equal(np.diff(idx), np.full(idx.size - 1, step)):
+    if idx.size and step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
         return slice(int(idx[0]), int(idx[-1]) + 1, step)
     return idx
 
 
-def _subgroup_layout(patterns: list, pw: np.ndarray, shift: int, full: dict) -> tuple:
+def _subgroup_layout(P: np.ndarray, pw: np.ndarray, shift: int, images: dict) -> tuple:
     """(spans, shapes, shape_of) of a d >= 3 basis, as GTBasis describes, for
-    the patterns with pattern weights pw and images full.
-
-    Each span's pattern weights are checked to be its shape's shifted by
-    r - shift, and every E_ab (a != b < d) to be block diagonal over the
-    spans with its shape's G as each block.
-    """
+    the patterns P with pattern weights pw and gl(d-1) images (_gl_images),
+    checked by _check_spans."""
     n, d = pw.shape
-    rows = [pattern[d - 2] for pattern in patterns]
-    starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
-    spans = tuple(zip(starts, starts[1:] + [n]))
-    index, shape_of = {}, []  # index: shape -> its position, in order of first use
-    for s, e in spans:
-        row = rows[s]
-        shape = tuple(x - row[-1] for x in row)
-        k = index.setdefault(shape, len(index))
-        c, pw_d = row[-1] - shift, int(pw[s, d - 1])
-        _, weights = _shape_generators(shape)
-        if not (np.array_equal(pw[s:e, : d - 1], weights + c) and np.all(pw[s:e, d - 1] == pw_d)):
-            raise AssertionError(f"row-{d - 1} block at {s} is not its shape's shifted by {c}")
-        shape_of.append((k, c, pw_d))
-    shapes = tuple((shape, _shape_generators(shape)[0]) for shape in index)
-    _check_span_images(full, d, spans, [G for _, G in shapes], [k for k, _, _ in shape_of])
-    return spans, shapes, tuple(shape_of)
+    R = P[:, : d - 1]  # row d-1
+    starts = np.flatnonzero(np.r_[True, (R[1:] != R[:-1]).any(axis=1)])
+    row = R[starts]
+    k_of, first = _groups(_keys(row - row[:, -1:]))
+    shapes = tuple(tuple(x - r[-1] for x in r) for r in row[first].tolist())
+    spans = np.column_stack([starts, np.r_[starts[1:], n]])
+    shape_of = np.column_stack([k_of, row[:, -1] - shift, pw[starts, d - 1]])
+    gens = [_shape_generators(shape) for shape in shapes]
+    _check_spans(images, pw, spans, shape_of, gens)
+    return spans, tuple(zip(shapes, (G for G, _ in gens))), shape_of
 
 
 @functools.lru_cache(maxsize=None)
 def _shape_generators(shape: tuple) -> tuple:
     """(G, weights) of the U(q) irrep of signature shape, q = len(shape), on
-    its own GT basis in _enumerate_patterns order: G[(a-1) q + b-1] the dense
-    image of E_ab, read-only, with E_aa = diag(weights[:, a-1]) the pattern
-    weights.  Made from the shape alone, so every span of the shape, in any
-    weight, gets the same bits; kept for the process, like cached bases."""
+    its own GT basis (_patterns): G[(a-1) q + b-1] the dense image of E_ab,
+    read-only, with E_aa = diag(weights[:, a-1]) the pattern weights.  Made
+    from the shape alone, so every span of the shape, in any weight, gets
+    the same bits; kept for the process, like cached bases."""
     q = len(shape)
-    patterns = _enumerate_patterns(shape)
-    index = {p: i for i, p in enumerate(patterns)}
-    b = len(patterns)
-    weights = np.array([_pattern_weight(p, q) for p in patterns], dtype=np.int64)
+    P = _patterns(shape)
+    weights = _pattern_weights(P, shape)
+    b = len(P)
     G = np.zeros((q, q, b, b))
     for a in range(q):
         np.fill_diagonal(G[a, a], weights[:, a])
-    for l in range(1, q):
-        rows_i, cols_i, vals = _raising(patterns, index, l)
-        G[l - 1, l, rows_i, cols_i] = vals
+    for l, (rows, cols, vals) in enumerate(_amplitudes(P, shape), 1):
+        G[l - 1, l, rows, cols] = vals
         G[l, l - 1] = G[l - 1, l].T
-    for span in range(2, q):  # the nested commutators of _nonsimple_images
+    for span in range(2, q):  # the nested commutators of _gl_images
         for a in range(q - span):
             c = a + span
             G[a, c] = G[a, c - 1] @ G[c - 1, c] - G[c - 1, c] @ G[a, c - 1]
@@ -550,33 +562,43 @@ def _shape_generators(shape: tuple) -> tuple:
     return G, weights
 
 
-def _check_span_images(full: dict, d: int, spans: tuple, gens: list, shape_of: list) -> None:
-    """Raise unless every E_ab, a != b < d, in full is block diagonal over the
-    spans, the block of a span that of its shape, gens[shape_of[span]].
+def _check_spans(images: dict, pw: np.ndarray, spans, shape_of, gens: list) -> None:
+    """Raise unless each span is the GT basis of its shape, gens[k] = (G,
+    weights) for its row (k, c, pw_d) of shape_of: the span's pattern weights
+    the shape's shifted by c, then pw_d, and every E_ab, a != b < d, in images
+    (_gl_images) block diagonal over the spans with the shape's G as the
+    span's block.
 
     Each stored entry must sit in a span and match the shape's entry there,
     and the entries' squares must add up to those of the shapes' blocks, so
     the shapes carry nothing the basis lacks.
     """
-    size = np.array([len(G[0]) for G in gens])
-    offset = np.concatenate([[0], np.cumsum([G.size for G in gens])])
-    flat = np.concatenate([G.ravel() for G in gens])
-    span_at = np.repeat(np.arange(len(spans)), [e - s for s, e in spans])
-    start = np.array([s for s, _ in spans])
-    k_of = np.array(shape_of)
+    n, d = pw.shape
+    (start, stop), (k_of, c, pw_d) = spans.T, shape_of.T
+    size = np.array([len(weights) for _, weights in gens])
+    ok = np.array_equal(stop - start, size[k_of])
+    if ok:
+        span_at = np.repeat(np.arange(len(spans)), stop - start)
+        local = np.arange(n) - start[span_at]  # each pattern's position in its span
+        weights = np.concatenate([weights for _, weights in gens])
+        at = np.concatenate([[0], np.cumsum(size)])[k_of][span_at] + local
+        ok = np.array_equal(pw, np.column_stack([weights[at] + c[span_at, None], pw_d[span_at]]))
+    if not ok:
+        raise AssertionError(f"a row-{d - 1} block is not its shape's shifted by r - shift")
+    offset = np.concatenate([[0], np.cumsum([G.size for G, _ in gens])])
+    flat = np.concatenate([G.ravel() for G, _ in gens])
+    squares = np.array([np.einsum("ijk,ijk->i", G, G) for G, _ in gens])[k_of].sum(axis=0)
     for i, (a, b) in enumerate(itertools.product(range(1, d), repeat=2)):  # row-major
         if a == b:
             continue
-        C = full[(a, b)].tocoo()
-        at = span_at[C.row]
-        if not np.array_equal(at, span_at[C.col]):
+        rows, cols, vals = images[(a, b)]
+        at = span_at[rows]
+        if not np.array_equal(at, span_at[cols]):
             raise AssertionError(f"E_{a}{b} moves a pattern's row {d - 1}")
         k = k_of[at]
-        want = flat[offset[k] + (i * size[k] + C.row - start[at]) * size[k] + C.col - start[at]]
-        square = np.array([np.dot(G[i].ravel(), G[i].ravel()) for G in gens])[k_of].sum()
-        err = max(float(np.abs(C.data - want).max(initial=0.0)),
-                  abs(float(np.vdot(C.data, C.data).real) - square))
-        if not err <= 1e-12 * max(1.0, square):
+        want = flat[offset[k] + (i * size[k] + local[rows]) * size[k] + local[cols]]
+        err = max(float(np.abs(vals - want).max(initial=0.0)), abs(float(vals @ vals) - squares[i]))
+        if not err <= 1e-12 * max(1.0, squares[i]):
             raise AssertionError(f"E_{a}{b} is not its spans' shape images (off by {err:.3e})")
 
 
@@ -696,11 +718,12 @@ def irrep_matrix(
     P = np.zeros((n, n), dtype=np.complex128)
     R = _rotation(frame, P.real, factors.beta)
     left, right = factors.shape_images
-    for (s, e), A in zip(basis.spans, _subgroup_image(basis, factors.left, left)):
+    spans = basis.spans.tolist()  # Python ints slice faster than numpy ones
+    for (s, e), A in zip(spans, _subgroup_image(basis, factors.left, left)):
         slab = np.ascontiguousarray(R[s:e])
         P[s:e].real = A.real @ slab
         P[s:e].imag = A.imag @ slab
-    for (s, e), B in zip(basis.spans, _subgroup_image(basis, factors.right, right)):
+    for (s, e), B in zip(spans, _subgroup_image(basis, factors.right, right)):
         P[:, s:e] = P[:, s:e] @ B
     return _to_real_form(basis.real_basis, P) if real else P
 
@@ -733,7 +756,7 @@ def rows_per_tile(n: int) -> int:
 def _grid(rows, cols) -> tuple:
     if isinstance(rows, slice) or isinstance(cols, slice):
         return rows, cols
-    return np.ix_(rows, cols)
+    return rows[:, None], cols  # the block rows x cols, as np.ix_ gives it
 
 
 def _real_fold(n: int) -> tuple:
@@ -871,4 +894,5 @@ def _subgroup_image(basis: GTBasis, L: np.ndarray, table: dict) -> list:
                     table[shape] = (W * np.exp(1j * w)) @ W.conj().T
     images = [table[shape] for shape, _ in basis.shapes]
     tr = float(np.trace(Y).real)
-    return [images[k] * cmath.exp(1j * (c * tr + pw_d * phi)) for k, c, pw_d in basis.shape_of]
+    return [images[k] * cmath.exp(1j * (c * tr + pw_d * phi))
+            for k, c, pw_d in basis.shape_of.tolist()]

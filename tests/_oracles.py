@@ -18,11 +18,17 @@ without the trace-bound prune: an eigensolve for every (word, target) pair.
 weyl_character is the character of an irrep from the eigenphases of a group
 element, by the Weyl character formula.  pu_distance is the projective
 distance between two unitaries, from the eigenphases of g^dagger h.
+generator_images holds every E_ab of a basis as a sparse matrix, rebuilt
+from its arrays.  reference_basis is the tuple-based GT construction, pattern
+by pattern, that the array builder of gapforge.irrep must reproduce bit for
+bit, and reference_shape_generators its shape images.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
+from math import sqrt
 
 import numpy as np
 import scipy.linalg
@@ -41,21 +47,46 @@ from gapforge.gates import (
     check_unitary,
     squared_set,
 )
-from gapforge.irrep import GTBasis, _schur_unitary
+from gapforge.irrep import (
+    GTBasis,
+    _block_inputs,
+    _real_fold,
+    _real_form_map,
+    _schur_unitary,
+)
 from gapforge.weightlat import (
     IrrepMeta,
     Weight,
     check_scale,
     enumerate_nontrivial_weights,
+    frobenius_schur,
     weyl_dimension,
 )
+
+
+def generator_images(basis: GTBasis) -> dict:
+    """{(a, b): E_ab} of a basis as sparse matrices, from its arrays: the
+    Cartan elements diagonal in the shifted pattern weights, the simple pairs
+    from the amplitudes, E_ab for |a - b| > 1 from nested commutators."""
+    n, d = basis.dim, basis.d
+    full = {(a, a): sp.diags((basis.pattern_weights[:, a - 1] + basis.shift).astype(np.float64),
+                             format="csr", dtype=np.complex128) for a in range(1, d + 1)}
+    for l, (rows, cols, vals) in enumerate(basis.amplitudes, 1):
+        full[(l, l + 1)] = sp.csr_matrix((vals.astype(np.complex128), (rows, cols)), shape=(n, n))
+        full[(l + 1, l)] = full[(l, l + 1)].conj().T.tocsr()
+    for span in range(2, d):
+        for a in range(1, d - span + 1):
+            b = a + span
+            e_ab = full[(a, b - 1)] @ full[(b - 1, b)] - full[(b - 1, b)] @ full[(a, b - 1)]
+            full[(a, b)] = e_ab.tocsr()
+            full[(b, a)] = e_ab.conj().T.tocsr()
+    return full
 
 
 def check_generator_relations(basis: GTBasis, tol: float = 1e-10) -> float:
     """Max violation of [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb over all
     generator pairs; raises AssertionError above tol.  Returns the residual."""
-    d = basis.d
-    full = basis._full_images
+    full = generator_images(basis)
     worst = 0.0
     pairs = list(full.keys())
     for (a, b) in pairs:
@@ -181,7 +212,7 @@ def algebra_image(basis: GTBasis, X: np.ndarray) -> np.ndarray:
     if X.shape != (d, d):
         raise DomainError(f"algebra element must be {d}x{d}, got {X.shape}")
     acc = None
-    for (a, b), mat in basis._full_images.items():
+    for (a, b), mat in generator_images(basis).items():
         coeff = X[a - 1, b - 1]
         if coeff == 0:
             continue
@@ -311,3 +342,170 @@ def pu_distance(g: np.ndarray, h: np.ndarray) -> float:
         check_unitary(M, "pu_distance argument")
     psi = np.angle(np.linalg.eigvals(g.conj().T @ h))
     return float(_projective_distance(psi))
+
+
+def _enumerate_patterns(sig: tuple) -> list:
+    """All GT patterns with top row sig, as tuples of rows (rows[l-1] of
+    length l), descending lex on (row_{d-1},...,row_1)."""
+    patterns = []
+
+    def descend(rows):
+        upper = rows[-1]
+        l = len(upper) - 1
+        if l == 0:
+            patterns.append(tuple(reversed(rows)))
+            return
+        choices = [range(upper[i], max(upper[i + 1] - 1, -1), -1) for i in range(l)]
+
+        def rec(prefix, i):
+            if i == l:
+                descend(rows + [tuple(prefix)])
+                return
+            for v in choices[i]:
+                assert not prefix or v <= prefix[-1]
+                rec(prefix + [v], i + 1)
+
+        rec([], 0)
+
+    descend([tuple(sig)])
+    return patterns
+
+
+def _pattern_weight(pattern: tuple, d: int) -> tuple:
+    rs = [sum(pattern[l]) for l in range(d)]
+    return tuple(rs[0:1] + [rs[l] - rs[l - 1] for l in range(1, d)])
+
+
+def _raising(patterns: list, index: dict, l: int) -> tuple:
+    """(rows, cols, vals) of the simple raising operator E_{l,l+1} on the GT
+    patterns (index: pattern -> position), column by column, in exact
+    integer arithmetic up to the one square root."""
+    rows_i, cols_i, vals = [], [], []
+    for i, p in enumerate(patterns):
+        row = p[l - 1]
+        for k in range(l):
+            bumped = row[:k] + (row[k] + 1,) + row[k + 1 :]
+            j = index.get(p[: l - 1] + (bumped,) + p[l:])
+            if j is None:
+                continue  # interlacing broken, amplitude is zero
+            akl = row[k] - (k + 1)
+            num = 1
+            for jj in range(l + 1):
+                num *= p[l][jj] - (jj + 1) - akl
+            for jj in range(l - 1):
+                num *= p[l - 2][jj] - (jj + 1) - akl - 1
+            num = -num
+            den = 1
+            for jj in range(l):
+                if jj != k:
+                    ajl = row[jj] - (jj + 1)
+                    den *= (ajl - akl) * (ajl - akl - 1)
+            assert den != 0 and num >= 0, (p, k, num, den)
+            rows_i.append(j)
+            cols_i.append(i)
+            vals.append(sqrt(num / den))
+    return rows_i, cols_i, vals
+
+
+def _flat(pattern: tuple) -> list:
+    """A tuple pattern in the layout of GTBasis.patterns: rows d-1 .. 1."""
+    return [x for row in reversed(pattern[:-1]) for x in row]
+
+
+@functools.lru_cache(maxsize=None)
+def reference_shape_generators(shape: tuple) -> tuple:
+    """(G, weights) of irrep._shape_generators, from the tuple construction."""
+    q = len(shape)
+    patterns = _enumerate_patterns(shape)
+    index = {p: i for i, p in enumerate(patterns)}
+    b = len(patterns)
+    weights = np.array([_pattern_weight(p, q) for p in patterns], dtype=np.int64)
+    G = np.zeros((q, q, b, b))
+    for a in range(q):
+        np.fill_diagonal(G[a, a], weights[:, a])
+    for l in range(1, q):
+        rows_i, cols_i, vals = _raising(patterns, index, l)
+        G[l - 1, l, rows_i, cols_i] = vals
+        G[l, l - 1] = G[l - 1, l].T
+    for span in range(2, q):
+        for a in range(q - span):
+            c = a + span
+            G[a, c] = G[a, c - 1] @ G[c - 1, c] - G[c - 1, c] @ G[a, c - 1]
+            G[c, a] = G[a, c].T
+    return G.reshape(q * q, b, b), weights
+
+
+def reference_basis(weight: Weight) -> dict:
+    """The fields of build_basis(weight), by pattern: patterns enumerated
+    recursively as tuples and looked up in a dict, amplitudes pattern by
+    pattern in Python integers, the real structure's signs by a sweep along
+    raising edges, the Jy sets and the spans grouped pattern by pattern."""
+    d = weight.d
+    shift = -weight.entries[-1]
+    sig = tuple(x + shift for x in weight.entries)
+    patterns = _enumerate_patterns(sig)
+    n = len(patterns)
+    index = {p: i for i, p in enumerate(patterns)}
+    pw = np.array([_pattern_weight(p, d) for p in patterns], dtype=np.int64) - shift
+    amplitudes, up = [], [0] * n
+    for l in range(1, d):
+        rows_i, cols_i, vals = _raising(patterns, index, l)
+        for j, i in zip(rows_i, cols_i):
+            up[i] = j
+        amplitudes.append((np.asarray(rows_i, dtype=np.intp), np.asarray(cols_i, dtype=np.intp),
+                           np.asarray(vals, dtype=np.float64)))
+    real = None
+    if frobenius_schur(weight) == 1:
+        c = sig[0]
+        perm = np.array(
+            [index[tuple(tuple(c - x for x in reversed(r)) for r in p)] for p in patterns],
+            dtype=np.intp)
+        sign = [1.0] * n
+        for i in range(1, n):
+            sign[i] = -sign[up[i]]
+        real = perm, np.asarray(sign)
+    m = (pw[:, d - 2] - pw[:, d - 1]) / 2
+
+    p = pw[:, d - 1] - pw[:, d - 1].min()
+    sets: dict = {}
+    for i, pattern in enumerate(patterns):
+        sets.setdefault(pattern[: d - 2], []).append(i)
+    sets = [np.asarray(idx) for idx in sets.values()]
+    which, loc = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    for k, idx in enumerate(sets):
+        which[idx], loc[idx] = k, np.arange(idx.size)
+    rows_i, cols_i, vals = amplitudes[-1]
+    E = sp.csr_matrix((vals.astype(np.complex128), (rows_i, cols_i)), shape=(n, n)).tocoo()
+    order = np.argsort(which[E.row], kind="stable")
+    cuts = np.searchsorted(which[E.row[order]], np.arange(len(sets) + 1))
+    jy_blocks = []
+    for k, idx in enumerate(sets):
+        at = order[cuts[k] : cuts[k + 1]]
+        jy_blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]],
+                                       0.5 * E.data[at].real, m, p))
+
+    spans, shapes, shape_of = None, (), ()
+    if d > 2:
+        rows = [pattern[d - 2] for pattern in patterns]
+        starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
+        spans = list(zip(starts, starts[1:] + [n]))
+        first_use, shape_of = {}, []
+        for s, _ in spans:
+            shape = tuple(x - rows[s][-1] for x in rows[s])
+            shape_of.append((first_use.setdefault(shape, len(first_use)),
+                             rows[s][-1] - shift, int(pw[s, d - 1])))
+        shapes = tuple((shape, reference_shape_generators(shape)[0]) for shape in first_use)
+        spans = np.array(spans, dtype=np.intp)
+        shape_of = np.array(shape_of, dtype=np.int64)
+    return {
+        "patterns": np.array([_flat(p) for p in patterns], dtype=np.int64),
+        "pattern_weights": pw,
+        "amplitudes": tuple(amplitudes),
+        "real_structure": real,
+        "real_basis": None if real is None else _real_fold(n) if d == 2 else _real_form_map(*real),
+        "m": m,
+        "jy_blocks": tuple(jy_blocks),
+        "spans": spans,
+        "shapes": shapes,
+        "shape_of": shape_of,
+    }

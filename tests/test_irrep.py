@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ import gapforge
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
+    _keys,
+    _product,
     _real_form_map,
+    _shape_generators,
     _to_real_form,
     build_basis,
     cached_basis,
@@ -30,6 +34,9 @@ from _oracles import (
     check_generator_relations,
     exp_image,
     frobenius_schur_montecarlo,
+    generator_images,
+    reference_basis,
+    reference_shape_generators,
     weyl_character,
 )
 
@@ -67,7 +74,8 @@ class TestBasisStructure:
     def test_adjoint_su2(self):
         b = build_basis(Weight((1, -1)))
         assert b.dim == 3
-        cartan = (b.generator_images[(1, 1)] - b.generator_images[(2, 2)]).todense()
+        full = generator_images(b)
+        cartan = (full[(1, 1)] - full[(2, 2)]).todense()
         assert sorted(np.real(np.diag(cartan)).tolist()) == [-2.0, 0.0, 2.0]
 
     def test_dims_match_weyl(self):
@@ -91,6 +99,96 @@ class TestBasisStructure:
 
     def test_cached_basis_identity(self):
         assert cached_basis(Weight((2, -2))) is cached_basis(Weight((2, -2)))
+
+
+def _assert_same(got, want, where=""):
+    """Bit for bit: arrays of one dtype, shape and bytes; tuples, lists and
+    other values element by element."""
+    if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and isinstance(want, np.ndarray), where
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+    elif isinstance(want, (tuple, list)):
+        assert type(got) is type(want) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same(g, w, f"{where}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+class TestArrayBuilder:
+    """build_basis against the tuple construction it replaced, its checks
+    under python -O and the memory a cached basis holds."""
+
+    @pytest.mark.parametrize("d, t", [(2, 40), (3, 6), (4, 3)])
+    def test_fields_match_the_tuple_builder_bit_for_bit(self, d, t):
+        for w in enumerate_nontrivial_weights(d, t):
+            b = build_basis(w)
+            for name, want in reference_basis(w).items():
+                _assert_same(getattr(b, name), want, f"{w.entries}.{name}")
+
+    def test_shape_generators_match_the_tuple_builder(self):
+        for shape in [(1, 0), (4, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1, 0)]:
+            _assert_same(_shape_generators(shape), reference_shape_generators(shape), str(shape))
+
+    def test_keys_order_rows_past_int64(self):
+        # 40 digits of base 10 overflow int64: the keys recode to ranks
+        rows = np.random.default_rng(5).integers(0, 10, size=(500, 40))
+        rows[250:] = rows[:250]  # every row twice
+        key = _keys(rows)
+        order = np.lexsort(rows.T[::-1])
+        assert np.all(np.diff(key[order]) >= 0)
+        same = np.all(rows[order][1:] == rows[order][:-1], axis=1)
+        assert np.array_equal(np.diff(key[order]) == 0, same)
+
+    def test_amplitude_factors_must_stay_exact(self):
+        assert _product(np.array([[-(2**26), 2**26], [2**40, 0]])).tolist() == [-(2**52), 0]
+        for F in ([[2**26, 2**27]], [[2**40, 2**40]]):  # 2^53, and past int64
+            with pytest.raises(ResourceLimitError, match="2\\^53"):
+                _product(np.array(F))
+
+    def test_build_checks_survive_python_O(self):
+        # a pattern below its range gives a negative amplitude square, where
+        # a vectorized sqrt would return NaN; a wrong count must raise too
+        script = textwrap.dedent("""
+            from gapforge import irrep
+            from gapforge.weightlat import Weight
+
+            assert False, "assert statements must be stripped here"
+            patterns = irrep._patterns
+            bad = patterns((2, 0))
+            bad[2, 0] = -2
+            irrep._patterns = lambda sig: bad
+            try:
+                irrep.build_basis(Weight((1, -1)))
+            except AssertionError as exc:
+                print("raised:", exc)
+            irrep._patterns = patterns
+            irrep.weyl_dimension = lambda w: 4
+            try:
+                irrep.build_basis(Weight((1, -1)))
+            except AssertionError as exc:
+                print("raised:", exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: a GT amplitude of E_12 has num < 0 or den <= 0",
+            "raised: 3 GT patterns for an irrep of dimension 4",
+        ]
+
+    def test_cached_bases_hold_at_most_160_bytes_per_pattern(self, monkeypatch):
+        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            n = sum(cached_basis(Weight((j, -j))).dim for j in range(1, 121))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= 160 * n, held / n
 
 
 class TestRealStructure:
@@ -125,12 +223,12 @@ class TestRealStructure:
             assert False, "assert statements must be stripped here"
             b = build_basis(Weight((2, 0, -2)))
             perm, sign = b.real_structure
-            _check_real_structure(b.generator_images, perm, sign)
+            _check_real_structure(b.amplitudes, perm, sign)
             for i in (0, 9, 13):  # 9 is a fixed point of perm
                 bad = sign.copy()
                 bad[i] = -bad[i]
                 try:
-                    _check_real_structure(b.generator_images, perm, bad)
+                    _check_real_structure(b.amplitudes, perm, bad)
                 except AssertionError as exc:
                     print("raised:", exc)
         """)
@@ -178,10 +276,11 @@ class TestCasimir:
         for entries in [(1, -1), (2, 0, -2), (1, 1, -2)]:
             b = build_basis(Weight(entries))
             d = b.d
+            full = generator_images(b)
             cas = np.zeros((b.dim, b.dim), dtype=complex)
             for a in range(1, d + 1):
                 for c in range(1, d + 1):
-                    cas += (b._full_images[(a, c)] @ b._full_images[(c, a)]).todense()
+                    cas += (full[(a, c)] @ full[(c, a)]).todense()
             sig = tuple(x + b.shift for x in entries)
             want = sum(m * (m + d + 1 - 2 * (i + 1)) for i, m in enumerate(sig))
             assert np.allclose(cas, want * np.eye(b.dim), atol=1e-10)
@@ -401,7 +500,7 @@ class TestRealImage:
         S *= (1 - (np.arange(n) & 2))[:, None]  # p = GT index at d = 2
         assert block.mu.tolist() == list(range(510))
         assert np.abs(S.T @ S - np.eye(block.mu.size)).max() <= 1e-13
-        E = b.generator_images[(1, 2)]
+        E = generator_images(b)[(1, 2)]
         T = 0.5 * (E + E.T).real
         assert np.abs(T @ S - S * block.mu).max() <= 1e-12
 
@@ -495,7 +594,7 @@ class TestCosineSineImage:
         b = cached_basis(Weight(entries))
         frame = jy_frame(b)
         n, d = b.dim, b.d
-        E = b.generator_images[(d - 1, d)].toarray().real
+        E = generator_images(b)[(d - 1, d)].toarray().real
         T = 0.5 * (E + E.T)
         p = b.pattern_weights[:, d - 1] - b.pattern_weights[:, d - 1].min()
         seen = []
@@ -520,7 +619,7 @@ class TestCosineSineImage:
         starts = [s for s, _ in b.spans]
         assert starts[0] == 0 and [e for _, e in b.spans][-1] == n
         assert [e for _, e in b.spans][:-1] == starts[1:]
-        rows = [{pattern[d - 2] for pattern in b.patterns[s:e]} for s, e in b.spans]
+        rows = [{tuple(row) for row in b.patterns[s:e, : d - 1].tolist()} for s, e in b.spans]
         assert all(len(r) == 1 for r in rows)
         assert all(r != q for r, q in zip(rows, rows[1:]))
         assert len(b.shape_of) == len(b.spans)
@@ -620,27 +719,29 @@ class TestShapeTable:
         assert len(calls) == 2 * len(shapes)
 
     def test_span_checks_survive_python_O(self):
-        # a shape's images off by 1e-6, and two shapes of one size swapped,
-        # must raise under -O too
+        # a shape's images off by 1e-6, two shapes of one size swapped, and a
+        # span's offset off by one must raise under -O too
         script = textwrap.dedent("""
-            import numpy as np
-            from gapforge.irrep import _check_span_images, cached_basis
+            from gapforge.irrep import _check_spans, _gl_images, _shape_generators, cached_basis
             from gapforge.weightlat import Weight
             b = cached_basis(Weight((2, 1, -1, -2)))
-            spans, full = b.spans, b._full_images
-            gens = [G.copy() for _, G in b.shapes]
-            ks = [k for k, _, _ in b.shape_of]
-            _check_span_images(full, 4, spans, gens, ks)
-            size = [len(G[0]) for G in gens]
+            images = _gl_images(b.amplitudes[:-1], b.dim)
+            gens = [_shape_generators(shape) for shape, _ in b.shapes]
+            ks = b.shape_of[:, 0].tolist()
+            _check_spans(images, b.pattern_weights, b.spans, b.shape_of, gens)
+            size = [len(w) for _, w in gens]
             k = size.index(max(size))
-            bad = gens[:k] + [gens[k] + 1e-6] + gens[k + 1:]
+            bad = gens[:k] + [(gens[k][0] + 1e-6, gens[k][1])] + gens[k + 1:]
             twins = [(i, j) for i in range(len(gens)) for j in range(i)
                      if size[i] == size[j] and i in ks and j in ks]
             i, j = twins[0]
-            swapped = [{i: j, j: i}.get(x, x) for x in ks]
-            for g, s in ((bad, ks), (gens, swapped)):
+            swapped = list(gens)
+            swapped[i], swapped[j] = (gens[j][0], gens[i][1]), (gens[i][0], gens[j][1])
+            shifted = b.shape_of.copy()
+            shifted[0, 1] += 1
+            for g, of in ((bad, b.shape_of), (swapped, b.shape_of), (gens, shifted)):
                 try:
-                    _check_span_images(full, 4, spans, g, s)
+                    _check_spans(images, b.pattern_weights, b.spans, of, g)
                 except AssertionError as exc:
                     print(exc)
         """)
@@ -649,6 +750,7 @@ class TestShapeTable:
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("is not its spans' shape images") == 2
+        assert proc.stdout.count("is not its shape's shifted by r - shift") == 1
 
 
 class TestWeylCharacter:

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import gapforge.avgop
 import gapforge.bounds
+import gapforge.irrep
 from gapforge.gates import haar_random_gateset
 from gapforge.weightlat import enumerate_nontrivial_weights
 
@@ -51,3 +52,20 @@ def test_traced_d3_gap_records_images():
     assert weights == {str(w.entries) for w in canonical}
     metrics = spans.layer_metrics([], recorder.spans, 1)
     assert metrics["irrep.image.calls"] == len(images) == pair.k * len(canonical)
+
+
+def test_cold_builds_record_basis_build_spans(monkeypatch):
+    # irrep.basis.builds and irrep.basis.s come from these spans: a build
+    # that no longer went through irrep.build_basis would read 0
+    monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+    pair = haar_random_gateset(3, 2, seed=1729)
+    recorder = spans.Recorder()
+    with spans.installed(recorder):
+        gapforge.avgop.gap_at_scale(pair, 2)
+
+    builds = [s for s in recorder.spans if s.name == "irrep.basis.build"]
+    canonical = gapforge.avgop._representatives(enumerate_nontrivial_weights(3, 2))
+    assert len(builds) == len(canonical)
+    metrics = spans.layer_metrics(recorder.spans, [], 1)
+    assert metrics["irrep.basis.builds"] == len(canonical)
+    assert metrics["irrep.basis.s"] > 0
