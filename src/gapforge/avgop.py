@@ -21,7 +21,8 @@ its verdict off the block norms at the small scale T_PROBE.  Each image is
 symmetrized in place and summed into its block as soon as it is built, so a
 weight holds its block, the image being built (folded in place by irrep),
 the images a later subset reuses and the buffer LAPACK factors: one subset
-takes about 3 n^2 doubles at d = 2 and 4.5 n^2 at d >= 3.
+takes about 3 n^2 doubles at d = 2, 2.2 n^2 for a self-conjugate weight at
+d >= 3, whose images are real, and 4.35 n^2 for a complex one.
 
 g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
 eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
@@ -125,8 +126,9 @@ def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
     the blocks are real.  Each image is built on first use, summed into the
     block at once, and dropped after its last use; one block is alive at a
     time, and take owns it.  So memory is the block, the image being built
-    and the images that a later keep reuses (plus the JyFrame all images of
-    the weight share).  Images are summed in the order of each keep tuple.
+    and the images that a later keep reuses (plus, at d = 2, the JyFrame all
+    images of the weight share).  Images are summed in the order of each keep
+    tuple.
     """
     n = basis.dim
     frame = jy_frame(basis)

@@ -31,10 +31,11 @@ the rotation by beta/2 in the plane of the last two coordinates
     pi(U) = pi(K1) exp(-i beta Jy) pi(K2)
 
 with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
-real and comes from the eigenvectors of Jy (a JyFrame, built once per weight
-and pass by one solve per set of patterns that share rows 1 .. d-2: the SVD
-of a bidiagonal half where the set is a chain, as at d = 2, else a dense
-eigensolve); pi(K) is diagonal at d = 2, else block diagonal over the runs
+real and comes from the eigenvectors of Jy (a JyFrame: one solve per set of
+patterns that share rows 1 .. d-2, the SVD of a bidiagonal half where the
+set is a chain, as at d = 2, else a dense eigensolve; solved per weight and
+pass at d = 2, where it holds n^2 / 2 entries, and kept with the basis at
+d >= 3).  pi(K) is diagonal at d = 2, else block diagonal over the runs
 of patterns with equal row d-1, each block a phase times the image of K's
 U(d-1) part in the irrep of the run's shape (its row less its last entry).
 That image depends on the gate and the shape alone: it is solved once per
@@ -46,11 +47,11 @@ integral and sum to zero, independent of the phase convention of U up to
 
 For a self-conjugate weight, at any d, irrep_matrix(real=True) returns the
 real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, whose
-rows the basis holds: at d = 2 built in real arithmetic (_real_image), at
-d >= 3 the complex image taken there by an O(n^2) map (_to_real_form).
-Images are built and folded in place, a slab of temporaries at a time
-(rows_per_tile), so an image allocates little beyond its own n^2 entries;
-a real d >= 3 image also holds its complex form until it is mapped.
+rows the basis holds, built in real arithmetic: at d = 2 by two folds
+(_real_image), at d >= 3 by one real product per pair of J-partner spans
+on each side of the rotation (_real_cs_image).  Images are built and folded
+in place, a slab of temporaries at a time (rows_per_tile), so an image
+allocates little beyond its own n^2 entries.
 """
 
 from __future__ import annotations
@@ -108,9 +109,12 @@ class GTBasis:
         J e_i = sign[i] e_perm[i] the real structure; None otherwise.
     real_basis: the rows of the real basis C with C^T C = J of a
         self-conjugate weight, None otherwise: (a, b, probe) at d = 2
-        (_real_fold), (u, v, alpha, beta, lead) at d >= 3 (_real_form_map).
+        (_real_fold), (pairs, probe) at d >= 3 (_real_pairs).
     m: Jz = (pw_{d-1} - pw_d) / 2 of the last su(2) on each GT vector.
-    jy_blocks: the inputs of each solve of a JyFrame (_jy_blocks).
+    jy_blocks: at d = 2 the inputs of the one solve of its JyFrame
+        (_jy_blocks), which holds n^2 / 2 entries and is solved per pass;
+        None at d >= 3.
+    frame: at d >= 3 the JyFrame itself, solved once here; None at d = 2.
     spans, shapes, shape_of: the layout of pi(K), K in U(d-1) x U(1), at
         d >= 3; None, (), () at d = 2, where pi(K) is diagonal.  pi(K) is
         block diagonal over the runs of patterns with equal row d-1 (spans,
@@ -132,7 +136,8 @@ class GTBasis:
     real_structure: tuple | None = field(repr=False)
     real_basis: tuple | None = field(repr=False)
     m: np.ndarray = field(repr=False)
-    jy_blocks: tuple = field(repr=False)
+    jy_blocks: tuple | None = field(repr=False)
+    frame: JyFrame | None = field(repr=False)
     spans: np.ndarray | None = field(repr=False)  # (start, stop) of each row-(d-1) run
     shapes: tuple = field(repr=False)  # (shape, gl(d-1) images G) per shape
     shape_of: np.ndarray | tuple = field(repr=False)  # (shape index, r - shift, pw_d) per span
@@ -167,13 +172,18 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
     amplitudes = _amplitudes(P, sig)
     real = _real_structure(P, sig, amplitudes) if frobenius_schur(weight) == 1 else None
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
-    real_basis = None if real is None else _real_fold(dim) if d == 2 else _real_form_map(*real)
-    spans, shapes, shape_of = None, (), ()
-    if d > 2:  # the images of gl(d-1), a, b < d, act within the spans
+    jy_blocks = _jy_blocks(P, pw, amplitudes[-1], m)
+    if d == 2:
+        frame, spans, shapes, shape_of = None, None, (), ()
+        real_basis = None if real is None else _real_fold(dim)
+    else:  # the images of gl(d-1), a, b < d, act within the spans
         spans, shapes, shape_of = _subgroup_layout(P, pw, shift, _gl_images(amplitudes[:-1], dim))
+        frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
+        jy_blocks = None
+        real_basis = None if real is None else _real_pairs(*real, spans)
     return GTBasis(weight=weight, patterns=P, amplitudes=amplitudes, shift=shift,
                    pattern_weights=pw, real_structure=real, real_basis=real_basis, m=m,
-                   jy_blocks=_jy_blocks(P, pw, amplitudes[-1], m), spans=spans, shapes=shapes,
+                   jy_blocks=jy_blocks, frame=frame, spans=spans, shapes=shapes,
                    shape_of=shape_of)
 
 
@@ -400,9 +410,11 @@ class JyFrame:
     at d = 2) the parity alternates, T[even, odd] is bidiagonal, and its SVD
     gives S_e and S_o directly (_rotation_block).
 
-    The rotation blocks hold about sum(b^2) / 2 entries, n^2 / 2 at d = 2, so
-    a frame is built per weight and pass and never cached; the solves' O(n)
-    inputs are a field of the basis (jy_blocks).
+    The rotation blocks hold about sum(b^2) / 2 entries.  At d = 2 that is
+    n^2 / 2, so the frame is built per weight and pass and never cached; the
+    solve's O(n) inputs are a field of the basis (jy_blocks).  At d >= 3 the
+    sets are small (about 150 bytes of frame per pattern at d = 3, t = 8),
+    and the basis keeps the frame itself (GTBasis.frame).
     """
 
     weight: Weight
@@ -410,13 +422,16 @@ class JyFrame:
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
-    """The JyFrame of a basis: one solve per block of T.
+    """The JyFrame of a basis: the one it keeps at d >= 3, else one solve
+    per block of T.
 
     A block of T that is a chain (tridiagonal with no zero coupling, all of T
     at d = 2) comes from the SVD of its bidiagonal half, any other from a
     dense eigensolve.  Each computed spectrum is checked against the exact
     one and replaced by it.
     """
+    if basis.frame is not None:
+        return basis.frame
     return JyFrame(basis.weight, tuple(_rotation_block(*block) for block in basis.jy_blocks))
 
 
@@ -686,8 +701,9 @@ def irrep_matrix(
 
     With real (a self-conjugate weight only), the image is the real
     orthogonal C pi(U) C^dagger in the real basis C with C^T C = J
-    (basis.real_basis): built without complex arithmetic at d = 2
-    (_real_image), taken there by _to_real_form at d >= 3.
+    (basis.real_basis), built without an n x n complex array: by two folds at
+    d = 2 (_real_image), by real products per pair of J-partner spans at
+    d >= 3 (_real_cs_image).
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (basis.d, basis.d):
@@ -713,19 +729,22 @@ def irrep_matrix(
         P = np.exp(-1j * alpha * basis.m)[:, None] * R
         P *= np.exp(-1j * gamma * basis.m)
         return P
+    left, right = (_subgroup_image(basis, L, table)
+                   for L, table in zip((factors.left, factors.right), factors.shape_images))
+    if real:
+        return _real_cs_image(basis, frame, factors.beta, left, right)
     # R is built in P's real part; each span's rows of R serve only that
     # span's rows of pi(K1) R, made from a copy of them as (Re A) R + i (Im A) R
     P = np.zeros((n, n), dtype=np.complex128)
     R = _rotation(frame, P.real, factors.beta)
-    left, right = factors.shape_images
     spans = basis.spans.tolist()  # Python ints slice faster than numpy ones
-    for (s, e), A in zip(spans, _subgroup_image(basis, factors.left, left)):
+    for (s, e), A in zip(spans, left):
         slab = np.ascontiguousarray(R[s:e])
         P[s:e].real = A.real @ slab
         P[s:e].imag = A.imag @ slab
-    for (s, e), B in zip(spans, _subgroup_image(basis, factors.right, right)):
+    for (s, e), B in zip(spans, right):
         P[:, s:e] = P[:, s:e] @ B
-    return _to_real_form(basis.real_basis, P) if real else P
+    return P
 
 
 def _rotation(frame: JyFrame, R: np.ndarray, beta: float) -> np.ndarray:
@@ -774,8 +793,14 @@ def _real_fold(n: int) -> tuple:
     a = np.where(r < n // 2, (-1.0) ** r, 1.0) * sqrt(0.5)
     b = np.where(r < n // 2, a, -a)
     a[n // 2], b[n // 2] = (-1.0) ** (n // 2), 0.0
-    probe = np.cos(1.0 + 2.0 * r)  # any fixed vector; this one has no symmetry in r <-> r'
-    return a, b, probe / np.linalg.norm(probe)
+    return a, b, _probe(n)
+
+
+def _probe(n: int) -> np.ndarray:
+    """A fixed unit vector of dimension n for the orthogonality probe of a
+    real image; any will do, and this one has no symmetry in r <-> n-1-r."""
+    probe = np.cos(1.0 + 2.0 * np.arange(n))
+    return probe / np.linalg.norm(probe)
 
 
 def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
@@ -813,17 +838,23 @@ def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np
         T = Q[::-1] * B[1, :, None]
         Q *= A[1, :, None]
         Q += T
-    y = R @ probe
-    err = max(abs(y @ y - 1.0), abs(np.trace(R) - trace), abs(imag))
-    if not err <= 1e-9:
-        raise AssertionError(f"real image fails its probe by {err:.3e}")
+    _check_probe(R, probe, abs(np.trace(R) - trace), abs(imag))
     return R
 
 
+def _check_probe(O: np.ndarray, probe: np.ndarray, *errs: float) -> None:
+    """Raise unless the real image O is orthogonal on the probe and every
+    other error given is roundoff too."""
+    y = O @ probe
+    err = max((abs(y @ y - 1.0), *errs))
+    if not err <= 1e-9:
+        raise AssertionError(f"real image fails its probe by {err:.3e}")
+
+
 def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
-    """(u, v, alpha, beta, lead) with row k of C equal to alpha[k] e_u[k] +
+    """(u, v, alpha, beta) with row k of C equal to alpha[k] e_u[k] +
     beta[k] e_v[k], for the unitary C with C^T C = J, J e_i = sign[i]
-    e_perm[i]; lead holds each u once, ascending.
+    e_perm[i].
 
     J is a symmetric signed permutation with J^2 = I: a fixed point with sign s
     gets the row phi e_i, a swapped pair i < q with common sign s the rows
@@ -836,39 +867,91 @@ def _real_form_map(perm: np.ndarray, sign: np.ndarray) -> tuple:
     first = k < perm
     alpha = np.where(first | fixed, r, 1j * r)
     beta = np.where(fixed, 0.0, np.where(first, r, -1j * r))
-    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta, np.flatnonzero(k <= perm)
+    return np.minimum(k, perm), np.maximum(k, perm), alpha, beta
 
 
-def _to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
-    """Re(C P C^dagger) for C from _real_form_map, in O(n^2); P is overwritten.
+def _real_pairs(perm: np.ndarray, sign: np.ndarray, spans: np.ndarray) -> tuple:
+    """(pairs, probe), the real basis of a self-conjugate weight at d >= 3 as
+    _real_cs_image reads it; probe is a fixed unit vector.
 
-    conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
-    is checked to be roundoff.  C's rows mix the rows of P pair by pair, so
-    Y = C P is folded in place, a slab of pairs at a time; the columns of
-    Y C^dagger go a slab at a time into the real result.
+    J maps each span onto a span of the same shape (it reflects row d-1),
+    so the rows of C (_real_form_map) on a span s and its partner J(s) mix
+    only their GT vectors.  pairs holds (idx, parts, at, vals) for each set
+    s u J(s), in order of its first span: idx its GT indices, span by span;
+    parts the index of s, and of J(s) where it is another span; and the
+    nonzeros of C restricted to idx x idx, vals at the flat positions at.
     """
-    u, v, alpha, beta, lead = form
-    step = rows_per_tile(len(P))
-    for i in range(0, lead.size, step):
-        first = lead[i : i + step]
-        X, Z = P[first], P[v[first]]  # rows closed under the pairing
-        for k in (first, v[first]):
-            Y = X * alpha[k, None]
-            Y += Z * beta[k, None]
-            P[k] = Y
-    H = np.empty(P.shape)
-    for i in range(0, len(P), step):
-        cols = slice(i, i + step)
-        Y = P[:, u[cols]]
-        Y *= alpha[cols].conj()
-        T = P[:, v[cols]]
-        T *= beta[cols].conj()
-        Y += T
-        imag = float(np.abs(Y.imag).max())
-        if not imag <= 1e-10:
-            raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
-        H[:, cols] = Y.real
-    return H
+    start, stop = spans.T
+    span_at = np.repeat(np.arange(len(spans)), stop - start)
+    partner = span_at[perm[start]]
+    if not np.array_equal(span_at[perm], partner[span_at]):  # J is an involution, checked
+        raise AssertionError("the real structure does not map spans onto spans")
+    u, v, alpha, beta = _real_form_map(perm, sign)
+    loc = np.empty(len(perm), dtype=np.intp)  # each GT index's position in its set's idx
+    pairs = []
+    for i, p in enumerate(partner.tolist()):
+        if p < i:
+            continue
+        parts = (i,) if p == i else (i, p)
+        idx = np.concatenate([np.arange(start[k], stop[k]) for k in parts])
+        r = loc[idx] = np.arange(idx.size)
+        C = np.zeros((idx.size, idx.size), dtype=np.complex128)
+        C[r, loc[u[idx]]] = alpha[idx]
+        C[r, loc[v[idx]]] += beta[idx]  # 0 on a fixed point's row
+        at = np.flatnonzero(C)
+        pairs.append((idx, parts, at, C.ravel()[at]))
+    return tuple(pairs), _probe(len(perm))
+
+
+def _real_cs_image(basis: GTBasis, frame: JyFrame, beta: float, left: list,
+                   right: list) -> np.ndarray:
+    """C pi(U) C^dagger at d >= 3, pi(U) = pi(K1) R pi(K2) with R =
+    pi(Ry(beta)) and left, right the span blocks of pi(K1), pi(K2), in real
+    arithmetic, folded in place in R.
+
+    C pi(K) C^dagger is real (pi(K) meets conj(pi(K)) = J pi(K) J^T like
+    any image) and block diagonal over the sets s u J(s) of real_basis.  R
+    is real and commutes with J, so C R C^dagger is real too, and equals
+    G R G^T for the real G = Re C + Im C: each row of C is 1, i or -1 times
+    a real row, and the entries between rows of phase 1 and i vanish.  So
+    the image is L R Rr with L = (C pi(K1) C^dagger) G and Rr =
+    G^T (C pi(K2) C^dagger), block diagonal like C pi(K) C^dagger: one
+    real product per set on R's rows, then one on its columns.  Each
+    set's C pi(K) C^dagger is checked to be real (imaginary part at most
+    1e-10), and the result orthogonal on a fixed probe vector.
+    """
+    pairs, probe = basis.real_basis
+    n = basis.dim
+    R = _rotation(frame, np.zeros((n, n)), beta)
+    cols = []
+    for idx, parts, at, vals in pairs:
+        C = np.zeros((idx.size, idx.size), dtype=np.complex128)
+        np.put(C, at, vals)
+        G = C.real + C.imag
+        ML, MR = _pair_blocks(C, [(left[k], right[k]) for k in parts])
+        R[idx] = (ML @ G) @ R[idx]
+        cols.append(G.T @ MR)
+    for (idx, _, _, _), Rr in zip(pairs, cols):
+        R[:, idx] = R[:, idx] @ Rr
+    _check_probe(R, probe)
+    return R
+
+
+def _pair_blocks(C: np.ndarray, blocks: list) -> np.ndarray:
+    """C X C^dagger for X the block diagonal of the left and of the right
+    blocks, (left, right) per span, checked to be real: conj(X) = J X J^T,
+    which every pi(K) meets, makes it so."""
+    if len(blocks) == 1:
+        X = np.stack(blocks[0])
+    else:
+        b = len(blocks[0][0])
+        X = np.zeros((2, *C.shape), dtype=np.complex128)
+        X[:, :b, :b], X[:, b:, b:] = blocks
+    M = C @ X @ C.conj().T
+    imag = float(np.abs(M.imag).max())
+    if not imag <= 1e-10:
+        raise AssertionError(f"a real-form pair block keeps an imaginary part {imag:.3e} > 1e-10")
+    return M.real
 
 
 _SHAPE_LOCK = threading.Lock()  # serializes the filling of GateFactors.shape_images

@@ -21,7 +21,9 @@ distance between two unitaries, from the eigenphases of g^dagger h.
 generator_images holds every E_ab of a basis as a sparse matrix, rebuilt
 from its arrays.  reference_basis is the tuple-based GT construction, pattern
 by pattern, that the array builder of gapforge.irrep must reproduce bit for
-bit, and reference_shape_generators its shape images.
+bit, and reference_shape_generators its shape images.  to_real_form takes a
+complex image to the real basis C with C^T C = J by the O(n^2) index map of
+C's rows, the reference for irrep_matrix(real=True).
 """
 
 import functools
@@ -49,9 +51,12 @@ from gapforge.gates import (
 )
 from gapforge.irrep import (
     GTBasis,
+    JyFrame,
     _block_inputs,
     _real_fold,
     _real_form_map,
+    _probe,
+    _rotation_block,
     _schur_unitary,
 )
 from gapforge.weightlat import (
@@ -238,6 +243,40 @@ def exp_image(basis: GTBasis, U: np.ndarray) -> np.ndarray:
     H = 0.5 * (H + H.conj().T)
     w, W = np.linalg.eigh(H)
     return (W * np.exp(1j * w)) @ W.conj().T
+
+
+def to_real_form(form: tuple, P: np.ndarray) -> np.ndarray:
+    """Re(C P C^dagger) for C = (u, v, alpha, beta) from irrep._real_form_map,
+    in O(n^2); P is overwritten.
+
+    conj(P) = J P J^T makes C P C^dagger real; the discarded imaginary part
+    is checked to be roundoff.  C's rows mix the rows of P pair by pair, so
+    Y = C P is folded in place, a slab of pairs at a time; the columns of
+    Y C^dagger go a slab at a time into the real result.
+    """
+    u, v, alpha, beta = form
+    lead = np.flatnonzero(u == np.arange(len(u)))  # each u once, ascending
+    step = max(1, (1 << 15) // len(P))
+    for i in range(0, lead.size, step):
+        first = lead[i : i + step]
+        X, Z = P[first], P[v[first]]  # rows closed under the pairing
+        for k in (first, v[first]):
+            Y = X * alpha[k, None]
+            Y += Z * beta[k, None]
+            P[k] = Y
+    H = np.empty(P.shape)
+    for i in range(0, len(P), step):
+        cols = slice(i, i + step)
+        Y = P[:, u[cols]]
+        Y *= alpha[cols].conj()
+        T = P[:, v[cols]]
+        T *= beta[cols].conj()
+        Y += T
+        imag = float(np.abs(Y.imag).max())
+        if not imag <= 1e-10:
+            raise AssertionError(f"real form keeps an imaginary part {imag:.3e} > 1e-10")
+        H[:, cols] = Y.real
+    return H
 
 
 def spectral_norm(A: np.ndarray) -> float:
@@ -439,7 +478,9 @@ def reference_basis(weight: Weight) -> dict:
     """The fields of build_basis(weight), by pattern: patterns enumerated
     recursively as tuples and looked up in a dict, amplitudes pattern by
     pattern in Python integers, the real structure's signs by a sweep along
-    raising edges, the Jy sets and the spans grouped pattern by pattern."""
+    raising edges, the Jy sets, the spans and the J-partner spans of the
+    real basis grouped pattern by pattern.  At d >= 3 the frame is solved
+    from the Jy sets' inputs by irrep._rotation_block."""
     d = weight.d
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
@@ -465,6 +506,7 @@ def reference_basis(weight: Weight) -> dict:
             sign[i] = -sign[up[i]]
         real = perm, np.asarray(sign)
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
+    real_basis = None if real is None or d > 2 else _real_fold(n)
 
     p = pw[:, d - 1] - pw[:, d - 1].min()
     sets: dict = {}
@@ -495,17 +537,48 @@ def reference_basis(weight: Weight) -> dict:
             shape_of.append((first_use.setdefault(shape, len(first_use)),
                              rows[s][-1] - shift, int(pw[s, d - 1])))
         shapes = tuple((shape, reference_shape_generators(shape)[0]) for shape in first_use)
+        if real is not None:
+            real_basis = _reference_real_pairs(real, spans)
         spans = np.array(spans, dtype=np.intp)
         shape_of = np.array(shape_of, dtype=np.int64)
+    frame = None
+    if d > 2:
+        frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
     return {
         "patterns": np.array([_flat(p) for p in patterns], dtype=np.int64),
         "pattern_weights": pw,
         "amplitudes": tuple(amplitudes),
         "real_structure": real,
-        "real_basis": None if real is None else _real_fold(n) if d == 2 else _real_form_map(*real),
+        "real_basis": real_basis,
         "m": m,
-        "jy_blocks": tuple(jy_blocks),
+        "jy_blocks": tuple(jy_blocks) if d == 2 else None,
+        "frame": frame,
         "spans": spans,
         "shapes": shapes,
         "shape_of": shape_of,
     }
+
+
+def _reference_real_pairs(real: tuple, spans: list) -> tuple:
+    """GTBasis.real_basis at d >= 3, span by span: each span with the span
+    that holds the reflection of its first pattern, and C (the rows of
+    irrep._real_form_map) on their GT indices, entry by entry."""
+    perm = real[0]
+    u, v, alpha, beta = _real_form_map(*real)
+    span_of = {i: k for k, (s, e) in enumerate(spans) for i in range(s, e)}
+    pairs = []
+    for k, (s, _) in enumerate(spans):
+        q = span_of[int(perm[s])]
+        if q < k:
+            continue
+        parts = (k,) if q == k else (k, q)
+        idx = [i for part in parts for i in range(*spans[part])]
+        pos = {g: a for a, g in enumerate(idx)}
+        C = np.zeros((len(idx), len(idx)), dtype=np.complex128)
+        for a, g in enumerate(idx):
+            assert span_of[int(perm[g])] in parts
+            C[a, pos[int(u[g])]] = alpha[g]
+            C[a, pos[int(v[g])]] += beta[g]
+        at = np.flatnonzero(C)
+        pairs.append((np.array(idx, dtype=np.intp), parts, at, C.ravel()[at]))
+    return tuple(pairs), _probe(len(perm))

@@ -2,11 +2,14 @@ import dataclasses
 import itertools
 import json
 import os
+import subprocess
 import sys
 import tempfile
+import textwrap
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +47,7 @@ from gapforge.gates import (
     save_gateset,
     squared_set,
 )
-from gapforge.irrep import JyFrame, _to_real_form, cached_basis, gate_factors, irrep_matrix
+from gapforge.irrep import JyFrame, cached_basis, gate_factors, irrep_matrix
 from gapforge.lapack import certify_norm_below
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
@@ -235,14 +238,15 @@ class TestSubsetNorms:
         assert all(rep.per_weight_norms[w] == v for w, v in fired)
 
     def test_cached_bases_hold_no_dense_square_array(self):
-        # each pass builds a Jy frame per weight (dense at d = 2); it must go
-        # with the weight, not into the basis cache (1.4 GB over all weights at t0)
-        cached = []
+        # at d = 2 each pass builds a Jy frame per weight (dense, n^2 / 2); it
+        # must go with the weight, not into the basis cache (1.4 GB over all
+        # weights at t0).  At d = 3 the basis keeps its frame, which is small
+        cached = {}
         for d, t in ((2, 12), (3, 5)):
             gs = haar_random_gateset(d, 3, seed=1729)
             weights, _ = subset_norms(gs, t, [(0, 1, 2), (0, 1)])
             reps = gapforge.avgop._representatives(weights)  # the weights a pass looks up
-            cached += [gapforge.irrep._CACHE[w.entries] for w in reps]
+            cached[d] = [gapforge.irrep._CACHE[w.entries] for w in reps]
 
         def dense_squares(obj, n):
             if isinstance(obj, np.ndarray):
@@ -255,9 +259,40 @@ class TestSubsetNorms:
                 return [x for item in obj for x in dense_squares(item, n)]
             return []
 
-        for b in cached:
+        def held_bytes(obj):  # each buffer once: the frame's grids are views
+            stack, buffers = [obj], {}
+            while stack:
+                x = stack.pop()
+                if isinstance(x, np.ndarray):
+                    base = x if x.base is None else x.base
+                    buffers[id(base)] = base.nbytes
+                elif isinstance(x, JyFrame):
+                    stack.append(x.blocks)
+                elif isinstance(x, (list, tuple)):
+                    stack.extend(x)
+            return sum(buffers.values())
+
+        for b in cached[2]:
             fields = [getattr(b, f.name) for f in dataclasses.fields(b)]
             assert dense_squares(fields, b.dim) == [], b.weight
+        for b in cached[3]:
+            assert isinstance(b.frame, JyFrame)
+            assert held_bytes(b.frame) <= 300 * b.dim, b.weight
+            fields = [getattr(b, f.name) for f in dataclasses.fields(b) if f.name != "frame"]
+            assert dense_squares(fields + [b.frame.blocks], b.dim) == [], b.weight
+
+    def test_second_d3_pass_solves_no_frame(self, monkeypatch):
+        # at d >= 3 the frame is solved with the basis, once per process
+        gs = haar_random_gateset(3, 2, seed=1729)
+        subset_norms(gs, 4, [(0, 1)])
+        calls = []
+        solve = gapforge.irrep._rotation_block
+        monkeypatch.setattr(gapforge.irrep, "_rotation_block",
+                            lambda *a: calls.append(1) or solve(*a))
+        first = subset_norms(gs, 4, [(0, 1)])
+        assert calls == []
+        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+        assert subset_norms(gs, 4, [(0, 1)]) == first and calls  # fresh bases do solve
 
     @pytest.mark.parametrize("d, t", [(2, 6), (3, 3)])
     def test_passes_write_nothing_into_cached_bases(self, d, t, monkeypatch):
@@ -302,12 +337,46 @@ class TestSubsetNorms:
         assert kinds == {(1, np.dtype(np.float64)), (0, np.dtype(np.complex128))}
 
     def test_real_form_rejects_a_complex_remainder(self):
+        # a U(2) shape image times e^{0.3i} breaks conj(pi(K)) = J pi(K) J^T
+        # on every pair of J-partner spans of that shape
         b = cached_basis(Weight((1, 0, -1)))
-        P = irrep_matrix(b, _haar_unitary(3, np.random.default_rng(4)))
-        R = _to_real_form(b.real_basis, P.copy())  # it overwrites P
-        assert R.dtype == np.float64
-        with pytest.raises(AssertionError, match="imaginary part"):
-            _to_real_form(b.real_basis, P * np.exp(0.3j))  # breaks conj(P) = J P J^T
+        U = _haar_unitary(3, np.random.default_rng(4))
+        assert irrep_matrix(b, U, real=True).dtype == np.float64
+        for side in (0, 1):
+            f = gate_factors(U)
+            irrep_matrix(b, U, factors=f, real=True)  # fills both shape tables
+            table = f.shape_images[side]
+            shape = next(iter(table))
+            table[shape] = table[shape] * np.exp(0.3j)
+            with pytest.raises(AssertionError, match="imaginary part"):
+                irrep_matrix(b, U, factors=f, real=True)
+
+    def test_real_form_check_survives_python_O(self):
+        # the same corruption, for every U(2) shape of (2, 0, -2), under -O
+        script = textwrap.dedent("""
+            import numpy as np
+            from gapforge.gates import _haar_unitary
+            from gapforge.irrep import cached_basis, gate_factors, irrep_matrix
+            from gapforge.weightlat import Weight
+
+            assert False, "assert statements must be stripped here"
+            b = cached_basis(Weight((2, 0, -2)))
+            U = _haar_unitary(3, np.random.default_rng(4))
+            f = gate_factors(U)
+            irrep_matrix(b, U, factors=f, real=True)
+            left = f.shape_images[0]
+            for shape in left:
+                left[shape] = left[shape] * np.exp(0.3j)
+            try:
+                irrep_matrix(b, U, factors=f, real=True)
+            except AssertionError as exc:
+                print(exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(gapforge.avgop.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("a real-form pair block keeps an imaginary part")
 
 
 class TestLargeBlocks:
@@ -351,7 +420,7 @@ class TestLargeBlocks:
         assert np.array_equal(B, B.conj().T)
 
     @pytest.mark.parametrize("entries, certify, budget", [
-        ((8, 0, -8), False, 6.0),  # n = 729, real form
+        ((8, 0, -8), False, 3.5),  # n = 729, real form
         ((8, -1, -7), False, 6.0),  # n = 595, complex
         ((200, -200), True, 3.5),  # n = 401, certified
     ])

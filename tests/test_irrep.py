@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,7 +21,6 @@ from gapforge.irrep import (
     _product,
     _real_form_map,
     _shape_generators,
-    _to_real_form,
     build_basis,
     cached_basis,
     gate_factors,
@@ -37,6 +37,7 @@ from _oracles import (
     generator_images,
     reference_basis,
     reference_shape_generators,
+    to_real_form,
     weyl_character,
 )
 
@@ -102,12 +103,16 @@ class TestBasisStructure:
 
 
 def _assert_same(got, want, where=""):
-    """Bit for bit: arrays of one dtype, shape and bytes; tuples, lists and
-    other values element by element."""
+    """Bit for bit: arrays of one dtype, shape and bytes; tuples, lists,
+    dataclasses and other values element by element."""
     if isinstance(got, np.ndarray) or isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray) and isinstance(want, np.ndarray), where
         assert (got.dtype, got.shape) == (want.dtype, want.shape), where
         assert got.tobytes() == want.tobytes(), where
+    elif dataclasses.is_dataclass(want):
+        assert type(got) is type(want), where
+        for f in dataclasses.fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
     elif isinstance(want, (tuple, list)):
         assert type(got) is type(want) and len(got) == len(want), where
         for i, (g, w) in enumerate(zip(got, want)):
@@ -449,7 +454,7 @@ class TestEulerImage:
                 worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame) - want).max()))
                 real = irrep_matrix(b, U, frame=frame, real=True)
                 worst_real = max(worst_real,
-                                 float(np.abs(real - _to_real_form(form, want)).max()))
+                                 float(np.abs(real - to_real_form(form, want)).max()))
         print(f"max |euler - exp| over j = 495..509: {worst:.3e}, real form {worst_real:.3e}")
         assert worst <= 1e-12
         assert worst_real <= 3e-13
@@ -471,19 +476,25 @@ class TestRealImage:
                 U = np.asarray(U, dtype=np.complex128)
                 got = irrep_matrix(b, U, frame=frame, real=True)
                 assert got.dtype == np.float64
-                want = _to_real_form(form, irrep_matrix(b, U, frame=frame))
+                want = to_real_form(form, irrep_matrix(b, U, frame=frame))
                 worst = max(worst, float(np.abs(got - want).max()))
         assert worst <= 1e-13
 
-    @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (1, 0, 0, -1)])
+    @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (1, 0, 0, -1), (2, 0, 0, -2),
+                                         (8, 0, -8)])
     def test_matches_the_real_form_of_the_exp_path_at_d3_d4(self, entries):
+        # (8, 0, -8), n = 729, is gap-d3's largest weight; the middle span of
+        # (2, 0, 0, -2) is its own J-partner, so C mixes vectors within it
         b = cached_basis(Weight(entries))
         d = b.d
+        if entries == (2, 0, 0, -2):
+            pairs, _ = b.real_basis
+            assert (len(b.spans) // 2,) in [parts for _, parts, _, _ in pairs]
         form = _real_form_map(*b.real_structure)
         for U in [rand_unitary(d, seed) for seed in (54, 55)] + _degenerate_cs_gates(d, 56):
             got = irrep_matrix(b, U, real=True)
             assert got.dtype == np.float64
-            assert np.abs(got - _to_real_form(form, exp_image(b, U))).max() <= 1e-12
+            assert np.abs(got - to_real_form(form, exp_image(b, U))).max() <= 1e-12
 
     def test_real_images_need_a_self_conjugate_weight(self):
         b = cached_basis(Weight((2, -1, -1)))
