@@ -51,6 +51,9 @@ def commands() -> list:
     for gates, eps0, t in (("d2k2.json", "0.1", 20), ("d2k3.json", "0.25", 8)):
         cmds.append(["bound", "--gates", gates, "--eps0", eps0, "--t-override", str(t),
                      "--threads", "2", "--no-progress"])
+    for gates, length in (("d2k2.json", 8), ("d3k2.json", 5), ("d2k2-one-sided.json", 6)):
+        cmds.append(["net-empirical", "--gates", gates, "--length", str(length), "--eps", "0.5",
+                     "--samples", "100", "--seed", "7"])
     cmds += [
         ["constants", "--table"],
         ["constants", "--table", "--format", "csv"],

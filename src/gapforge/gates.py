@@ -16,11 +16,12 @@ M = W^dagger T lie in a minimal arc of half-width a centred at c, then
 Re(e^{-ic} tr M) = sum_j cos(psi_j - c) >= d cos a, so with D = 2 sin(a / 2)
     D^2 = 2 - 2 cos a >= 2 - 2 |tr M| / d,
 with equality at d = 2.  |tr(W^dagger T)| = |<vec W, vec T>|, so one complex
-GEMM bounds a whole chunk of (word, target) pairs.  Each target first takes
-the exact D of its smallest-bound word; only words whose squared bound is
-within a rounding slack of the lowered best then get an exact D.  A pruned
-word has a computed D above best, so the minimum runs over the same
-floating-point values as an eigensolve of every pair, and is bit-identical.
+GEMM bounds a whole chunk of (word, target) pairs.  A pair gets an exact D
+only if its squared bound is within a rounding slack of the target's best:
+first each target's smallest-bound word, then the other words against the
+lowered best.  A pruned pair has a computed D above best, so the minimum runs
+over the same floating-point values as an eigensolve of every pair, and is
+bit-identical.
 """
 
 from __future__ import annotations
@@ -54,11 +55,12 @@ DET_SKIP_TOL = 1e-12  # skip det normalization when already special unitary
 
 WORD_CAP = 10_000_000  # default cap on enumerated words in empirical nets
 _BATCH = 65536  # (word, target) pairs per distance-scan chunk
-# Squared-units slack of the trace-bound prune.  The computed bound and the
-# computed D^2 each sit within about d^2 * 1e-16 of their exact values (a
-# d^2-term dot product of unit-size entries; the eigenphases of a unitary,
-# D <= 2), together under 1e-13 up to d = 30.  1e-9 leaves 1e4x headroom, so
-# no word whose computed D could reach best is pruned.
+# Squared-units slack of the trace-bound prune.  The bound computed from the
+# overlap |tr(W^dagger T)| and the computed D^2 each sit within about
+# d^2 * 1e-16 of their exact values (a d^2-term dot product of unit-size
+# entries; the eigenphases of a unitary, D <= 2), together under 1e-13 up to
+# d = 30.  1e-9 leaves 1e4x headroom, so no word whose computed D could reach
+# best is pruned.
 _PRUNE_SLACK = 1e-9
 
 
@@ -189,12 +191,19 @@ def load_gateset(path, repair: bool = False) -> GateSet:
     return make_gateset(d, raw, symmetric=symmetric, repair=repair)
 
 
+def _haar_unitaries(d: int, n: int, rng) -> np.ndarray:
+    """n Haar-distributed U(d) samples, shape (n, d, d): QR with phase
+    correction.  One draw of n (real, imaginary) pairs and one stacked QR
+    take the same random stream, bit for bit, as n draws of one."""
+    g = rng.standard_normal((n, 2, d, d))
+    Q, R = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[:, None, :]
+
+
 def _haar_unitary(d: int, rng) -> np.ndarray:
-    """Haar-distributed U(d) sample (QR with phase correction)."""
-    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    Q, R = np.linalg.qr(Z / np.sqrt(2.0))
-    ph = np.diag(R) / np.abs(np.diag(R))
-    return Q * ph
+    """One Haar-distributed U(d) sample."""
+    return _haar_unitaries(d, 1, rng)[0]
 
 
 def haar_random_gateset(d: int, k: int, seed: int, symmetric: bool = True) -> GateSet:
@@ -248,9 +257,16 @@ def empirical_net(
     """Covering check: fraction of Haar samples within eps of a word of
     length <= `length` over the symmetric set.
 
-    Words are enumerated breadth-first with immediate-inverse pruning, so the
-    word list is free of the trivial g g^-1 cancellations but may still repeat
-    group elements for sets with relations.
+    Every word of length <= `length` over the 2k letters with no letter next
+    to its inverse is enumerated, breadth-first: free of the trivial g g^-1
+    cancellations, but it may still repeat group elements for sets with
+    relations.  The Haar targets come from one draw of the seeded generator.
+    Each level is made a window of _BATCH // samples words at a time and each
+    window is scanned as it is made; a level is held only while the next one
+    is built from it, so the deepest level, about (2k - 2) / (2k - 1) of all
+    words, is never held.  In each window a (word, target) pair gets an exact
+    D only if its trace bound can still lower the target's best (module
+    docstring); the result is that of an exact D for every pair, bit for bit.
     """
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}")
@@ -275,20 +291,16 @@ def empirical_net(
         return NetEstimate(length, float(eps), 0, 1.0, 0.0)
 
     rng = np.random.default_rng(seed)
-    targets = np.stack([_haar_unitary(gs.d, rng) for _ in range(samples)])
+    targets = _haar_unitaries(gs.d, samples, rng)
     best = np.full(samples, np.inf)
 
-    # BFS over words; level arrays carry (word matrix, last letter index)
-    d = gs.d
-    level_mats = np.eye(d, dtype=np.complex128)[None, :, :]
-    level_last = np.array([-1])
-    _scan_words(level_mats, targets, best)
-    for _ in range(length):
-        next_mats, next_last = _extend_level(level_mats, level_last, mats, k)
-        if next_mats.shape[0] == 0:
-            break
-        _scan_words(next_mats, targets, best)
-        level_mats, level_last = next_mats, next_last
+    # BFS over words; a level is (word matrices, last letter index)
+    level = np.eye(gs.d, dtype=np.complex128)[None, :, :]
+    last = np.array([-1])
+    _scan_words(level, targets, best)
+    for depth in range(1, length + 1):
+        level, last = _scan_next_level(level, last, mats, k, targets, best,
+                                       hold=depth < length)
 
     covered = float(np.mean(best <= eps))
     return NetEstimate(
@@ -300,30 +312,40 @@ def empirical_net(
     )
 
 
-def _extend_level(level_mats, level_last, mats, k):
-    """Append every non-backtracking letter to every word in the level."""
+def _scan_next_level(level, last, mats, k, targets, best, hold):
+    """Scan every non-backtracking one-letter extension of the level's words.
+
+    The words are made letter by letter into windows of one scan chunk, and
+    each window is scanned as soon as it is full.  With `hold` the windows
+    tile one array, returned with the last letters as the next level;
+    without it one window is reused, so the level is never held, and
+    (None, None) is returned."""
     n_letters = mats.shape[0]
-    out_mats = []
-    out_last = []
+    inverse = (np.arange(n_letters) + k) % n_letters
+    counts = [np.count_nonzero(last != inv) for inv in inverse]
+    step = max(1, _BATCH // targets.shape[0])
+    size = sum(counts) if hold else min(sum(counts), step)
+    out = np.empty((size,) + level.shape[1:], dtype=np.complex128)
+    start = pos = 0  # out[start:pos] is made and not yet scanned
     for letter in range(n_letters):
-        inverse_letter = (letter + k) % n_letters
-        keep = level_last != inverse_letter
-        if not np.any(keep):
-            continue
-        prod = np.einsum("nab,bc->nac", level_mats[keep], mats[letter])
-        out_mats.append(prod)
-        out_last.append(np.full(prod.shape[0], letter))
-    if not out_mats:
-        return np.empty((0,) + level_mats.shape[1:], dtype=np.complex128), np.empty(0, int)
-    return np.concatenate(out_mats), np.concatenate(out_last)
+        (rows,) = np.nonzero(last != inverse[letter])
+        while rows.size:
+            take = min(rows.size, start + step - pos)
+            np.einsum("nab,bc->nac", level[rows[:take]], mats[letter],
+                      out=out[pos : pos + take])
+            rows, pos = rows[take:], pos + take
+            if pos - start == step:
+                _scan_words(out[start:pos], targets, best)
+                start = pos = pos if hold else 0
+    _scan_words(out[start:pos], targets, best)
+    return (out, np.repeat(np.arange(n_letters), counts)) if hold else (None, None)
 
 
-def _trace_bound_sq(words, targets) -> np.ndarray:
-    """(words, targets) array of 2 - 2 |tr(W^dagger T)| / d <= D(W, T)^2,
-    one complex GEMM: tr(W^dagger T) = <vec W, vec T>."""
+def _trace_overlaps(targets, words) -> np.ndarray:
+    """(targets, words) array of |tr(W^dagger T)| = |<vec T^*, vec W^*>|,
+    one complex GEMM; D(W, T)^2 >= 2 - 2 |tr(W^dagger T)| / d."""
     n, d = words.shape[0], words.shape[-1]
-    tr = words.reshape(n, d * d).conj() @ targets.reshape(-1, d * d).T
-    return 2.0 - (2.0 / d) * np.abs(tr)
+    return np.abs(targets.reshape(-1, d * d).conj() @ words.reshape(n, d * d).T)
 
 
 def _pair_distances(words, targets) -> np.ndarray:
@@ -335,15 +357,27 @@ def _pair_distances(words, targets) -> np.ndarray:
 def _scan_words(words, targets, best) -> None:
     """Tighten best[s] = min(best[s], min_w D(w, target_s)) over the words.
 
-    Chunks of at most _BATCH (word, target) pairs.  In each, every target
-    first takes the exact D of its smallest-bound word; then only the words
-    whose trace bound can reach the lowered best get an exact D.
+    Chunks of at most _BATCH (word, target) pairs.  In each, a target first
+    takes the exact D of its largest-overlap word, if that word's bound can
+    reach its best; then only the other words whose bound can reach the
+    lowered best get an exact D.
     """
-    step = max(1, _BATCH // targets.shape[0])
+    n_targets, d = targets.shape[0], targets.shape[-1]
+    rows = np.arange(n_targets)
+    step = max(1, _BATCH // n_targets)
+
+    def reach():
+        # 2 - 2 overlap / d <= best^2 + slack: the overlap a word needs
+        return 0.5 * d * (2.0 - best * best - _PRUNE_SLACK)
+
     for lo in range(0, words.shape[0], step):
         chunk = words[lo : lo + step]
-        bound_sq = _trace_bound_sq(chunk, targets)
-        first = bound_sq.argmin(axis=0)
-        np.minimum(best, _pair_distances(chunk[first], targets), out=best)
-        w, s = np.nonzero(bound_sq <= best * best + _PRUNE_SLACK)
-        np.minimum.at(best, s, _pair_distances(chunk[w], targets[s]))
+        overlap = _trace_overlaps(targets, chunk)
+        first = overlap.argmax(axis=1)
+        (s,) = np.nonzero(overlap[rows, first] >= reach())
+        if s.size:
+            best[s] = np.minimum(best[s], _pair_distances(chunk[first[s]], targets[s]))
+            overlap[s, first[s]] = -np.inf  # their exact D is in best already
+        s, w = np.divmod(np.flatnonzero(overlap >= reach()[:, None]), chunk.shape[0])
+        if s.size:
+            np.minimum.at(best, s, _pair_distances(chunk[w], targets[s]))

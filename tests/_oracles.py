@@ -13,8 +13,11 @@ matrix, and exp_image the image of a gate by the eigendecomposition of its
 logarithm's image, the reference for irrep_matrix at every d.
 spectral_norm is the largest singular value of a block, Hermitian or not, and
 squared_blocks_gap the gap of the convolution square from explicit B^dagger B
-products.  brute_force_scan and brute_force_net are empirical_net's scan
-without the trace-bound prune: an eigensolve for every (word, target) pair.
+products.  lps_exact_norms gives the block norms of the
+Lubotzky-Phillips-Sarnak V-gates at small j in exact arithmetic.
+brute_force_scan and brute_force_net are empirical_net's scan without the
+trace-bound prune: an eigensolve for every (word, target) pair, over whole
+BFS levels that extend_level builds in one piece.
 weyl_character is the character of an irrep from the eigenphases of a group
 element, by the Weyl character formula.  pu_distance is the projective
 distance between two unitaries, from the eigenphases of g^dagger h.
@@ -43,7 +46,6 @@ from gapforge.gates import (
     GateSet,
     NetEstimate,
     _BATCH,
-    _extend_level,
     _haar_unitary,
     _projective_distance,
     check_unitary,
@@ -291,12 +293,71 @@ def squared_blocks_gap(gs, t: int) -> float:
     return 1.0 - max(spectral_norm(B.conj().T @ B) for B in blocks)
 
 
+def lps_exact_norms(jmax: int) -> dict:
+    """{j: the largest |eigenvalue| of the LPS V-gates' averaging block} for
+    j = 1 .. jmax, in exact arithmetic (sympy, imported only by this call).
+
+    The six gates (I +- 2i sigma_a) / sqrt5 act on the homogeneous
+    polynomials of degree 2j in (x, y) by p(v) -> p(G^T v); in the monomial
+    basis x^(2j-m) y^m this is similar to pi_j.  Dropping the 1/sqrt5 scales
+    the image by 5^j, so each block is 1/(6 5^j) times a Gaussian-integer
+    matrix.  Its characteristic polynomial is factored over Q; a linear
+    factor gives an exact rational root, any other factor its real roots to
+    50 digits (mpmath, through sympy's nroots)."""
+    import sympy
+    from sympy.polys.domains import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    x, y, lam = sympy.symbols("x y lam")
+    i = sympy.I
+    sigma = ([[0, 1], [1, 0]], [[0, -i], [i, 0]], [[1, 0], [0, -1]])
+    gates = [[[int(r == c) + sign * 2 * i * s[r][c] for c in range(2)] for r in range(2)]
+             for s in sigma for sign in (1, -1)]
+    out = {}
+    for j in range(1, jmax + 1):
+        n = 2 * j + 1
+        total = [[QQ_I.zero] * n for _ in range(n)]
+        for (a, b), (c, d) in gates:
+            X = sympy.Poly(a * x + c * y, x, y, domain=QQ_I)
+            Y = sympy.Poly(b * x + d * y, x, y, domain=QQ_I)
+            for m in range(n):
+                for (_, ey), coef in (X ** (n - 1 - m) * Y ** m).terms():
+                    total[ey][m] += coef
+        block = DomainMatrix(total, (n, n), QQ_I) * QQ_I.convert(sympy.Rational(1, 6 * 5**j))
+        coeffs = block.charpoly()
+        # similar to a Hermitian block: the characteristic polynomial is real
+        assert all(c.y == 0 for c in coeffs)
+        charpoly = sympy.Poly([QQ.to_sympy(c.x) for c in coeffs], lam)
+        roots = []
+        for factor, _ in charpoly.factor_list()[1]:
+            if factor.degree() == 1:
+                roots.append(-factor.nth(0) / factor.nth(1))
+            else:
+                roots += factor.nroots(n=50, maxsteps=200)
+        out[j] = max(abs(r) for r in roots)
+    return out
+
+
 def brute_force_scan(words, targets, best) -> None:
     """best[s] = min(best[s], min_w D(w, target_s)), every pair eigensolved."""
     for s in range(targets.shape[0]):
         M = np.einsum("nba,bc->nac", words.conj(), targets[s])
         dist = _projective_distance(np.angle(np.linalg.eigvals(M)))
         best[s] = np.minimum(best[s], dist.min())
+
+
+def extend_level(level_mats, level_last, mats, k):
+    """The next BFS level in one piece: every non-backtracking letter
+    appended to every word of the level, letter by letter."""
+    n_letters = mats.shape[0]
+    out_mats = []
+    out_last = []
+    for letter in range(n_letters):
+        keep = level_last != (letter + k) % n_letters
+        prod = np.einsum("nab,bc->nac", level_mats[keep], mats[letter])
+        out_mats.append(prod)
+        out_last.append(np.full(prod.shape[0], letter))
+    return np.concatenate(out_mats), np.concatenate(out_last)
 
 
 def brute_force_net(gs: GateSet, length: int, eps: float, samples: int,
@@ -311,9 +372,7 @@ def brute_force_net(gs: GateSet, length: int, eps: float, samples: int,
     level_last = np.array([-1])
     brute_force_scan(level_mats, targets, best)
     for _ in range(length):
-        level_mats, level_last = _extend_level(level_mats, level_last, mats, gs.k)
-        if level_mats.shape[0] == 0:
-            break
+        level_mats, level_last = extend_level(level_mats, level_last, mats, gs.k)
         for lo in range(0, level_mats.shape[0], _BATCH):
             brute_force_scan(level_mats[lo : lo + _BATCH], targets, best)
     return NetEstimate(

@@ -21,6 +21,7 @@ from _oracles import (
     build_block_operator,
     convergence_profile,
     exp_image,
+    lps_exact_norms,
     spectral_norm,
     squared_blocks_gap,
 )
@@ -391,6 +392,17 @@ class TestLargeBlocks:
         assert max(norms.values()) >= bound - 1e-4
         for j, want in ((1, 1 / 15), (2, 37 / 75), (3, 43 / 75)):
             assert norms[Weight((j, -j))] == pytest.approx(want, abs=2e-15)
+
+    def test_lps_norms_match_exact_arithmetic(self, lps_gates):
+        # characteristic polynomials over Q(i) of the j <= 6 blocks
+        sympy = pytest.importorskip("sympy")
+        exact = lps_exact_norms(6)
+        for j, want in ((1, (1, 15)), (2, (37, 75)), (3, (43, 75))):
+            assert exact[j] == sympy.Rational(*want)
+        norms = gap_at_scale(lps_gates, 6).per_weight_norms
+        assert len(norms) == 6
+        for j, want in exact.items():
+            assert norms[Weight((j, -j))] == pytest.approx(float(want), abs=1e-14)
 
     def test_d3_norms_match_blocks_of_the_exp_path(self, haar_pair_d3):
         # (5, 0, -5), n = 216, in the real form; (6, -1, -5), n = 260, complex

@@ -11,21 +11,21 @@ from hypothesis import strategies as st
 
 import gapforge
 import gapforge.gates
-from _oracles import brute_force_net, brute_force_scan, pu_distance
+from _oracles import brute_force_net, brute_force_scan, extend_level, pu_distance
 from gapforge.avgop import universality_heuristic
 from gapforge.errors import DomainError, GateFileError, ResourceLimitError
 from gapforge.gates import (
     GateSet,
-    _extend_level,
     _pair_distances,
     _scan_words,
-    _trace_bound_sq,
+    _trace_overlaps,
     empirical_net,
     haar_random_gateset,
     load_gateset,
     make_gateset,
     save_gateset,
     squared_set,
+    _haar_unitaries,
     _haar_unitary,
 )
 
@@ -135,6 +135,22 @@ class TestHaarSampler:
         U = _haar_unitary(4, np.random.default_rng(3))
         phases = np.sort(np.angle(np.linalg.eigvals(U)))
         assert np.min(np.diff(phases)) > 1e-6
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_draw_is_the_stream_of_single_draws(self, d):
+        def one_draw(rng):  # a Ginibre matrix, its QR and the phase fix
+            Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            Q, R = np.linalg.qr(Z / np.sqrt(2.0))
+            return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+        rngs = [np.random.default_rng(40 + d) for _ in range(3)]
+        got = _haar_unitaries(d, 17, rngs[0])
+        assert np.array_equal(got, np.stack([_haar_unitary(d, rngs[1]) for _ in range(17)]))
+        assert np.array_equal(got, np.stack([one_draw(rngs[2]) for _ in range(17)]))
+        # the generator is left where single draws leave it
+        states = [r.bit_generator.state for r in rngs]
+        assert states[0] == states[1] == states[2]
+        assert np.array_equal(rngs[0].standard_normal(8), rngs[1].standard_normal(8))
 
 
 class TestPuDistance:
@@ -280,7 +296,7 @@ def _words(gs, length):
     level, last = np.eye(gs.d, dtype=np.complex128)[None], np.array([-1])
     out = [level]
     for _ in range(length):
-        level, last = _extend_level(level, last, mats, gs.k)
+        level, last = extend_level(level, last, mats, gs.k)
         out.append(level)
     return np.concatenate(out)
 
@@ -345,8 +361,8 @@ class TestNetMatchesBruteForce:
         assert np.array_equal(got, want)
 
     def test_exact_distances_only_for_words_that_can_win(self, monkeypatch):
-        # at d = 2 the bound is D^2 itself, so after each target's
-        # smallest-bound word only that word stays within the slack
+        # at d = 2 the bound is D^2 itself, so once each target has the exact
+        # D of its smallest-bound word, no other word is within the slack
         gs = haar_random_gateset(2, 2, seed=1729)
         words = _words(gs, 6)
         rng = np.random.default_rng(4)
@@ -361,10 +377,50 @@ class TestNetMatchesBruteForce:
         best = np.full(40, np.inf)
         _scan_words(words, targets, best)
         n_chunks = -(-words.shape[0] // (gapforge.gates._BATCH // 40))
-        assert sum(pairs) <= 2 * 40 * n_chunks + 40
+        assert sum(pairs) <= 40 * n_chunks
         want = np.full(40, np.inf)
         brute_force_scan(words, targets, want)
         assert np.array_equal(best, want)
+
+    @pytest.mark.parametrize("d, batch", [(2, 65536), (2, 500), (3, 65536), (3, 500)])
+    def test_no_exact_distance_that_cannot_lower_best(self, d, batch, monkeypatch):
+        # best is already the minimum: a pair whose bound exceeds best^2 plus
+        # the slack cannot lower it and must not be eigensolved
+        gs = haar_random_gateset(d, 2, seed=1729)
+        words = _words(gs, 5 if d == 2 else 4)
+        rng = np.random.default_rng(5)
+        targets = np.stack([_haar_unitary(d, rng) for _ in range(30)])
+        best = np.full(30, np.inf)
+        brute_force_scan(words, targets, best)
+        want = best.copy()
+        seen = []
+
+        def counted(w, t):
+            seen.append((w, t))
+            return _pair_distances(w, t)
+
+        monkeypatch.setattr(gapforge.gates, "_pair_distances", counted)
+        monkeypatch.setattr(gapforge.gates, "_BATCH", batch)
+        _scan_words(words, targets, best)
+        assert np.array_equal(best, want)
+        W = np.concatenate([w for w, _ in seen])
+        T = np.concatenate([t for _, t in seen])
+        s = np.array([np.flatnonzero((targets == t).all(axis=(1, 2)))[0] for t in T])
+        bound_sq = 2.0 - (2.0 / d) * np.abs(np.einsum("nab,nab->n", W.conj(), T))
+        assert np.all(bound_sq <= want[s] ** 2 + gapforge.gates._PRUNE_SLACK)
+
+    def test_deepest_level_never_held(self):
+        # words of length 10 alone, held as one array, are 78 732 x 64 bytes
+        import tracemalloc
+
+        gs = haar_random_gateset(2, 2, 7)
+        tracemalloc.start()
+        try:
+            empirical_net(gs, 10, 0.3, 100, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.4e6
 
     def test_memory_bounded_by_chunks(self):
         # one unchunked (words x targets) trace block at length 8 and 800
@@ -387,7 +443,8 @@ class TestTraceBound:
         rng = np.random.default_rng(d)
         words = np.stack([_haar_unitary(d, rng) for _ in range(60)])
         targets = np.stack([_haar_unitary(d, rng) for _ in range(50)])
-        bound = np.sqrt(np.maximum(_trace_bound_sq(words, targets), 0.0))
+        bound_sq = 2.0 - (2.0 / d) * _trace_overlaps(targets, words).T
+        bound = np.sqrt(np.maximum(bound_sq, 0.0))
         w, t = np.indices(bound.shape).reshape(2, -1)
         D = _pair_distances(words[w], targets[t]).reshape(bound.shape)
         assert np.all(bound <= D + 1e-13)
@@ -402,7 +459,7 @@ class TestTraceBound:
             w, V = np.linalg.eigh(G + G.conj().T)
             near.append(W @ (V * np.exp(1j * scale * w / np.abs(w).max())) @ V.conj().T)
         targets = np.stack(near)
-        bound = np.sqrt(np.maximum(_trace_bound_sq(words, targets).diagonal(), 0.0))
+        bound = np.sqrt(np.maximum(2.0 - _trace_overlaps(targets, words).diagonal(), 0.0))
         D = _pair_distances(words, targets)
         keep = D >= 1e-3
         assert keep.sum() > 350
