@@ -8,11 +8,12 @@
 The first form writes the gate files into a temporary directory (under fixed
 relative names, so the config echo does not depend on it), runs every command
 through gapforge.cli.main with an explicit thread count and prints
-{"argv", "exit", "stdout"} per command; stderr is discarded.  Two trees that
-compute the same numbers print the same bytes.  The second form compares two
-such outputs command by command: it prints each command whose stdout differs,
-with the JSON keys that moved and the largest absolute move of a numeric one,
-and exits 1 if any command differs.
+{"argv", "exit", "stdout"} per command; stderr is discarded.  The commands
+of FAILING, run last, are ones the CLI must refuse with their exit code.
+Two trees that compute the same numbers print the same bytes.  The second
+form compares two such outputs command by command: it prints each command
+whose stdout differs, with the JSON keys that moved and the largest absolute
+move of a numeric one, and exits 1 if any command differs.
 """
 
 import contextlib
@@ -30,6 +31,10 @@ GATE_FILES = {  # name: (d, k, seed, symmetric)
     "d4k2.json": (4, 2, 1729, True),
     "d2k2-one-sided.json": (2, 2, 11, False),
 }
+FAILING = [  # (argv, exit code) of the commands that must fail, run last
+    (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "nan",
+      "--samples", "10"], 2),
+]
 
 
 def commands() -> list:
@@ -61,7 +66,7 @@ def commands() -> list:
         ["weights", "--d", "3", "--t", "2"],
         ["weights", "--d", "2", "--t", "10", "--nontrivial", "--count-only"],
     ]
-    return cmds
+    return cmds + [argv for argv, _ in FAILING]
 
 
 def run() -> int:

@@ -268,7 +268,7 @@ def empirical_net(
     D only if its trace bound can still lower the target's best (module
     docstring); the result is that of an exact D for every pair, bit for bit.
     """
-    if eps <= 0:
+    if not eps > 0:  # NaN too
         raise DomainError(f"eps must be positive, got {eps}")
     if length < 0:
         raise DomainError(f"word length must be >= 0, got {length}")

@@ -93,20 +93,14 @@ _TILE = 1 << 15
 
 @dataclass(frozen=True)
 class GTBasis:
-    """Gelfand-Tsetlin basis of one irrep, with every gate-independent datum
-    of its images, in arrays: no Python object per pattern.  build_basis
-    fills every field and nothing writes to one afterwards, so threads share
-    a basis without locks.
+    """Gelfand-Tsetlin basis of one irrep, reduced to what its images read,
+    in arrays: no Python object per pattern.  build_basis fills every field
+    and nothing writes to one afterwards, so threads share a basis without
+    locks.
 
-    patterns: (dim, d(d-1)/2) int array, one GT pattern per row: its rows
-        d-1, .., 1 (row l has l entries) flattened, row d being the shifted
-        signature; in descending lexicographic order, a fixed convention that
-        makes every downstream matrix deterministic.
-    amplitudes: (rows, cols, vals) of each simple raising operator E_{l,l+1}:
-        E e_cols = vals e_rows, by column, then by raised entry.  E_{l+1,l}
-        is its transpose, E_aa diagonal (pattern weights + shift).
-    real_structure: (perm, sign) for a self-conjugate weight, with
-        J e_i = sign[i] e_perm[i] the real structure; None otherwise.
+    dim: the number of GT patterns, which index the basis in descending
+        lexicographic order (_patterns), a fixed convention that makes every
+        downstream matrix deterministic.
     real_basis: the rows of the real basis C with C^T C = J of a
         self-conjugate weight, None otherwise: (a, b, probe) at d = 2
         (_real_fold), (pairs, probe) at d >= 3 (_real_pairs).
@@ -129,11 +123,7 @@ class GTBasis:
     """
 
     weight: Weight
-    patterns: np.ndarray = field(repr=False)
-    amplitudes: tuple = field(repr=False)
-    shift: int
-    pattern_weights: np.ndarray = field(repr=False)  # (dim, d) int, unshifted
-    real_structure: tuple | None = field(repr=False)
+    dim: int
     real_basis: tuple | None = field(repr=False)
     m: np.ndarray = field(repr=False)
     jy_blocks: tuple | None = field(repr=False)
@@ -143,24 +133,23 @@ class GTBasis:
     shape_of: np.ndarray | tuple = field(repr=False)  # (shape index, r - shift, pw_d) per span
 
     @property
-    def dim(self) -> int:
-        return len(self.patterns)
-
-    @property
     def d(self) -> int:
         return self.weight.d
 
 
-def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
+def build_basis(weight: Weight) -> GTBasis:
     """Construct the GT basis of one weight.
 
-    Raises ResourceLimitError if the Weyl dimension exceeds dim_cap before
-    any pattern is materialized.
+    Its patterns (_patterns), their pattern weights, the amplitudes of the
+    simple raising operators (_amplitudes) and the real structure
+    (_real_structure) are built and checked here and dropped on return: the
+    basis keeps only what its images read.  Raises ResourceLimitError if the
+    Weyl dimension exceeds DIM_CAP before any pattern is materialized.
     """
     d = weight.d
     dim = weyl_dimension(weight)
-    if dim > dim_cap:
-        raise ResourceLimitError(f"irrep {weight.entries!r} has dimension {dim} > cap {dim_cap}")
+    if dim > DIM_CAP:
+        raise ResourceLimitError(f"irrep {weight.entries!r} has dimension {dim} > cap {DIM_CAP}")
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
     P = _patterns(sig)
@@ -181,14 +170,13 @@ def build_basis(weight: Weight, dim_cap: int = DIM_CAP) -> GTBasis:
         frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
         jy_blocks = None
         real_basis = None if real is None else _real_pairs(*real, spans)
-    return GTBasis(weight=weight, patterns=P, amplitudes=amplitudes, shift=shift,
-                   pattern_weights=pw, real_structure=real, real_basis=real_basis, m=m,
-                   jy_blocks=jy_blocks, frame=frame, spans=spans, shapes=shapes,
-                   shape_of=shape_of)
+    return GTBasis(weight=weight, dim=dim, real_basis=real_basis, m=m, jy_blocks=jy_blocks,
+                   frame=frame, spans=spans, shapes=shapes, shape_of=shape_of)
 
 
 def _patterns(sig: tuple) -> np.ndarray:
-    """Every GT pattern with top row sig, laid out as GTBasis.patterns.
+    """Every GT pattern with top row sig, one per row: its rows d-1, .., 1
+    (row l has l entries) flattened.
 
     Row by row from d-1 down and entry by entry, each partial pattern is
     repeated once per value its next entry takes between the two entries
@@ -223,9 +211,11 @@ def _pattern_weights(P: np.ndarray, sig: tuple) -> np.ndarray:
 
 
 def _amplitudes(P: np.ndarray, sig: tuple) -> tuple:
-    """GTBasis.amplitudes of the patterns P with top row sig, by the formula
-    in the module docstring: for all patterns at once, one raised entry k of
-    row l at a time.
+    """(rows, cols, vals) of each simple raising operator E_{l,l+1} on the
+    patterns P with top row sig: E e_cols = vals e_rows, by column, then by
+    raised entry (E_{l+1,l} is its transpose, E_aa diagonal in the pattern
+    weights).  By the formula in the module docstring: for all patterns at
+    once, one raised entry k of row l at a time.
 
     The move is made where it keeps interlacing, m_{k,l} + 1 <= m_{k,l+1}
     and m_{k-1,l-1}; its target is looked up among P.  Products of the

@@ -21,8 +21,10 @@ BFS levels that extend_level builds in one piece.
 weyl_character is the character of an irrep from the eigenphases of a group
 element, by the Weyl character formula.  pu_distance is the projective
 distance between two unitaries, from the eigenphases of g^dagger h.
-generator_images holds every E_ab of a basis as a sparse matrix, rebuilt
-from its arrays.  reference_basis is the tuple-based GT construction, pattern
+basis_arrays gives the patterns, pattern weights, amplitudes and real
+structure that build_basis makes and drops, from the builder's own
+functions, and generator_images every E_ab of a basis as a sparse matrix,
+rebuilt from them.  reference_basis is the tuple-based GT construction, pattern
 by pattern, that the array builder of gapforge.irrep must reproduce bit for
 bit, and reference_shape_generators its shape images.  to_real_form takes a
 complex image to the real basis C with C^T C = J by the O(n^2) index map of
@@ -54,9 +56,13 @@ from gapforge.gates import (
 from gapforge.irrep import (
     GTBasis,
     JyFrame,
+    _amplitudes,
     _block_inputs,
+    _pattern_weights,
+    _patterns,
     _real_fold,
     _real_form_map,
+    _real_structure,
     _probe,
     _rotation_block,
     _schur_unitary,
@@ -71,14 +77,30 @@ from gapforge.weightlat import (
 )
 
 
+def basis_arrays(weight: Weight) -> dict:
+    """What build_basis(weight) builds from and drops, by the builder's own
+    functions: the shift -lambda_d, the patterns, their pattern weights in
+    the sum-zero normalization, the amplitudes of each E_{l,l+1} and the
+    real structure (None unless the weight is self-conjugate)."""
+    shift = -weight.entries[-1]
+    sig = tuple(x + shift for x in weight.entries)
+    P = _patterns(sig)
+    amplitudes = _amplitudes(P, sig)
+    real = _real_structure(P, sig, amplitudes) if frobenius_schur(weight) == 1 else None
+    return {"shift": shift, "patterns": P, "pattern_weights": _pattern_weights(P, sig) - shift,
+            "amplitudes": amplitudes, "real_structure": real}
+
+
 def generator_images(basis: GTBasis) -> dict:
-    """{(a, b): E_ab} of a basis as sparse matrices, from its arrays: the
-    Cartan elements diagonal in the shifted pattern weights, the simple pairs
-    from the amplitudes, E_ab for |a - b| > 1 from nested commutators."""
+    """{(a, b): E_ab} of a basis as sparse matrices, from its basis_arrays:
+    the Cartan elements diagonal in the shifted pattern weights, the simple
+    pairs from the amplitudes, E_ab for |a - b| > 1 from nested commutators."""
     n, d = basis.dim, basis.d
-    full = {(a, a): sp.diags((basis.pattern_weights[:, a - 1] + basis.shift).astype(np.float64),
-                             format="csr", dtype=np.complex128) for a in range(1, d + 1)}
-    for l, (rows, cols, vals) in enumerate(basis.amplitudes, 1):
+    arrays = basis_arrays(basis.weight)
+    shifted = arrays["pattern_weights"] + arrays["shift"]
+    full = {(a, a): sp.diags(shifted[:, a - 1].astype(np.float64), format="csr",
+                             dtype=np.complex128) for a in range(1, d + 1)}
+    for l, (rows, cols, vals) in enumerate(arrays["amplitudes"], 1):
         full[(l, l + 1)] = sp.csr_matrix((vals.astype(np.complex128), (rows, cols)), shape=(n, n))
         full[(l + 1, l)] = full[(l, l + 1)].conj().T.tocsr()
     for span in range(2, d):
@@ -506,7 +528,7 @@ def _raising(patterns: list, index: dict, l: int) -> tuple:
 
 
 def _flat(pattern: tuple) -> list:
-    """A tuple pattern in the layout of GTBasis.patterns: rows d-1 .. 1."""
+    """A tuple pattern in the layout of irrep._patterns: rows d-1 .. 1."""
     return [x for row in reversed(pattern[:-1]) for x in row]
 
 
@@ -534,12 +556,13 @@ def reference_shape_generators(shape: tuple) -> tuple:
 
 
 def reference_basis(weight: Weight) -> dict:
-    """The fields of build_basis(weight), by pattern: patterns enumerated
-    recursively as tuples and looked up in a dict, amplitudes pattern by
-    pattern in Python integers, the real structure's signs by a sweep along
-    raising edges, the Jy sets, the spans and the J-partner spans of the
-    real basis grouped pattern by pattern.  At d >= 3 the frame is solved
-    from the Jy sets' inputs by irrep._rotation_block."""
+    """The fields of build_basis(weight) and its basis_arrays but the shift,
+    by pattern: patterns enumerated recursively as tuples and looked up in a
+    dict, amplitudes pattern by pattern in Python integers, the real
+    structure's signs by a sweep along raising edges, the Jy sets, the spans
+    and the J-partner spans of the real basis grouped pattern by pattern.  At
+    d >= 3 the frame is solved from the Jy sets' inputs by
+    irrep._rotation_block."""
     d = weight.d
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)

@@ -335,27 +335,32 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for name, (d, k, seed, symmetric) in fixtures.GATE_FILES.items():
         save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+    codes = {" ".join(argv): code for argv, code in fixtures.FAILING}
     events = []
     for argv in fixtures.commands():
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert main(argv) == 0, argv
+            assert main(argv) == codes.get(" ".join(argv), 0), argv
         for line in err.getvalue().splitlines():
             record = json.loads(line)
             assert isinstance(record, dict), (argv, line)
             events.append(record["event"])
     assert "warning" in events  # bound below the reference scale warns
+    assert events.count("error") == len(codes)
 
 
 @pytest.mark.parametrize("argv, code, category", [
     (["constants"], 2, "DomainError"),
     (["weights", "--d", "2", "--t", "2", "--bogus"], 2, "UsageError"),
     (["gap", "--gates", "no-such-file.json", "--t", "2"], 1, "GateFileError"),
+    (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "nan", "--samples", "10"],
+     2, "DomainError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):
     # a failing command ends its stderr with one error record, and keeps its exit code
     monkeypatch.chdir(tmp_path)
+    save_gateset(haar_random_gateset(2, 2, seed=1729), "g.json")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
         try:

@@ -282,6 +282,8 @@ class TestEmpiricalNet:
     def test_domain_errors(self, haar_pair_d2):
         with pytest.raises(DomainError):
             empirical_net(haar_pair_d2, length=2, eps=0.0, samples=5)
+        with pytest.raises(DomainError, match="eps must be positive, got nan"):
+            empirical_net(haar_pair_d2, length=2, eps=float("nan"), samples=10)
         with pytest.raises(DomainError):
             empirical_net(haar_pair_d2, length=-1, eps=0.5, samples=5)
         with pytest.raises(DomainError):

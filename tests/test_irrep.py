@@ -31,6 +31,7 @@ from gapforge.weightlat import Weight, enumerate_nontrivial_weights, weyl_dimens
 
 from _oracles import (
     algebra_image,
+    basis_arrays,
     check_generator_relations,
     exp_image,
     frobenius_schur_montecarlo,
@@ -84,12 +85,17 @@ class TestBasisStructure:
             assert build_basis(w).dim == weyl_dimension(w)
 
     def test_pattern_weights_sum_zero(self):
-        b = build_basis(Weight((2, 0, -2)))
-        assert np.all(b.pattern_weights.sum(axis=1) == 0)
+        pw = basis_arrays(Weight((2, 0, -2)))["pattern_weights"]
+        assert pw.shape == (27, 3) and np.all(pw.sum(axis=1) == 0)
 
-    def test_dim_cap(self):
-        with pytest.raises(ResourceLimitError):
-            build_basis(Weight((30, 0, 0, -30)), dim_cap=1000)
+    def test_dim_cap(self, monkeypatch):
+        def no_patterns(sig):
+            raise AssertionError("a pattern was made above the cap")
+
+        monkeypatch.setattr(gapforge.irrep, "DIM_CAP", 1000)
+        monkeypatch.setattr(gapforge.irrep, "_patterns", no_patterns)
+        with pytest.raises(ResourceLimitError, match="> cap 1000"):
+            build_basis(Weight((30, 0, 0, -30)))
 
     @pytest.mark.parametrize(
         "entries",
@@ -127,10 +133,16 @@ class TestArrayBuilder:
 
     @pytest.mark.parametrize("d, t", [(2, 40), (3, 6), (4, 3)])
     def test_fields_match_the_tuple_builder_bit_for_bit(self, d, t):
+        # every field of the basis but its weight and dim, and the arrays
+        # that build_basis makes and drops, by the builder's own functions
         for w in enumerate_nontrivial_weights(d, t):
             b = build_basis(w)
-            for name, want in reference_basis(w).items():
-                _assert_same(getattr(b, name), want, f"{w.entries}.{name}")
+            got = {**basis_arrays(w), **{f.name: getattr(b, f.name) for f in dataclasses.fields(b)}}
+            want = reference_basis(w)
+            assert set(got) - set(want) == {"weight", "dim", "shift"}
+            assert b.dim == len(want["patterns"]) == weyl_dimension(w)
+            for name, value in want.items():
+                _assert_same(got[name], value, f"{w.entries}.{name}")
 
     def test_shape_generators_match_the_tuple_builder(self):
         for shape in [(1, 0), (4, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1, 0)]:
@@ -184,7 +196,7 @@ class TestArrayBuilder:
             "raised: 3 GT patterns for an irrep of dimension 4",
         ]
 
-    def test_cached_bases_hold_at_most_160_bytes_per_pattern(self, monkeypatch):
+    def test_cached_bases_hold_at_most_90_bytes_per_pattern(self, monkeypatch):
         monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
         tracemalloc.start()
         try:
@@ -193,7 +205,7 @@ class TestArrayBuilder:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= 160 * n, held / n
+        assert held <= 90 * n, held / n
 
 
 class TestRealStructure:
@@ -204,7 +216,7 @@ class TestRealStructure:
     )
     def test_signed_permutation_conjugates_images(self, entries):
         b = build_basis(Weight(entries))
-        perm, sign = b.real_structure
+        perm, sign = basis_arrays(Weight(entries))["real_structure"]
         n = b.dim
         J = np.zeros((n, n))
         J[perm, np.arange(n)] = sign
@@ -217,23 +229,26 @@ class TestRealStructure:
             assert np.abs(P.conj() - J @ P @ J.T).max() <= 1e-12
 
     def test_complex_weight_has_none(self):
-        assert build_basis(Weight((2, -1, -1))).real_structure is None
+        assert basis_arrays(Weight((2, -1, -1)))["real_structure"] is None
+        assert build_basis(Weight((2, -1, -1))).real_basis is None
 
     def test_corrupted_sign_raises_under_optimize(self):
         # the edge-by-edge check on J must survive python -O
         script = textwrap.dedent("""
-            from gapforge.irrep import _check_real_structure, build_basis
-            from gapforge.weightlat import Weight
+            from gapforge.irrep import (
+                _amplitudes, _check_real_structure, _patterns, _real_structure)
 
             assert False, "assert statements must be stripped here"
-            b = build_basis(Weight((2, 0, -2)))
-            perm, sign = b.real_structure
-            _check_real_structure(b.amplitudes, perm, sign)
+            sig = (4, 2, 0)  # the weight (2, 0, -2), shifted
+            P = _patterns(sig)
+            amplitudes = _amplitudes(P, sig)
+            perm, sign = _real_structure(P, sig, amplitudes)
+            _check_real_structure(amplitudes, perm, sign)
             for i in (0, 9, 13):  # 9 is a fixed point of perm
                 bad = sign.copy()
                 bad[i] = -bad[i]
                 try:
-                    _check_real_structure(b.amplitudes, perm, bad)
+                    _check_real_structure(amplitudes, perm, bad)
                 except AssertionError as exc:
                     print("raised:", exc)
         """)
@@ -286,7 +301,7 @@ class TestCasimir:
             for a in range(1, d + 1):
                 for c in range(1, d + 1):
                     cas += (full[(a, c)] @ full[(c, a)]).todense()
-            sig = tuple(x + b.shift for x in entries)
+            sig = tuple(x - entries[-1] for x in entries)
             want = sum(m * (m + d + 1 - 2 * (i + 1)) for i, m in enumerate(sig))
             assert np.allclose(cas, want * np.eye(b.dim), atol=1e-10)
 
@@ -448,7 +463,7 @@ class TestEulerImage:
         for j in range(495, 510):
             b = build_basis(Weight((j, -j)))  # uncached: 15 bases of dim ~1000
             frame = jy_frame(b)
-            form = _real_form_map(*b.real_structure)
+            form = _real_form_map(*basis_arrays(b.weight)["real_structure"])
             for _, U in sq.pairs:
                 want = exp_image(b, U)
                 worst = max(worst, float(np.abs(irrep_matrix(b, U, frame=frame) - want).max()))
@@ -471,7 +486,7 @@ class TestRealImage:
         for j in range(1, 61):
             b = cached_basis(Weight((j, -j)))
             frame = jy_frame(b)
-            form = _real_form_map(*b.real_structure)
+            form = _real_form_map(*basis_arrays(b.weight)["real_structure"])
             for U in gates:
                 U = np.asarray(U, dtype=np.complex128)
                 got = irrep_matrix(b, U, frame=frame, real=True)
@@ -490,7 +505,7 @@ class TestRealImage:
         if entries == (2, 0, 0, -2):
             pairs, _ = b.real_basis
             assert (len(b.spans) // 2,) in [parts for _, parts, _, _ in pairs]
-        form = _real_form_map(*b.real_structure)
+        form = _real_form_map(*basis_arrays(b.weight)["real_structure"])
         for U in [rand_unitary(d, seed) for seed in (54, 55)] + _degenerate_cs_gates(d, 56):
             got = irrep_matrix(b, U, real=True)
             assert got.dtype == np.float64
@@ -603,11 +618,13 @@ class TestCosineSineImage:
     @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (4, -1, -3), (2, 1, -1, -2)])
     def test_frame_spectrum_and_shapes(self, entries):
         b = cached_basis(Weight(entries))
+        arrays = basis_arrays(b.weight)
+        pw = arrays["pattern_weights"]
         frame = jy_frame(b)
         n, d = b.dim, b.d
         E = generator_images(b)[(d - 1, d)].toarray().real
         T = 0.5 * (E + E.T)
-        p = b.pattern_weights[:, d - 1] - b.pattern_weights[:, d - 1].min()
+        p = pw[:, d - 1] - pw[:, d - 1].min()
         seen = []
         for block in frame.blocks:
             even = np.arange(n)[block.even]
@@ -630,7 +647,8 @@ class TestCosineSineImage:
         starts = [s for s, _ in b.spans]
         assert starts[0] == 0 and [e for _, e in b.spans][-1] == n
         assert [e for _, e in b.spans][:-1] == starts[1:]
-        rows = [{tuple(row) for row in b.patterns[s:e, : d - 1].tolist()} for s, e in b.spans]
+        rows = [{tuple(row) for row in arrays["patterns"][s:e, : d - 1].tolist()}
+                for s, e in b.spans]
         assert all(len(r) == 1 for r in rows)
         assert all(r != q for r, q in zip(rows, rows[1:]))
         assert len(b.shape_of) == len(b.spans)
@@ -639,8 +657,8 @@ class TestCosineSineImage:
             shape, gens = b.shapes[k]
             assert shape == tuple(x - row[-1] for x in row)
             assert gens.shape == ((d - 1) ** 2, e - s, e - s)
-            assert c == row[-1] - b.shift
-            assert np.all(b.pattern_weights[s:e, d - 1] == pw_d)
+            assert c == row[-1] - arrays["shift"]
+            assert np.all(pw[s:e, d - 1] == pw_d)
 
     def test_frame_built_on_the_fly_is_the_same(self):
         b = cached_basis(Weight((3, 0, -3)))
@@ -733,13 +751,18 @@ class TestShapeTable:
         # a shape's images off by 1e-6, two shapes of one size swapped, and a
         # span's offset off by one must raise under -O too
         script = textwrap.dedent("""
-            from gapforge.irrep import _check_spans, _gl_images, _shape_generators, cached_basis
+            from gapforge.irrep import (
+                _amplitudes, _check_spans, _gl_images, _pattern_weights, _patterns,
+                _shape_generators, cached_basis)
             from gapforge.weightlat import Weight
             b = cached_basis(Weight((2, 1, -1, -2)))
-            images = _gl_images(b.amplitudes[:-1], b.dim)
+            sig = (4, 3, 1, 0)  # the weight, shifted by 2
+            P = _patterns(sig)
+            pw = _pattern_weights(P, sig) - 2
+            images = _gl_images(_amplitudes(P, sig)[:-1], b.dim)
             gens = [_shape_generators(shape) for shape, _ in b.shapes]
             ks = b.shape_of[:, 0].tolist()
-            _check_spans(images, b.pattern_weights, b.spans, b.shape_of, gens)
+            _check_spans(images, pw, b.spans, b.shape_of, gens)
             size = [len(w) for _, w in gens]
             k = size.index(max(size))
             bad = gens[:k] + [(gens[k][0] + 1e-6, gens[k][1])] + gens[k + 1:]
@@ -752,7 +775,7 @@ class TestShapeTable:
             shifted[0, 1] += 1
             for g, of in ((bad, b.shape_of), (swapped, b.shape_of), (gens, shifted)):
                 try:
-                    _check_spans(images, b.pattern_weights, b.spans, of, g)
+                    _check_spans(images, pw, b.spans, of, g)
                 except AssertionError as exc:
                     print(exc)
         """)
