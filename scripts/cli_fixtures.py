@@ -8,8 +8,10 @@
 The first form writes the gate files into a temporary directory (under fixed
 relative names, so the config echo does not depend on it), runs every command
 through gapforge.cli.main with an explicit thread count and prints
-{"argv", "exit", "stdout"} per command; stderr is discarded.  The commands
-of FAILING, run last, are ones the CLI must refuse with their exit code.
+{"argv", "exit", "stdout"} per command; stderr is discarded.  An exception
+that escapes main is that command's result: "exit" holds its type name.  The
+commands of FAILING, run last, are ones the CLI must refuse with their exit
+code; some read the MALFORMED gate files.
 Two trees that compute the same numbers print the same bytes.  The second
 form compares two such outputs command by command: it prints each command
 whose stdout differs, with the JSON keys that moved and the largest absolute
@@ -31,10 +33,34 @@ GATE_FILES = {  # name: (d, k, seed, symmetric)
     "d4k2.json": (4, 2, 1729, True),
     "d2k2-one-sided.json": (2, 2, 11, False),
 }
+MALFORMED = {  # name: (path of the field, value) written over a copy of d2k2.json
+    "d2k2-symmetric-string.json": (("symmetric",), "false"),
+    "d2k2-fractional-d.json": (("d",), 2.7),
+    "d2k2-nan.json": (("gates", 0, "matrix", 0, 0, 0), float("nan")),  # Python's JSON reads NaN
+}
 FAILING = [  # (argv, exit code) of the commands that must fail, run last
     (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "nan",
       "--samples", "10"], 2),
+    *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
+      for name in MALFORMED),
 ]
+
+
+def write_gate_files() -> None:
+    """Write GATE_FILES and MALFORMED into the working directory."""
+    from gapforge.gates import haar_random_gateset, save_gateset
+
+    for name, (d, k, seed, symmetric) in GATE_FILES.items():
+        save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+    for name, ((*path, last), value) in MALFORMED.items():
+        with open("d2k2.json") as fh:
+            doc = json.load(fh)
+        field = doc
+        for key in path:
+            field = field[key]
+        field[last] = value
+        with open(name, "w") as fh:
+            json.dump(doc, fh)
 
 
 def commands() -> list:
@@ -71,19 +97,20 @@ def commands() -> list:
 
 def run() -> int:
     from gapforge.cli import main
-    from gapforge.gates import haar_random_gateset, save_gateset
 
     sys.stderr.write(f"gapforge from {os.path.dirname(sys.modules['gapforge'].__file__)}\n")
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, (d, k, seed, symmetric) in GATE_FILES.items():
-                save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+            write_gate_files()
             for argv in commands():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    code = main(argv)
+                    try:
+                        code = main(argv)
+                    except Exception as exc:  # a crash is a result to compare, too
+                        code = type(exc).__name__
                 line = {"argv": " ".join(argv), "exit": code, "stdout": out.getvalue()}
                 print(json.dumps(line, sort_keys=True), flush=True)
         finally:

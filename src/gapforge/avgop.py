@@ -115,12 +115,11 @@ class GapReport:
         }
 
 
-def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
-                take: Callable) -> list:
+def _block_sums(basis, pairs, factors, keeps, real: bool, take: Callable) -> list:
     """[take(j, block of keeps[j]) for each kept-pair tuple in keeps], in order.
 
-    The block over keep is (1/|keep|) sum of the kept gates' images, for
-    symmetric sets (1/2|keep|) sum of P + P^dagger (Hermitian bit for bit).
+    The block over keep, of the symmetric set of the pairs, is (1/2|keep|)
+    sum of P + P^dagger over the kept gates' images (Hermitian bit for bit).
     factors[i] are the checked gate_factors of pairs[i].  With real
     (self-conjugate weights only), each image is irrep_matrix(real=True), so
     the blocks are real.  Each image is built on first use, summed into the
@@ -139,16 +138,16 @@ def _block_sums(basis, pairs, factors, keeps, symmetric: bool, real: bool,
         acc = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
         for i in keep:
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], symmetric, frame, factors[i], real)
+                images[i] = _image(basis, pairs[i][1], frame, factors[i], real)
             acc += images[i] if last_use[i] > j else images.pop(i)
-        acc /= 2 * len(keep) if symmetric else len(keep)
+        acc /= 2 * len(keep)
         out.append(take(j, acc))
         del acc
     return out
 
 
-def _image(basis, U: np.ndarray, symmetric: bool, frame, factors, real: bool) -> np.ndarray:
-    """The image of U, for symmetric sets P + P^dagger formed in place.
+def _image(basis, U: np.ndarray, frame, factors, real: bool) -> np.ndarray:
+    """P + P^dagger for the image P of U, formed in place.
 
     Strip s:e reads only entries that no earlier strip wrote: its diagonal
     block D becomes D + D^dagger, the rest of its rows P[s:e, e:] +
@@ -156,25 +155,26 @@ def _image(basis, U: np.ndarray, symmetric: bool, frame, factors, real: bool) ->
     P + P.conj().T either way.
     """
     P = irrep_matrix(basis, U, frame=frame, factors=factors, real=real)
-    if symmetric:
-        step = rows_per_tile(len(P))
-        for s in range(0, len(P), step):
-            e = s + step
-            D = P[s:e, s:e]
-            D += np.conjugate(D.T)  # a copy, since D reads itself
-            if e < len(P):
-                top = P[s:e, e:]
-                top += P[e:, s:e].conj().T
-                P[e:, s:e] = top.conj().T
+    step = rows_per_tile(len(P))
+    for s in range(0, len(P), step):
+        e = s + step
+        D = P[s:e, s:e]
+        D += np.conjugate(D.T)  # a copy, since D reads itself
+        if e < len(P):
+            top = P[s:e, e:]
+            top += P[e:, s:e].conj().T
+            P[e:, s:e] = top.conj().T
     return P
 
 
 def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
-    """(1/|S|) sum_{U in S} pi_lambda(U); Hermitian bit-for-bit when S is
-    symmetric (pairs enter as P + P^dagger before the real rescale)."""
+    """(1/|S|) sum_{U in S} pi_lambda(U) of a symmetric set S, Hermitian bit
+    for bit (pairs enter as P + P^dagger before the real rescale)."""
+    if not gs.symmetric:
+        raise DomainError("averaging_block needs a symmetric gate set")
     factors = [gate_factors(U) for _, U in gs.pairs]
     return _block_sums(cached_basis(weight), gs.pairs, factors, [tuple(range(gs.k))],
-                       gs.symmetric, False, lambda j, B: B)[0]
+                       False, lambda j, B: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -213,7 +213,7 @@ def subset_norms(
     def run(ws: list, take: Callable) -> list:
         def one(w: Weight):
             real = frobenius_schur(w) == 1
-            norms = _block_sums(cached_basis(w), gs.pairs, factors, keeps, True, real, take)
+            norms = _block_sums(cached_basis(w), gs.pairs, factors, keeps, real, take)
             if progress is not None:
                 progress(w, norms)
                 if not real:

@@ -260,8 +260,8 @@ def cmd_random_gates(args) -> int:
         # --out names the gate file here; the run document goes to stdout
         save_gateset(gs, args.out)
         cfg = dict(command="random-gates", d=args.d, k=args.k, seed=args.seed)
-        doc = _document(cfg, {"written": args.out, "labels": gs.labels()})
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        _emit(_document(cfg, {"written": args.out, "labels": gs.labels()}),
+              argparse.Namespace(format=args.format))
         return 0
     # no --out: print the gate file itself so the output can be piped to disk
     _emit(dump_gateset(gs), args)

@@ -97,7 +97,10 @@ class GateSet:
 
 def check_unitary(U: np.ndarray, what: str, error: type = DomainError,
                   tol: float = UNITARY_TOL) -> float:
-    """||U^dagger U - I||_2 of a square matrix; raises `error` above tol."""
+    """||U^dagger U - I||_2 of a square matrix; raises `error` above tol or
+    on a non-finite entry."""
+    if not np.isfinite(U).all():
+        raise error(f"{what} has a non-finite entry")
     err = float(np.linalg.norm(U.conj().T @ U - np.eye(U.shape[0]), 2))
     if err > tol:
         raise error(f"{what} is not unitary: ||U*U - I|| = {err:.3e} > {tol:g}")
@@ -177,8 +180,11 @@ def load_gateset(path, repair: bool = False) -> GateSet:
     except json.JSONDecodeError as exc:
         raise GateFileError(f"gate file {path} is not valid JSON: {exc}") from exc
     try:
-        d = int(doc["d"])
-        symmetric = bool(doc.get("symmetric", True))
+        d, symmetric = doc["d"], doc.get("symmetric", True)
+        if type(d) is not int:  # not a float such as 2.7, nor a bool
+            raise TypeError(f"d must be a JSON integer, got {d!r}")
+        if type(symmetric) is not bool:
+            raise TypeError(f"symmetric must be true or false, got {symmetric!r}")
         raw = []
         for g in doc["gates"]:
             mat = np.array(

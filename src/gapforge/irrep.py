@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import threading
 from dataclasses import dataclass, field
 from math import sqrt
@@ -66,7 +65,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import DomainError, ResourceLimitError
 from .gates import check_unitary
@@ -165,8 +163,8 @@ def build_basis(weight: Weight) -> GTBasis:
     if d == 2:
         frame, spans, shapes, shape_of = None, None, (), ()
         real_basis = None if real is None else _real_fold(dim)
-    else:  # the images of gl(d-1), a, b < d, act within the spans
-        spans, shapes, shape_of = _subgroup_layout(P, pw, shift, _gl_images(amplitudes[:-1], dim))
+    else:  # E_{l,l+1}, l < d-1, act within the spans
+        spans, shapes, shape_of = _subgroup_layout(P, pw, shift, amplitudes[:-1])
         frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
         jy_blocks = None
         real_basis = None if real is None else _real_pairs(*real, spans)
@@ -333,22 +331,6 @@ def _check_real_structure(amplitudes: tuple, perm: np.ndarray, sign: np.ndarray)
                if np.array_equal(key[at], mirror[to]) else np.inf)
         if not err <= 1e-12 * max(1.0, float(np.abs(vals).max(initial=0.0))):
             raise AssertionError(f"real structure fails on E_{l}{l + 1} by {err:.3e}")
-
-
-def _gl_images(amplitudes: tuple, n: int) -> dict:
-    """{(a, b): (rows, cols, vals)} of E_ab for every a != b <= q on n
-    patterns, from the amplitudes of E_{l,l+1}, l < q: the simple pairs
-    directly, E_ab for |a - b| > 1 from nested commutators of sparse
-    matrices."""
-    q = len(amplitudes) + 1
-    images = {(l, l + 1): E for l, E in enumerate(amplitudes, 1)}
-    S = {ab: sp.csr_matrix((v, (r, c)), shape=(n, n)) for ab, (r, c, v) in images.items() if q > 2}
-    for span in range(2, q):
-        for a in range(1, q - span + 1):
-            b = a + span
-            S[(a, b)] = (S[(a, b - 1)] @ S[(b - 1, b)] - S[(b - 1, b)] @ S[(a, b - 1)]).tocoo()
-            images[(a, b)] = S[(a, b)].row, S[(a, b)].col, S[(a, b)].data
-    return {**images, **{(b, a): (c, r, v) for (a, b), (r, c, v) in images.items()}}
 
 
 _CACHE: dict = {}
@@ -523,10 +505,10 @@ def _index(idx: np.ndarray):
     return idx
 
 
-def _subgroup_layout(P: np.ndarray, pw: np.ndarray, shift: int, images: dict) -> tuple:
+def _subgroup_layout(P: np.ndarray, pw: np.ndarray, shift: int, amplitudes: tuple) -> tuple:
     """(spans, shapes, shape_of) of a d >= 3 basis, as GTBasis describes, for
-    the patterns P with pattern weights pw and gl(d-1) images (_gl_images),
-    checked by _check_spans."""
+    the patterns P with pattern weights pw and the amplitudes of E_{l,l+1},
+    l < d-1 (_amplitudes), checked by _check_spans."""
     n, d = pw.shape
     R = P[:, : d - 1]  # row d-1
     starts = np.flatnonzero(np.r_[True, (R[1:] != R[:-1]).any(axis=1)])
@@ -536,7 +518,7 @@ def _subgroup_layout(P: np.ndarray, pw: np.ndarray, shift: int, images: dict) ->
     spans = np.column_stack([starts, np.r_[starts[1:], n]])
     shape_of = np.column_stack([k_of, row[:, -1] - shift, pw[starts, d - 1]])
     gens = [_shape_generators(shape) for shape in shapes]
-    _check_spans(images, pw, spans, shape_of, gens)
+    _check_spans(amplitudes, pw, spans, shape_of, gens)
     return spans, tuple(zip(shapes, (G for G, _ in gens))), shape_of
 
 
@@ -557,7 +539,7 @@ def _shape_generators(shape: tuple) -> tuple:
     for l, (rows, cols, vals) in enumerate(_amplitudes(P, shape), 1):
         G[l - 1, l, rows, cols] = vals
         G[l, l - 1] = G[l - 1, l].T
-    for span in range(2, q):  # the nested commutators of _gl_images
+    for span in range(2, q):  # E_ac = [E_{a,c-1}, E_{c-1,c}]
         for a in range(q - span):
             c = a + span
             G[a, c] = G[a, c - 1] @ G[c - 1, c] - G[c - 1, c] @ G[a, c - 1]
@@ -567,16 +549,18 @@ def _shape_generators(shape: tuple) -> tuple:
     return G, weights
 
 
-def _check_spans(images: dict, pw: np.ndarray, spans, shape_of, gens: list) -> None:
+def _check_spans(amplitudes: tuple, pw: np.ndarray, spans, shape_of, gens: list) -> None:
     """Raise unless each span is the GT basis of its shape, gens[k] = (G,
     weights) for its row (k, c, pw_d) of shape_of: the span's pattern weights
-    the shape's shifted by c, then pw_d, and every E_ab, a != b < d, in images
-    (_gl_images) block diagonal over the spans with the shape's G as the
-    span's block.
+    the shape's shifted by c, then pw_d, and every E_{l,l+1}, l < d-1, of
+    amplitudes block diagonal over the spans with the shape's G as the
+    span's block, bit for bit.
 
-    Each stored entry must sit in a span and match the shape's entry there,
-    and the entries' squares must add up to those of the shapes' blocks, so
-    the shapes carry nothing the basis lacks.
+    G's other blocks are made from these (_shape_generators): the lowering
+    ones are their transposes and the rest their nested commutators, so the
+    simple ones and the E_aa vouch for all of G.  Each stored entry must sit
+    in a span, and the entries scattered into the spans' blocks must equal
+    the shapes' blocks exactly, so the shapes carry nothing the basis lacks.
     """
     n, d = pw.shape
     (start, stop), (k_of, c, pw_d) = spans.T, shape_of.T
@@ -590,21 +574,19 @@ def _check_spans(images: dict, pw: np.ndarray, spans, shape_of, gens: list) -> N
         ok = np.array_equal(pw, np.column_stack([weights[at] + c[span_at, None], pw_d[span_at]]))
     if not ok:
         raise AssertionError(f"a row-{d - 1} block is not its shape's shifted by r - shift")
-    offset = np.concatenate([[0], np.cumsum([G.size for G, _ in gens])])
-    flat = np.concatenate([G.ravel() for G, _ in gens])
-    squares = np.array([np.einsum("ijk,ijk->i", G, G) for G, _ in gens])[k_of].sum(axis=0)
-    for i, (a, b) in enumerate(itertools.product(range(1, d), repeat=2)):  # row-major
-        if a == b:
-            continue
-        rows, cols, vals = images[(a, b)]
+    b = size[k_of]
+    block = np.cumsum(b * b) - b * b  # where each span's block starts, blocks concatenated
+    for l, (rows, cols, vals) in enumerate(amplitudes, 1):
         at = span_at[rows]
         if not np.array_equal(at, span_at[cols]):
-            raise AssertionError(f"E_{a}{b} moves a pattern's row {d - 1}")
-        k = k_of[at]
-        want = flat[offset[k] + (i * size[k] + local[rows]) * size[k] + local[cols]]
-        err = max(float(np.abs(vals - want).max(initial=0.0)), abs(float(vals @ vals) - squares[i]))
-        if not err <= 1e-12 * max(1.0, squares[i]):
-            raise AssertionError(f"E_{a}{b} is not its spans' shape images (off by {err:.3e})")
+            raise AssertionError(f"E_{l}{l + 1} moves a pattern's row {d - 1}")
+        i = (l - 1) * (d - 1) + l  # E_{l,l+1} in G
+        want = np.concatenate([gens[k][0][i].ravel() for k in k_of.tolist()])
+        got = np.zeros_like(want)
+        got[block[at] + local[rows] * b[at] + local[cols]] = vals
+        if not np.array_equal(got, want):
+            err = float(np.abs(got - want).max())
+            raise AssertionError(f"E_{l}{l + 1} is not its spans' shape images (off by {err:.3e})")
 
 
 @dataclass(frozen=True)

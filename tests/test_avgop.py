@@ -79,11 +79,12 @@ class TestAveragingBlock:
             assert block_operator_norm(B) <= 1.0 + 1e-8
 
     def test_asymmetric_average(self):
+        # a one-sided set's block is not Hermitian, and its norm is not one
+        # eigvalsh could give, so it is refused
         gs = make_gateset(2, [("u", _haar_unitary(2, np.random.default_rng(3)))],
                           symmetric=False)
-        B = averaging_block(Weight((1, -1)), gs)
-        # one unitary gate: the block is itself unitary, norm 1
-        assert spectral_norm(B) == pytest.approx(1.0, abs=1e-10)
+        with pytest.raises(DomainError, match="needs a symmetric gate set"):
+            averaging_block(Weight((1, -1)), gs)
 
 
 class TestBlockNorm:
@@ -422,7 +423,7 @@ class TestLargeBlocks:
         gs = haar_pair_d2 if len(entries) == 2 else haar_pair_d3
         b = cached_basis(Weight(entries))
         factors = [gate_factors(U) for _, U in gs.pairs]
-        (B,) = _block_sums(b, gs.pairs, factors, [(0, 1)], True, real, lambda j, B: B)
+        (B,) = _block_sums(b, gs.pairs, factors, [(0, 1)], real, lambda j, B: B)
         want = 0.0
         for (_, U), f in zip(gs.pairs, factors):
             P = irrep_matrix(b, U, factors=f, real=real)
@@ -446,7 +447,7 @@ class TestLargeBlocks:
         def take(j, B):
             return certify_norm_below(B, 0.95) if certify else _hermitian_norm(B)
 
-        args = (b, gs.pairs, factors, [(0, 1)], True, frobenius_schur(w) == 1, take)
+        args = (b, gs.pairs, factors, [(0, 1)], frobenius_schur(w) == 1, take)
         _block_sums(*args)  # solves the gates' U(d-1) shapes, kept with the factors
         tracemalloc.start()
         try:

@@ -300,6 +300,17 @@ class TestRandomGatesCmd:
         gs = load_gateset(p)
         assert gs.d == 3 and gs.k == 2
 
+    def test_out_keeps_format_of_run_document(self, capsys, tmp_path):
+        p = tmp_path / "gs.json"
+        argv = ["random-gates", "--d", "2", "--k", "2", "--seed", "7", "--out", str(p)]
+        _, compact, _ = run_cli(capsys, argv)
+        code, pretty, _ = run_cli(capsys, [*argv, "--format", "pretty"])
+        assert code == 0
+        doc = json.loads(compact)
+        assert compact == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        assert pretty == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert load_gateset(p).k == 2
+
     def test_stdout_is_gate_file(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["random-gates", "--d", "2", "--k", "1",
                                         "--seed", "3"])
@@ -333,8 +344,7 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     fixtures = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fixtures)
     monkeypatch.chdir(tmp_path)
-    for name, (d, k, seed, symmetric) in fixtures.GATE_FILES.items():
-        save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+    fixtures.write_gate_files()
     codes = {" ".join(argv): code for argv, code in fixtures.FAILING}
     events = []
     for argv in fixtures.commands():
@@ -355,12 +365,16 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     (["gap", "--gates", "no-such-file.json", "--t", "2"], 1, "GateFileError"),
     (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "nan", "--samples", "10"],
      2, "DomainError"),
+    (["gap", "--gates", "nan.json", "--t", "2"], 1, "GateFileError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):
     # a failing command ends its stderr with one error record, and keeps its exit code
     monkeypatch.chdir(tmp_path)
     save_gateset(haar_random_gateset(2, 2, seed=1729), "g.json")
+    doc = json.loads(Path("g.json").read_text())
+    doc["gates"][0]["matrix"][0][0][0] = float("nan")  # Python's JSON reads NaN
+    Path("nan.json").write_text(json.dumps(doc))
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(err):
         try:

@@ -19,6 +19,7 @@ from gapforge.gates import (
     _pair_distances,
     _scan_words,
     _trace_overlaps,
+    check_unitary,
     empirical_net,
     haar_random_gateset,
     load_gateset,
@@ -70,6 +71,12 @@ class TestGateSet:
         U = gs.pairs[0][1]
         assert np.linalg.norm(U.conj().T @ U - np.eye(2), 2) < 1e-12
 
+    def test_non_finite_not_unitary(self):
+        # an explicit raise, not the LinAlgError of the SVD that the norm takes
+        for x in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="U has a non-finite entry"):
+                check_unitary(np.diag([1.0, x]), "U")
+
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             make_gateset(2, [])
@@ -106,6 +113,41 @@ class TestFileRoundTrip:
         p.write_text(json.dumps({"d": 2}))
         with pytest.raises(GateFileError):
             load_gateset(p)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("symmetric", "false", "symmetric must be true or false"),
+        ("symmetric", 0, "symmetric must be true or false"),
+        ("d", 2.7, "d must be a JSON integer"),
+        ("d", 2.0, "d must be a JSON integer"),
+        ("d", True, "d must be a JSON integer"),
+        ("d", "2", "d must be a JSON integer"),
+    ])
+    def test_mistyped_fields_rejected(self, tmp_path, field, value, match):
+        p = tmp_path / "gs.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1), p)
+        doc = json.loads(p.read_text())
+        doc[field] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(GateFileError, match=match):
+            load_gateset(p)
+
+    def test_symmetric_false_loads_one_sided(self, tmp_path):
+        p = tmp_path / "gs.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1, symmetric=False), p)
+        assert json.loads(p.read_text())["symmetric"] is False
+        assert load_gateset(p).symmetric is False
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("repair", [False, True])
+    def test_non_finite_entry_rejected(self, tmp_path, value, repair):
+        # Python's JSON parser reads NaN and Infinity; the SVD of such a gate would raise
+        p = tmp_path / "gs.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1), p)
+        doc = json.loads(p.read_text())
+        doc["gates"][1]["matrix"][0][1][1] = value
+        p.write_text(json.dumps(doc))
+        with pytest.raises(GateFileError, match="gate 'g2' has a non-finite entry"):
+            load_gateset(p, repair=repair)
 
     def test_schema_shape(self, tmp_path):
         gs = haar_random_gateset(2, 1, seed=1)

@@ -748,21 +748,23 @@ class TestShapeTable:
         assert len(calls) == 2 * len(shapes)
 
     def test_span_checks_survive_python_O(self):
-        # a shape's images off by 1e-6, two shapes of one size swapped, and a
-        # span's offset off by one must raise under -O too
+        # a shape's images off by 1e-6, two shapes of one size swapped, a
+        # span's offset off by one, and one entry of a used shape's E_12 moved
+        # by one ulp must raise under -O too
         script = textwrap.dedent("""
+            import numpy as np
             from gapforge.irrep import (
-                _amplitudes, _check_spans, _gl_images, _pattern_weights, _patterns,
-                _shape_generators, cached_basis)
+                _amplitudes, _check_spans, _pattern_weights, _patterns, _shape_generators,
+                cached_basis)
             from gapforge.weightlat import Weight
             b = cached_basis(Weight((2, 1, -1, -2)))
             sig = (4, 3, 1, 0)  # the weight, shifted by 2
             P = _patterns(sig)
             pw = _pattern_weights(P, sig) - 2
-            images = _gl_images(_amplitudes(P, sig)[:-1], b.dim)
+            amplitudes = _amplitudes(P, sig)[:-1]
             gens = [_shape_generators(shape) for shape, _ in b.shapes]
             ks = b.shape_of[:, 0].tolist()
-            _check_spans(images, pw, b.spans, b.shape_of, gens)
+            _check_spans(amplitudes, pw, b.spans, b.shape_of, gens)
             size = [len(w) for _, w in gens]
             k = size.index(max(size))
             bad = gens[:k] + [(gens[k][0] + 1e-6, gens[k][1])] + gens[k + 1:]
@@ -773,9 +775,16 @@ class TestShapeTable:
             swapped[i], swapped[j] = (gens[j][0], gens[i][1]), (gens[i][0], gens[j][1])
             shifted = b.shape_of.copy()
             shifted[0, 1] += 1
-            for g, of in ((bad, b.shape_of), (swapped, b.shape_of), (gens, shifted)):
+            G = gens[k][0].copy()
+            r, c = np.argwhere(G[1])[0]  # E_12 of a U(3) shape
+            G[1, r, c] = np.nextafter(G[1, r, c], np.inf)
+            ulp = gens[:k] + [(G, gens[k][1])] + gens[k + 1:]
+            if k not in ks:
+                raise SystemExit("the largest shape is not used")
+            for g, of in ((bad, b.shape_of), (swapped, b.shape_of), (gens, shifted),
+                          (ulp, b.shape_of)):
                 try:
-                    _check_spans(images, pw, b.spans, of, g)
+                    _check_spans(amplitudes, pw, b.spans, of, g)
                 except AssertionError as exc:
                     print(exc)
         """)
@@ -783,7 +792,7 @@ class TestShapeTable:
         proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("is not its spans' shape images") == 2
+        assert proc.stdout.count("is not its spans' shape images") == 3
         assert proc.stdout.count("is not its shape's shifted by r - shift") == 1
 
 
