@@ -37,6 +37,7 @@ MALFORMED = {  # name: (path of the field, value) written over a copy of d2k2.js
     "d2k2-symmetric-string.json": (("symmetric",), "false"),
     "d2k2-fractional-d.json": (("d",), 2.7),
     "d2k2-nan.json": (("gates", 0, "matrix", 0, 0, 0), float("nan")),  # Python's JSON reads NaN
+    "d2k2-list-label.json": (("gates", 0, "label"), [1, 2]),
 }
 FAILING = [  # (argv, exit code) of the commands that must fail, run last
     (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "nan",

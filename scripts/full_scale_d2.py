@@ -10,9 +10,10 @@ factorizations, all with the GIL released.  With 2 pool threads on a 2-core
 machine (Intel Xeon, 8 GB) the run took 9.5-10.6 s wall, 18.3-20.4 s CPU and
 128-132 MB peak RSS (18.1 s and 102 MB on one thread); eps0 = 0.17
 (t0 = 820) took 50.6 s, 99.3 s CPU and 247 MB.  Building the 509 GT bases
-takes 0.3 s of that, and they hold 16.8 MB (tracemalloc, 65 bytes per
-pattern).  The pool pins OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not
-change the result.  The g_t0 line gives the run's wall and CPU time (all
+takes 0.2 s of that, and they hold 2.4 MB (tracemalloc, 9.2 bytes per
+pattern: each keeps only the couplings of its Jy chain).  The pool pins
+OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not change
+the result.  The g_t0 line gives the run's wall and CPU time (all
 threads) and the process's peak RSS (ru_maxrss); --out writes them as
 elapsed_s, cpu_s and peak_rss_mb.
 

@@ -12,6 +12,7 @@ included, writes one {"event": "error"} record there, with its exit code:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import threading
@@ -243,14 +244,7 @@ def cmd_net_empirical(args) -> int:
         length=args.length,
         samples=args.samples,
     )
-    payload = {
-        "length": est.length,
-        "eps": est.eps,
-        "samples": est.samples,
-        "covered_fraction": est.covered_fraction,
-        "max_observed_distance": est.max_observed_distance,
-    }
-    _emit(_document(cfg, payload), args)
+    _emit(_document(cfg, dataclasses.asdict(est)), args)
     return 0
 
 

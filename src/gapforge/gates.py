@@ -126,17 +126,19 @@ def _normalize_gate(U: np.ndarray, d: int, label: str, repair: bool) -> np.ndarr
 
 
 def make_gateset(d, pairs, symmetric=True, repair=False) -> GateSet:
-    """Validate and normalize raw (label, matrix) pairs into a GateSet."""
+    """Validate and normalize raw (label, matrix) pairs into a GateSet; the
+    labels are stored as str, and must differ as str."""
     check_d(d)
+    if type(symmetric) is not bool:  # "false" would be truthy
+        raise DomainError(f"symmetric must be True or False, got {symmetric!r}")
     if len(pairs) < 1:
         raise DomainError("gate set needs at least one gate")
-    labels = [lab for lab, _ in pairs]
+    labels = [str(lab) for lab, _ in pairs]
     if len(set(labels)) != len(labels):
         raise GateFileError(f"duplicate gate labels: {labels!r}")
-    norm_pairs = tuple(
-        (str(lab), _normalize_gate(U, d, str(lab), repair)) for lab, U in pairs
-    )
-    return GateSet(d=d, pairs=norm_pairs, symmetric=bool(symmetric))
+    norm_pairs = tuple((lab, _normalize_gate(U, d, lab, repair))
+                       for lab, (_, U) in zip(labels, pairs))
+    return GateSet(d=d, pairs=norm_pairs, symmetric=symmetric)
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ def load_gateset(path, repair: bool = False) -> GateSet:
             raise TypeError(f"symmetric must be true or false, got {symmetric!r}")
         raw = []
         for g in doc["gates"]:
+            if type(g["label"]) is not str:
+                raise TypeError(f"a gate label must be a JSON string, got {g['label']!r}")
             mat = np.array(
                 [[complex(re, im) for re, im in row] for row in g["matrix"]],
                 dtype=np.complex128,

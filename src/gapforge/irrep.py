@@ -33,21 +33,21 @@ the rotation by beta/2 in the plane of the last two coordinates
 with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
 real and comes from the eigenvectors of Jy (a JyFrame: one solve per set of
 patterns that share rows 1 .. d-2, the SVD of a bidiagonal half where the
-set is a chain, as at d = 2, else a dense eigensolve; solved per weight and
-pass at d = 2, where it holds n^2 / 2 entries, and kept with the basis at
-d >= 3).  pi(K) is diagonal at d = 2, else block diagonal over the runs
-of patterns with equal row d-1, each block a phase times the image of K's
-U(d-1) part in the irrep of the run's shape (its row less its last entry).
-That image depends on the gate and the shape alone: it is solved once per
-shape and gate side and kept with the gate's factors (GateFactors), for
-every weight of a pass; the run layout is a field of the basis.  The result
-is unitary to machine precision and, because all pattern weights are
-integral and sum to zero, independent of the phase convention of U up to
-~1e-10.
+set is a chain, as at d = 2, else a dense eigensolve; kept with the basis
+at d >= 3, solved per weight and pass from the chain's couplings at d = 2,
+where it holds n^2 / 2 entries).  pi(K) is diagonal at d = 2, else block
+diagonal over the runs of patterns with equal row d-1, each block a phase
+times the image of K's U(d-1) part in the irrep of the run's shape (its row
+less its last entry).  That image depends on the gate and the shape alone:
+it is solved once per shape and gate side and kept with the gate's factors
+(GateFactors), for every weight of a pass; the run layout is a field of the
+basis.  The result is unitary to machine precision and, because all pattern
+weights are integral and sum to zero, independent of the phase convention
+of U up to ~1e-10.
 
 For a self-conjugate weight, at any d, irrep_matrix(real=True) returns the
-real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, whose
-rows the basis holds, built in real arithmetic: at d = 2 by two folds
+real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, built
+in real arithmetic: at d = 2 by two folds with closed-form rows of C
 (_real_image), at d >= 3 by one real product per pair of J-partner spans
 on each side of the rotation (_real_cs_image).  Images are built and folded
 in place, a slab of temporaries at a time (rows_per_tile), so an image
@@ -99,13 +99,10 @@ class GTBasis:
     dim: the number of GT patterns, which index the basis in descending
         lexicographic order (_patterns), a fixed convention that makes every
         downstream matrix deterministic.
-    real_basis: the rows of the real basis C with C^T C = J of a
-        self-conjugate weight, None otherwise: (a, b, probe) at d = 2
-        (_real_fold), (pairs, probe) at d >= 3 (_real_pairs).
-    m: Jz = (pw_{d-1} - pw_d) / 2 of the last su(2) on each GT vector.
-    jy_blocks: at d = 2 the inputs of the one solve of its JyFrame
-        (_jy_blocks), which holds n^2 / 2 entries and is solved per pass;
-        None at d >= 3.
+    couplings: at d = 2 the n - 1 entries T[r, r+1] of Jy's chain (JyFrame),
+        half the GT amplitudes of E_12, from which jy_frame makes the rest.
+    real_basis: at d >= 3 the rows of the real basis C with C^T C = J of a
+        self-conjugate weight (_real_pairs), None otherwise.
     frame: at d >= 3 the JyFrame itself, solved once here; None at d = 2.
     spans, shapes, shape_of: the layout of pi(K), K in U(d-1) x U(1), at
         d >= 3; None, (), () at d = 2, where pi(K) is diagonal.  pi(K) is
@@ -122,9 +119,8 @@ class GTBasis:
 
     weight: Weight
     dim: int
+    couplings: np.ndarray | None = field(repr=False)
     real_basis: tuple | None = field(repr=False)
-    m: np.ndarray = field(repr=False)
-    jy_blocks: tuple | None = field(repr=False)
     frame: JyFrame | None = field(repr=False)
     spans: np.ndarray | None = field(repr=False)  # (start, stop) of each row-(d-1) run
     shapes: tuple = field(repr=False)  # (shape, gl(d-1) images G) per shape
@@ -158,18 +154,20 @@ def build_basis(weight: Weight) -> GTBasis:
         raise AssertionError("a pattern weight does not sum to |lambda| = 0")
     amplitudes = _amplitudes(P, sig)
     real = _real_structure(P, sig, amplitudes) if frobenius_schur(weight) == 1 else None
+    if d == 2:  # E_12 e_(r+1) = v_r e_r: T is one chain
+        rows, cols, vals = amplitudes[0]
+        if not (np.array_equal(rows, np.arange(dim - 1)) and np.array_equal(cols, rows + 1)):
+            raise AssertionError("E_12 does not raise each GT vector to the one before it")
+        return GTBasis(weight=weight, dim=dim, couplings=0.5 * vals, real_basis=None,
+                       frame=None, spans=None, shapes=(), shape_of=())
+    # E_{l,l+1}, l < d-1, act within the spans
+    spans, shapes, shape_of = _subgroup_layout(P, pw, shift, amplitudes[:-1])
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
-    jy_blocks = _jy_blocks(P, pw, amplitudes[-1], m)
-    if d == 2:
-        frame, spans, shapes, shape_of = None, None, (), ()
-        real_basis = None if real is None else _real_fold(dim)
-    else:  # E_{l,l+1}, l < d-1, act within the spans
-        spans, shapes, shape_of = _subgroup_layout(P, pw, shift, amplitudes[:-1])
-        frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
-        jy_blocks = None
-        real_basis = None if real is None else _real_pairs(*real, spans)
-    return GTBasis(weight=weight, dim=dim, real_basis=real_basis, m=m, jy_blocks=jy_blocks,
-                   frame=frame, spans=spans, shapes=shapes, shape_of=shape_of)
+    frame = JyFrame(weight, tuple(_rotation_block(*block)
+                                  for block in _jy_blocks(P, pw, amplitudes[-1], m)))
+    real_basis = None if real is None else _real_pairs(*real, spans)
+    return GTBasis(weight=weight, dim=dim, couplings=None, real_basis=real_basis, frame=frame,
+                   spans=spans, shapes=shapes, shape_of=shape_of)
 
 
 def _patterns(sig: tuple) -> np.ndarray:
@@ -383,33 +381,35 @@ class JyFrame:
     gives S_e and S_o directly (_rotation_block).
 
     The rotation blocks hold about sum(b^2) / 2 entries.  At d = 2 that is
-    n^2 / 2, so the frame is built per weight and pass and never cached; the
-    solve's O(n) inputs are a field of the basis (jy_blocks).  At d >= 3 the
+    n^2 / 2, so the frame is built per weight and pass and never cached, with
+    the Jz m and the real fold its images read (jy_frame).  At d >= 3 the
     sets are small (about 150 bytes of frame per pattern at d = 3, t = 8),
     and the basis keeps the frame itself (GTBasis.frame).
     """
 
     weight: Weight
     blocks: tuple = field(repr=False)  # _RotationBlock per set of patterns sharing rows 1 .. d-2
+    m: np.ndarray | None = field(repr=False, default=None)  # d = 2: Jz, j .. -j
+    fold: tuple | None = field(repr=False, default=None)  # d = 2: _real_fold(n)
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
-    """The JyFrame of a basis: the one it keeps at d >= 3, else one solve
-    per block of T.
-
-    A block of T that is a chain (tridiagonal with no zero coupling, all of T
-    at d = 2) comes from the SVD of its bidiagonal half, any other from a
-    dense eigensolve.  Each computed spectrum is checked against the exact
-    one and replaced by it.
-    """
+    """The JyFrame of a basis: the one it keeps at d >= 3, else the SVD
+    solve of T's chain (_rotation_block), with m and the real fold.  At d = 2
+    GT vector r has p = r and m = (n-1)/2 - r, and T[r, r+1] is
+    basis.couplings[r], so all of it comes from n and the couplings."""
     if basis.frame is not None:
         return basis.frame
-    return JyFrame(basis.weight, tuple(_rotation_block(*block) for block in basis.jy_blocks))
+    n = basis.dim
+    r = np.arange(n)
+    m = (n - 1) / 2 - r
+    block = _block_inputs(r, r[:-1], r[1:], basis.couplings, m, r)
+    return JyFrame(basis.weight, (_rotation_block(*block),), m, _real_fold(n))
 
 
 def _jy_blocks(P: np.ndarray, pw: np.ndarray, E: tuple, m: np.ndarray) -> tuple:
-    """The inputs of each solve of a JyFrame, for the basis of the patterns
-    P with pattern weights pw, E the amplitudes of E_{d-1,d} and m its Jz.
+    """The inputs of each solve of a d >= 3 JyFrame, for the patterns P
+    with pattern weights pw, E the amplitudes of E_{d-1,d} and m its Jz.
 
     T's entries are half the GT amplitudes of E; each block gets its GT
     indices split by the parity of p, its exact spectrum, the signs s and
@@ -672,15 +672,15 @@ def irrep_matrix(
     the factors drop is invisible.
 
     With real (a self-conjugate weight only), the image is the real
-    orthogonal C pi(U) C^dagger in the real basis C with C^T C = J
-    (basis.real_basis), built without an n x n complex array: by two folds at
-    d = 2 (_real_image), by real products per pair of J-partner spans at
-    d >= 3 (_real_cs_image).
+    orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, built
+    without an n x n complex array: by two folds at d = 2 (the frame's fold,
+    _real_image), by real products per pair of J-partner spans at d >= 3
+    (basis.real_basis, _real_cs_image).
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.shape != (basis.d, basis.d):
         raise DomainError(f"gate must be {basis.d}x{basis.d}, got shape {U.shape}")
-    if real and basis.real_basis is None:
+    if real and frobenius_schur(basis.weight) != 1:
         raise DomainError(f"real images need a self-conjugate weight, not {basis.weight.entries}")
     if factors is None:
         factors = gate_factors(U)
@@ -697,9 +697,9 @@ def irrep_matrix(
         R = _rotation(frame, np.empty((n, n)), factors.beta)
         alpha, gamma = (float((L[1, 1] - L[0, 0]).real) for L in (factors.left, factors.right))
         if real:
-            return _real_image(basis, R, alpha, gamma)
-        P = np.exp(-1j * alpha * basis.m)[:, None] * R
-        P *= np.exp(-1j * gamma * basis.m)
+            return _real_image(frame, R, alpha, gamma)
+        P = np.exp(-1j * alpha * frame.m)[:, None] * R
+        P *= np.exp(-1j * gamma * frame.m)
         return P
     left, right = (_subgroup_image(basis, L, table)
                    for L, table in zip((factors.left, factors.right), factors.shape_images))
@@ -751,7 +751,8 @@ def _grid(rows, cols) -> tuple:
 
 
 def _real_fold(n: int) -> tuple:
-    """(a, b, probe) of the real basis of dimension n at d = 2, for _real_image.
+    """(a, b, probe) of the real basis of dimension n at d = 2, for _real_image;
+    made with the frame, once per weight and pass (jy_frame).
 
     At d = 2 the real structure is J e_r = (-1)^r e_r', r' = n - 1 - r, and
     the rows of C are conj(rho_r) h_r^T with h_r = a_r e_r + b_r e_r' real and
@@ -775,9 +776,10 @@ def _probe(n: int) -> np.ndarray:
     return probe / np.linalg.norm(probe)
 
 
-def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
+def _real_image(frame: JyFrame, R: np.ndarray, alpha: float, gamma: float) -> np.ndarray:
     """C pi(U) C^dagger at d = 2, pi(U) = D(alpha) R D(gamma), D(phi) =
-    diag(e^{-i phi m}), in real arithmetic, folded in place in R.
+    diag(e^{-i phi m}), in real arithmetic, folded in place in R; m and the
+    fold (a, b, probe) are the frame's.
 
     R = pi(Ry(beta)) is real and commutes with J, so H^T R H (H the columns
     h_r) vanishes where rho_k != rho_l: it is R_+ (+) R_-, the blocks on the
@@ -791,8 +793,8 @@ def _real_image(basis: GTBasis, R: np.ndarray, alpha: float, gamma: float) -> np
     fixed vector and that its trace is that of pi(U), whose imaginary part
     (R's J-symmetry) must vanish.
     """
-    a, b, probe = basis.real_basis
-    x = np.multiply.outer((gamma, -alpha, alpha + gamma), basis.m)
+    a, b, probe = frame.fold
+    x = np.multiply.outer((gamma, -alpha, alpha + gamma), frame.m)
     c, s = np.cos(x), np.sin(x)
     # (A, B) of H M(gamma) in row 0, of H M(-alpha) = (M(alpha) H^T)^T in row 1
     A = a * c[:2] + b[::-1] * s[:2]

@@ -562,7 +562,8 @@ def reference_basis(weight: Weight) -> dict:
     structure's signs by a sweep along raising edges, the Jy sets, the spans
     and the J-partner spans of the real basis grouped pattern by pattern.  At
     d >= 3 the frame is solved from the Jy sets' inputs by
-    irrep._rotation_block."""
+    irrep._rotation_block.  At d = 2 it also gives what jy_frame derives per
+    pass: m, the solve's inputs (jy_blocks) and the real fold."""
     d = weight.d
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
@@ -588,7 +589,7 @@ def reference_basis(weight: Weight) -> dict:
             sign[i] = -sign[up[i]]
         real = perm, np.asarray(sign)
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
-    real_basis = None if real is None or d > 2 else _real_fold(n)
+    real_basis = None
 
     p = pw[:, d - 1] - pw[:, d - 1].min()
     sets: dict = {}
@@ -608,8 +609,11 @@ def reference_basis(weight: Weight) -> dict:
         jy_blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]],
                                        0.5 * E.data[at].real, m, p))
 
-    spans, shapes, shape_of = None, (), ()
-    if d > 2:
+    spans, shapes, shape_of, couplings = None, (), (), None
+    if d == 2:  # one set, E's entries row by row: T[r, r+1]
+        assert E.row.tolist() == list(range(n - 1)) and E.col.tolist() == list(range(1, n))
+        couplings = 0.5 * E.data.real
+    else:
         rows = [pattern[d - 2] for pattern in patterns]
         starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
         spans = list(zip(starts, starts[1:] + [n]))
@@ -626,19 +630,21 @@ def reference_basis(weight: Weight) -> dict:
     frame = None
     if d > 2:
         frame = JyFrame(weight, tuple(_rotation_block(*block) for block in jy_blocks))
-    return {
+    fields = {
         "patterns": np.array([_flat(p) for p in patterns], dtype=np.int64),
         "pattern_weights": pw,
         "amplitudes": tuple(amplitudes),
         "real_structure": real,
+        "couplings": couplings,
         "real_basis": real_basis,
-        "m": m,
-        "jy_blocks": tuple(jy_blocks) if d == 2 else None,
         "frame": frame,
         "spans": spans,
         "shapes": shapes,
         "shape_of": shape_of,
     }
+    if d == 2:
+        fields.update(m=m, jy_blocks=tuple(jy_blocks), fold=_real_fold(n))
+    return fields
 
 
 def _reference_real_pairs(real: tuple, spans: list) -> tuple:

@@ -58,6 +58,13 @@ class TestGateSet:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(GateFileError):
             make_gateset(2, [("a", X), ("a", Z)])
+        with pytest.raises(GateFileError, match="duplicate"):  # both are stored as "1"
+            make_gateset(2, [(1, X), ("1", Z)])
+
+    @pytest.mark.parametrize("symmetric", ["false", 0, 1, None, np.bool_(False)])
+    def test_symmetric_must_be_a_bool(self, symmetric):
+        with pytest.raises(DomainError, match="symmetric must be True or False"):
+            make_gateset(2, [("x", X)], symmetric=symmetric)
 
     def test_nonunitary_rejected(self):
         with pytest.raises(GateFileError):
@@ -129,6 +136,17 @@ class TestFileRoundTrip:
         doc[field] = value
         p.write_text(json.dumps(doc))
         with pytest.raises(GateFileError, match=match):
+            load_gateset(p)
+
+    @pytest.mark.parametrize("labels", [[[1, 2], "g2"], [1, "1"], ["g1", None]])
+    def test_labels_must_be_json_strings(self, tmp_path, labels):
+        p = tmp_path / "gs.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1), p)
+        doc = json.loads(p.read_text())
+        for gate, label in zip(doc["gates"], labels):
+            gate["label"] = label
+        p.write_text(json.dumps(doc))
+        with pytest.raises(GateFileError, match="a gate label must be a JSON string"):
             load_gateset(p)
 
     def test_symmetric_false_loads_one_sided(self, tmp_path):

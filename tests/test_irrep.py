@@ -134,15 +134,34 @@ class TestArrayBuilder:
     @pytest.mark.parametrize("d, t", [(2, 40), (3, 6), (4, 3)])
     def test_fields_match_the_tuple_builder_bit_for_bit(self, d, t):
         # every field of the basis but its weight and dim, and the arrays
-        # that build_basis makes and drops, by the builder's own functions
+        # that build_basis makes and drops, by the builder's own functions;
+        # a d = 2 basis keeps no m, Jy block inputs or fold (jy_frame makes them)
         for w in enumerate_nontrivial_weights(d, t):
             b = build_basis(w)
             got = {**basis_arrays(w), **{f.name: getattr(b, f.name) for f in dataclasses.fields(b)}}
             want = reference_basis(w)
             assert set(got) - set(want) == {"weight", "dim", "shift"}
+            assert set(want) - set(got) == ({"m", "jy_blocks", "fold"} if d == 2 else set())
             assert b.dim == len(want["patterns"]) == weyl_dimension(w)
-            for name, value in want.items():
-                _assert_same(got[name], value, f"{w.entries}.{name}")
+            for name in set(got) & set(want):
+                _assert_same(got[name], want[name], f"{w.entries}.{name}")
+
+    def test_d2_frame_inputs_match_the_tuple_builder_bit_for_bit(self, monkeypatch):
+        # jy_frame derives m, the chain's solve inputs and the real fold from
+        # n and the couplings, per pass; they must be what the reference
+        # builds from the patterns
+        seen = []
+        solve = gapforge.irrep._rotation_block
+        monkeypatch.setattr(gapforge.irrep, "_rotation_block",
+                            lambda *a: seen.append(a) or solve(*a))
+        for j in range(1, 61):
+            b = build_basis(Weight((j, -j)))
+            seen.clear()
+            frame = jy_frame(b)
+            want = reference_basis(b.weight)
+            _assert_same(tuple(seen), tuple(tuple(block) for block in want["jy_blocks"]), str(j))
+            _assert_same(frame.m, want["m"], f"{j}.m")
+            _assert_same(frame.fold, want["fold"], f"{j}.fold")
 
     def test_shape_generators_match_the_tuple_builder(self):
         for shape in [(1, 0), (4, 0), (2, 1, 0), (3, 1, 0), (2, 2, 1, 0)]:
@@ -196,7 +215,9 @@ class TestArrayBuilder:
             "raised: 3 GT patterns for an irrep of dimension 4",
         ]
 
-    def test_cached_bases_hold_at_most_90_bytes_per_pattern(self, monkeypatch):
+    def test_cached_bases_hold_at_most_16_bytes_per_pattern(self, monkeypatch):
+        # a d = 2 basis keeps its n - 1 couplings (8 bytes each) and nothing
+        # else per pattern; this measured 13.2 bytes per pattern for j <= 120
         monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
         tracemalloc.start()
         try:
@@ -205,7 +226,7 @@ class TestArrayBuilder:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert held <= 90 * n, held / n
+        assert held <= 16 * n, held / n
 
 
 class TestRealStructure:
@@ -425,9 +446,10 @@ class TestEulerImage:
 
     def test_frame_spectrum(self):
         b = cached_basis(Weight((4, -4)))
-        (block,) = jy_frame(b).blocks  # T is one tridiagonal block at d = 2
+        frame = jy_frame(b)
+        (block,) = frame.blocks  # T is one tridiagonal block at d = 2
         assert block.mu.tolist() == list(range(5))
-        assert b.m.tolist() == list(range(4, -5, -1))  # descending GT order
+        assert frame.m.tolist() == list(range(4, -5, -1))  # descending GT order
         assert np.arange(9)[block.even].tolist() == [0, 2, 4, 6, 8]
         assert np.arange(9)[block.odd].tolist() == [1, 3, 5, 7]
         assert (block.s_even.shape, block.s_odd.shape) == ((5, 5), (4, 5))
@@ -625,6 +647,7 @@ class TestCosineSineImage:
         E = generator_images(b)[(d - 1, d)].toarray().real
         T = 0.5 * (E + E.T)
         p = pw[:, d - 1] - pw[:, d - 1].min()
+        m = (pw[:, d - 2] - pw[:, d - 1]) / 2
         seen = []
         for block in frame.blocks:
             even = np.arange(n)[block.even]
@@ -636,7 +659,7 @@ class TestCosineSineImage:
             assert block.s_odd.shape == (odd.size, mu.size)
             assert np.all(p[even] % 2 == 0) and np.all(p[odd] % 2 == 1)
             # the spectrum of T on the block is +-mu, exactly Jz = (pw_{d-1} - pw_d) / 2
-            assert sorted(np.concatenate([-mu[mu > 0], mu])) == sorted(b.m[idx])
+            assert sorted(np.concatenate([-mu[mu > 0], mu])) == sorted(m[idx])
             # the columns, unscaled by s = (-1)^floor(p / 2), are orthonormal eigenvectors
             Q = np.concatenate([block.s_even, block.s_odd]) * (1 - (p[idx] & 2))[:, None]
             assert np.abs(Q.T @ Q - np.eye(mu.size)).max() <= 1e-13
