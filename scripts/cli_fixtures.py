@@ -42,6 +42,11 @@ MALFORMED = {  # name: (path of the field, value) written over a copy of d2k2.js
 FAILING = [  # (argv, exit code) of the commands that must fail, run last
     (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "nan",
       "--samples", "10"], 2),
+    (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "inf",
+      "--samples", "10"], 2),
+    (["net-length", "--d", "2", "--gap", "1e-310", "--eps", "0.5"], 2),
+    (["net-length", "--d", "2", "--gap", "1e-320", "--eps", "0.5", "--variant", "covering"], 2),
+    (["net-length", "--d", "2", "--gap", "0.5", "--eps", "5e-324"], 2),
     *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
       for name in MALFORMED),
 ]

@@ -6,10 +6,13 @@ over all 509 nontrivial weights (block dimensions up to 1019, each image built
 real from the Euler angles of its gate on a per-weight Jy eigenbasis).  The
 19 blocks of dimension below 40 get a dense real symmetric eigensolve; the
 other 490 are certified below the largest of those by two Cholesky
-factorizations, all with the GIL released.  With 2 pool threads on a 2-core
-machine (Intel Xeon, 8 GB) the run took 9.5-10.6 s wall, 18.3-20.4 s CPU and
-128-132 MB peak RSS (18.1 s and 102 MB on one thread); eps0 = 0.17
-(t0 = 820) took 50.6 s, 99.3 s CPU and 247 MB.  Building the 509 GT bases
+factorizations, all with the GIL released; LAPACK comes from the capsule
+table of scipy.linalg.cython_lapack, loaded without importing scipy.linalg
+(see gapforge.lapack).  With 2 pool threads on a 2-core machine (Intel Xeon,
+8 GB) the run took 8.9-11.0 s wall, 17.2-20.3 s CPU and 108-110 MB peak RSS
+(17.3-19.7 s and 76 MB on one thread; 125 MB and 92-94 MB while gapforge
+imported scipy.linalg); eps0 = 0.17 (t0 = 820) took 50.6 s, 99.3 s CPU and
+247 MB with scipy.linalg imported.  Building the 509 GT bases
 takes 0.2 s of that, and they hold 2.4 MB (tracemalloc, 9.2 bytes per
 pattern: each keeps only the couplings of its Jy chain).  The pool pins
 OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not change

@@ -49,7 +49,7 @@ import numpy as np
 import scipy
 
 from .errors import DomainError
-from .irrep import cached_basis, gate_factors, irrep_matrix, jy_frame, rows_per_tile
+from .irrep import cached_basis, check_dim_cap, gate_factors, irrep_matrix, jy_frame, rows_per_tile
 from .lapack import certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
@@ -207,6 +207,7 @@ def subset_norms(
     returned a norm below the maximum, so each column maximum is the same
     float as without certify, at any thread count.
     """
+    check_dim_cap(gs.d, t)  # before millions of weights are enumerated
     weights = enumerate_nontrivial_weights(gs.d, t)
     factors = [gate_factors(U) for _, U in gs.pairs]
 

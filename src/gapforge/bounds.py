@@ -295,7 +295,7 @@ def net_length_covering(d: int, gap: float, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must be in (0, 1), got {eps}")
     slope, intercept, _ = covering_law_constants(d, gap)
-    return slope * math.log(1.0 / eps) + intercept
+    return _finite_length(slope * math.log(1.0 / eps) + intercept, gap, eps)
 
 
 def net_length_scale_bound(d: int, gap_t: float, eps: float) -> tuple:
@@ -312,4 +312,11 @@ def net_length_scale_bound(d: int, gap_t: float, eps: float) -> tuple:
     numer = (d * d - 1) * (
         2.0 * math.log(1.0 / eps) + math.log(4.0 * C_BALL**1.5 * d)
     ) + math.log(32.0)
-    return numer / gap_t, scale_t0(eps, d)
+    return _finite_length(numer / gap_t, gap_t, eps), scale_t0(eps, d)
+
+
+def _finite_length(ell: float, gap: float, eps: float) -> float:
+    # a gap or eps near the smallest subnormal overflows 1 / gap or 1 / eps
+    if not math.isfinite(ell):
+        raise DomainError(f"the net length is not finite at gap = {gap}, eps = {eps}")
+    return ell

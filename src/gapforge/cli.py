@@ -66,10 +66,13 @@ class _Parser(argparse.ArgumentParser):
 def _emit(doc, args) -> None:
     if isinstance(doc, str):
         text = doc
-    elif getattr(args, "format", "json") == "pretty":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        pretty = getattr(args, "format", "json") == "pretty"
+        style = dict(indent=2) if pretty else dict(separators=(",", ":"))
+        try:  # allow_nan=False: Infinity and NaN are not JSON
+            text = json.dumps(doc, sort_keys=True, allow_nan=False, **style) + "\n"
+        except ValueError as exc:
+            raise DomainError(f"the result is not finite: {exc}") from None
     out = getattr(args, "out", None)
     if out:
         with open(out, "w") as fh:

@@ -80,7 +80,10 @@ def scale_t0(eps0: float, d: int) -> int:
     check_d(d)
     if not 0.0 < eps0 < 1.0:
         raise DomainError(f"scale_t0 needs 0 < eps0 < 1, got {eps0}")
-    return math.ceil(5.0 * d**2.5 / eps0 * tau(eps0, d))
+    t0 = 5.0 * d**2.5 / eps0 * tau(eps0, d)
+    if not math.isfinite(t0):  # eps0 so small that the quotient overflows
+        raise DomainError(f"scale_t0 is not finite at eps0 = {eps0}")
+    return math.ceil(t0)
 
 
 def beta(d: int) -> float:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, replace
-from math import pi
+from math import inf, pi
 
 import numpy as np
 
@@ -280,6 +280,8 @@ def empirical_net(
     """
     if not eps > 0:  # NaN too
         raise DomainError(f"eps must be positive, got {eps}")
+    if eps == inf:
+        raise DomainError(f"eps must be finite, got {eps}")
     if length < 0:
         raise DomainError(f"word length must be >= 0, got {length}")
     if samples < 0:

@@ -26,7 +26,7 @@ _real_structure).
 Group elements go through one cosine-sine factorization at every d:
 U = K1 Ry(beta) K2 up to a phase, with K1, K2 in U(d-1) x U(1) and Ry(beta)
 the rotation by beta/2 in the plane of the last two coordinates
-(scipy.linalg.cossin; at d = 2 the ZYZ Euler angles).  Then
+(lapack.cossin, zuncsd; at d = 2 the ZYZ Euler angles).  Then
 
     pi(U) = pi(K1) exp(-i beta Jy) pi(K2)
 
@@ -64,12 +64,11 @@ from math import sqrt
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, ResourceLimitError
 from .gates import check_unitary
-from .lapack import bidiagonal_svd
-from .weightlat import Weight, frobenius_schur, weyl_dimension
+from .lapack import bidiagonal_svd, cossin, schur
+from .weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur, weyl_dimension
 
 __all__ = [
     "GTBasis",
@@ -81,12 +80,30 @@ __all__ = [
     "jy_frame",
     "irrep_matrix",
     "DIM_CAP",
+    "check_dim_cap",
 ]
 
 DIM_CAP = 2_000_000  # refuse to build bases above this dimension
 # Entries in each slab of temporaries when an image is folded or summed in
 # place (256 KB of doubles): an image's temporaries are one slab, not O(n^2)
 _TILE = 1 << 15
+
+
+def check_dim_cap(d: int, t: int) -> None:
+    """Raise ResourceLimitError if an irrep of PU(d) at scale t >= 1 has a
+    dimension above DIM_CAP, without enumerating the weights where t is large.
+
+    (t, 0, .., 0, -t) is at scale t, and at d <= 3 no weight there is larger
+    (2t + 1 at d = 2; (t + 1)^3 at d = 3, by AM-GM on the Weyl formula).  At
+    d >= 4 some are, and the weights are enumerated only while its dimension
+    is under the cap, which holds t below 25 at d = 4.
+    """
+    top = weyl_dimension(Weight((t,) + (0,) * (d - 2) + (-t,)))
+    if d > 3 and top <= DIM_CAP:
+        top = max(map(weyl_dimension, enumerate_nontrivial_weights(d, t)))
+    if top > DIM_CAP:
+        raise ResourceLimitError(
+            f"scale t={t} of PU({d}) has an irrep of dimension {top} > cap {DIM_CAP}")
 
 
 @dataclass(frozen=True)
@@ -614,8 +631,9 @@ def gate_factors(U: np.ndarray) -> GateFactors:
     The sign of the square root only flips the sign of V, which integer spin
     cannot see.  At beta = 0 or pi one of the arguments below is that of 0,
     and only alpha + gamma (respectively alpha - gamma) matters, which the
-    formulas still get right.  At d >= 3 they come from scipy.linalg.cossin,
-    the logarithm of each U(d-1) factor from its complex Schur form.
+    formulas still get right.  At d >= 3 they come from the cosine-sine
+    split (lapack.cossin), the logarithm of each U(d-1) factor from its
+    complex Schur form (lapack.schur).
     """
     U = np.asarray(U, dtype=np.complex128)
     if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] < 2:
@@ -626,7 +644,7 @@ def gate_factors(U: np.ndarray) -> GateFactors:
         beta = 2.0 * np.arctan2(abs(V[1, 0]), abs(V[1, 1]))
         a11, a10 = np.angle(V[1, 1]), np.angle(V[1, 0])
         return GateFactors(beta, _rz_log(a11 + a10), _rz_log(a11 - a10))
-    (k1, c1), theta, (k2, c2) = scipy.linalg.cossin(U, p=len(U) - 1, q=len(U) - 1, separate=True)
+    (k1, c1), theta, (k2, c2) = cossin(U, len(U) - 1, len(U) - 1)
     return GateFactors(2.0 * float(theta[0]), _subgroup_log(k1, c1), _subgroup_log(k2, c2))
 
 
@@ -645,7 +663,7 @@ def _subgroup_log(k: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def _schur_unitary(U: np.ndarray):
     """Eigenvalues and exactly-unitary eigenvectors of a unitary matrix."""
-    T, Z = scipy.linalg.schur(U, output="complex")
+    T, Z = schur(U)
     diag = np.diag(T)
     # normal + triangular => diagonal; anything off-diagonal is roundoff
     resid = np.abs(T - np.diag(diag)).max()

@@ -1,13 +1,19 @@
-"""Symmetric eigensolves, bidiagonal SVD and Cholesky through scipy's LAPACK,
-with the GIL released.
+"""Symmetric eigensolves, bidiagonal SVD, Cholesky, the cosine-sine split and
+the complex Schur form through scipy's LAPACK, with the GIL released.
 
 scipy.linalg's LAPACK wrappers hold the GIL while LAPACK runs, so two pool
 threads solving two blocks take turns.  The functions here call the same
 routines, the ones scipy.linalg.cython_lapack exports from scipy's own
 OpenBLAS, through ctypes, which releases the GIL for each foreign call.
+That extension is loaded on its own when this module is imported, without
+running scipy/linalg/__init__.py, so no gapforge path imports scipy.linalg
+and pays for its memory and start-up.  Loading it maps scipy's OpenBLAS,
+which avgop's thread pin must find already mapped.
 eigvalsh passes what scipy.linalg.eigvalsh passes: the same driver, triangle,
 tolerance and queried workspace, on a column-major copy, so its results are
-the same bits.  bidiagonal_svd runs dbdsdc, which scipy does not wrap.
+the same bits; cossin and schur do the same for scipy.linalg.cossin(...,
+separate=True) and scipy.linalg.schur(..., output="complex") on complex
+input.  bidiagonal_svd runs dbdsdc, which scipy does not wrap.
 certify_norm_below proves ||B|| < theta with two Cholesky factorizations, one
 sign at a time in one row-major work array, in place of an eigensolve;
 LAPACK reads the array's lower triangle as the upper one of its transpose,
@@ -18,12 +24,14 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
+import sys
 from ctypes import byref, c_double, c_int
 
 import numpy as np
-from scipy.linalg import cython_lapack
 
-__all__ = ["eigvalsh", "bidiagonal_svd", "certify_norm_below"]
+__all__ = ["eigvalsh", "bidiagonal_svd", "certify_norm_below", "cossin", "schur"]
 
 _U = np.finfo(np.float64).eps / 2  # unit roundoff
 _ETA = float(np.finfo(np.float64).smallest_subnormal)
@@ -36,13 +44,33 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
 )
 
 
+def _cython_lapack():
+    """scipy.linalg.cython_lapack, the one in sys.modules if there is one, else
+    found in scipy.linalg's directory and executed on its own (the recipe for
+    importing a source file directly), without scipy/linalg/__init__.py."""
+    name = "scipy.linalg.cython_lapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    package = importlib.util.find_spec("scipy.linalg")  # found, not executed
+    spec = importlib.machinery.PathFinder.find_spec(name, package.submodule_search_locations)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# loaded now, not on the first call: avgop's thread pin caches the OpenBLAS
+# builds mapped when it first runs, and this maps scipy's
+_CAPI = _cython_lapack().__pyx_capi__
+
+
 @functools.cache
 def _routine(name: str):
     """LAPACK's `name` as exported by cython_lapack, every argument a pointer.
 
     A CFUNCTYPE call releases the GIL until the routine returns.
     """
-    capsule = cython_lapack.__pyx_capi__[name]
+    capsule = _CAPI[name]
     signature = _capsule_name(capsule)  # b"void (char *, int *, ...)"
     n_args = signature.count(b",") + 1
     address = _capsule_pointer(capsule, signature)
@@ -135,6 +163,60 @@ def bidiagonal_svd(d: np.ndarray, e: np.ndarray) -> tuple:
     _call("dbdsdc", b"L", b"I", _int(n), _view(s), _view(off), _view(u), ld, _view(vt), ld,
           (c_double * 1)(), (c_int * 1)(), (c_double * (3 * n * n + 4 * n))(), (c_int * (8 * n))())
     return s, u, vt
+
+
+def cossin(X: np.ndarray, p: int, q: int) -> tuple:
+    """((u1, u2), theta, (v1h, v2h)): the cosine-sine decomposition of the
+    complex unitary X split after row p and column q, by zuncsd, as
+    scipy.linalg.cossin(X, p, q, separate=True) returns it bit for bit: the
+    same flags and queried workspace on column-major copies of the four
+    blocks.  X is not modified.
+    """
+    X = np.asarray(X, dtype=np.complex128)
+    m = X.shape[0]
+    if X.shape != (m, m) or not (0 < p < m and 0 < q < m):
+        raise ValueError(f"expected a square matrix and 0 < p, q < m, got {X.shape}, {p}, {q}")
+    _finite(X)
+    x11, x12, x21, x22 = (np.array(b, order="F")
+                          for b in (X[:p, :q], X[:p, q:], X[p:, :q], X[p:, q:]))
+    theta = np.empty(min(p, m - p, q, m - q))
+    u1, u2, v1h, v2h = (np.empty((k, k), np.complex128, "F") for k in (p, m - p, q, m - q))
+    # jobu1, jobu2, jobv1t, jobv2t, trans, signs, m, p, q, x11, ldx11, .., x22, ldx22,
+    # theta, u1, ldu1, .., v2t, ldv2t
+    head = (b"Y", b"Y", b"Y", b"Y", b"F", b"D", _int(m), _int(p), _int(q),
+            _view(x11), _int(p), _view(x12), _int(p), _view(x21), _int(m - p),
+            _view(x22), _int(m - p), _view(theta), _view(u1), _int(p), _view(u2), _int(m - p),
+            _view(v1h), _int(q), _view(v2h), _int(m - q))
+    iwork = (c_int * (m - theta.size))()
+    work, rwork = (c_double * 2)(), c_double()  # the workspace query's answers
+    _call("zuncsd", *head, work, _int(-1), byref(rwork), _int(-1), iwork)
+    lwork, lrwork = int(work[0]), int(rwork.value)
+    _call("zuncsd", *head, (c_double * (2 * lwork))(), _int(lwork), (c_double * lrwork)(),
+          _int(lrwork), iwork)
+    return (u1, u2), theta, (v1h, v2h)
+
+
+def schur(A: np.ndarray) -> tuple:
+    """(T, Z): the complex Schur form A = Z T Z^H of the complex square A,
+    unsorted, by zgees, as scipy.linalg.schur(A, output="complex") returns
+    it bit for bit: the same flags and queried workspace on a column-major
+    copy.  A is not modified.
+    """
+    a = np.array(A, dtype=np.complex128, order="F")  # LAPACK overwrites it with T
+    n = a.shape[0]
+    if a.shape != (n, n) or n == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {a.shape}")
+    _finite(a)
+    w, z = np.empty(n, np.complex128), np.empty((n, n), np.complex128, "F")
+    # jobvs, sort, select (not called unsorted), n, a, lda, sdim, w, vs, ldvs
+    head = (b"V", b"N", None, _int(n), _view(a), _int(n), byref(c_int()), _view(w), _view(z),
+            _int(n))
+    rwork, bwork = (c_double * n)(), (c_int * n)()
+    work = (c_double * 2)()  # the workspace query's answer
+    _call("zgees", *head, work, _int(-1), rwork, bwork)
+    lwork = int(work[0])
+    _call("zgees", *head, (c_double * (2 * max(lwork, 1)))(), _int(lwork), rwork, bwork)
+    return a, z
 
 
 def _potrf(a: np.ndarray) -> bool:

@@ -499,6 +499,17 @@ class TestNetLengths:
         with pytest.raises(DomainError):
             net_length_covering(2, 0.5, 0.0)
 
+    def test_lengths_that_overflow_are_refused(self):
+        # 1 / gap or 1 / eps overflows near the smallest subnormal
+        with pytest.raises(DomainError, match="not finite at gap = 1e-310"):
+            net_length_scale_bound(2, 1e-310, 0.5)
+        with pytest.raises(DomainError, match="not finite at gap = 1e-320"):
+            net_length_covering(2, 1e-320, 0.5)
+        with pytest.raises(DomainError, match="not finite"):
+            net_length_scale_bound(2, 0.5, 5e-324)
+        with pytest.raises(DomainError, match="scale_t0 is not finite"):
+            net_length_scale_bound(2, 0.5, 1e-308)
+
 
 # -- random b-list property: strong bound from per-irrep coefficients ----------
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -11,7 +12,8 @@ import pytest
 
 import gapforge.avgop
 from gapforge.avgop import gap_at_scale
-from gapforge.cli import main
+from gapforge.cli import _emit, main
+from gapforge.errors import DomainError
 from gapforge.gates import haar_random_gateset, load_gateset, make_gateset, save_gateset
 from gapforge.weightlat import enumerate_nontrivial_weights
 
@@ -366,6 +368,14 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "nan", "--samples", "10"],
      2, "DomainError"),
     (["gap", "--gates", "nan.json", "--t", "2"], 1, "GateFileError"),
+    (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "inf", "--samples", "10"],
+     2, "DomainError"),
+    (["net-length", "--d", "2", "--gap", "1e-310", "--eps", "0.5"], 2, "DomainError"),
+    (["net-length", "--d", "2", "--gap", "1e-320", "--eps", "0.5", "--variant", "covering"],
+     2, "DomainError"),
+    (["net-length", "--d", "2", "--gap", "0.5", "--eps", "5e-324"], 2, "DomainError"),
+    (["gap", "--gates", "g.json", "--t", "1000001"], 3, "ResourceLimitError"),
+    (["gtzero", "--gates", "g.json", "--eps0", "1e-4"], 3, "ResourceLimitError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):
@@ -387,6 +397,16 @@ def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_
     assert records[-1]["event"] == "error"
     assert (records[-1]["category"], records[-1]["exit_code"]) == (category, code)
     assert records[-1]["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_emit_refuses_infinity_and_nan(fmt, capsys):
+    # the last guard: a non-finite number that reaches the document is an
+    # error, not the invalid JSON tokens Infinity or NaN
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="not finite"):
+            _emit({"x": [1.0, bad]}, argparse.Namespace(format=fmt))
+    assert capsys.readouterr().out == ""
 
 
 def test_entry_point_smoke():

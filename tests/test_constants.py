@@ -49,6 +49,9 @@ class TestBaseConstants:
             tau(1.0, 2)
         with pytest.raises(DomainError):
             scale_t0(-0.1, 2)
+        for eps0 in (5e-324, 1e-308):  # 1 / eps0 overflows
+            with pytest.raises(DomainError, match="scale_t0 is not finite"):
+                scale_t0(eps0, 2)
         with pytest.raises(DomainError):
             beta(1)
 

@@ -344,6 +344,8 @@ class TestEmpiricalNet:
             empirical_net(haar_pair_d2, length=2, eps=0.0, samples=5)
         with pytest.raises(DomainError, match="eps must be positive, got nan"):
             empirical_net(haar_pair_d2, length=2, eps=float("nan"), samples=10)
+        with pytest.raises(DomainError, match="eps must be finite, got inf"):
+            empirical_net(haar_pair_d2, length=2, eps=float("inf"), samples=10)
         with pytest.raises(DomainError):
             empirical_net(haar_pair_d2, length=-1, eps=0.5, samples=5)
         with pytest.raises(DomainError):

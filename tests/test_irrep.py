@@ -14,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapforge
+import gapforge.avgop
+import gapforge.bounds
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
@@ -23,6 +25,7 @@ from gapforge.irrep import (
     _shape_generators,
     build_basis,
     cached_basis,
+    check_dim_cap,
     gate_factors,
     irrep_matrix,
     jy_frame,
@@ -96,6 +99,30 @@ class TestBasisStructure:
         monkeypatch.setattr(gapforge.irrep, "_patterns", no_patterns)
         with pytest.raises(ResourceLimitError, match="> cap 1000"):
             build_basis(Weight((30, 0, 0, -30)))
+
+    @pytest.mark.parametrize("d, t_max", [(2, 30), (3, 30), (4, 10)])
+    def test_dim_cap_of_a_scale_is_its_largest_weight(self, d, t_max, monkeypatch):
+        for t in range(1, t_max + 1):
+            top = max(map(weyl_dimension, enumerate_nontrivial_weights(d, t)))
+            monkeypatch.setattr(gapforge.irrep, "DIM_CAP", top)
+            check_dim_cap(d, t)
+            monkeypatch.setattr(gapforge.irrep, "DIM_CAP", top - 1)
+            with pytest.raises(ResourceLimitError, match=f"dimension {top} > cap {top - 1}"):
+                check_dim_cap(d, t)
+
+    def test_scale_above_the_cap_is_refused_before_enumerating(self, monkeypatch):
+        def no_weights(d, t):
+            raise AssertionError("weights were enumerated above the cap")
+
+        monkeypatch.setattr(gapforge.avgop, "enumerate_nontrivial_weights", no_weights)
+        monkeypatch.setattr(gapforge.irrep, "enumerate_nontrivial_weights", no_weights)
+        gs = haar_random_gateset(2, 2, seed=1729)
+        with pytest.raises(ResourceLimitError, match="dimension 2000003 > cap"):
+            gapforge.avgop.gap_at_scale(gs, 1_000_001)
+        with pytest.raises(ResourceLimitError, match="scale t=3609492 "):
+            gapforge.bounds.g_t0(gs, eps0=1e-4)
+        with pytest.raises(ResourceLimitError, match="scale t=100000 of PU\\(4\\)"):
+            gapforge.avgop.gap_at_scale(haar_random_gateset(4, 2, seed=1729), 100_000)
 
     @pytest.mark.parametrize(
         "entries",
@@ -636,6 +663,21 @@ class TestCosineSineImage:
             phase = np.trace(U.conj().T @ M) / d  # M = phase * U
             assert abs(abs(phase) - 1) <= 1e-12
             assert np.abs(M - phase * U).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_factors_keep_the_bits_of_scipy_linalg(self, d, monkeypatch):
+        # gate_factors once took the split and the Schur form from scipy.linalg
+        pairs = haar_random_gateset(d, 2, seed=1729).pairs
+        gates = [U for _, U in pairs] + [U.conj().T for _, U in pairs]
+        mine = [gate_factors(U) for U in gates]
+        monkeypatch.setattr(gapforge.irrep, "cossin",
+                            lambda X, p, q: scipy.linalg.cossin(X, p=p, q=q, separate=True))
+        monkeypatch.setattr(gapforge.irrep, "schur",
+                            lambda A: scipy.linalg.schur(A, output="complex"))
+        for f, U in zip(mine, gates):
+            g = gate_factors(U)
+            assert f.beta == g.beta
+            assert np.array_equal(f.left, g.left) and np.array_equal(f.right, g.right)
 
     @pytest.mark.parametrize("entries", [(1, 0, -1), (2, 0, -2), (4, -1, -3), (2, 1, -1, -2)])
     def test_frame_spectrum_and_shapes(self, entries):

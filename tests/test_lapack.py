@@ -15,7 +15,18 @@ import scipy.linalg
 import gapforge
 from gapforge.avgop import block_operator_norm
 import gapforge.lapack
-from gapforge.lapack import _call, _int, _potrf, _view, bidiagonal_svd, certify_norm_below, eigvalsh
+from gapforge.gates import _haar_unitary
+from gapforge.lapack import (
+    _call,
+    _int,
+    _potrf,
+    _view,
+    bidiagonal_svd,
+    certify_norm_below,
+    cossin,
+    eigvalsh,
+    schur,
+)
 
 
 def _hermitian(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -256,3 +267,76 @@ def test_potrf_illegal_argument_raises():
     a = np.asfortranarray(np.eye(2))
     with pytest.raises(np.linalg.LinAlgError, match="info = -4"):
         _call("dpotrf", b"L", _int(2), _view(a), _int(1), pivot_ok=True)
+
+
+def _cs_gates(d: int) -> list:
+    """Haar U(d), a block-diagonal gate (theta = 0) and a cyclic permutation
+    (theta = pi / 2)."""
+    rng = np.random.default_rng(d)
+    block = np.eye(d, dtype=np.complex128)
+    block[:-1, :-1] = _haar_unitary(d - 1, rng)
+    block[-1, -1] = np.exp(0.7j)
+    return [_haar_unitary(d, rng), block, np.roll(np.eye(d, dtype=np.complex128), 1, axis=0)]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_cossin_and_schur_match_scipy_bit_for_bit(d):
+    for U in _cs_gates(d):
+        before = U.copy()
+        for p, q in [(d - 1, d - 1), (1, d - 1), (2, 1)]:
+            (u1, u2), theta, (v1h, v2h) = cossin(U, p, q)
+            (w1, w2), phi, (x1h, x2h) = scipy.linalg.cossin(U, p=p, q=q, separate=True)
+            for mine, theirs in [(u1, w1), (u2, w2), (theta, phi), (v1h, x1h), (v2h, x2h)]:
+                assert np.array_equal(mine, theirs), (d, p, q)
+                assert mine.flags.f_contiguous == theirs.flags.f_contiguous
+        K = cossin(U, d - 1, d - 1)[0][0]  # the U(d-1) factor that gate_factors takes apart
+        for A in (U, K):
+            T, Z = schur(A)
+            T0, Z0 = scipy.linalg.schur(A, output="complex")
+            assert np.array_equal(T, T0) and np.array_equal(Z, Z0)
+            assert T.flags.f_contiguous == T0.flags.f_contiguous
+            assert Z.flags.f_contiguous == Z0.flags.f_contiguous
+        assert np.array_equal(U, before)
+    _, block, permutation = _cs_gates(d)
+    assert cossin(block, d - 1, d - 1)[1][0] == 0.0
+    assert cossin(permutation, d - 1, d - 1)[1][0] == np.pi / 2
+
+
+def test_cossin_and_schur_check_their_input():
+    with pytest.raises(ValueError, match="square"):
+        cossin(np.eye(3)[:, :2], 1, 1)
+    with pytest.raises(ValueError, match="0 < p, q < m"):
+        cossin(np.eye(3), 3, 1)
+    with pytest.raises(ValueError, match="square"):
+        schur(np.zeros((2, 3)))
+    bad = np.eye(3, dtype=complex)
+    bad[0, 1] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cossin(bad, 2, 2)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        schur(bad)
+
+
+def test_no_path_imports_scipy_linalg():
+    # a d = 2 g_t0 on the pool and a d = 3 gap (cossin and schur) run without
+    # scipy.linalg, and the thread pin finds every OpenBLAS it finds after it
+    passes = textwrap.dedent("""
+        import sys
+        import gapforge.cli
+        from gapforge import avgop
+        from gapforge.bounds import g_t0
+        from gapforge.gates import haar_random_gateset
+        g_t0(haar_random_gateset(2, 2, seed=1729), t_override=4, threads=2)
+        avgop.gap_at_scale(haar_random_gateset(3, 2, seed=1729), t=2)
+        print("scipy.linalg" in sys.modules, len(avgop._blas_thread_setters()))
+    """)
+    first = "import scipy.linalg\nfrom gapforge import avgop\nprint(len(avgop._blas_thread_setters()))"
+    env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
+    out = []
+    for script in (passes, first):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    assert out[0] == ["False", out[1][0]]
+    assert int(out[1][0]) >= 1  # numpy's OpenBLAS at least
