@@ -47,6 +47,11 @@ FAILING = [  # (argv, exit code) of the commands that must fail, run last
     (["net-length", "--d", "2", "--gap", "1e-310", "--eps", "0.5"], 2),
     (["net-length", "--d", "2", "--gap", "1e-320", "--eps", "0.5", "--variant", "covering"], 2),
     (["net-length", "--d", "2", "--gap", "0.5", "--eps", "5e-324"], 2),
+    (["random-gates", "--d", "2", "--k", "2", "--seed", "-1"], 2),
+    (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "0.5",
+      "--samples", "10", "--seed", "-1"], 2),
+    (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "0.5",
+      "--samples", "10", "--word-cap", "-1"], 2),
     *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
       for name in MALFORMED),
 ]

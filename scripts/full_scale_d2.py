@@ -13,8 +13,9 @@ table of scipy.linalg.cython_lapack, loaded without importing scipy.linalg
 (17.3-19.7 s and 76 MB on one thread; 125 MB and 92-94 MB while gapforge
 imported scipy.linalg); eps0 = 0.17 (t0 = 820) took 50.6 s, 99.3 s CPU and
 247 MB with scipy.linalg imported.  Building the 509 GT bases
-takes 0.2 s of that, and they hold 2.4 MB (tracemalloc, 9.2 bytes per
-pattern: each keeps only the couplings of its Jy chain).  The pool pins
+takes 0.01 s of that, and they hold 0.21 MB (tracemalloc, about 400 bytes
+per weight: a d = 2 basis is its weight and n, and the pass makes its Jy
+chain from n).  The pool pins
 OpenBLAS to one thread per task, so OPENBLAS_NUM_THREADS does not change
 the result.  The g_t0 line gives the run's wall and CPU time (all
 threads) and the process's peak RSS (ru_maxrss); --out writes them as

@@ -219,6 +219,8 @@ def _haar_unitary(d: int, rng) -> np.ndarray:
 def haar_random_gateset(d: int, k: int, seed: int, symmetric: bool = True) -> GateSet:
     if k < 1:
         raise DomainError(f"need k >= 1 gates, got {k}")
+    if seed < 0:  # numpy's generators refuse it with a ValueError
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pairs = [(f"g{i + 1}", _haar_unitary(d, rng)) for i in range(k)]
     return make_gateset(d, pairs, symmetric=symmetric)
@@ -286,6 +288,10 @@ def empirical_net(
         raise DomainError(f"word length must be >= 0, got {length}")
     if samples < 0:
         raise DomainError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    if word_cap < 0:
+        raise DomainError(f"word_cap must be >= 0, got {word_cap}")
 
     mem = gs.symmetrized().members()
     mats = np.stack([U for _, U in mem])

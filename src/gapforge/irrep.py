@@ -34,8 +34,8 @@ with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
 real and comes from the eigenvectors of Jy (a JyFrame: one solve per set of
 patterns that share rows 1 .. d-2, the SVD of a bidiagonal half where the
 set is a chain, as at d = 2, else a dense eigensolve; kept with the basis
-at d >= 3, solved per weight and pass from the chain's couplings at d = 2,
-where it holds n^2 / 2 entries).  pi(K) is diagonal at d = 2, else block
+at d >= 3, solved per weight and pass from n alone at d = 2, where it
+holds n^2 / 2 entries).  pi(K) is diagonal at d = 2, else block
 diagonal over the runs of patterns with equal row d-1, each block a phase
 times the image of K's U(d-1) part in the irrep of the run's shape (its row
 less its last entry).  That image depends on the gate and the shape alone:
@@ -111,13 +111,12 @@ class GTBasis:
     """Gelfand-Tsetlin basis of one irrep, reduced to what its images read,
     in arrays: no Python object per pattern.  build_basis fills every field
     and nothing writes to one afterwards, so threads share a basis without
-    locks.
+    locks.  At d = 2 a basis is its weight and dim alone: jy_frame makes
+    all that its images read from n, per pass.
 
     dim: the number of GT patterns, which index the basis in descending
         lexicographic order (_patterns), a fixed convention that makes every
         downstream matrix deterministic.
-    couplings: at d = 2 the n - 1 entries T[r, r+1] of Jy's chain (JyFrame),
-        half the GT amplitudes of E_12, from which jy_frame makes the rest.
     real_basis: at d >= 3 the rows of the real basis C with C^T C = J of a
         self-conjugate weight (_real_pairs), None otherwise.
     frame: at d >= 3 the JyFrame itself, solved once here; None at d = 2.
@@ -136,7 +135,6 @@ class GTBasis:
 
     weight: Weight
     dim: int
-    couplings: np.ndarray | None = field(repr=False)
     real_basis: tuple | None = field(repr=False)
     frame: JyFrame | None = field(repr=False)
     spans: np.ndarray | None = field(repr=False)  # (start, stop) of each row-(d-1) run
@@ -149,18 +147,21 @@ class GTBasis:
 
 
 def build_basis(weight: Weight) -> GTBasis:
-    """Construct the GT basis of one weight.
-
-    Its patterns (_patterns), their pattern weights, the amplitudes of the
-    simple raising operators (_amplitudes) and the real structure
-    (_real_structure) are built and checked here and dropped on return: the
-    basis keeps only what its images read.  Raises ResourceLimitError if the
-    Weyl dimension exceeds DIM_CAP before any pattern is materialized.
+    """Construct the GT basis of one weight: at d = 2 its weight and n alone
+    (jy_frame makes the rest per pass); at d >= 3 its patterns (_patterns),
+    their pattern weights, the amplitudes of the simple raising operators
+    (_amplitudes) and the real structure (_real_structure) are built and
+    checked here and dropped on return: the basis keeps only what its images
+    read.  Raises ResourceLimitError if the Weyl dimension exceeds DIM_CAP
+    before any pattern is materialized.
     """
     d = weight.d
     dim = weyl_dimension(weight)
     if dim > DIM_CAP:
         raise ResourceLimitError(f"irrep {weight.entries!r} has dimension {dim} > cap {DIM_CAP}")
+    if d == 2:
+        return GTBasis(weight=weight, dim=dim, real_basis=None, frame=None, spans=None,
+                       shapes=(), shape_of=())
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
     P = _patterns(sig)
@@ -171,20 +172,14 @@ def build_basis(weight: Weight) -> GTBasis:
         raise AssertionError("a pattern weight does not sum to |lambda| = 0")
     amplitudes = _amplitudes(P, sig)
     real = _real_structure(P, sig, amplitudes) if frobenius_schur(weight) == 1 else None
-    if d == 2:  # E_12 e_(r+1) = v_r e_r: T is one chain
-        rows, cols, vals = amplitudes[0]
-        if not (np.array_equal(rows, np.arange(dim - 1)) and np.array_equal(cols, rows + 1)):
-            raise AssertionError("E_12 does not raise each GT vector to the one before it")
-        return GTBasis(weight=weight, dim=dim, couplings=0.5 * vals, real_basis=None,
-                       frame=None, spans=None, shapes=(), shape_of=())
     # E_{l,l+1}, l < d-1, act within the spans
     spans, shapes, shape_of = _subgroup_layout(P, pw, shift, amplitudes[:-1])
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
     frame = JyFrame(weight, tuple(_rotation_block(*block)
                                   for block in _jy_blocks(P, pw, amplitudes[-1], m)))
     real_basis = None if real is None else _real_pairs(*real, spans)
-    return GTBasis(weight=weight, dim=dim, couplings=None, real_basis=real_basis, frame=frame,
-                   spans=spans, shapes=shapes, shape_of=shape_of)
+    return GTBasis(weight=weight, dim=dim, real_basis=real_basis, frame=frame, spans=spans,
+                   shapes=shapes, shape_of=shape_of)
 
 
 def _patterns(sig: tuple) -> np.ndarray:
@@ -348,19 +343,11 @@ def _check_real_structure(amplitudes: tuple, perm: np.ndarray, sign: np.ndarray)
             raise AssertionError(f"real structure fails on E_{l}{l + 1} by {err:.3e}")
 
 
-_CACHE: dict = {}
-_CACHE_LOCK = threading.Lock()
-
-
+@functools.cache
 def cached_basis(weight: Weight) -> GTBasis:
-    """Thread-safe basis cache: lock-free reads, single-writer insertion."""
-    key = weight.entries
-    basis = _CACHE.get(key)
-    if basis is not None:
-        return basis
-    built = build_basis(weight)
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(key, built)
+    """build_basis(weight), kept for the process: about 400 bytes per weight
+    at d = 2 (tracemalloc), the frame and span layout too at d >= 3."""
+    return build_basis(weight)
 
 
 class _RotationBlock(NamedTuple):
@@ -413,14 +400,15 @@ class JyFrame:
 def jy_frame(basis: GTBasis) -> JyFrame:
     """The JyFrame of a basis: the one it keeps at d >= 3, else the SVD
     solve of T's chain (_rotation_block), with m and the real fold.  At d = 2
-    GT vector r has p = r and m = (n-1)/2 - r, and T[r, r+1] is
-    basis.couplings[r], so all of it comes from n and the couplings."""
+    GT vector r has p = r, m = (n-1)/2 - r and T[r, r+1] = sqrt(k (n - k)) / 2,
+    k = r + 1 (spin j's J+: half the builder's E_12 amplitude, bit for bit),
+    so all of it comes from n."""
     if basis.frame is not None:
         return basis.frame
     n = basis.dim
     r = np.arange(n)
     m = (n - 1) / 2 - r
-    block = _block_inputs(r, r[:-1], r[1:], basis.couplings, m, r)
+    block = _block_inputs(r, r[:-1], r[1:], 0.5 * np.sqrt(r[1:] * (n - r[1:])), m, r)
     return JyFrame(basis.weight, (_rotation_block(*block),), m, _real_fold(n))
 
 

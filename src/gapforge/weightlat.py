@@ -104,15 +104,16 @@ def enumerate_weights(d: int, t: int) -> list[Weight]:
     A weight lambda appears iff |lambda_+| <= t.  Every such lambda splits
     uniquely into a positive partition mu and a negative partition nu with
     |mu| = |nu| = s <= t and #parts(mu) + #parts(nu) <= d, so we enumerate
-    partition pairs.  Output is sorted lexicographically descending, trivial
-    weight last.
+    partition pairs; a mu of d parts leaves no room for nu, so mu has at
+    most d - 1 (one pair per s at d = 2).  Output is sorted lexicographically
+    descending, trivial weight last.
     """
     check_d(d)
     if not isinstance(t, int) or t < 0:
         raise DomainError(f"t must be an integer >= 0, got {t!r}")
     out = []
     for s in range(t + 1):
-        for mu in _partitions(s, d):
+        for mu in _partitions(s, d - 1):
             room = d - len(mu)
             for nu in _partitions(s, room):
                 pad = d - len(mu) - len(nu)

@@ -563,7 +563,8 @@ def reference_basis(weight: Weight) -> dict:
     and the J-partner spans of the real basis grouped pattern by pattern.  At
     d >= 3 the frame is solved from the Jy sets' inputs by
     irrep._rotation_block.  At d = 2 it also gives what jy_frame derives per
-    pass: m, the solve's inputs (jy_blocks) and the real fold."""
+    pass: the couplings T[r, r+1], m, the solve's inputs (jy_blocks) and the
+    real fold."""
     d = weight.d
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
@@ -609,10 +610,9 @@ def reference_basis(weight: Weight) -> dict:
         jy_blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]],
                                        0.5 * E.data[at].real, m, p))
 
-    spans, shapes, shape_of, couplings = None, (), (), None
+    spans, shapes, shape_of = None, (), ()
     if d == 2:  # one set, E's entries row by row: T[r, r+1]
         assert E.row.tolist() == list(range(n - 1)) and E.col.tolist() == list(range(1, n))
-        couplings = 0.5 * E.data.real
     else:
         rows = [pattern[d - 2] for pattern in patterns]
         starts = [i for i in range(n) if i == 0 or rows[i] != rows[i - 1]]
@@ -635,7 +635,6 @@ def reference_basis(weight: Weight) -> dict:
         "pattern_weights": pw,
         "amplitudes": tuple(amplitudes),
         "real_structure": real,
-        "couplings": couplings,
         "real_basis": real_basis,
         "frame": frame,
         "spans": spans,
@@ -643,7 +642,8 @@ def reference_basis(weight: Weight) -> dict:
         "shape_of": shape_of,
     }
     if d == 2:
-        fields.update(m=m, jy_blocks=tuple(jy_blocks), fold=_real_fold(n))
+        fields.update(couplings=0.5 * E.data.real, m=m, jy_blocks=tuple(jy_blocks),
+                      fold=_real_fold(n))
     return fields
 
 

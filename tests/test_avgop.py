@@ -248,7 +248,9 @@ class TestSubsetNorms:
             gs = haar_random_gateset(d, 3, seed=1729)
             weights, _ = subset_norms(gs, t, [(0, 1, 2), (0, 1)])
             reps = gapforge.avgop._representatives(weights)  # the weights a pass looks up
-            cached[d] = [gapforge.irrep._CACHE[w.entries] for w in reps]
+            misses = cached_basis.cache_info().misses
+            cached[d] = [cached_basis(w) for w in reps]
+            assert cached_basis.cache_info().misses == misses  # the pass cached each one
 
         def dense_squares(obj, n):
             if isinstance(obj, np.ndarray):
@@ -293,14 +295,14 @@ class TestSubsetNorms:
                             lambda *a: calls.append(1) or solve(*a))
         first = subset_norms(gs, 4, [(0, 1)])
         assert calls == []
-        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+        cached_basis.cache_clear()
         assert subset_norms(gs, 4, [(0, 1)]) == first and calls  # fresh bases do solve
 
     @pytest.mark.parametrize("d, t", [(2, 6), (3, 3)])
-    def test_passes_write_nothing_into_cached_bases(self, d, t, monkeypatch):
+    def test_passes_write_nothing_into_cached_bases(self, d, t):
         # build_basis returns a finished basis: a pass reads its fields and
         # replaces or adds to none of them (fresh bases, that no pass has used)
-        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+        cached_basis.cache_clear()
         gs = haar_random_gateset(d, 3, seed=1729)
         reps = gapforge.avgop._representatives(enumerate_nontrivial_weights(d, t))
         bases = [cached_basis(w) for w in reps]

@@ -376,6 +376,11 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     (["net-length", "--d", "2", "--gap", "0.5", "--eps", "5e-324"], 2, "DomainError"),
     (["gap", "--gates", "g.json", "--t", "1000001"], 3, "ResourceLimitError"),
     (["gtzero", "--gates", "g.json", "--eps0", "1e-4"], 3, "ResourceLimitError"),
+    (["random-gates", "--d", "2", "--k", "2", "--seed", "-1"], 2, "DomainError"),
+    (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "0.5", "--samples", "10",
+      "--seed", "-1"], 2, "DomainError"),
+    (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "0.5", "--samples", "10",
+      "--word-cap", "-1"], 2, "DomainError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):

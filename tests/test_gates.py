@@ -351,6 +351,16 @@ class TestEmpiricalNet:
         with pytest.raises(DomainError):
             empirical_net(haar_pair_d2, length=2, eps=0.5, samples=-2)
 
+    def test_negative_seed_and_word_cap_are_domain_errors(self, haar_pair_d2):
+        # numpy refuses a negative seed with a ValueError, and a negative cap
+        # is no resource limit: both are argument errors
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            empirical_net(haar_pair_d2, length=2, eps=0.5, samples=10, seed=-1)
+        with pytest.raises(DomainError, match="word_cap must be >= 0, got -1"):
+            empirical_net(haar_pair_d2, length=2, eps=0.5, samples=10, word_cap=-1)
+        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            haar_random_gateset(2, 2, seed=-1)
+
 
 def _words(gs, length):
     """Every word of length <= `length` over the symmetric set, in

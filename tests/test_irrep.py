@@ -19,7 +19,9 @@ import gapforge.bounds
 from gapforge.errors import DomainError, ResourceLimitError
 from gapforge.gates import _haar_unitary, haar_random_gateset, squared_set
 from gapforge.irrep import (
+    _amplitudes,
     _keys,
+    _patterns,
     _product,
     _real_form_map,
     _shape_generators,
@@ -156,27 +158,30 @@ def _assert_same(got, want, where=""):
 
 class TestArrayBuilder:
     """build_basis against the tuple construction it replaced, its checks
-    under python -O and the memory a cached basis holds."""
+    under python -O, the memory a cached basis holds and the d = 2 basis
+    that is its weight and n alone."""
 
     @pytest.mark.parametrize("d, t", [(2, 40), (3, 6), (4, 3)])
     def test_fields_match_the_tuple_builder_bit_for_bit(self, d, t):
         # every field of the basis but its weight and dim, and the arrays
         # that build_basis makes and drops, by the builder's own functions;
-        # a d = 2 basis keeps no m, Jy block inputs or fold (jy_frame makes them)
+        # a d = 2 basis keeps no couplings, m, Jy block inputs or fold
+        # (jy_frame makes them from n)
         for w in enumerate_nontrivial_weights(d, t):
             b = build_basis(w)
             got = {**basis_arrays(w), **{f.name: getattr(b, f.name) for f in dataclasses.fields(b)}}
             want = reference_basis(w)
             assert set(got) - set(want) == {"weight", "dim", "shift"}
-            assert set(want) - set(got) == ({"m", "jy_blocks", "fold"} if d == 2 else set())
+            assert set(want) - set(got) == (
+                {"couplings", "m", "jy_blocks", "fold"} if d == 2 else set())
             assert b.dim == len(want["patterns"]) == weyl_dimension(w)
             for name in set(got) & set(want):
                 _assert_same(got[name], want[name], f"{w.entries}.{name}")
 
     def test_d2_frame_inputs_match_the_tuple_builder_bit_for_bit(self, monkeypatch):
         # jy_frame derives m, the chain's solve inputs and the real fold from
-        # n and the couplings, per pass; they must be what the reference
-        # builds from the patterns
+        # n alone, per pass; they must be what the reference builds from the
+        # patterns
         seen = []
         solve = gapforge.irrep._rotation_block
         monkeypatch.setattr(gapforge.irrep, "_rotation_block",
@@ -213,23 +218,24 @@ class TestArrayBuilder:
     def test_build_checks_survive_python_O(self):
         # a pattern below its range gives a negative amplitude square, where
         # a vectorized sqrt would return NaN; a wrong count must raise too
+        # (d = 3: a d = 2 basis builds no patterns)
         script = textwrap.dedent("""
             from gapforge import irrep
             from gapforge.weightlat import Weight
 
             assert False, "assert statements must be stripped here"
             patterns = irrep._patterns
-            bad = patterns((2, 0))
-            bad[2, 0] = -2
+            bad = patterns((2, 1, 0))
+            bad[4, 2] = -2  # m_11 of (2, 0 | 0), below its range 0 .. 2
             irrep._patterns = lambda sig: bad
             try:
-                irrep.build_basis(Weight((1, -1)))
+                irrep.build_basis(Weight((1, 0, -1)))
             except AssertionError as exc:
                 print("raised:", exc)
             irrep._patterns = patterns
-            irrep.weyl_dimension = lambda w: 4
+            irrep.weyl_dimension = lambda w: 9
             try:
-                irrep.build_basis(Weight((1, -1)))
+                irrep.build_basis(Weight((1, 0, -1)))
             except AssertionError as exc:
                 print("raised:", exc)
         """)
@@ -239,21 +245,47 @@ class TestArrayBuilder:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
             "raised: a GT amplitude of E_12 has num < 0 or den <= 0",
-            "raised: 3 GT patterns for an irrep of dimension 4",
+            "raised: 8 GT patterns for an irrep of dimension 9",
         ]
 
-    def test_cached_bases_hold_at_most_16_bytes_per_pattern(self, monkeypatch):
-        # a d = 2 basis keeps its n - 1 couplings (8 bytes each) and nothing
-        # else per pattern; this measured 13.2 bytes per pattern for j <= 120
-        monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            n = sum(cached_basis(Weight((j, -j))).dim for j in range(1, 121))
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held <= 16 * n, held / n
+    def test_cached_bases_hold_at_most_512_bytes_per_weight(self):
+        # a d = 2 basis is its weight and n, whatever n is: the same bound at
+        # small and at large j (this measured 350-375 bytes per weight)
+        for low in (1, 2001):
+            cached_basis.cache_clear()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for j in range(low, low + 120):
+                    cached_basis(Weight((j, -j)))
+                held = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert held <= 512 * 120, (low, held / 120)
+
+    def test_d2_couplings_are_the_builders_bit_for_bit(self):
+        # jy_frame's T[r, r+1] = sqrt(k (n - k)) / 2, k = r + 1, is half the
+        # builder's E_12 amplitude: the same integer numerator over 1.0
+        for j in [*range(1, 601), 1559]:
+            n = 2 * j + 1
+            sig = (2 * j, 0)
+            rows, cols, vals = _amplitudes(_patterns(sig), sig)[0]
+            k = np.arange(1, n)
+            assert np.array_equal(rows, k - 1) and np.array_equal(cols, k), j
+            _assert_same(0.5 * np.sqrt(k * (n - k)), 0.5 * vals, str(j))
+
+    def test_d2_build_makes_no_patterns_amplitudes_or_real_structure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a d = 2 basis built GT data")
+
+        for name in ("_patterns", "_amplitudes", "_real_structure"):
+            monkeypatch.setattr(gapforge.irrep, name, refuse)
+        for j in (1, 2, 60, 1559):
+            b = build_basis(Weight((j, -j)))
+            assert (b.dim, b.real_basis, b.frame, b.spans, b.shapes, b.shape_of) == (
+                2 * j + 1, None, None, None, (), ())
+            if j <= 60:  # the frame and the image come from n alone
+                irrep_matrix(b, rand_unitary(2, j), real=True)
 
 
 class TestRealStructure:

@@ -54,10 +54,10 @@ def test_traced_d3_gap_records_images():
     assert metrics["irrep.image.calls"] == len(images) == pair.k * len(canonical)
 
 
-def test_cold_builds_record_basis_build_spans(monkeypatch):
+def test_cold_builds_record_basis_build_spans():
     # irrep.basis.builds and irrep.basis.s come from these spans: a build
     # that no longer went through irrep.build_basis would read 0
-    monkeypatch.setattr(gapforge.irrep, "_CACHE", {})
+    gapforge.irrep.cached_basis.cache_clear()
     pair = haar_random_gateset(3, 2, seed=1729)
     recorder = spans.Recorder()
     with spans.installed(recorder):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapforge import weightlat
 from gapforge.errors import DomainError
 from gapforge.weightlat import (
     IrrepMeta,
@@ -92,10 +93,21 @@ class TestEnumeration:
         got = {w.entries for w in enumerate_weights(2, 3)}
         assert got == {(0, 0), (1, -1), (2, -2), (3, -3)}
 
-    @pytest.mark.parametrize("d,t", [(2, 7), (3, 4), (4, 3)])
+    @pytest.mark.parametrize("d,t", [(2, 7), (3, 4), (4, 3), (2, 30), (3, 12), (4, 8), (5, 6),
+                                     (6, 4)])
     def test_against_brute_force(self, d, t):
         got = {w.entries for w in enumerate_weights(d, t)}
         assert got == brute_force_weights(d, t)
+
+    def test_d2_makes_one_partition_pair_per_s(self, monkeypatch):
+        # a mu of d parts leaves no room for nu, so mu has at most d - 1: at
+        # d = 2 one (mu, nu) per s, O(t) partitions made, not O(t^2)
+        calls = []
+        partitions = weightlat._partitions
+        monkeypatch.setattr(weightlat, "_partitions",
+                            lambda *a: calls.append(a) or partitions(*a))
+        assert len(enumerate_weights(2, 1000)) == 1001
+        assert len(calls) <= 5 * 1001, len(calls)
 
     def test_d2_count_linear(self):
         for t in range(51):
