@@ -15,7 +15,8 @@ code; some read the MALFORMED gate files.
 Two trees that compute the same numbers print the same bytes.  The second
 form compares two such outputs command by command: it prints each command
 whose stdout differs, with the JSON keys that moved and the largest absolute
-move of a numeric one, and exits 1 if any command differs.
+move of a numeric one, then each command that only the new output has, and
+exits 1 if any command differs or is new.
 """
 
 import contextlib
@@ -52,6 +53,8 @@ FAILING = [  # (argv, exit code) of the commands that must fail, run last
       "--samples", "10", "--seed", "-1"], 2),
     (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "0.5",
       "--samples", "10", "--word-cap", "-1"], 2),
+    (["net-empirical", "--gates", "d2k2.json", "--length", "10000", "--eps", "0.5",
+      "--samples", "10"], 3),
     *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
       for name in MALFORMED),
 ]
@@ -168,8 +171,13 @@ def compare(old_path: str, new_path: str) -> int:
             # None when a value other than a number moved
             report["max_move"] = max(sizes) if len(sizes) == len(moves) else None
         print(json.dumps(report, sort_keys=True))
-    print(json.dumps({"commands": len(old), "identical": len(old) - differ}))
-    return 1 if differ else 0
+    olds = {o["argv"] for o in old}
+    added = [argv for argv in new if argv not in olds]
+    for argv in added:
+        print(json.dumps({"added": True, "argv": argv}, sort_keys=True))
+    print(json.dumps({"added": len(added), "commands": len(old),
+                      "identical": len(old) - differ}))
+    return 1 if differ or added else 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ only if its squared bound is within a rounding slack of the target's best:
 first each target's smallest-bound word, then the other words against the
 lowered best.  A pruned pair has a computed D above best, so the minimum runs
 over the same floating-point values as an eigensolve of every pair, and is
-bit-identical.
+bit-identical, in whatever order the words are scanned.
 """
 
 from __future__ import annotations
@@ -248,13 +248,17 @@ def _freeze(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def _word_count(n_letters: int, length: int) -> int:
-    """Words of length <= `length` with no immediate inverse backtracking."""
-    total = 1
-    level = 1
-    for step in range(1, length + 1):
-        level = n_letters * level if step == 1 else (n_letters - 1) * level
+def _word_count(n_letters: int, length: int, cap: float = inf) -> int:
+    """Words of length <= `length` with no immediate inverse backtracking,
+    counted level by level until the total passes `cap`."""
+    if n_letters == 2:  # two words per level
+        return 1 + 2 * length
+    total, level = 1, n_letters
+    for _ in range(length):
         total += level
+        if total > cap:
+            break
+        level *= n_letters - 1
     return total
 
 
@@ -270,15 +274,15 @@ def empirical_net(
     length <= `length` over the symmetric set.
 
     Every word of length <= `length` over the 2k letters with no letter next
-    to its inverse is enumerated, breadth-first: free of the trivial g g^-1
+    to its inverse is enumerated, depth first: free of the trivial g g^-1
     cancellations, but it may still repeat group elements for sets with
     relations.  The Haar targets come from one draw of the seeded generator.
-    Each level is made a window of _BATCH // samples words at a time and each
-    window is scanned as it is made; a level is held only while the next one
-    is built from it, so the deepest level, about (2k - 2) / (2k - 1) of all
-    words, is never held.  In each window a (word, target) pair gets an exact
-    D only if its trace bound can still lower the target's best (module
-    docstring); the result is that of an exact D for every pair, bit for bit.
+    A word's one-letter extensions are made in windows of _BATCH // samples
+    words at most, and each window is scanned and then extended before the
+    next window of its level is made, so one window per level is held, for
+    any length.  In each window a (word, target) pair gets an exact D only if
+    its trace bound can still lower the target's best (module docstring);
+    the result is that of an exact D for every pair, bit for bit.
     """
     if not eps > 0:  # NaN too
         raise DomainError(f"eps must be positive, got {eps}")
@@ -296,13 +300,9 @@ def empirical_net(
     mem = gs.symmetrized().members()
     mats = np.stack([U for _, U in mem])
     n_letters = len(mem)
-    k = gs.k
-    n_words = _word_count(n_letters, length)
-    if n_words > word_cap:
-        raise ResourceLimitError(
-            f"{n_words} words of length <= {length} exceed the cap {word_cap}; "
-            f"reduce the length or raise word_cap"
-        )
+    if _word_count(n_letters, length, word_cap) > word_cap:
+        raise ResourceLimitError(f"the words of length <= {length} number more than the "
+                                 f"cap {word_cap}; reduce the length or raise word_cap")
 
     if samples == 0:
         warnings.warn("empirical_net called with samples=0; nothing to measure")
@@ -312,13 +312,18 @@ def empirical_net(
     targets = _haar_unitaries(gs.d, samples, rng)
     best = np.full(samples, np.inf)
 
-    # BFS over words; a level is (word matrices, last letter index)
-    level = np.eye(gs.d, dtype=np.complex128)[None, :, :]
-    last = np.array([-1])
-    _scan_words(level, targets, best)
-    for depth in range(1, length + 1):
-        level, last = _scan_next_level(level, last, mats, k, targets, best,
-                                       hold=depth < length)
+    # depth first: a stack of (windows of words, last letters) iterators, one per level
+    step = max(1, _BATCH // samples)
+    inverse = (np.arange(n_letters) + gs.k) % n_letters
+    stack = [iter([(np.eye(gs.d, dtype=np.complex128)[None], np.array([-1]))])]
+    while stack:
+        window = next(stack[-1], None)
+        if window is None:
+            stack.pop()
+            continue
+        _scan_words(window[0], targets, best)
+        if len(stack) <= length:  # the window's words are shorter than `length`
+            stack.append(_extensions(*window, mats, inverse, step))
 
     covered = float(np.mean(best <= eps))
     return NetEstimate(
@@ -330,33 +335,27 @@ def empirical_net(
     )
 
 
-def _scan_next_level(level, last, mats, k, targets, best, hold):
-    """Scan every non-backtracking one-letter extension of the level's words.
-
-    The words are made letter by letter into windows of one scan chunk, and
-    each window is scanned as soon as it is full.  With `hold` the windows
-    tile one array, returned with the last letters as the next level;
-    without it one window is reused, so the level is never held, and
-    (None, None) is returned."""
-    n_letters = mats.shape[0]
-    inverse = (np.arange(n_letters) + k) % n_letters
-    counts = [np.count_nonzero(last != inv) for inv in inverse]
-    step = max(1, _BATCH // targets.shape[0])
-    size = sum(counts) if hold else min(sum(counts), step)
-    out = np.empty((size,) + level.shape[1:], dtype=np.complex128)
-    start = pos = 0  # out[start:pos] is made and not yet scanned
-    for letter in range(n_letters):
-        (rows,) = np.nonzero(last != inverse[letter])
+def _extensions(words, last, mats, inverse, step):
+    """Yield the non-backtracking one-letter extensions of `words`, letter by
+    letter, as (words, last letters) windows of at most `step` that share one
+    buffer: each window must be used up before the next is asked for."""
+    out = np.empty((min(words.shape[0] * len(inverse), step),) + words.shape[1:],
+                   dtype=np.complex128)
+    out_last = np.empty(out.shape[0], dtype=np.intp)
+    pos = 0  # out[:pos] is made
+    for letter, inv in enumerate(inverse):
+        (rows,) = np.nonzero(last != inv)
         while rows.size:
-            take = min(rows.size, start + step - pos)
-            np.einsum("nab,bc->nac", level[rows[:take]], mats[letter],
+            take = min(rows.size, out.shape[0] - pos)
+            np.einsum("nab,bc->nac", words[rows[:take]], mats[letter],
                       out=out[pos : pos + take])
+            out_last[pos : pos + take] = letter
             rows, pos = rows[take:], pos + take
-            if pos - start == step:
-                _scan_words(out[start:pos], targets, best)
-                start = pos = pos if hold else 0
-    _scan_words(out[start:pos], targets, best)
-    return (out, np.repeat(np.arange(n_letters), counts)) if hold else (None, None)
+            if pos == out.shape[0]:
+                yield out, out_last
+                pos = 0
+    if pos:
+        yield out[:pos], out_last[:pos]
 
 
 def _trace_overlaps(targets, words) -> np.ndarray:

@@ -339,12 +339,17 @@ class TestOutFile:
         assert json.loads(p.read_text())["count"] == 4
 
 
-def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
-    # every command of scripts/cli_fixtures.py, warnings included
+def _cli_fixtures():
     path = Path(__file__).resolve().parents[1] / "scripts" / "cli_fixtures.py"
     spec = importlib.util.spec_from_file_location("cli_fixtures", path)
     fixtures = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fixtures)
+    return fixtures
+
+
+def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
+    # every command of scripts/cli_fixtures.py, warnings included
+    fixtures = _cli_fixtures()
     monkeypatch.chdir(tmp_path)
     fixtures.write_gate_files()
     codes = {" ".join(argv): code for argv, code in fixtures.FAILING}
@@ -359,6 +364,19 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
             events.append(record["event"])
     assert "warning" in events  # bound below the reference scale warns
     assert events.count("error") == len(codes)
+
+
+def test_fixture_compare_reports_added_commands(tmp_path, capsys):
+    # a command only the new output has is a difference, not silence
+    lines = [{"argv": f"weights {i}", "exit": 0, "stdout": "{}"} for i in range(3)]
+    for name, rows in (("old", lines[:2]), ("new", lines)):
+        (tmp_path / name).write_text("".join(json.dumps(r) + "\n" for r in rows))
+    fixtures = _cli_fixtures()
+    assert fixtures.compare(tmp_path / "old", tmp_path / "new") == 1
+    *reports, summary = map(json.loads, capsys.readouterr().out.splitlines())
+    assert reports == [{"added": True, "argv": "weights 2"}]
+    assert summary == {"added": 1, "commands": 2, "identical": 2}
+    assert fixtures.compare(tmp_path / "old", tmp_path / "old") == 0
 
 
 @pytest.mark.parametrize("argv, code, category", [
@@ -381,6 +399,8 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
       "--seed", "-1"], 2, "DomainError"),
     (["net-empirical", "--gates", "g.json", "--length", "2", "--eps", "0.5", "--samples", "10",
       "--word-cap", "-1"], 2, "DomainError"),
+    (["net-empirical", "--gates", "g.json", "--length", "10000", "--eps", "0.5", "--samples",
+      "10"], 3, "ResourceLimitError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):

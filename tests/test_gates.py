@@ -19,6 +19,7 @@ from gapforge.gates import (
     _pair_distances,
     _scan_words,
     _trace_overlaps,
+    _word_count,
     check_unitary,
     empirical_net,
     haar_random_gateset,
@@ -334,6 +335,23 @@ class TestEmpiricalNet:
         with pytest.raises(ResourceLimitError):
             empirical_net(haar_pair_d2, length=30, eps=0.5, samples=1, word_cap=1000)
 
+    def test_huge_length_refused_with_a_short_message(self, haar_pair_d2):
+        # 4 * 3^9999 words: the refusal must not format that count in full
+        with pytest.raises(ResourceLimitError, match="more than the cap 10000000") as info:
+            empirical_net(haar_pair_d2, length=10_000, eps=0.5, samples=10)
+        assert len(str(info.value)) < 200
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_word_count_stops_past_the_cap(self, k):
+        gs = haar_random_gateset(2, k, seed=k)
+        for length in range(5):
+            n = _words(gs, length).shape[0]
+            assert _word_count(2 * k, length) == n
+            assert _word_count(2 * k, length, cap=n) == n
+            assert _word_count(2 * k, length, cap=n - 1) > n - 1
+        # a length of 10^7 is counted only up to the first level past the cap
+        assert 10**7 < _word_count(2 * k, 10**7, cap=10**7) <= 2 * k * 10**7 + 1
+
     def test_deterministic(self, haar_pair_d2):
         a = empirical_net(haar_pair_d2, length=3, eps=0.7, samples=25, seed=6)
         b = empirical_net(haar_pair_d2, length=3, eps=0.7, samples=25, seed=6)
@@ -495,6 +513,27 @@ class TestNetMatchesBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 6.4e6
+
+    def test_one_window_per_level_held(self):
+        # length 12 is 1 062 881 words; its level 11 alone, held as one
+        # array, is 236 196 x 64 bytes
+        import tracemalloc
+
+        gs = haar_random_gateset(2, 2, 7)
+        tracemalloc.start()
+        try:
+            empirical_net(gs, 12, 0.3, 100, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_long_words_at_k1_match_brute_force(self):
+        # 5000 levels of two words each, far past the recursion limit: the
+        # traversal must keep one level per stack entry, not per Python frame
+        gs = haar_random_gateset(2, 1, seed=3)
+        got = empirical_net(gs, 5000, 0.2, samples=4, seed=2)
+        assert got == brute_force_net(gs, 5000, 0.2, samples=4, seed=2)
 
     def test_memory_bounded_by_chunks(self):
         # one unchunked (words x targets) trace block at length 8 and 800
