@@ -96,6 +96,10 @@ def commands() -> list:
     for gates, eps0, t in (("d2k2.json", "0.1", 20), ("d2k3.json", "0.25", 8)):
         cmds.append(["bound", "--gates", gates, "--eps0", eps0, "--t-override", str(t),
                      "--threads", "2", "--no-progress"])
+    # at t0 = 2 the checked pass runs to T_PROBE = 3; these stop at t0
+    for command in (["gtzero"], ["bound", "--eps0", "0.1"]):
+        cmds.append([*command, "--gates", "d2k3.json", "--t-override", "2", "--threads", "2",
+                     "--no-progress", "--no-universality-check"])
     for gates, length in (("d2k2.json", 8), ("d3k2.json", 5), ("d2k2-one-sided.json", 6)):
         cmds.append(["net-empirical", "--gates", gates, "--length", str(length), "--eps", "0.5",
                      "--samples", "100", "--seed", "7"])

@@ -16,13 +16,12 @@ block from those images.  It uses the Frobenius-Schur type of each weight
 complex conjugate of the block of lambda up to a change of basis, so only the
 first of each conjugate pair is computed; a self-conjugate block is taken to
 its real form, a real symmetric matrix, by summing images that irrep returns
-in its real basis (irrep_matrix(real=True)).  The universality probe reads
-its verdict off the block norms at the small scale T_PROBE.  Each image is
-symmetrized in place and summed into its block as soon as it is built, so a
-weight holds its block, the image being built (folded in place by irrep),
-the images a later subset reuses and the buffer LAPACK factors: one subset
-takes about 3 n^2 doubles at d = 2, 2.2 n^2 for a self-conjugate weight at
-d >= 3, whose images are real, and 4.35 n^2 for a complex one.
+in its real basis (irrep_matrix(real=True)).  Each image is symmetrized in
+place and summed into its block as soon as it is built, so a weight holds
+its block, the image being built (folded in place by irrep), the images a
+later subset reuses and the buffer LAPACK factors: one subset takes about
+3 n^2 doubles at d = 2, 2.2 n^2 for a self-conjugate weight at d >= 3, whose
+images are real, and 4.35 n^2 for a complex one.
 
 g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
 eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
@@ -36,21 +35,16 @@ eigensolves throughout.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy
 
 from .errors import DomainError
 from .irrep import cached_basis, check_dim_cap, gate_factors, irrep_matrix, jy_frame, rows_per_tile
-from .lapack import certify_norm_below, eigvalsh
+from .lapack import _ONE_BLAS_THREAD, _pin_blas, certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
     check_scale,
@@ -69,7 +63,6 @@ __all__ = [
     "subset_norms",
     "checked_gap",
     "gap_at_scale",
-    "universality_heuristic",
     "T_PROBE",
 ]
 
@@ -207,6 +200,8 @@ def subset_norms(
     returned a norm below the maximum, so each column maximum is the same
     float as without certify, at any thread count.
     """
+    if not gs.symmetric:
+        raise DomainError("subset_norms needs a symmetric gate set")
     check_dim_cap(gs.d, t)  # before millions of weights are enumerated
     weights = enumerate_nontrivial_weights(gs.d, t)
     factors = [gate_factors(U) for _, U in gs.pairs]
@@ -295,9 +290,9 @@ def _map_weights(one: Callable, weights: list, threads: int | None, dims: list) 
     not depend on the thread count.  dims holds the block dimension of each
     weight: only the weights of dimension >= POOL_MIN_DIM go to the pool;
     the others run on the calling thread after it.  Every task runs with
-    OpenBLAS on one thread, on the pool and serially alike: the pool is the
-    parallelism, and one BLAS thread per task keeps the results bit-identical
-    across pool sizes.
+    OpenBLAS on one thread (lapack's pin), on the pool and serially alike: the
+    pool is the parallelism, and one BLAS thread per task keeps the results
+    bit-identical across pool sizes.
     """
     n_threads = _resolve_threads(threads)
     pooled = [i for i, n in enumerate(dims) if n >= POOL_MIN_DIM]
@@ -308,60 +303,6 @@ def _map_weights(one: Callable, weights: list, threads: int | None, dims: list) 
         with ThreadPoolExecutor(max_workers=n_threads, initializer=_pin_blas) as pool:
             done = dict(zip(pooled, pool.map(one, [weights[i] for i in pooled])))
         return [done[i] if i in done else one(w) for i, w in enumerate(weights)]
-
-
-@functools.cache
-def _blas_thread_setters() -> tuple:
-    """openblas_set_num_threads_local of the loaded OpenBLAS builds that numpy
-    and scipy bundle; empty where there is none, and BLAS runs as configured."""
-    setters = []
-    for pkg in (np, scipy):
-        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
-        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
-            try:
-                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))  # loaded ones only
-                fn = lib.openblas_set_num_threads_local
-            except (OSError, AttributeError):
-                continue
-            fn.argtypes = [ctypes.c_int]
-            fn.restype = ctypes.c_int
-            setters.append(fn)
-    return tuple(setters)
-
-
-def _pin_blas() -> list:
-    """Set every OpenBLAS found to one thread; return the previous counts."""
-    return [set_threads(1) for set_threads in _blas_thread_setters()]
-
-
-class _BlasPin:
-    """Context manager pinning OpenBLAS to one thread for the duration.
-
-    The bundled pthreads builds apply the count to the whole process, so
-    passes that overlap (from different caller threads) share one pin: the
-    first to enter saves the counts and the last to leave restores them.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._previous = []
-
-    def __enter__(self):
-        with self._lock:
-            if self._depth == 0:
-                self._previous = _pin_blas()
-            self._depth += 1
-
-    def __exit__(self, *exc):
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0:
-                for set_threads, n in zip(_blas_thread_setters(), self._previous):
-                    set_threads(n)
-
-
-_ONE_BLAS_THREAD = _BlasPin()
 
 
 def gap_at_scale(
@@ -399,37 +340,3 @@ def gap_at_scale(
         worst_weight=worst_weight,
         per_weight_norms=per_weight,
     )
-
-
-def universality_heuristic(gs: "GateSet") -> str:
-    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE.
-
-    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector
-                         certifies a proper closed subgroup at this scale);
-    'universal-likely' — all block norms <= 1 - 1e-6;
-    'inconclusive'     — in between.
-    """
-    gs = gs.symmetrized()
-    weights, norms = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
-    return _verdict(gs, weights, [ns[0] for ns in norms])
-
-
-def _verdict(gs: "GateSet", weights: list, norms: list) -> str:
-    """universality_heuristic's verdict from the norms of gs's full blocks over
-    the nontrivial weights up to T_PROBE, in canonical order."""
-    top = max(norms)
-    worst = 1.0 - checked_gap(top)
-    if worst >= 1.0 - 1e-8:
-        # confirm with an explicit near-invariant eigenvector of the first
-        # (canonical order) worst block
-        B = averaging_block(weights[norms.index(top)], gs)
-        vals, vecs = np.linalg.eigh(B)
-        i = int(np.argmax(np.abs(vals)))
-        v = vecs[:, i]
-        resid = float(np.linalg.norm(B @ v - vals[i] * v))
-        if not resid <= 1e-8:
-            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
-        return "not-universal"
-    if worst <= 1.0 - 1e-6:
-        return "universal-likely"
-    return "inconclusive"

@@ -26,9 +26,11 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .avgop import T_PROBE, _verdict, checked_gap, subset_norms
-# not called here; perfbench/spans.py patches both names on bounds
-from .avgop import gap_at_scale, universality_heuristic  # noqa: F401
+import numpy as np
+
+from .avgop import T_PROBE, averaging_block, checked_gap, subset_norms
+# not called here; perfbench/spans.py patches it on bounds
+from .avgop import gap_at_scale  # noqa: F401
 from .constants import (
     C_BALL,
     C_CHORD,
@@ -45,6 +47,7 @@ __all__ = [
     "SubsetGapTable",
     "BoundReport",
     "g_t0",
+    "universality_heuristic",
     "main_lower_bound",
     "gap_bound_from_diameter",
     "net_length_covering",
@@ -181,6 +184,40 @@ def g_t0(
         raise AssertionError(f"g_t0 = {g!r} outside [0, (k-1)/(2k)]")
     table = SubsetGapTable(t0=t0, per_m=tuple(per_m), k=k, universality=tuple(verdicts))
     return g, table
+
+
+def universality_heuristic(gs: GateSet) -> str:
+    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE.
+
+    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector
+                         certifies a proper closed subgroup at this scale);
+    'universal-likely' — all block norms <= 1 - 1e-6;
+    'inconclusive'     — in between.
+    """
+    gs = gs.symmetrized()
+    weights, norms = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
+    return _verdict(gs, weights, [ns[0] for ns in norms])
+
+
+def _verdict(gs: GateSet, weights: list, norms: list) -> str:
+    """universality_heuristic's verdict from the norms of gs's full blocks over
+    the nontrivial weights up to T_PROBE, in canonical order."""
+    top = max(norms)
+    worst = 1.0 - checked_gap(top)
+    if worst >= 1.0 - 1e-8:
+        # confirm with an explicit near-invariant eigenvector of the first
+        # (canonical order) worst block
+        B = averaging_block(weights[norms.index(top)], gs)
+        vals, vecs = np.linalg.eigh(B)
+        i = int(np.argmax(np.abs(vals)))
+        v = vecs[:, i]
+        resid = float(np.linalg.norm(B @ v - vals[i] * v))
+        if not resid <= 1e-8:
+            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
+        return "not-universal"
+    if worst <= 1.0 - 1e-6:
+        return "universal-likely"
+    return "inconclusive"
 
 
 def main_lower_bound(

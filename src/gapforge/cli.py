@@ -31,7 +31,12 @@ from .gates import (
     load_gateset,
     save_gateset,
 )
-from .weightlat import enumerate_nontrivial_weights, enumerate_weights, irrep_meta
+from .weightlat import (
+    enumerate_nontrivial_weights,
+    enumerate_weights,
+    frobenius_schur,
+    weyl_dimension,
+)
 
 __all__ = ["main"]
 
@@ -117,17 +122,11 @@ def cmd_weights(args) -> int:
     if args.count_only:
         _emit(_document(cfg, {"count": len(ws)}), args)
         return 0
-    rows = []
-    for w in ws:
-        m = irrep_meta(w)
-        rows.append(
-            {
-                "weight": list(w.entries),
-                "dim": m.dim,
-                "fs_indicator": m.fs_indicator,
-                "one_norm": m.one_norm,
-            }
-        )
+    rows = [
+        {"weight": list(w.entries), "dim": weyl_dimension(w),
+         "fs_indicator": frobenius_schur(w), "one_norm": w.one_norm}
+        for w in ws
+    ]
     _emit(_document(cfg, {"count": len(ws), "weights": rows}), args)
     return 0
 

@@ -7,8 +7,9 @@ routines, the ones scipy.linalg.cython_lapack exports from scipy's own
 OpenBLAS, through ctypes, which releases the GIL for each foreign call.
 That extension is loaded on its own when this module is imported, without
 running scipy/linalg/__init__.py, so no gapforge path imports scipy.linalg
-and pays for its memory and start-up.  Loading it maps scipy's OpenBLAS,
-which avgop's thread pin must find already mapped.
+and pays for its memory and start-up.  _BlasPin holds the OpenBLAS builds
+bundled with numpy and scipy to one thread for the duration of a per-weight
+pass (openblas_set_num_threads_local, also through ctypes).
 eigvalsh passes what scipy.linalg.eigvalsh passes: the same driver, triangle,
 tolerance and queried workspace, on a column-major copy, so its results are
 the same bits; cossin and schur do the same for scipy.linalg.cossin(...,
@@ -24,12 +25,16 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import glob
 import importlib.machinery
 import importlib.util
+import os
 import sys
+import threading
 from ctypes import byref, c_double, c_int
 
 import numpy as np
+import scipy
 
 __all__ = ["eigvalsh", "bidiagonal_svd", "certify_norm_below", "cossin", "schur"]
 
@@ -59,9 +64,63 @@ def _cython_lapack():
     return module
 
 
-# loaded now, not on the first call: avgop's thread pin caches the OpenBLAS
-# builds mapped when it first runs, and this maps scipy's
+# loaded now, not on the first call, so that scipy's OpenBLAS is mapped before
+# _blas_thread_setters below looks for the loaded builds, once
 _CAPI = _cython_lapack().__pyx_capi__
+
+
+@functools.cache
+def _blas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of the loaded OpenBLAS builds that numpy
+    and scipy bundle; empty where there is none, and BLAS runs as configured."""
+    setters = []
+    for pkg in (np, scipy):
+        libs = os.path.join(os.path.dirname(os.path.dirname(pkg.__file__)), pkg.__name__ + ".libs")
+        for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so*"))):
+            try:
+                lib = ctypes.CDLL(path, mode=getattr(os, "RTLD_NOLOAD", 0))  # loaded ones only
+                fn = lib.openblas_set_num_threads_local
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.c_int]
+            fn.restype = ctypes.c_int
+            setters.append(fn)
+    return tuple(setters)
+
+
+def _pin_blas() -> list:
+    """Set every OpenBLAS found to one thread; return the previous counts."""
+    return [set_threads(1) for set_threads in _blas_thread_setters()]
+
+
+class _BlasPin:
+    """Context manager pinning OpenBLAS to one thread for the duration.
+
+    The bundled pthreads builds apply the count to the whole process, so
+    passes that overlap (from different caller threads) share one pin: the
+    first to enter saves the counts and the last to leave restores them.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._previous = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._previous = _pin_blas()
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_threads, n in zip(_blas_thread_setters(), self._previous):
+                    set_threads(n)
+
+
+_ONE_BLAS_THREAD = _BlasPin()
 
 
 @functools.cache

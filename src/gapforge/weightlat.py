@@ -19,12 +19,10 @@ from .errors import DomainError
 
 __all__ = [
     "Weight",
-    "IrrepMeta",
     "enumerate_weights",
     "enumerate_nontrivial_weights",
     "weyl_dimension",
     "frobenius_schur",
-    "irrep_meta",
 ]
 
 
@@ -68,19 +66,6 @@ class Weight:
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.entries)
-
-
-@dataclass(frozen=True)
-class IrrepMeta:
-    """Static data of one irrep: dimension, self-duality, weight 1-norm."""
-
-    weight: Weight
-    dim: int
-    # 1: self-conjugate, of real type, so its averaging blocks have a real
-    # form; 0: complex, and the conjugate weight's blocks have the same norms.
-    # Quaternionic (-1) never occurs for PU(d).
-    fs_indicator: int
-    one_norm: int
 
 
 def _partitions(s: int, max_parts: int, max_first: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -151,18 +136,11 @@ def frobenius_schur(weight: Weight) -> int:
     """Frobenius-Schur indicator: 1 iff self-conjugate, else 0.
 
     PU(d) irreps of the tensor powers treated here are never quaternionic,
-    so the indicator is {0, 1}-valued.
+    so the indicator is {0, 1}-valued.  The entries are compared with the
+    conjugate's directly: conjugate() would build and check a new Weight.
     """
-    return 1 if weight == weight.conjugate() else 0
-
-
-def irrep_meta(weight: Weight) -> IrrepMeta:
-    return IrrepMeta(
-        weight=weight,
-        dim=weyl_dimension(weight),
-        fs_indicator=frobenius_schur(weight),
-        one_norm=weight.one_norm,
-    )
+    e = weight.entries
+    return 1 if e == tuple(-x for x in reversed(e)) else 0
 
 
 # dimension and scale sanity shared by the other modules

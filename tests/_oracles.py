@@ -68,7 +68,6 @@ from gapforge.irrep import (
     _schur_unitary,
 )
 from gapforge.weightlat import (
-    IrrepMeta,
     Weight,
     check_scale,
     enumerate_nontrivial_weights,
@@ -184,19 +183,21 @@ def convergence_profile(gs, t: int, ell_max: int) -> list:
     return profile
 
 
-def b_coefficient(meta: IrrepMeta, eps: float, ell: float) -> float:
-    """Per-irrep mixing coefficient (sqrt(2 (1 - i/d)) - C ||lambda||_1 eps) / ell."""
-    if meta.one_norm <= 0:
+def b_coefficient(weight: Weight, eps: float, ell: float) -> float:
+    """Per-irrep mixing coefficient (sqrt(2 (1 - i/d)) - C ||lambda||_1 eps) / ell,
+    i the Frobenius-Schur indicator and d the dimension of weight's irrep."""
+    one_norm = weight.one_norm
+    if one_norm <= 0:
         raise DomainError("b_coefficient needs a nontrivial weight")
-    top = math.sqrt(2.0 * (1.0 - meta.fs_indicator / meta.dim))
-    cap = top / (C_CHORD * meta.one_norm)
+    top = math.sqrt(2.0 * (1.0 - frobenius_schur(weight) / weyl_dimension(weight)))
+    cap = top / (C_CHORD * one_norm)
     if not (0.0 < eps < 1.0 and eps <= cap):
         raise DomainError(
             f"eps must satisfy 0 < eps <= {cap:.6g} (and < 1), got {eps}"
         )
     if ell <= 0:
         raise DomainError(f"ell must be positive, got {ell}")
-    return (top - C_CHORD * meta.one_norm * eps) / ell
+    return (top - C_CHORD * one_norm * eps) / ell
 
 
 def gap_bound_from_b(b_list, k: int) -> tuple:

@@ -29,7 +29,6 @@ import gapforge.avgop
 from gapforge.avgop import (
     POOL_MIN_DIM,
     GapReport,
-    _blas_thread_setters,
     _block_sums,
     _hermitian_norm,
     _map_weights,
@@ -49,7 +48,7 @@ from gapforge.gates import (
     squared_set,
 )
 from gapforge.irrep import JyFrame, cached_basis, gate_factors, irrep_matrix
-from gapforge.lapack import certify_norm_below
+from gapforge.lapack import _blas_thread_setters, certify_norm_below
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -201,6 +200,15 @@ class TestGapAtScale:
 
 
 class TestSubsetNorms:
+    def test_needs_symmetric(self):
+        # a one-sided set is refused, not silently read as its symmetrization
+        gs = haar_random_gateset(2, 2, seed=3, symmetric=False)
+        with pytest.raises(DomainError, match="symmetric"):
+            subset_norms(gs, 3, [(0, 1)])
+        _, norms = subset_norms(gs.symmetrized(), 3, [(0, 1)])
+        rep = gap_at_scale(gs, 3, auto_symmetrize=True)
+        assert [ns[0] for ns in norms] == list(rep.per_weight_norms.values())
+
     @pytest.mark.parametrize("d, k, t", [(2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2),
                                          (4, 2, 2), (4, 3, 1)])
     @pytest.mark.parametrize("threads", [1, 2])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gapforge
 import gapforge.avgop
 from _oracles import b_coefficient, gap_bound_from_b, subset_squares
-from gapforge.avgop import gap_at_scale, universality_heuristic
+from gapforge.avgop import gap_at_scale
 from gapforge.bounds import (
     BoundReport,
     SubsetGapTable,
@@ -24,6 +24,7 @@ from gapforge.bounds import (
     main_lower_bound,
     net_length_scale_bound,
     net_length_covering,
+    universality_heuristic,
 )
 from gapforge.constants import SK_EXPONENT, alpha, beta, scale_t0
 from gapforge.errors import DomainError
@@ -31,7 +32,6 @@ from gapforge.gates import GateSet, haar_random_gateset, make_gateset, squared_s
 from gapforge.weightlat import (
     Weight,
     enumerate_nontrivial_weights,
-    irrep_meta,
     weyl_dimension,
 )
 
@@ -386,27 +386,27 @@ class TestMainLowerBound:
 
 class TestBCoefficient:
     def test_values(self):
-        meta = irrep_meta(Weight((1, -1)))  # dim 3, self-conjugate, norm 2
+        w = Weight((1, -1))  # dim 3, self-conjugate, norm 2
         top = math.sqrt(2 * (1 - 1 / 3))
-        got = b_coefficient(meta, eps=0.1, ell=5.0)
+        got = b_coefficient(w, eps=0.1, ell=5.0)
         want = (top - (math.pi / 2) * 2 * 0.1) / 5.0
         assert got == pytest.approx(want, rel=1e-14)
 
     def test_domain_window(self):
-        meta = irrep_meta(Weight((1, -1)))
+        w = Weight((1, -1))
         top = math.sqrt(2 * (1 - 1 / 3))
         cap = top / ((math.pi / 2) * 2)
-        assert b_coefficient(meta, eps=cap, ell=1.0) == pytest.approx(0.0, abs=1e-15)
+        assert b_coefficient(w, eps=cap, ell=1.0) == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(DomainError):
-            b_coefficient(meta, eps=cap * 1.01, ell=1.0)
+            b_coefficient(w, eps=cap * 1.01, ell=1.0)
         with pytest.raises(DomainError):
-            b_coefficient(meta, eps=0.0, ell=1.0)
+            b_coefficient(w, eps=0.0, ell=1.0)
         with pytest.raises(DomainError):
-            b_coefficient(meta, eps=0.1, ell=0.0)
+            b_coefficient(w, eps=0.1, ell=0.0)
 
     def test_needs_nontrivial(self):
         with pytest.raises(DomainError):
-            b_coefficient(irrep_meta(Weight((0, 0))), eps=0.1, ell=1.0)
+            b_coefficient(Weight((0, 0)), eps=0.1, ell=1.0)
 
 
 class TestGapBoundFromB:
@@ -519,13 +519,13 @@ class TestNetLengths:
 def test_b_pipeline_random(seed):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 6))
-    meta = irrep_meta(Weight((1, -1)))
+    w = Weight((1, -1))
     top = math.sqrt(2 * (1 - 1 / 3))
     cap = min(top / (math.pi), 0.999)  # C * one_norm = pi
     eps = float(rng.uniform(1e-6, cap))
     # lengths grow with m, so coefficients fall: the canonical shape
     ells = np.cumsum(rng.uniform(1.0, 5.0, size=k - 1))
-    bs = [b_coefficient(meta, eps, float(l)) for l in ells]
+    bs = [b_coefficient(w, eps, float(l)) for l in ells]
     strong, weak = gap_bound_from_b(bs, k)
     assert strong >= weak - 1e-15
     assert strong >= 0.0

@@ -227,6 +227,25 @@ class TestGtzeroCmd:
         code, _, _ = run_cli(capsys, ["gtzero", "--gates", gate_file])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [["gtzero"], ["bound", "--eps0", "0.1"]])
+    def test_no_universality_check_empties_only_the_verdicts(self, capsys, tmp_path,
+                                                             command):
+        # at t0 = 2 the checked pass runs to T_PROBE = 3, the unchecked one to 2
+        p = tmp_path / "triple.json"
+        save_gateset(haar_random_gateset(2, 3, seed=7), p)
+        argv = [*command, "--gates", str(p), "--t-override", "2", "--threads", "2",
+                "--no-progress"]
+        docs = []
+        for extra in ([], ["--no-universality-check"]):
+            code, out, _ = run_cli(capsys, argv + extra)
+            assert code == 0
+            docs.append(json.loads(out))
+        checked, unchecked = docs
+        table = checked["subset_gaps"]
+        assert len(table["universality"]) == 3
+        table["universality"] = []
+        assert unchecked == checked
+
 
 class TestBoundCmd:
     def test_doc(self, capsys, gate_file):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import gapforge
 import gapforge.gates
 from _oracles import brute_force_net, brute_force_scan, extend_level, pu_distance
-from gapforge.avgop import universality_heuristic
+from gapforge.bounds import universality_heuristic
 from gapforge.errors import DomainError, GateFileError, ResourceLimitError
 from gapforge.gates import (
     GateSet,

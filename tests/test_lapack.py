@@ -323,14 +323,14 @@ def test_no_path_imports_scipy_linalg():
     passes = textwrap.dedent("""
         import sys
         import gapforge.cli
-        from gapforge import avgop
+        from gapforge import avgop, lapack
         from gapforge.bounds import g_t0
         from gapforge.gates import haar_random_gateset
         g_t0(haar_random_gateset(2, 2, seed=1729), t_override=4, threads=2)
         avgop.gap_at_scale(haar_random_gateset(3, 2, seed=1729), t=2)
-        print("scipy.linalg" in sys.modules, len(avgop._blas_thread_setters()))
+        print("scipy.linalg" in sys.modules, len(lapack._blas_thread_setters()))
     """)
-    first = "import scipy.linalg\nfrom gapforge import avgop\nprint(len(avgop._blas_thread_setters()))"
+    first = "import scipy.linalg\nfrom gapforge import lapack\nprint(len(lapack._blas_thread_setters()))"
     env = {**os.environ, "PYTHONPATH": str(Path(gapforge.__file__).resolve().parents[1])}
     out = []
     for script in (passes, first):

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from gapforge import weightlat
 from gapforge.errors import DomainError
 from gapforge.weightlat import (
-    IrrepMeta,
     Weight,
     enumerate_nontrivial_weights,
     enumerate_weights,
     frobenius_schur,
-    irrep_meta,
     weyl_dimension,
 )
 
@@ -176,9 +174,10 @@ class TestFrobeniusSchur:
             assert frobenius_schur(w) == 1
 
     def test_meta(self):
-        m = irrep_meta(Weight((2, 0, -2)))
-        assert m == IrrepMeta(Weight((2, 0, -2)), 27, 1, 4)
-        assert m.weight.one_norm == 4
+        w = Weight((2, 0, -2))
+        assert weyl_dimension(w) == 27
+        assert frobenius_schur(w) == 1
+        assert w.one_norm == 4
 
 
 # -- hypothesis property suite ------------------------------------------------
