@@ -11,7 +11,8 @@ through gapforge.cli.main with an explicit thread count and prints
 {"argv", "exit", "stdout"} per command; stderr is discarded.  An exception
 that escapes main is that command's result: "exit" holds its type name.  The
 commands of FAILING, run last, are ones the CLI must refuse with their exit
-code; some read the MALFORMED gate files.
+code; some read the MALFORMED gate files, and one the NUDGED file, off the
+unitary group by more than the check allows but within --repair's window.
 Two trees that compute the same numbers print the same bytes.  The second
 form compares two such outputs command by command: it prints each command
 whose stdout differs, with the JSON keys that moved and the largest absolute
@@ -40,6 +41,9 @@ MALFORMED = {  # name: (path of the field, value) written over a copy of d2k2.js
     "d2k2-nan.json": (("gates", 0, "matrix", 0, 0, 0), float("nan")),  # Python's JSON reads NaN
     "d2k2-list-label.json": (("gates", 0, "label"), [1, 2]),
 }
+NUDGED = {  # name: (path of the field, shift) added to it in a copy of d2k2.json
+    "d2k2-nudged.json": (("gates", 0, "matrix", 0, 0, 0), 1e-8),  # ||U*U - I|| = 1.344e-8
+}
 FAILING = [  # (argv, exit code) of the commands that must fail, run last
     (["net-empirical", "--gates", "d2k2.json", "--length", "2", "--eps", "nan",
       "--samples", "10"], 2),
@@ -57,22 +61,23 @@ FAILING = [  # (argv, exit code) of the commands that must fail, run last
       "--samples", "10"], 3),
     *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
       for name in MALFORMED),
+    (["gap", "--gates", "d2k2-nudged.json", "--t", "4", "--threads", "2", "--no-progress"], 1),
 ]
 
 
 def write_gate_files() -> None:
-    """Write GATE_FILES and MALFORMED into the working directory."""
+    """Write GATE_FILES, MALFORMED and NUDGED into the working directory."""
     from gapforge.gates import haar_random_gateset, save_gateset
 
     for name, (d, k, seed, symmetric) in GATE_FILES.items():
         save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
-    for name, ((*path, last), value) in MALFORMED.items():
+    for name, ((*path, last), value) in [*MALFORMED.items(), *NUDGED.items()]:
         with open("d2k2.json") as fh:
             doc = json.load(fh)
         field = doc
         for key in path:
             field = field[key]
-        field[last] = value
+        field[last] = value if name in MALFORMED else field[last] + value
         with open(name, "w") as fh:
             json.dump(doc, fh)
 
@@ -90,6 +95,8 @@ def commands() -> list:
     for extra in ([], ["--convolution-square"]):
         cmds.append(["gap", "--gates", "d2k2-one-sided.json", "--t", "6", "--threads", "2",
                      "--no-progress", "--auto-symmetrize", *extra])
+    cmds.append(["gap", "--gates", "d2k2-nudged.json", "--t", "4", "--threads", "2",
+                 "--no-progress", "--repair"])
     for gates, t in (("d2k2.json", 20), ("d2k3.json", 8), ("d3k2.json", 3)):
         cmds.append(["gtzero", "--gates", gates, "--t-override", str(t), "--threads", "2",
                      "--no-progress"])

@@ -48,6 +48,7 @@ from .lapack import _ONE_BLAS_THREAD, _pin_blas, certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
     check_scale,
+    conjugate_entries,
     enumerate_nontrivial_weights,
     frobenius_schur,
     weyl_dimension,
@@ -173,7 +174,7 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
 def _representatives(weights: list) -> list:
     """The weights that come first in canonical (descending) order among
     {w, w.conjugate()}: one of each conjugate pair, every self-conjugate one."""
-    return [w for w in weights if w.entries >= w.conjugate().entries]
+    return [w for w in weights if w.entries >= conjugate_entries(w.entries)]
 
 
 def subset_norms(
@@ -223,18 +224,18 @@ def subset_norms(
              for w in reps]
     first = [w for w, e in zip(reps, exact) if e]
     rest = [w for w, e in zip(reps, exact) if not e]
-    rows = {}
+    rows = {}  # by entries, so that pairing a weight with its conjugate builds no Weight
     for w, norms in zip(first, run(first, lambda j, B: _hermitian_norm(B))):
-        rows[w] = rows[w.conjugate()] = norms
+        rows[w.entries] = rows[conjugate_entries(w.entries)] = norms
     if rest:
-        ceilings = [max(rows[w][j] for w in first) - _CEILING_SLACK for j in range(len(keeps))]
+        ceilings = [max(col) - _CEILING_SLACK for col in zip(*(rows[w.entries] for w in first))]
 
         def bounded(j: int, B: np.ndarray) -> float:
             return ceilings[j] if certify_norm_below(B, ceilings[j]) else _hermitian_norm(B)
 
         for w, norms in zip(rest, run(rest, bounded)):
-            rows[w] = rows[w.conjugate()] = norms
-    return weights, [rows[w] for w in weights]
+            rows[w.entries] = rows[conjugate_entries(w.entries)] = norms
+    return weights, [rows[w.entries] for w in weights]
 
 
 def _hermitian_norm(B: np.ndarray) -> float:

@@ -118,7 +118,7 @@ def cmd_weights(args) -> int:
         if args.nontrivial
         else enumerate_weights(args.d, args.t)
     )
-    cfg = dict(command="weights", d=args.d, t=args.t)
+    cfg = dict(command="weights", d=args.d, t=args.t, nontrivial=args.nontrivial or None)
     if args.count_only:
         _emit(_document(cfg, {"count": len(ws)}), args)
         return 0
@@ -131,12 +131,14 @@ def cmd_weights(args) -> int:
     return 0
 
 
-def _load_gates(args):
-    return load_gateset(args.gates, repair=getattr(args, "repair", False))
+def _load_gates(args) -> tuple:
+    """(gate set, config keys): the file, and --repair if set (it moves the matrices)."""
+    source = dict(gates=args.gates, repair=args.repair or None)
+    return load_gateset(args.gates, repair=args.repair), source
 
 
 def cmd_gap(args) -> int:
-    gs = _load_gates(args)
+    gs, source = _load_gates(args)
     threads = _resolve_threads(args.threads)
 
     def progress(w, norm):
@@ -158,13 +160,14 @@ def cmd_gap(args) -> int:
         gap_sq = 1.0 - worst**2
         payload["convolution_square_gap"] = gap_sq
         payload["sandwich_residual"] = max(0.0, rep.gap - gap_sq, 0.5 * gap_sq - rep.gap)
-    cfg = dict(command="gap", t=args.t, gates=args.gates, threads=threads)
+    cfg = dict(command="gap", t=args.t, threads=threads,
+               auto_symmetrize=args.auto_symmetrize or None, **source)
     _emit(_document(cfg, payload), args)
     return 0
 
 
 def cmd_gtzero(args) -> int:
-    gs = _load_gates(args)
+    gs, source = _load_gates(args)
     threads = _resolve_threads(args.threads)
 
     def progress(m, combo, gap):
@@ -183,16 +186,16 @@ def cmd_gtzero(args) -> int:
     cfg = dict(
         command="gtzero",
         eps0=args.eps0,
-        gates=args.gates,
         threads=threads,
         t_override=args.t_override,
+        **source,
     )
     _emit(_document(cfg, {"g_t0": g, "subset_gaps": table.to_json_dict()}), args)
     return 0
 
 
 def cmd_bound(args) -> int:
-    gs = _load_gates(args)
+    gs, source = _load_gates(args)
     threads = _resolve_threads(args.threads)
     rep = main_lower_bound(
         gs,
@@ -206,9 +209,9 @@ def cmd_bound(args) -> int:
         command="bound",
         eps0=args.eps0,
         t=rep.t,
-        gates=args.gates,
         threads=threads,
         t_override=args.t_override,
+        **source,
     )
     _emit(_document(cfg, rep.to_json_dict()), args)
     return 0
@@ -229,7 +232,7 @@ def cmd_net_length(args) -> int:
 
 
 def cmd_net_empirical(args) -> int:
-    gs = _load_gates(args)
+    gs, source = _load_gates(args)
     est = empirical_net(
         gs,
         length=args.length,
@@ -240,11 +243,11 @@ def cmd_net_empirical(args) -> int:
     )
     cfg = dict(
         command="net-empirical",
-        gates=args.gates,
         eps=args.eps,
         seed=args.seed,
         length=args.length,
         samples=args.samples,
+        **source,
     )
     _emit(_document(cfg, dataclasses.asdict(est)), args)
     return 0

@@ -31,19 +31,19 @@ the rotation by beta/2 in the plane of the last two coordinates
     pi(U) = pi(K1) exp(-i beta Jy) pi(K2)
 
 with Jy that of the su(2) on the last two coordinates.  exp(-i beta Jy) is
-real and comes from the eigenvectors of Jy (a JyFrame: one solve per set of
-patterns that share rows 1 .. d-2, the SVD of a bidiagonal half where the
-set is a chain, as at d = 2, else a dense eigensolve; kept with the basis
-at d >= 3, solved per weight and pass from n alone at d = 2, where it
-holds n^2 / 2 entries).  pi(K) is diagonal at d = 2, else block
-diagonal over the runs of patterns with equal row d-1, each block a phase
-times the image of K's U(d-1) part in the irrep of the run's shape (its row
-less its last entry).  That image depends on the gate and the shape alone:
-it is solved once per shape and gate side and kept with the gate's factors
-(GateFactors), for every weight of a pass; the run layout is a field of the
-basis.  The result is unitary to machine precision and, because all pattern
-weights are integral and sum to zero, independent of the phase convention
-of U up to ~1e-10.
+real and comes from the eigenvectors of Jy (a JyFrame: one solve per block,
+the set of patterns that share rows 1 .. d-2, from its patterns to its
+eigenvectors: the SVD of a bidiagonal half where the block is a chain, as at
+d = 2, else a dense eigensolve; kept with the basis at d >= 3, solved per
+weight and pass from n alone at d = 2, where it holds n^2 / 2 entries).
+pi(K) is diagonal at d = 2, else block diagonal over the runs of patterns
+with equal row d-1, each block a phase times the image of K's U(d-1) part in
+the irrep of the run's shape (its row less its last entry).  That image
+depends on the gate and the shape alone: it is solved once per shape and gate
+side and kept with the gate's factors (GateFactors), for every weight of a
+pass; the run layout is a field of the basis.  The result is unitary to
+machine precision and, because all pattern weights are integral and sum to
+zero, independent of the phase convention of U up to ~1e-10.
 
 For a self-conjugate weight, at any d, irrep_matrix(real=True) returns the
 real orthogonal C pi(U) C^dagger in the real basis C with C^T C = J, built
@@ -175,8 +175,7 @@ def build_basis(weight: Weight) -> GTBasis:
     # E_{l,l+1}, l < d-1, act within the spans
     spans, shapes, shape_of = _subgroup_layout(P, pw, shift, amplitudes[:-1])
     m = (pw[:, d - 2] - pw[:, d - 1]) / 2
-    frame = JyFrame(weight, tuple(_rotation_block(*block)
-                                  for block in _jy_blocks(P, pw, amplitudes[-1], m)))
+    frame = JyFrame(weight, _jy_blocks(P, pw, amplitudes[-1], m))
     real_basis = None if real is None else _real_pairs(*real, spans)
     return GTBasis(weight=weight, dim=dim, real_basis=real_basis, frame=frame, spans=spans,
                    shapes=shapes, shape_of=shape_of)
@@ -380,9 +379,10 @@ class JyFrame:
     parts come from the eigenvectors of mu >= 0 alone: with S those scaled by
     s, the even-even and odd-odd entries are S_e diag(w) S_e^T and
     S_o diag(w) S_o^T, w = 2 cos(beta mu) (1 at mu = 0), and the even-odd ones
-    S_e diag(2 sin(beta mu)) S_o^T.  On a chain (a tridiagonal block, all of T
-    at d = 2) the parity alternates, T[even, odd] is bidiagonal, and its SVD
-    gives S_e and S_o directly (_rotation_block).
+    S_e diag(2 sin(beta mu)) S_o^T.  Each block is one solve from its
+    patterns and T's entries (_rotation_block).  On a chain (a tridiagonal
+    block, all of T at d = 2) the parity alternates, T[even, odd] is
+    bidiagonal, and its SVD gives S_e and S_o directly.
 
     The rotation blocks hold about sum(b^2) / 2 entries.  At d = 2 that is
     n^2 / 2, so the frame is built per weight and pass and never cached, with
@@ -398,9 +398,9 @@ class JyFrame:
 
 
 def jy_frame(basis: GTBasis) -> JyFrame:
-    """The JyFrame of a basis: the one it keeps at d >= 3, else the SVD
-    solve of T's chain (_rotation_block), with m and the real fold.  At d = 2
-    GT vector r has p = r, m = (n-1)/2 - r and T[r, r+1] = sqrt(k (n - k)) / 2,
+    """The JyFrame of a basis: the one it keeps at d >= 3, else one solve of
+    T's chain (_rotation_block), with m and the real fold.  At d = 2 GT
+    vector r has p = r, m = (n-1)/2 - r and T[r, r+1] = sqrt(k (n - k)) / 2,
     k = r + 1 (spin j's J+: half the builder's E_12 amplitude, bit for bit),
     so all of it comes from n."""
     if basis.frame is not None:
@@ -408,19 +408,15 @@ def jy_frame(basis: GTBasis) -> JyFrame:
     n = basis.dim
     r = np.arange(n)
     m = (n - 1) / 2 - r
-    block = _block_inputs(r, r[:-1], r[1:], 0.5 * np.sqrt(r[1:] * (n - r[1:])), m, r)
-    return JyFrame(basis.weight, (_rotation_block(*block),), m, _real_fold(n))
+    block = _rotation_block(r, r[:-1], r[1:], 0.5 * np.sqrt(r[1:] * (n - r[1:])), m, r)
+    return JyFrame(basis.weight, (block,), m, _real_fold(n))
 
 
 def _jy_blocks(P: np.ndarray, pw: np.ndarray, E: tuple, m: np.ndarray) -> tuple:
-    """The inputs of each solve of a d >= 3 JyFrame, for the patterns P
-    with pattern weights pw, E the amplitudes of E_{d-1,d} and m its Jz.
-
-    T's entries are half the GT amplitudes of E; each block gets its GT
-    indices split by the parity of p, its exact spectrum, the signs s and
-    either its bidiagonal half (a chain) or its entries, row by row (see
-    _rotation_block).  The blocks are the sets of patterns that share rows
-    1 .. d-2, in order of first use.
+    """The blocks of a d >= 3 JyFrame, one solve each (_rotation_block), for
+    the patterns P with pattern weights pw, E the amplitudes of E_{d-1,d}
+    and m its Jz.  T's entries are half the GT amplitudes of E; the blocks
+    are the sets of patterns that share rows 1 .. d-2, in order of first use.
     """
     n, d = pw.shape
     p = pw[:, d - 1] - pw[:, d - 1].min()
@@ -437,21 +433,28 @@ def _jy_blocks(P: np.ndarray, pw: np.ndarray, E: tuple, m: np.ndarray) -> tuple:
     blocks = []
     for k in range(cuts.size - 1):
         at = order[ecuts[k] : ecuts[k + 1]]
-        blocks.append(_block_inputs(idx[cuts[k] : cuts[k + 1]], loc[rows[at]], loc[cols[at]],
-                                    0.5 * vals[at], m, p))
+        blocks.append(_rotation_block(idx[cuts[k] : cuts[k + 1]], loc[rows[at]], loc[cols[at]],
+                                      0.5 * vals[at], m, p))
     return tuple(blocks)
 
 
-def _block_inputs(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> tuple:
-    """The gate-independent inputs of _rotation_block for the patterns idx; T
-    has the entries vals at (rows, cols) (positions within idx) above the
-    diagonal, and their mirror images."""
+def _rotation_block(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> _RotationBlock:
+    """The frame of the patterns idx, whose T has the entries vals at (rows,
+    cols) (positions within idx) above the diagonal, and their mirror images:
+    its GT indices split by the parity of p, its exact spectrum (that of m),
+    and the eigenvectors scaled by the signs s.
+
+    A chain's T is [[0, L], [L^T, 0]] on (F, G).  With L = U diag(sigma) V^T
+    its eigenvectors are (u, +-v) / sqrt2 for +-sigma, and (u, 0) for the
+    zero singular value that an odd chain's padding adds (V's column for it
+    is the padding coordinate, dropped).  Any other block is solved dense.
+    """
     b = idx.size
     s = (1 - (p[idx] & 2)).astype(np.float64)
     odd = (p[idx] & 1).astype(bool)
     e, o = _index(idx[~odd]), _index(idx[odd])
-    grids = (_grid(e, e), _grid(o, o), _grid(o, e), _grid(e, o))
-    head = ((e, o, grids), np.sort(m[idx]), s[~odd], s[odd])
+    exact = np.sort(m[idx])
+    mu = exact[int(np.searchsorted(exact, 0.0)) :]
     off = np.zeros(b - 1)
     off[rows] = vals
     if rows.size == b - 1 and np.all(cols - rows == 1) and np.all(off != 0):
@@ -460,44 +463,28 @@ def _block_inputs(idx, rows, cols, vals, m: np.ndarray, p: np.ndarray) -> tuple:
         # one column fewer than rows, padded with zeros to square
         diag = np.zeros((b + 1) // 2)
         diag[: b // 2] = off[0::2]
-        return *head, (diag, off[1::2], bool(odd[0])), None
-    return *head, None, (rows, cols, vals, odd)
-
-
-def _rotation_block(split, exact, s_even, s_odd, chain, dense) -> _RotationBlock:
-    """The frame of one block from its _block_inputs.
-
-    A chain's T is [[0, L], [L^T, 0]] on (F, G).  With L = U diag(sigma) V^T
-    its eigenvectors are (u, +-v) / sqrt2 for +-sigma, and (u, 0) for the
-    zero singular value that an odd chain's padding adds (V's column for it
-    is the padding coordinate, dropped).
-    """
-    mu = exact[int(np.searchsorted(exact, 0.0)) :]
-    if chain is not None:
-        diag, sub, first_odd = chain
-        sigma, U, Vt = bidiagonal_svd(diag, sub)
-        got, size_G = sigma[::-1], exact.size - diag.size
+        sigma, U, Vt = bidiagonal_svd(diag, off[1::2])
+        got, size_G = sigma[::-1], b - diag.size
         S_F = U[:, ::-1] * sqrt(0.5)
         S_G = Vt[::-1, :size_G].T * sqrt(0.5)
         if size_G < diag.size:  # an odd chain: sigma = 0 gives (u, 0)
             S_F[:, 0] = U[:, -1]
             S_G[:, 0] = 0.0
-        Q_even, Q_odd = (S_G, S_F) if first_odd else (S_F, S_G)
+        Q_even, Q_odd = (S_G, S_F) if odd[0] else (S_F, S_G)
         err = float(np.abs(got - mu).max(initial=0.0)) if got.shape == mu.shape else np.inf
     else:
-        rows, cols, vals, odd = dense
-        T = np.zeros((exact.size,) * 2)
+        T = np.zeros((b, b))
         T[rows, cols] = vals
         got, Q = np.linalg.eigh(T + T.T)
         err = float(np.abs(got - exact).max())
-        Q = Q[:, exact.size - mu.size :]
+        Q = Q[:, b - mu.size :]
         Q_even, Q_odd = Q[~odd], Q[odd]
-    if not err <= 1e-9 * exact.size:
+    if not err <= 1e-9 * b:
         raise AssertionError(f"Jy spectrum is off (pw_(d-1) - pw_d) / 2 by {err:.3e}")
     return _RotationBlock(
-        *split,
-        s_even=np.ascontiguousarray(Q_even * s_even[:, None]),
-        s_odd=np.ascontiguousarray(Q_odd * s_odd[:, None]),
+        e, o, (_grid(e, e), _grid(o, o), _grid(o, e), _grid(e, o)),
+        s_even=np.ascontiguousarray(Q_even * s[~odd][:, None]),
+        s_odd=np.ascontiguousarray(Q_odd * s[odd][:, None]),
         mu=mu,
     )
 

@@ -62,7 +62,7 @@ class Weight:
         return sum(x for x in self.entries if x > 0)
 
     def conjugate(self) -> "Weight":
-        return Weight(tuple(-x for x in reversed(self.entries)))
+        return Weight(conjugate_entries(self.entries))
 
     def is_trivial(self) -> bool:
         return all(x == 0 for x in self.entries)
@@ -139,8 +139,12 @@ def frobenius_schur(weight: Weight) -> int:
     so the indicator is {0, 1}-valued.  The entries are compared with the
     conjugate's directly: conjugate() would build and check a new Weight.
     """
-    e = weight.entries
-    return 1 if e == tuple(-x for x in reversed(e)) else 0
+    return 1 if weight.entries == conjugate_entries(weight.entries) else 0
+
+
+def conjugate_entries(entries: tuple) -> tuple:
+    """The conjugate weight's entries, -reversed(entries), with no Weight built."""
+    return tuple(-x for x in reversed(entries))
 
 
 # dimension and scale sanity shared by the other modules

@@ -57,7 +57,6 @@ from gapforge.irrep import (
     GTBasis,
     JyFrame,
     _amplitudes,
-    _block_inputs,
     _pattern_weights,
     _patterns,
     _real_fold,
@@ -562,10 +561,11 @@ def reference_basis(weight: Weight) -> dict:
     dict, amplitudes pattern by pattern in Python integers, the real
     structure's signs by a sweep along raising edges, the Jy sets, the spans
     and the J-partner spans of the real basis grouped pattern by pattern.  At
-    d >= 3 the frame is solved from the Jy sets' inputs by
-    irrep._rotation_block.  At d = 2 it also gives what jy_frame derives per
-    pass: the couplings T[r, r+1], m, the solve's inputs (jy_blocks) and the
-    real fold."""
+    d >= 3 the frame is solved from the Jy sets by irrep._rotation_block,
+    one call per set on its raw arguments (idx, rows, cols, vals, m, p).  At
+    d = 2 it also gives what jy_frame derives per pass: the couplings
+    T[r, r+1], m, the chain's arguments to _rotation_block (jy_blocks) and
+    the real fold."""
     d = weight.d
     shift = -weight.entries[-1]
     sig = tuple(x + shift for x in weight.entries)
@@ -608,8 +608,7 @@ def reference_basis(weight: Weight) -> dict:
     jy_blocks = []
     for k, idx in enumerate(sets):
         at = order[cuts[k] : cuts[k + 1]]
-        jy_blocks.append(_block_inputs(idx, loc[E.row[at]], loc[E.col[at]],
-                                       0.5 * E.data[at].real, m, p))
+        jy_blocks.append((idx, loc[E.row[at]], loc[E.col[at]], 0.5 * E.data[at].real, m, p))
 
     spans, shapes, shape_of = None, (), ()
     if d == 2:  # one set, E's entries row by row: T[r, r+1]

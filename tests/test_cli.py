@@ -89,6 +89,15 @@ class TestWeightsCmd:
                                         "--count-only", "--nontrivial"])
         assert json.loads(out)["count"] == 10
 
+    def test_config_echoes_nontrivial(self, capsys):
+        # the two counts differ, so their configs must too
+        docs = [json.loads(run_cli(capsys, ["weights", "--d", "2", "--t", "10",
+                                            "--count-only", *extra])[1])
+                for extra in ([], ["--nontrivial"])]
+        assert [doc["count"] for doc in docs] == [11, 10]
+        assert "nontrivial" not in docs[0]["config"]
+        assert docs[1]["config"]["nontrivial"] is True
+
     def test_bad_d(self, capsys):
         code, _, _ = run_cli(capsys, ["weights", "--d", "1", "--t", "2"])
         assert code == 2
@@ -102,6 +111,7 @@ class TestGapCmd:
         assert 0.0 < doc["gap"] < 1.0
         assert doc["t"] == 4
         assert "per_weight_norms" not in doc and "iterations" not in doc
+        assert not {"repair", "auto_symmetrize"} & set(doc["config"])
         # NDJSON progress: one record per nontrivial weight
         records = [json.loads(l) for l in err.strip().splitlines()]
         assert len(records) == 4
@@ -146,6 +156,7 @@ class TestGapCmd:
                                           "--no-progress"])
         assert code == 0, err
         doc = json.loads(out)
+        assert doc["config"]["auto_symmetrize"] is True
         want = 1.0 - (1.0 - doc["gap"]) ** 2
         assert doc["convolution_square_gap"] == pytest.approx(want, abs=1e-14)
 
@@ -168,6 +179,26 @@ class TestGapCmd:
             counts.append(len(calls))
         # one image per gate and weight (every d = 2 weight is self-conjugate)
         assert counts == [2 * len(enumerate_nontrivial_weights(2, 5))] * 2
+
+    def test_repair_accepts_a_nudged_file_and_is_echoed(self, capsys, tmp_path, gate_file):
+        # one entry moved by 1e-8 puts the gate 1.3e-8 off the unitary group:
+        # past the check's 1e-10, inside --repair's window
+        doc = json.loads(Path(gate_file).read_text())
+        doc["gates"][0]["matrix"][0][0][0] += 1e-8
+        nudged = tmp_path / "nudged.json"
+        nudged.write_text(json.dumps(doc))
+        argv = ["gap", "--gates", str(nudged), "--t", "4", "--no-progress"]
+        code, out, err = run_cli(capsys, argv)
+        record = json.loads(err.splitlines()[-1])
+        assert (code, out, record["category"]) == (1, "", "GateFileError")
+        assert "= 1.344e-08 > 1e-10" in record["message"]
+        code, out, err = run_cli(capsys, argv + ["--repair"])
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["config"]["repair"] is True
+        assert doc["gap"] == pytest.approx(0.08790303537049493, abs=1e-12)
+        _, out, _ = run_cli(capsys, ["gap", "--gates", gate_file, "--t", "4", "--no-progress"])
+        assert doc["gap"] == pytest.approx(json.loads(out)["gap"], abs=1e-7)
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["gap", "--gates", str(tmp_path / "no.json"),

@@ -165,7 +165,7 @@ class TestArrayBuilder:
     def test_fields_match_the_tuple_builder_bit_for_bit(self, d, t):
         # every field of the basis but its weight and dim, and the arrays
         # that build_basis makes and drops, by the builder's own functions;
-        # a d = 2 basis keeps no couplings, m, Jy block inputs or fold
+        # a d = 2 basis keeps no couplings, m, Jy chain or fold
         # (jy_frame makes them from n)
         for w in enumerate_nontrivial_weights(d, t):
             b = build_basis(w)
@@ -179,9 +179,9 @@ class TestArrayBuilder:
                 _assert_same(got[name], want[name], f"{w.entries}.{name}")
 
     def test_d2_frame_inputs_match_the_tuple_builder_bit_for_bit(self, monkeypatch):
-        # jy_frame derives m, the chain's solve inputs and the real fold from
-        # n alone, per pass; they must be what the reference builds from the
-        # patterns
+        # jy_frame derives m, the chain's arguments to _rotation_block and
+        # the real fold from n alone, per pass; they must be what the
+        # reference builds from the patterns
         seen = []
         solve = gapforge.irrep._rotation_block
         monkeypatch.setattr(gapforge.irrep, "_rotation_block",
@@ -191,7 +191,7 @@ class TestArrayBuilder:
             seen.clear()
             frame = jy_frame(b)
             want = reference_basis(b.weight)
-            _assert_same(tuple(seen), tuple(tuple(block) for block in want["jy_blocks"]), str(j))
+            _assert_same(tuple(seen), want["jy_blocks"], str(j))
             _assert_same(frame.m, want["m"], f"{j}.m")
             _assert_same(frame.fold, want["fold"], f"{j}.fold")
 
