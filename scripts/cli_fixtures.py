@@ -84,8 +84,9 @@ def write_gate_files() -> None:
 
 def commands() -> list:
     cmds = []
+    # d3k2.json at t = 6 certifies 9 blocks on the pass without --per-irrep
     for gates, t in (("d2k2.json", 8), ("d2k3.json", 6), ("d2k1.json", 4),
-                     ("d3k2.json", 4), ("d4k2.json", 2)):
+                     ("d3k2.json", 4), ("d3k2.json", 6), ("d4k2.json", 2)):
         for extra in ([], ["--per-irrep"], ["--convolution-square"],
                       ["--per-irrep", "--convolution-square"]):
             cmds.append(["gap", "--gates", gates, "--t", str(t), "--threads", "2",

@@ -23,14 +23,18 @@ later subset reuses and the buffer LAPACK factors: one subset takes about
 3 n^2 doubles at d = 2, 2.2 n^2 for a self-conjugate weight at d >= 3, whose
 images are real, and 4.35 n^2 for a complex one.
 
-g_t0 needs only the largest norm of each subset, so subset_norms(certify=True)
-eigensolves only the weights up to T_PROBE and those below POOL_MIN_DIM, where
-the maxima sit in practice.  Every other block gets the ceiling theta_j (that
-stage's maximum of the subset, less _CEILING_SLACK) when two Cholesky
-factorizations prove its norm below theta_j (lapack.certify_norm_below), and
-an eigensolve otherwise.  A certified block's eigensolve could not have
-reached the maximum, so every subset's maximum is the same float as with
-eigensolves throughout.
+g_t0 and gap_at_scale need only the largest norm of each subset, so they run
+subset_norms(certify=True), which eigensolves only the weights up to T_PROBE
+and those below POOL_MIN_DIM, where the maxima sit in practice.  Every other
+block gets the ceiling theta_j (that stage's maximum of the subset, less
+_CEILING_SLACK) when two Cholesky factorizations prove its norm below theta_j
+(lapack.certify_norm_below), and an eigensolve otherwise.  A certified
+block's eigensolve could not have reached the maximum, so every subset's
+maximum is the same float as with eigensolves throughout.  A ceiling is never
+reported as a norm: subset_norms flags each entry as exact or not,
+GapReport.per_weight_norms holds only the eigensolved norms, and
+gap_at_scale(every_norm=True) eigensolves every block for a caller that
+reads them all.
 """
 
 from __future__ import annotations
@@ -96,7 +100,9 @@ class GapReport:
     scale: int
     gap: float
     worst_weight: Weight
-    per_weight_norms: dict  # Weight -> float, canonical weight order
+    # Weight -> norm, in canonical weight order, of each eigensolved block
+    # only: every weight with every_norm, else those certified are left out
+    per_weight_norms: dict
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,16 +187,17 @@ def subset_norms(
     gs: "GateSet", t: int, keeps: list, threads: int | None = None, progress=None,
     certify: bool = False,
 ) -> tuple:
-    """(weights, norms) with norms[a][j] the norm of the averaging block of
-    weights[a] over the pairs keeps[j] of the symmetric set gs.
+    """(weights, norms, exact) with norms[a][j] the norm of the averaging block
+    of weights[a] over the pairs keeps[j] of the symmetric set gs, and
+    exact[a][j] False where norms[a][j] is a certified ceiling instead.
 
     One pass over the nontrivial weights up to scale t: each weight builds the
     image of each pair once and forms every subset block from those images.
     Only the first of each conjugate pair is computed, and its norms are those
     of the other, whose block is the complex conjugate of its own up to a
     change of basis; self-conjugate blocks are normed in their real form.
-    progress(w, norms of w) fires on the worker as each weight finishes, for
-    a conjugate pair once per member.
+    progress(w, norms of w, exact of w) fires on the worker as each weight
+    finishes, for a conjugate pair once per member.
 
     With certify, only the column maxima are exact.  The weights up to
     T_PROBE and those of dimension below POOL_MIN_DIM get exact norms first;
@@ -208,34 +215,39 @@ def subset_norms(
     factors = [gate_factors(U) for _, U in gs.pairs]
 
     def run(ws: list, take: Callable) -> list:
+        """[(norms, exact) of each weight of ws]; take(j, B) -> (value, exact)."""
         def one(w: Weight):
             real = frobenius_schur(w) == 1
-            norms = _block_sums(cached_basis(w), gs.pairs, factors, keeps, real, take)
+            norms, exact = zip(*_block_sums(cached_basis(w), gs.pairs, factors, keeps, real,
+                                            take))
             if progress is not None:
-                progress(w, norms)
+                progress(w, norms, exact)
                 if not real:
-                    progress(w.conjugate(), norms)
-            return norms
+                    progress(w.conjugate(), norms, exact)
+            return norms, exact
 
         return _map_weights(one, ws, threads, [weyl_dimension(w) for w in ws])
 
     reps = _representatives(weights)
-    exact = [not certify or w.positive_size <= T_PROBE or weyl_dimension(w) < POOL_MIN_DIM
-             for w in reps]
-    first = [w for w, e in zip(reps, exact) if e]
-    rest = [w for w, e in zip(reps, exact) if not e]
+    head = [not certify or w.positive_size <= T_PROBE or weyl_dimension(w) < POOL_MIN_DIM
+            for w in reps]
+    first = [w for w, e in zip(reps, head) if e]
+    rest = [w for w, e in zip(reps, head) if not e]
     rows = {}  # by entries, so that pairing a weight with its conjugate builds no Weight
-    for w, norms in zip(first, run(first, lambda j, B: _hermitian_norm(B))):
-        rows[w.entries] = rows[conjugate_entries(w.entries)] = norms
+    for w, row in zip(first, run(first, lambda j, B: (_hermitian_norm(B), True))):
+        rows[w.entries] = rows[conjugate_entries(w.entries)] = row
     if rest:
-        ceilings = [max(col) - _CEILING_SLACK for col in zip(*(rows[w.entries] for w in first))]
+        heads = (rows[w.entries][0] for w in first)
+        ceilings = [max(col) - _CEILING_SLACK for col in zip(*heads)]
 
-        def bounded(j: int, B: np.ndarray) -> float:
-            return ceilings[j] if certify_norm_below(B, ceilings[j]) else _hermitian_norm(B)
+        def bounded(j: int, B: np.ndarray) -> tuple:
+            if certify_norm_below(B, ceilings[j]):
+                return ceilings[j], False
+            return _hermitian_norm(B), True
 
-        for w, norms in zip(rest, run(rest, bounded)):
-            rows[w.entries] = rows[conjugate_entries(w.entries)] = norms
-    return weights, [rows[w.entries] for w in weights]
+        for w, row in zip(rest, run(rest, bounded)):
+            rows[w.entries] = rows[conjugate_entries(w.entries)] = row
+    return weights, [rows[w.entries][0] for w in weights], [rows[w.entries][1] for w in weights]
 
 
 def _hermitian_norm(B: np.ndarray) -> float:
@@ -312,8 +324,17 @@ def gap_at_scale(
     auto_symmetrize: bool = False,
     threads: int | None = None,
     progress: Callable | None = None,
+    every_norm: bool = False,
 ) -> GapReport:
     """gap_t(S) with per-weight norms, deterministic for fixed inputs.
+
+    The gap needs only the worst norm, so the pass certifies the blocks that
+    cannot set it (subset_norms(certify=True)), and per_weight_norms holds the
+    eigensolved norms only: those of the head, of each block whose
+    certificate failed, and so the worst one.  every_norm=True eigensolves
+    every block and reports every norm; the gap and worst_weight are the same
+    bits either way.  progress(w, value, exact) fires per weight as it
+    finishes: value is its norm if exact, else its certified ceiling.
 
     The per-weight computations are independent and may run on a thread pool;
     the reduction walks weights in canonical order, so the report (including
@@ -328,13 +349,14 @@ def gap_at_scale(
             )
         gs = gs.symmetrized()
     keep = tuple(range(gs.k))
-    weights, norms = subset_norms(
+    weights, norms, exact = subset_norms(
         gs, t, [keep], threads,
-        progress=None if progress is None else lambda w, ns: progress(w, ns[0]),
+        progress=None if progress is None else lambda w, ns, ex: progress(w, ns[0], ex[0]),
+        certify=not every_norm,
     )
-    per_weight = {w: ns[0] for w, ns in zip(weights, norms)}
+    per_weight = {w: ns[0] for w, ns, ex in zip(weights, norms, exact) if ex[0]}
     worst = max(per_weight.values())
-    worst_weight = next(w for w in weights if per_weight[w] == worst)
+    worst_weight = next(w for w, v in per_weight.items() if v == worst)
     return GapReport(
         scale=t,
         gap=checked_gap(worst),

@@ -144,7 +144,7 @@ def g_t0(
     removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
     keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
     t_pass = max(t0, T_PROBE) if check_universality else t0
-    weights, norms = subset_norms(sq, t_pass, keeps, threads=threads, certify=True)
+    weights, norms, _ = subset_norms(sq, t_pass, keeps, threads=threads, certify=True)
 
     verdicts = []
     if check_universality:
@@ -195,7 +195,7 @@ def universality_heuristic(gs: GateSet) -> str:
     'inconclusive'     — in between.
     """
     gs = gs.symmetrized()
-    weights, norms = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
+    weights, norms, _ = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
     return _verdict(gs, weights, [ns[0] for ns in norms])
 
 

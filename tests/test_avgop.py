@@ -123,7 +123,7 @@ class TestGapAtScale:
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
 
     def test_haar_pair_positive_gap(self, haar_pair_d2):
-        rep = gap_at_scale(haar_pair_d2, 5)
+        rep = gap_at_scale(haar_pair_d2, 5, every_norm=True)
         assert 0.0 < rep.gap < 1.0
         assert set(rep.per_weight_norms) == set(enumerate_nontrivial_weights(2, 5))
         assert rep.per_weight_norms[rep.worst_weight] == pytest.approx(1 - rep.gap)
@@ -199,14 +199,61 @@ class TestGapAtScale:
         assert a.gap == pytest.approx(b.gap, abs=1e-13)
 
 
+class TestCertifiedGap:
+    """gap_at_scale certifies the blocks that cannot set the worst norm;
+    every_norm=True eigensolves them all.  Both give the same gap bits."""
+
+    @pytest.mark.parametrize("case, certified, fallbacks", [
+        ("d3", 18, 0),  # d = 3, t = 8: 18 of 24 representative weights certified
+        ("d4", 7, 0),  # d = 4, t = 4
+        ("lps", 32, 99),  # t = 150: the maximum, at j = 114, is in the tail
+    ])
+    def test_bit_identical_to_every_norm(self, case, certified, fallbacks, monkeypatch,
+                                         haar_pair_d3, lps_gates):
+        gs, t = {"d3": (haar_pair_d3, 8), "d4": (haar_random_gateset(4, 2, seed=1729), 4),
+                 "lps": (lps_gates, 150)}[case]
+        want = gap_at_scale(gs, t, every_norm=True)
+        tried, certify = [], gapforge.avgop.certify_norm_below
+        monkeypatch.setattr(gapforge.avgop, "certify_norm_below",
+                            lambda B, theta: tried.append(certify(B, theta)) or tried[-1])
+        got = gap_at_scale(gs, t)
+        assert (sum(tried), tried.count(False)) == (certified, fallbacks)
+        assert got.gap == want.gap
+        assert got.worst_weight == want.worst_weight
+        if case == "lps":
+            assert got.worst_weight == Weight((114, -114))
+        # the report holds only eigensolved norms, each the bits of the exact pass
+        assert len(got.per_weight_norms) < len(want.per_weight_norms)
+        assert all(want.per_weight_norms[w] == v for w, v in got.per_weight_norms.items())
+        assert list(got.per_weight_norms) == [w for w in want.per_weight_norms
+                                              if w in got.per_weight_norms]
+
+    def test_progress_flags_ceilings(self, haar_pair_d3):
+        # d = 3, t = 4: (4, 0, -4) and (4, -1, -3) are certified; the conjugate
+        # (3, 1, -4) of the second reports its ceiling too
+        fired, flags = {}, {}
+        weights, norms, exact = subset_norms(
+            haar_pair_d3, 4, [(0, 1)], certify=True,
+            progress=lambda w, ns, ex: flags.setdefault(w, (ns, ex)))
+        assert {w: (tuple(ns), ex) for w, ns, ex in zip(weights, norms, exact)} == flags
+        rep = gap_at_scale(haar_pair_d3, 4,
+                           progress=lambda w, v, ex: fired.setdefault(w, (v, ex)))
+        below = {w.entries for w, (_, ex) in fired.items() if not ex}
+        assert below == {(4, 0, -4), (4, -1, -3), (3, 1, -4)}
+        assert set(rep.per_weight_norms) == {w for w, (_, ex) in fired.items() if ex}
+        assert all(rep.per_weight_norms[w] == v for w, (v, ex) in fired.items() if ex)
+        top = 1.0 - rep.gap
+        assert all(v < top for v, ex in fired.values() if not ex)
+
+
 class TestSubsetNorms:
     def test_needs_symmetric(self):
         # a one-sided set is refused, not silently read as its symmetrization
         gs = haar_random_gateset(2, 2, seed=3, symmetric=False)
         with pytest.raises(DomainError, match="symmetric"):
             subset_norms(gs, 3, [(0, 1)])
-        _, norms = subset_norms(gs.symmetrized(), 3, [(0, 1)])
-        rep = gap_at_scale(gs, 3, auto_symmetrize=True)
+        _, norms, _ = subset_norms(gs.symmetrized(), 3, [(0, 1)])
+        rep = gap_at_scale(gs, 3, auto_symmetrize=True, every_norm=True)
         assert [ns[0] for ns in norms] == list(rep.per_weight_norms.values())
 
     @pytest.mark.parametrize("d, k, t", [(2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2),
@@ -217,7 +264,7 @@ class TestSubsetNorms:
         # form; both agree with the complex GT-basis block of their own weight
         gs = haar_random_gateset(d, k, seed=1729)
         keeps = [tuple(range(k))] + list(itertools.combinations(range(k), 2))
-        weights, norms = subset_norms(gs, t, keeps, threads=threads)
+        weights, norms, _ = subset_norms(gs, t, keeps, threads=threads)
         assert weights == enumerate_nontrivial_weights(d, t)
         for w, row in zip(weights, norms):
             for keep, got in zip(keeps, row):
@@ -235,7 +282,8 @@ class TestSubsetNorms:
         )
         monkeypatch.setattr(gapforge.avgop, "cached_basis",
                             lambda w: lookups.append(w) or real_lookup(w))
-        rep = gap_at_scale(haar_pair_d3, 4, progress=lambda w, v: fired.append((w, v)))
+        rep = gap_at_scale(haar_pair_d3, 4, every_norm=True,
+                           progress=lambda w, v, exact: fired.append((w, v, exact)))
         weights = enumerate_nontrivial_weights(3, 4)
         n_self = sum(frobenius_schur(w) for w in weights)
         n_canonical = (len(weights) + n_self) // 2
@@ -244,8 +292,8 @@ class TestSubsetNorms:
         for w in lookups:  # each the first of its pair in canonical order
             assert weights.index(w) <= weights.index(w.conjugate())
         # progress still fires once for every weight, conjugates included
-        assert sorted(w.entries for w, _ in fired) == sorted(w.entries for w in weights)
-        assert all(rep.per_weight_norms[w] == v for w, v in fired)
+        assert sorted(w.entries for w, _, _ in fired) == sorted(w.entries for w in weights)
+        assert all(exact and rep.per_weight_norms[w] == v for w, v, exact in fired)
 
     def test_cached_bases_hold_no_dense_square_array(self):
         # at d = 2 each pass builds a Jy frame per weight (dense, n^2 / 2); it
@@ -254,7 +302,7 @@ class TestSubsetNorms:
         cached = {}
         for d, t in ((2, 12), (3, 5)):
             gs = haar_random_gateset(d, 3, seed=1729)
-            weights, _ = subset_norms(gs, t, [(0, 1, 2), (0, 1)])
+            weights, _, _ = subset_norms(gs, t, [(0, 1, 2), (0, 1)])
             reps = gapforge.avgop._representatives(weights)  # the weights a pass looks up
             misses = cached_basis.cache_info().misses
             cached[d] = [cached_basis(w) for w in reps]
@@ -398,7 +446,7 @@ class TestLargeBlocks:
     def test_lps_norms_at_t150(self, lps_gates):
         # a theorem bounds every block; the maximum sits at j = 114 (n = 229)
         bound = 2.0 * np.sqrt(5.0) / 6.0
-        norms = gap_at_scale(lps_gates, 150).per_weight_norms
+        norms = gap_at_scale(lps_gates, 150, every_norm=True).per_weight_norms
         assert max(norms.values()) <= bound
         assert max(norms.values()) >= bound - 1e-4
         for j, want in ((1, 1 / 15), (2, 37 / 75), (3, 43 / 75)):
@@ -410,14 +458,14 @@ class TestLargeBlocks:
         exact = lps_exact_norms(6)
         for j, want in ((1, (1, 15)), (2, (37, 75)), (3, (43, 75))):
             assert exact[j] == sympy.Rational(*want)
-        norms = gap_at_scale(lps_gates, 6).per_weight_norms
+        norms = gap_at_scale(lps_gates, 6, every_norm=True).per_weight_norms
         assert len(norms) == 6
         for j, want in exact.items():
             assert norms[Weight((j, -j))] == pytest.approx(float(want), abs=1e-14)
 
     def test_d3_norms_match_blocks_of_the_exp_path(self, haar_pair_d3):
         # (5, 0, -5), n = 216, in the real form; (6, -1, -5), n = 260, complex
-        norms = gap_at_scale(haar_pair_d3, 6).per_weight_norms
+        norms = gap_at_scale(haar_pair_d3, 6, every_norm=True).per_weight_norms
         for entries in ((5, 0, -5), (6, -1, -5)):
             b = cached_basis(Weight(entries))
             assert b.dim > 200
@@ -603,7 +651,7 @@ class TestConvergenceProfile:
 @given(st.integers(0, 10_000), st.integers(1, 4))
 def test_gap_in_range_property(seed, t):
     gs = haar_random_gateset(2, 2, seed=seed)
-    rep = gap_at_scale(gs, t)
+    rep = gap_at_scale(gs, t, every_norm=True)
     assert -1e-8 <= rep.gap <= 1.0
     for norm in rep.per_weight_norms.values():
         assert norm <= 1.0 + 1e-8

@@ -246,9 +246,10 @@ class TestCertifiedPass:
         sq = squared_set(gs)
         removals = [c for m in range(3) for c in itertools.combinations(range(4), m)]
         keeps = [tuple(i for i in range(4) if i not in c) for c in removals]
-        weights, exact = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1)
+        weights, exact, _ = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1)
         counts = self._count(monkeypatch)
-        got_weights, got = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1, certify=True)
+        got_weights, got, flags = gapforge.avgop.subset_norms(sq, 60, keeps, threads=1,
+                                                              certify=True)
         assert got_weights == weights
         late = [j for j in range(len(keeps))
                 if weyl_dimension(max(zip(weights, exact), key=lambda r: r[1][j])[0]) >= 40]
@@ -258,10 +259,12 @@ class TestCertifiedPass:
         for j in range(len(keeps)):
             top = max(r[j] for r in exact)
             assert max(r[j] for r in got) == top
-            for row, want in zip(got, exact):
-                # a ceiling bounds the exact norm and stays below the maximum
-                assert row[j] == want[j] or want[j] - 1e-12 < row[j] < top
-                ceilings += row[j] != want[j]
+            for row, flag, want in zip(got, flags, exact):
+                if flag[j]:  # flagged exact: the eigensolve's bits
+                    assert row[j] == want[j]
+                else:  # a ceiling bounds the exact norm and stays below the maximum
+                    assert want[j] - 1e-12 < row[j] < top
+                    ceilings += 1
         assert ceilings == counts[True]
         assert g_t0(gs, t_override=60) == self._exact_g_t0(monkeypatch, gs, t_override=60)[0]
 

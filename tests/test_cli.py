@@ -132,8 +132,29 @@ class TestGapCmd:
         d1, d4 = json.loads(out1), json.loads(out4)
         assert d1["gap"] == d4["gap"]
         assert d1["per_weight_norms"] == d4["per_weight_norms"]
-        want = gap_at_scale(load_gateset(gate_file), 5, threads=1).to_json_dict()
+        want = gap_at_scale(load_gateset(gate_file), 5, threads=1,
+                            every_norm=True).to_json_dict()
         assert {key: d1[key] for key in want} == want
+
+    def test_certified_blocks_report_their_ceiling_apart(self, capsys, tmp_path):
+        # d = 3, t = 4 certifies two representative weights, one a conjugate
+        # pair: their records carry "below", never "norm"
+        path = tmp_path / "d3.json"
+        save_gateset(haar_random_gateset(3, 2, seed=1729), path)
+        argv = ["gap", "--gates", str(path), "--t", "4", "--threads", "2"]
+        _, out, err = run_cli(capsys, argv)
+        records = [json.loads(line) for line in err.strip().splitlines()]
+        assert len(records) == len(enumerate_nontrivial_weights(3, 4))
+        below = [r for r in records if "below" in r]
+        assert sorted(r["weight"] for r in below) == [[3, 1, -4], [4, -1, -3], [4, 0, -4]]
+        assert all(r.keys() == {"event", "weight", "below"} for r in below)
+        assert all(r["below"] < 1.0 - json.loads(out)["gap"] for r in below)
+        _, out_all, err_all = run_cli(capsys, argv + ["--per-irrep"])
+        exact = [json.loads(line) for line in err_all.strip().splitlines()]
+        assert all(r.keys() == {"event", "weight", "norm"} for r in exact)
+        doc, doc_all = json.loads(out), json.loads(out_all)
+        assert len(doc_all.pop("per_weight_norms")) == len(records)
+        assert doc_all == doc
 
     def test_identity_gap_zero(self, capsys, identity_file):
         _, out, _ = run_cli(capsys, ["gap", "--gates", identity_file, "--t", "3",

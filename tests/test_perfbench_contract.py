@@ -69,3 +69,21 @@ def test_cold_builds_record_basis_build_spans():
     metrics = spans.layer_metrics(recorder.spans, [], 1)
     assert metrics["irrep.basis.builds"] == len(canonical)
     assert metrics["irrep.basis.s"] > 0
+
+
+def test_traced_certified_gap_matches_untraced():
+    # gap_at_scale certifies the blocks that cannot set the gap; the
+    # certificates run in no span, so only the eigensolved blocks are
+    # avgop.norm spans (d = 3, t = 4: 2 of 8 computed weights are certified)
+    pair = haar_random_gateset(3, 2, seed=1729)
+    want = gapforge.avgop.gap_at_scale(pair, 4)
+
+    recorder = spans.Recorder()
+    with spans.installed(recorder):
+        got = gapforge.avgop.gap_at_scale(pair, 4)
+
+    assert got == want
+    canonical = gapforge.avgop._representatives(enumerate_nontrivial_weights(3, 4))
+    norms = [s for s in recorder.spans if s.name == "avgop.norm"]
+    assert len(canonical) == 8 and len(norms) == 6
+    assert [s.name for s in recorder.spans].count("avgop.gap") == 1
