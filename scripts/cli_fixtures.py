@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Run a fixed list of CLI commands on fixed Haar gate sets, one JSON line each.
+"""Run a fixed list of CLI commands on fixed gate sets, one JSON line each.
 
     PYTHONPATH=old/src python scripts/cli_fixtures.py > old.ndjson
     PYTHONPATH=new/src python scripts/cli_fixtures.py > new.ndjson
     python scripts/cli_fixtures.py old.ndjson new.ndjson
 
-The first form writes the gate files into a temporary directory (under fixed
-relative names, so the config echo does not depend on it), runs every command
-through gapforge.cli.main with an explicit thread count and prints
+The first form writes the gate files (Haar sets for fixed seeds, and the
+FINITE pair) into a temporary directory (under fixed relative names, so the
+config echo does not depend on it), runs every command through
+gapforge.cli.main with an explicit thread count and prints
 {"argv", "exit", "stdout"} per command; stderr is discarded.  An exception
 that escapes main is that command's result: "exit" holds its type name.  The
 commands of FAILING, run last, are ones the CLI must refuse with their exit
@@ -35,6 +36,7 @@ GATE_FILES = {  # name: (d, k, seed, symmetric)
     "d4k2.json": (4, 2, 1729, True),
     "d2k2-one-sided.json": (2, 2, 11, False),
 }
+FINITE = "d2-ix-iz.json"  # iX and iZ: special unitary, generating a finite group
 MALFORMED = {  # name: (path of the field, value) written over a copy of d2k2.json
     "d2k2-symmetric-string.json": (("symmetric",), "false"),
     "d2k2-fractional-d.json": (("d",), 2.7),
@@ -66,11 +68,13 @@ FAILING = [  # (argv, exit code) of the commands that must fail, run last
 
 
 def write_gate_files() -> None:
-    """Write GATE_FILES, MALFORMED and NUDGED into the working directory."""
-    from gapforge.gates import haar_random_gateset, save_gateset
+    """Write GATE_FILES, FINITE, MALFORMED and NUDGED into the working directory."""
+    from gapforge.gates import haar_random_gateset, make_gateset, save_gateset
 
     for name, (d, k, seed, symmetric) in GATE_FILES.items():
         save_gateset(haar_random_gateset(d, k, seed=seed, symmetric=symmetric), name)
+    save_gateset(make_gateset(2, [("iX", [[0, 1j], [1j, 0]]), ("iZ", [[1j, 0], [0, -1j]])]),
+                 FINITE)
     for name, ((*path, last), value) in [*MALFORMED.items(), *NUDGED.items()]:
         with open("d2k2.json") as fh:
             doc = json.load(fh)
@@ -98,7 +102,10 @@ def commands() -> list:
                      "--no-progress", "--auto-symmetrize", *extra])
     cmds.append(["gap", "--gates", "d2k2-nudged.json", "--t", "4", "--threads", "2",
                  "--no-progress", "--repair"])
-    for gates, t in (("d2k2.json", 20), ("d2k3.json", 8), ("d3k2.json", 3)):
+    # the finite pair's blocks reach norm 1: gap about 0, and gtzero's verdict
+    # is not-universal, confirmed on the worst block
+    cmds.append(["gap", "--gates", FINITE, "--t", "3", "--threads", "2", "--no-progress"])
+    for gates, t in (("d2k2.json", 20), ("d2k3.json", 8), ("d3k2.json", 3), (FINITE, 3)):
         cmds.append(["gtzero", "--gates", gates, "--t-override", str(t), "--threads", "2",
                      "--no-progress"])
     for gates, eps0, t in (("d2k2.json", "0.1", 20), ("d2k3.json", "0.25", 8)):

@@ -26,11 +26,8 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .avgop import T_PROBE, averaging_block, checked_gap, subset_norms
-# not called here; perfbench/spans.py patches it on bounds
-from .avgop import gap_at_scale  # noqa: F401
+from .avgop import (T_PROBE, averaging_block, block_operator_norm, checked_gap, gap_at_scale,
+                    subset_norms)
 from .constants import (
     C_BALL,
     C_CHORD,
@@ -152,7 +149,7 @@ def g_t0(
         for i, j in itertools.combinations(range(k), 2):
             sub = GateSet(d=gs.d, pairs=(sq.pairs[i], sq.pairs[j]), symmetric=True)
             col = keeps.index((i, j))
-            v = _verdict(sub, [w for w, _ in probe], [row[col] for _, row in probe])
+            v = _verdict(sub, {w: row[col] for w, row in probe})
             if v != "universal-likely":
                 warnings.warn(
                     f"squared pair subset ({i}, {j}) looks {v}; the subset gaps "
@@ -187,33 +184,30 @@ def g_t0(
 
 
 def universality_heuristic(gs: GateSet) -> str:
-    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE.
+    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE, whose
+    pass eigensolves every block (each weight up to T_PROBE is in its head).
 
-    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector
-                         certifies a proper closed subgroup at this scale);
+    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector:
+                         a proper closed subgroup), and the worst block, built
+                         again in the complex GT basis, has that norm too;
     'universal-likely' — all block norms <= 1 - 1e-6;
     'inconclusive'     — in between.
     """
     gs = gs.symmetrized()
-    weights, norms, _ = subset_norms(gs, T_PROBE, [tuple(range(gs.k))])
-    return _verdict(gs, weights, [ns[0] for ns in norms])
+    return _verdict(gs, gap_at_scale(gs, T_PROBE).per_weight_norms)
 
 
-def _verdict(gs: GateSet, weights: list, norms: list) -> str:
-    """universality_heuristic's verdict from the norms of gs's full blocks over
-    the nontrivial weights up to T_PROBE, in canonical order."""
-    top = max(norms)
+def _verdict(gs: GateSet, norms: dict) -> str:
+    """universality_heuristic's verdict from {weight: norm} of gs's full blocks
+    over the nontrivial weights up to T_PROBE, in canonical order."""
+    top = max(norms.values())
     worst = 1.0 - checked_gap(top)
     if worst >= 1.0 - 1e-8:
-        # confirm with an explicit near-invariant eigenvector of the first
-        # (canonical order) worst block
-        B = averaging_block(weights[norms.index(top)], gs)
-        vals, vecs = np.linalg.eigh(B)
-        i = int(np.argmax(np.abs(vals)))
-        v = vecs[:, i]
-        resid = float(np.linalg.norm(B @ v - vals[i] * v))
-        if not resid <= 1e-8:
-            raise AssertionError(f"near-invariant eigenvector residual {resid:.3e} > 1e-8")
+        # the first (canonical order) worst block, normed apart from the pass
+        w = next(w for w, v in norms.items() if v == top)
+        again = block_operator_norm(averaging_block(w, gs))
+        if not abs(again - top) <= 1e-10:
+            raise AssertionError(f"the worst block's norm {again!r} is not the {top!r} read")
         return "not-universal"
     if worst <= 1.0 - 1e-6:
         return "universal-likely"

@@ -6,7 +6,7 @@ byte-identical output.  Long computations stream NDJSON progress records to
 stderr, and every Python warning goes there as one {"event": "warning"}
 record, with --no-progress too.  A failing command, argument errors
 included, writes one {"event": "error"} record there, with its exit code:
-0 success, 1 I/O, 2 argument or domain error, 3 resource limit.
+0 success, 1 I/O, 2 argument or domain error, 3 resource limit or memory.
 """
 
 from __future__ import annotations
@@ -370,6 +370,9 @@ def main(argv=None) -> int:
             code = exc.exit_code if isinstance(exc, GapforgeError) else 1
             _error_line(type(exc).__name__, str(exc), code)
             return code
+        except MemoryError as exc:  # a resource limit, as ResourceLimitError
+            _error_line("MemoryError", str(exc) or "out of memory", 3)
+            return 3
 
 
 if __name__ == "__main__":

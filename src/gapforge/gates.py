@@ -120,9 +120,7 @@ def _normalize_gate(U: np.ndarray, d: int, label: str, repair: bool) -> np.ndarr
     if abs(det - 1.0) > DET_SKIP_TOL:
         # principal d-th root keeps the projective class and the branch stable
         U = U * np.exp(-np.log(det) / d)
-    U = np.ascontiguousarray(U)
-    U.setflags(write=False)
-    return U
+    return _freeze(U)
 
 
 def make_gateset(d, pairs, symmetric=True, repair=False) -> GateSet:

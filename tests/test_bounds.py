@@ -188,6 +188,28 @@ class TestGT0:
         assert g == pytest.approx(0.0, abs=1e-10)
 
 
+class TestNotUniversalConfirmation:
+    """A not-universal verdict is confirmed by norming the worst block again,
+    built apart from the pass, against the norm the pass read."""
+
+    # special unitary, generating a finite group
+    FINITE = [("iX", 1j * np.array([[0, 1], [1, 0]])), ("iZ", 1j * np.diag([1, -1]))]
+
+    def test_finite_pair_is_not_universal(self):
+        gs = make_gateset(2, self.FINITE)
+        assert universality_heuristic(gs) == "not-universal"
+        with pytest.warns(UserWarning, match="looks not-universal"):
+            g, table = g_t0(gs, t_override=3)
+        assert (g, table.universality) == (0.0, ((0, 1, "not-universal"),))
+
+    def test_a_block_of_another_norm_fails_the_confirmation(self, monkeypatch):
+        # Hermitian, so its own eigenvectors fit it; only its norm (0.75) is wrong
+        unrelated = np.array([[0.25, 0.5j], [-0.5j, 0.25]])
+        monkeypatch.setattr(gapforge.bounds, "averaging_block", lambda w, gs: unrelated)
+        with pytest.raises(AssertionError, match="the worst block's norm 0.75"):
+            universality_heuristic(make_gateset(2, self.FINITE))
+
+
 class TestCertifiedPass:
     """g_t0's pass certifies the blocks that cannot set a subset maximum
     (subset_norms(certify=True)); its results must equal those of exact norms."""

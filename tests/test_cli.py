@@ -3,6 +3,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import gapforge.avgop
+import gapforge.cli
 from gapforge.avgop import gap_at_scale
 from gapforge.cli import _emit, main
 from gapforge.errors import DomainError
@@ -437,6 +439,22 @@ def test_fixture_commands_write_only_ndjson_to_stderr(tmp_path, monkeypatch):
     assert events.count("error") == len(codes)
 
 
+def test_fixture_output_matches_the_committed_file(tmp_path, capsys):
+    # pins every fixture command's stdout; tests/data/cli_fixtures.ndjson is
+    # regenerated only by a change that moves CLI output on purpose
+    root = Path(__file__).resolve().parents[1]
+    fresh = tmp_path / "fresh.ndjson"
+    with open(fresh, "w") as out:
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "cli_fixtures.py")], stdout=out,
+            stderr=subprocess.PIPE, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+    assert proc.returncode == 0, proc.stderr
+    committed = root / "tests" / "data" / "cli_fixtures.ndjson"
+    assert _cli_fixtures().compare(committed, fresh) == 0, capsys.readouterr().out
+
+
 def test_fixture_compare_reports_added_commands(tmp_path, capsys):
     # a command only the new output has is a difference, not silence
     lines = [{"argv": f"weights {i}", "exit": 0, "stdout": "{}"} for i in range(3)]
@@ -472,11 +490,19 @@ def test_fixture_compare_reports_added_commands(tmp_path, capsys):
       "--word-cap", "-1"], 2, "DomainError"),
     (["net-empirical", "--gates", "g.json", "--length", "10000", "--eps", "0.5", "--samples",
       "10"], 3, "ResourceLimitError"),
+    (["net-empirical", "--gates", "g.json", "--length", "1", "--eps", "0.5", "--samples",
+      "4000000000"], 3, "MemoryError"),
 ])
 def test_failing_commands_write_only_ndjson_to_stderr(argv, code, category, tmp_path,
                                                       monkeypatch):
     # a failing command ends its stderr with one error record, and keeps its exit code
     monkeypatch.chdir(tmp_path)
+    if category == "MemoryError":
+        # raised, not allocated: a host that overcommits memory may kill instead
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(gapforge.cli, "empirical_net", out_of_memory)
     save_gateset(haar_random_gateset(2, 2, seed=1729), "g.json")
     doc = json.loads(Path("g.json").read_text())
     doc["gates"][0]["matrix"][0][0][0] = float("nan")  # Python's JSON reads NaN
