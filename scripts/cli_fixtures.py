@@ -64,6 +64,9 @@ FAILING = [  # (argv, exit code) of the commands that must fail, run last
     *((["gap", "--gates", name, "--t", "2", "--threads", "2", "--no-progress"], 1)
       for name in MALFORMED),
     (["gap", "--gates", "d2k2-nudged.json", "--t", "4", "--threads", "2", "--no-progress"], 1),
+    # a one-sided set is refused unless --auto-symmetrize closes it under inverses
+    (["gap", "--gates", "d2k2-one-sided.json", "--t", "2", "--threads", "2", "--no-progress"],
+     2),
 ]
 
 
@@ -102,9 +105,11 @@ def commands() -> list:
                      "--no-progress", "--auto-symmetrize", *extra])
     cmds.append(["gap", "--gates", "d2k2-nudged.json", "--t", "4", "--threads", "2",
                  "--no-progress", "--repair"])
-    # the finite pair's blocks reach norm 1: gap about 0, and gtzero's verdict
+    # the finite pair's blocks reach norm 1: gap 0 (floored), and gtzero's verdict
     # is not-universal, confirmed on the worst block
-    cmds.append(["gap", "--gates", FINITE, "--t", "3", "--threads", "2", "--no-progress"])
+    for extra in ([], ["--convolution-square"]):
+        cmds.append(["gap", "--gates", FINITE, "--t", "3", "--threads", "2", "--no-progress",
+                     *extra])
     for gates, t in (("d2k2.json", 20), ("d2k3.json", 8), ("d3k2.json", 3), (FINITE, 3)):
         cmds.append(["gtzero", "--gates", gates, "--t-override", str(t), "--threads", "2",
                      "--no-progress"])

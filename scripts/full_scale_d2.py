@@ -8,11 +8,8 @@ real from the Euler angles of its gate on a per-weight Jy eigenbasis).  The
 other 490 are certified below the largest of those by two Cholesky
 factorizations, all with the GIL released; LAPACK comes from the capsule
 table of scipy.linalg.cython_lapack, loaded without importing scipy.linalg
-(see gapforge.lapack).  With 2 pool threads on a 2-core machine (Intel Xeon,
-8 GB) the run took 8.9-11.0 s wall, 17.2-20.3 s CPU and 108-110 MB peak RSS
-(17.3-19.7 s and 76 MB on one thread; 125 MB and 92-94 MB while gapforge
-imported scipy.linalg); eps0 = 0.17 (t0 = 820) took 50.6 s, 99.3 s CPU and
-247 MB with scipy.linalg imported.  Building the 509 GT bases
+(see gapforge.lapack).  The README gives the run's measured wall time, CPU
+time and peak RSS (section CLI, on the thread pool).  Building the 509 GT bases
 takes 0.01 s of that, and they hold 0.21 MB (tracemalloc, about 400 bytes
 per weight: a d = 2 basis is its weight and n, and the pass makes its Jy
 chain from n).  The pool pins

@@ -257,11 +257,12 @@ def _hermitian_norm(B: np.ndarray) -> float:
 
 
 def checked_gap(worst_norm: float) -> float:
-    """1 - worst_norm, checked to lie in [-1e-8, 1 + 1e-12]."""
+    """1 - worst_norm, checked to lie in [-1e-8, 1 + 1e-12] and floored at 0
+    (an average of unitaries has norm <= 1): every reported gap comes from here."""
     gap = 1.0 - worst_norm
     if not -1e-8 <= gap <= 1.0 + 1e-12:
         raise AssertionError(f"gap {gap!r} outside [-1e-8, 1 + 1e-12]")
-    return gap
+    return max(gap, 0.0)
 
 
 def block_operator_norm(A: np.ndarray, return_info: bool = False):
@@ -321,7 +322,6 @@ def _map_weights(one: Callable, weights: list, threads: int | None, dims: list) 
 def gap_at_scale(
     gs: "GateSet",
     t: int,
-    auto_symmetrize: bool = False,
     threads: int | None = None,
     progress: Callable | None = None,
     every_norm: bool = False,
@@ -342,12 +342,7 @@ def gap_at_scale(
     """
     check_scale(t)
     if not gs.symmetric:
-        if not auto_symmetrize:
-            raise DomainError(
-                "gap_at_scale needs a symmetric gate set; pass auto_symmetrize=True "
-                "to close it under inverses"
-            )
-        gs = gs.symmetrized()
+        raise DomainError("gap_at_scale needs a symmetric gate set")
     keep = tuple(range(gs.k))
     weights, norms, exact = subset_norms(
         gs, t, [keep], threads,

@@ -166,7 +166,7 @@ def g_t0(
         m = len(combo)
         if m not in best or gap < best[m][0]:
             best[m] = (gap, combo)
-    per_m = [(max(best[m][0], 0.0), best[m][1]) for m in range(k - 1)]
+    per_m = [best[m] for m in range(k - 1)]
 
     for m in range(1, len(per_m)):
         if per_m[m][0] > per_m[m - 1][0] + 1e-10:
@@ -187,10 +187,10 @@ def universality_heuristic(gs: GateSet) -> str:
     """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE, whose
     pass eigensolves every block (each weight up to T_PROBE is in its head).
 
-    'not-universal'    — some block norm is 1 up to 1e-8 (an invariant vector:
-                         a proper closed subgroup), and the worst block, built
-                         again in the complex GT basis, has that norm too;
-    'universal-likely' — all block norms <= 1 - 1e-6;
+    'not-universal'    — the gap is at most 1e-8 (an invariant vector: a
+                         proper closed subgroup), and the worst block, built
+                         again in the complex GT basis, has the norm read;
+    'universal-likely' — the gap is at least 1e-6;
     'inconclusive'     — in between.
     """
     gs = gs.symmetrized()
@@ -201,15 +201,15 @@ def _verdict(gs: GateSet, norms: dict) -> str:
     """universality_heuristic's verdict from {weight: norm} of gs's full blocks
     over the nontrivial weights up to T_PROBE, in canonical order."""
     top = max(norms.values())
-    worst = 1.0 - checked_gap(top)
-    if worst >= 1.0 - 1e-8:
+    gap = checked_gap(top)
+    if gap <= 1e-8:
         # the first (canonical order) worst block, normed apart from the pass
         w = next(w for w, v in norms.items() if v == top)
         again = block_operator_norm(averaging_block(w, gs))
         if not abs(again - top) <= 1e-10:
             raise AssertionError(f"the worst block's norm {again!r} is not the {top!r} read")
         return "not-universal"
-    if worst <= 1.0 - 1e-6:
+    if gap >= 1e-6:
         return "universal-likely"
     return "inconclusive"
 

@@ -19,7 +19,7 @@ import threading
 import warnings
 
 from . import __version__
-from .avgop import _resolve_threads, gap_at_scale
+from .avgop import _resolve_threads, checked_gap, gap_at_scale
 from .bounds import g_t0, main_lower_bound, net_length_scale_bound, net_length_covering
 from .constants import BoundParams, emit_tables
 from .errors import DomainError, GapforgeError
@@ -146,10 +146,11 @@ def cmd_gap(args) -> int:
         _progress_line({"event": "block", "weight": list(w.entries),
                         "norm" if exact else "below": value})
 
+    if not (gs.symmetric or args.auto_symmetrize):
+        raise DomainError("gap needs a symmetric gate set; pass --auto-symmetrize")
     rep = gap_at_scale(
-        gs,
+        gs.symmetrized(),
         args.t,
-        auto_symmetrize=args.auto_symmetrize,
         threads=threads,
         progress=progress if not args.no_progress else None,
         every_norm=args.per_irrep,
@@ -161,7 +162,7 @@ def cmd_gap(args) -> int:
         # the blocks are Hermitian, so the square's blocks B^dagger B have norm
         # ||B||^2; the worst norm is eigensolved on either pass
         worst = rep.per_weight_norms[rep.worst_weight]
-        gap_sq = 1.0 - worst**2
+        gap_sq = checked_gap(worst**2)
         payload["convolution_square_gap"] = gap_sq
         payload["sandwich_residual"] = max(0.0, rep.gap - gap_sq, 0.5 * gap_sq - rep.gap)
     cfg = dict(command="gap", t=args.t, threads=threads,

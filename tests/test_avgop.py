@@ -144,9 +144,9 @@ class TestGapAtScale:
     def test_needs_symmetric(self):
         gs = make_gateset(2, [("u", _haar_unitary(2, np.random.default_rng(5)))],
                           symmetric=False)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="symmetric"):
             gap_at_scale(gs, 2)
-        rep = gap_at_scale(gs, 2, auto_symmetrize=True)
+        rep = gap_at_scale(gs.symmetrized(), 2)
         # a single pair never mixes, so the gap is 0 up to roundoff
         assert rep.gap == pytest.approx(0.0, abs=1e-10)
 
@@ -253,7 +253,7 @@ class TestSubsetNorms:
         with pytest.raises(DomainError, match="symmetric"):
             subset_norms(gs, 3, [(0, 1)])
         _, norms, _ = subset_norms(gs.symmetrized(), 3, [(0, 1)])
-        rep = gap_at_scale(gs, 3, auto_symmetrize=True, every_norm=True)
+        rep = gap_at_scale(gs.symmetrized(), 3, every_norm=True)
         assert [ns[0] for ns in norms] == list(rep.per_weight_norms.values())
 
     @pytest.mark.parametrize("d, k, t", [(2, 2, 5), (2, 3, 4), (3, 2, 3), (3, 3, 2),

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 import gapforge
 import gapforge.avgop
 from _oracles import b_coefficient, gap_bound_from_b, subset_squares
-from gapforge.avgop import gap_at_scale
+from gapforge.avgop import T_PROBE, gap_at_scale
 from gapforge.bounds import (
     BoundReport,
     SubsetGapTable,
+    _verdict,
     g_t0,
     gap_bound_from_diameter,
     main_lower_bound,
@@ -208,6 +209,26 @@ class TestNotUniversalConfirmation:
         monkeypatch.setattr(gapforge.bounds, "averaging_block", lambda w, gs: unrelated)
         with pytest.raises(AssertionError, match="the worst block's norm 0.75"):
             universality_heuristic(make_gateset(2, self.FINITE))
+
+
+class TestVerdictThresholds:
+    """_verdict reads the gap of the worst norm: at most 1e-8 is not-universal
+    (then confirmed on the block), at least 1e-6 universal-likely, and
+    anything between inconclusive, which needs no block."""
+
+    WEIGHTS = enumerate_nontrivial_weights(2, T_PROBE)
+
+    def _norms(self, top: float) -> dict:
+        return {w: top if i == 1 else 0.5 for i, w in enumerate(self.WEIGHTS)}
+
+    def test_inconclusive(self, monkeypatch):
+        def unused(w, gs):
+            raise AssertionError("an inconclusive verdict builds no block")
+
+        monkeypatch.setattr(gapforge.bounds, "averaging_block", unused)
+        gs = haar_random_gateset(2, 2, seed=1729)
+        assert _verdict(gs, self._norms(1 - 1e-7)) == "inconclusive"
+        assert _verdict(gs, self._norms(1 - 1e-5)) == "universal-likely"
 
 
 class TestCertifiedPass:

@@ -183,6 +183,17 @@ class TestGapCmd:
         want = 1.0 - (1.0 - doc["gap"]) ** 2
         assert doc["convolution_square_gap"] == pytest.approx(want, abs=1e-14)
 
+    def test_one_sided_set_needs_the_flag(self, capsys, tmp_path):
+        # refused, not silently closed under inverses
+        p = tmp_path / "one_sided.json"
+        save_gateset(haar_random_gateset(2, 2, seed=1729, symmetric=False), p)
+        code, out, err = run_cli(capsys, ["gap", "--gates", str(p), "--t", "2"])
+        assert (code, out) == (2, "")
+        [record] = [json.loads(line) for line in err.splitlines()]
+        assert (record["event"], record["category"], record["exit_code"]) == (
+            "error", "DomainError", 2)
+        assert "--auto-symmetrize" in record["message"]
+
     def test_convolution_square_builds_no_extra_images(self, capsys, gate_file,
                                                        monkeypatch):
         calls = []
@@ -453,6 +464,30 @@ def test_fixture_output_matches_the_committed_file(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     committed = root / "tests" / "data" / "cli_fixtures.ndjson"
     assert _cli_fixtures().compare(committed, fresh) == 0, capsys.readouterr().out
+
+
+def test_committed_fixture_gaps_are_nonnegative():
+    # every printed gap is floored at 0, whatever the rounding of its norm
+    keys = {"gap", "convolution_square_gap", "min_gap", "sandwich_residual"}
+
+    def values(doc):
+        if isinstance(doc, dict):
+            for key, value in doc.items():
+                if key in keys:
+                    yield key, value
+                yield from values(value)
+        elif isinstance(doc, list):
+            for item in doc:
+                yield from values(item)
+
+    path = Path(__file__).resolve().parents[1] / "tests" / "data" / "cli_fixtures.ndjson"
+    found = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        if record["stdout"].startswith("{"):  # not the CSV table or a refusal
+            found += [(record["argv"], key, v) for key, v in values(json.loads(record["stdout"]))]
+    assert {key for _, key, _ in found} == keys
+    assert all(v >= 0.0 for _, _, v in found), [f for f in found if f[2] < 0.0]
 
 
 def test_fixture_compare_reports_added_commands(tmp_path, capsys):
