@@ -2,10 +2,11 @@
 """Full-scale d=2 reference run: the lower bound for a Haar pair at the cheapest grid row.
 
 eps0 = 0.25 gives t0 = 509, so the squared-set averaging operator is assembled
-over all 509 nontrivial weights (block dimensions up to 1019, each image built
-real from the Euler angles of its gate on a per-weight Jy eigenbasis).  The
-19 blocks of dimension below 40 get a dense real symmetric eigensolve; the
-other 490 are certified below the largest of those by two Cholesky
+over all 509 nontrivial weights (block dimensions up to 1019).  The pass runs
+in the eigenbasis of the first squared gate, whose image is then a diagonal
+of cosines, so each weight builds one image: the second gate's, real, from
+its Euler angles on a per-weight Jy eigenbasis.  The 19 blocks of dimension
+below 40 get a dense real symmetric eigensolve; the other 490 are certified below the largest of those by two Cholesky
 factorizations, all with the GIL released; LAPACK comes from the capsule
 table of scipy.linalg.cython_lapack, loaded without importing scipy.linalg
 (see gapforge.lapack).  The README gives the run's measured wall time, CPU

@@ -11,10 +11,20 @@ with its inverse, and pi(U^-1) = pi(U)^dagger entry for entry), so norms come
 from dense Hermitian eigensolves; everything is deterministic for fixed
 inputs.  subset_norms serves a whole family of pair subsets in one pass over
 the weights: each weight builds every gate image once and sums each subset's
-block from those images.  It uses the Frobenius-Schur type of each weight
-(PU(d) has no quaternionic irreps): the block of the conjugate weight is the
-complex conjugate of the block of lambda up to a change of basis, so only the
-first of each conjugate pair is computed; a self-conjugate block is taken to
+block from those images.  The pass runs in the eigenbasis Z of the set's
+first gate (_normal_form): conjugating every gate by Z changes no norm, and
+makes the first gate diag(e^{i phi}), whose image is diagonal in the GT
+basis, e^{i <phi, pw_r>} on the vector of pattern weight pw_r.  _block_sums
+adds such a gate's P + P^dagger = diag(2 cos <phi, pw_r>) to the block's
+diagonal and builds no image for it, so each weight builds one image fewer
+than the set has gates.  The rule holds in the real basis too, whose rows mix
+only J-partners, of opposite pattern weights.  averaging_block takes the
+caller's gates as they are.
+
+subset_norms uses the Frobenius-Schur type of each weight (PU(d) has no
+quaternionic irreps): the block of the conjugate weight is the complex
+conjugate of the block of lambda up to a change of basis, so only the first
+of each conjugate pair is computed; a self-conjugate block is taken to
 its real form, a real symmetric matrix, by summing images that irrep returns
 in its real basis (irrep_matrix(real=True)).  Each image is symmetrized in
 place and summed into its block as soon as it is built, so a weight holds
@@ -47,7 +57,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .errors import DomainError
-from .irrep import cached_basis, check_dim_cap, gate_factors, irrep_matrix, jy_frame, rows_per_tile
+from .gates import check_unitary
+from .irrep import (_schur_unitary, cached_basis, check_dim_cap, gate_factors, irrep_matrix,
+                    jy_frame, pattern_weights, rows_per_tile)
 from .lapack import _ONE_BLAS_THREAD, _pin_blas, certify_norm_below, eigvalsh
 from .weightlat import (
     Weight,
@@ -115,35 +127,75 @@ class GapReport:
         }
 
 
-def _block_sums(basis, pairs, factors, keeps, real: bool, take: Callable) -> list:
-    """[take(j, block of keeps[j]) for each kept-pair tuple in keeps], in order.
+def _block_sums(basis, gates, factors, keeps, real: bool, take: Callable) -> list:
+    """[take(j, block of keeps[j]) for each tuple of gate indices in keeps], in order.
 
-    The block over keep, of the symmetric set of the pairs, is (1/2|keep|)
+    The block over keep, of the symmetric set of the gates, is (1/2|keep|)
     sum of P + P^dagger over the kept gates' images (Hermitian bit for bit).
-    factors[i] are the checked gate_factors of pairs[i].  With real
-    (self-conjugate weights only), each image is irrep_matrix(real=True), so
-    the blocks are real.  Each image is built on first use, summed into the
-    block at once, and dropped after its last use; one block is alive at a
-    time, and take owns it.  So memory is the block, the image being built
-    and the images that a later keep reuses (plus, at d = 2, the JyFrame all
-    images of the weight share).  Images are summed in the order of each keep
-    tuple.
+    factors[i] are the checked gate_factors of gates[i].  A gate whose
+    off-diagonal entries are exactly zero, diag(e^{i phi}), builds no image:
+    its P + P^dagger is diag(2 cos <phi, pw_r>), pw the pattern weights, in
+    the GT basis and in the real one alike (a real row mixes only J-partners,
+    whose pattern weights are opposite).  With real (self-conjugate weights
+    only), each image is irrep_matrix(real=True), so the blocks are real.
+    Each image is built on first use, summed into the block at once, and
+    dropped after its last use; one block is alive at a time, and take owns
+    it.  So memory is the block, the image being built and the images that a
+    later keep reuses (plus, at d = 2, the JyFrame all images of the weight
+    share).  Gates are summed in the order of each keep tuple.
     """
     n = basis.dim
-    frame = jy_frame(basis)
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
+    phases = {i: _diagonal_phases(gates[i]) for i in last_use}
+    pw = pattern_weights(basis) if any(p is not None for p in phases.values()) else None
+    frame = jy_frame(basis) if any(p is None for p in phases.values()) else None
     images = {}
     out = []
     for j, keep in enumerate(keeps):
         acc = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
         for i in keep:
+            if phases[i] is not None:
+                acc.flat[:: n + 1] += 2.0 * np.cos(pw @ phases[i])
+                continue
             if i not in images:
-                images[i] = _image(basis, pairs[i][1], frame, factors[i], real)
+                images[i] = _image(basis, gates[i], frame, factors[i], real)
             acc += images[i] if last_use[i] > j else images.pop(i)
         acc /= 2 * len(keep)
         out.append(take(j, acc))
         del acc
     return out
+
+
+def _diagonal_phases(U: np.ndarray):
+    """The angles phi of U = diag(e^{i phi}) where every off-diagonal entry of
+    U is exactly zero, else None."""
+    D = np.diagonal(U)
+    return np.angle(D) if np.array_equal(U, np.diag(D)) else None
+
+
+def _normal_form(gates: list) -> list:
+    """The gates conjugated by the unitary eigenbasis Z of the first, which
+    becomes exactly diag(z), its eigenvalues; each other U becomes
+    Z^dagger U Z.  pi(Z) is unitary, so every subset's block norms are
+    unchanged.  A first gate that is already diagonal leaves the gates as
+    they are.  Raises unless Z is unitary and Z diag(z) Z^dagger is the first
+    gate, each to 1e-12 plus that gate's own distance from the unitary group
+    (check_unitary, at most 1e-10): no eigenbasis rebuilds a non-unitary gate
+    better.
+    """
+    first = gates[0]
+    if _diagonal_phases(first) is not None:
+        return gates
+    tol = 1e-12 + check_unitary(first, "gate")  # diag(z) would hide a failing gate
+    z, Z = _schur_unitary(first)
+    Zh = Z.conj().T
+    for what, E in (("be unitary", Zh @ Z - np.eye(len(Z))),
+                    ("rebuild the first gate", (Z * z) @ Zh - first)):
+        err = float(np.linalg.norm(E, 2))
+        if not err <= tol:
+            raise AssertionError(f"the first gate's eigenbasis fails to {what}: "
+                                 f"{err:.3e} > {tol:.3e}")
+    return [np.diag(z)] + [Zh @ U @ Z for U in gates[1:]]
 
 
 def _image(basis, U: np.ndarray, frame, factors, real: bool) -> np.ndarray:
@@ -172,9 +224,9 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     for bit (pairs enter as P + P^dagger before the real rescale)."""
     if not gs.symmetric:
         raise DomainError("averaging_block needs a symmetric gate set")
-    factors = [gate_factors(U) for _, U in gs.pairs]
-    return _block_sums(cached_basis(weight), gs.pairs, factors, [tuple(range(gs.k))],
-                       False, lambda j, B: B)[0]
+    gates = [U for _, U in gs.pairs]
+    return _block_sums(cached_basis(weight), gates, [gate_factors(U) for U in gates],
+                       [tuple(range(gs.k))], False, lambda j, B: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -212,14 +264,14 @@ def subset_norms(
         raise DomainError("subset_norms needs a symmetric gate set")
     check_dim_cap(gs.d, t)  # before millions of weights are enumerated
     weights = enumerate_nontrivial_weights(gs.d, t)
-    factors = [gate_factors(U) for _, U in gs.pairs]
+    gates = _normal_form([U for _, U in gs.pairs])
+    factors = [gate_factors(U) for U in gates]
 
     def run(ws: list, take: Callable) -> list:
         """[(norms, exact) of each weight of ws]; take(j, B) -> (value, exact)."""
         def one(w: Weight):
             real = frobenius_schur(w) == 1
-            norms, exact = zip(*_block_sums(cached_basis(w), gs.pairs, factors, keeps, real,
-                                            take))
+            norms, exact = zip(*_block_sums(cached_basis(w), gates, factors, keeps, real, take))
             if progress is not None:
                 progress(w, norms, exact)
                 if not real:

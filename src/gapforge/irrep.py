@@ -52,6 +52,14 @@ in real arithmetic: at d = 2 by two folds with closed-form rows of C
 on each side of the rotation (_real_cs_image).  Images are built and folded
 in place, a slab of temporaries at a time (rows_per_tile), so an image
 allocates little beyond its own n^2 entries.
+
+A diagonal gate needs no image: the torus acts on a GT vector by its pattern
+weight, so pi(diag(e^{i phi})) = diag(e^{i <phi, pw_r>}) in the GT basis,
+whatever the gate's phase (pw_r sums to zero).  pattern_weights gives pw, as
+(m, -m) at d = 2 and from the span layout at d >= 3.  A row of the real basis
+mixes only a vector and its J-partner, whose pattern weights are opposite,
+so the real image's P + P^T is diag(2 cos <phi, pw_r>) too; avgop puts its
+passes in an eigenbasis of their first gate to use this.
 """
 
 from __future__ import annotations
@@ -79,6 +87,7 @@ __all__ = [
     "gate_factors",
     "jy_frame",
     "irrep_matrix",
+    "pattern_weights",
     "DIM_CAP",
     "check_dim_cap",
 ]
@@ -555,18 +564,15 @@ def _check_spans(amplitudes: tuple, pw: np.ndarray, spans, shape_of, gens: list)
     the shapes' blocks exactly, so the shapes carry nothing the basis lacks.
     """
     n, d = pw.shape
-    (start, stop), (k_of, c, pw_d) = spans.T, shape_of.T
+    start, stop = spans.T
     size = np.array([len(weights) for _, weights in gens])
-    ok = np.array_equal(stop - start, size[k_of])
-    if ok:
-        span_at = np.repeat(np.arange(len(spans)), stop - start)
-        local = np.arange(n) - start[span_at]  # each pattern's position in its span
-        weights = np.concatenate([weights for _, weights in gens])
-        at = np.concatenate([[0], np.cumsum(size)])[k_of][span_at] + local
-        ok = np.array_equal(pw, np.column_stack([weights[at] + c[span_at, None], pw_d[span_at]]))
-    if not ok:
-        raise AssertionError(f"a row-{d - 1} block is not its shape's shifted by r - shift")
+    k_of = shape_of[:, 0]
     b = size[k_of]
+    if not (np.array_equal(stop - start, b)
+            and np.array_equal(pw, _span_weights(spans, shape_of, [w for _, w in gens]))):
+        raise AssertionError(f"a row-{d - 1} block is not its shape's shifted by r - shift")
+    span_at = np.repeat(np.arange(len(spans)), b)
+    local = np.arange(n) - start[span_at]  # each pattern's position in its span
     block = np.cumsum(b * b) - b * b  # where each span's block starts, blocks concatenated
     for l, (rows, cols, vals) in enumerate(amplitudes, 1):
         at = span_at[rows]
@@ -579,6 +585,31 @@ def _check_spans(amplitudes: tuple, pw: np.ndarray, spans, shape_of, gens: list)
         if not np.array_equal(got, want):
             err = float(np.abs(got - want).max())
             raise AssertionError(f"E_{l}{l + 1} is not its spans' shape images (off by {err:.3e})")
+
+
+def _span_weights(spans: np.ndarray, shape_of: np.ndarray, weights: list) -> np.ndarray:
+    """(n, d) pattern weights of the spans laid out by shape_of, weights[k]
+    those of shape k: each span's are its shape's shifted by r - shift, then
+    pw_d (see GTBasis)."""
+    (start, stop), (k_of, c, pw_d) = spans.T, shape_of.T
+    span_at = np.repeat(np.arange(len(spans)), stop - start)
+    local = np.arange(stop[-1]) - start[span_at]  # each pattern's position in its span
+    offset = np.cumsum([0] + [len(w) for w in weights])
+    at = offset[k_of][span_at] + local
+    return np.column_stack([np.concatenate(weights)[at] + c[span_at, None], pw_d[span_at]])
+
+
+def pattern_weights(basis: GTBasis) -> np.ndarray:
+    """(n, d) int pattern weights of the GT basis, summing to zero: pi of a
+    diagonal gate diag(e^{i phi}) is diag(e^{i <phi, pw_r>}), whatever its
+    phase.  At d = 2 they are (m, -m), m = (n-1)/2 - r; at d >= 3 they come
+    from the span layout, which build_basis checked against them."""
+    n = basis.dim
+    if basis.spans is None:
+        m = (n - 1) // 2 - np.arange(n)
+        return np.column_stack([m, -m])
+    return _span_weights(basis.spans, basis.shape_of,
+                         [_shape_generators(shape)[1] for shape, _ in basis.shapes])
 
 
 @dataclass(frozen=True)
@@ -885,11 +916,16 @@ def _real_cs_image(basis: GTBasis, frame: JyFrame, beta: float, left: list,
     G^T (C pi(K2) C^dagger), block diagonal like C pi(K) C^dagger: one
     real product per set on R's rows, then one on its columns.  Each
     set's C pi(K) C^dagger is checked to be real (imaginary part at most
-    1e-10), and the result orthogonal on a fixed probe vector.
+    1e-10), and the result orthogonal on a fixed probe vector.  Where
+    n doubles are a multiple of 4096 B the result is a view of an array whose
+    rows are one cache line longer.
     """
     pairs, probe = basis.real_basis
     n = basis.dim
-    R = _rotation(frame, np.zeros((n, n)), beta)
+    # rows 4096 B apart map a column onto a few cache sets (n = 512 at
+    # (7, 0, -7)), which made the column pass over twice as slow: pad them a line
+    pad = 8 if n % 512 == 0 else 0
+    R = _rotation(frame, np.zeros((n, n + pad))[:, :n], beta)
     cols = []
     for idx, parts, at, vals in pairs:
         C = np.zeros((idx.size, idx.size), dtype=np.complex128)

@@ -47,7 +47,8 @@ from gapforge.gates import (
     save_gateset,
     squared_set,
 )
-from gapforge.irrep import JyFrame, cached_basis, gate_factors, irrep_matrix
+from gapforge.bounds import g_t0
+from gapforge.irrep import JyFrame, cached_basis, gate_factors, irrep_matrix, pattern_weights
 from gapforge.lapack import _blas_thread_setters, certify_norm_below
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
@@ -287,7 +288,8 @@ class TestSubsetNorms:
         weights = enumerate_nontrivial_weights(3, 4)
         n_self = sum(frobenius_schur(w) for w in weights)
         n_canonical = (len(weights) + n_self) // 2
-        assert len(images) == haar_pair_d3.k * n_canonical
+        # the first gate, diagonal in the pass's normal form, builds no image
+        assert len(images) == (haar_pair_d3.k - 1) * n_canonical
         assert len(lookups) == n_canonical
         for w in lookups:  # each the first of its pair in canonical order
             assert weights.index(w) <= weights.index(w.conjugate())
@@ -379,7 +381,8 @@ class TestSubsetNorms:
 
     def test_self_conjugate_images_are_real(self, monkeypatch):
         # irrep returns each self-conjugate image in its real basis, at every
-        # d, and every other image complex
+        # d, and every other image complex; the first gate, diagonal in the
+        # pass's normal form, builds none
         dtypes = []
         real_image = irrep_matrix
 
@@ -390,7 +393,7 @@ class TestSubsetNorms:
 
         monkeypatch.setattr(gapforge.avgop, "irrep_matrix", image)
         subset_norms(haar_random_gateset(2, 3, seed=1729), 12, [(0, 1, 2), (0, 1)], threads=1)
-        assert len(dtypes) == 3 * 12 and {dt for _, dt in dtypes} == {np.dtype(np.float64)}
+        assert len(dtypes) == 2 * 12 and {dt for _, dt in dtypes} == {np.dtype(np.float64)}
         dtypes.clear()
         subset_norms(haar_random_gateset(3, 2, seed=1729), 3, [(0, 1)], threads=1)
         kinds = {(frobenius_schur(w), dt) for w, dt in dtypes}
@@ -439,6 +442,153 @@ class TestSubsetNorms:
         assert proc.stdout.startswith("a real-form pair block keeps an imaginary part")
 
 
+def _repeated_eigenvalue_d3() -> np.ndarray:
+    V = _haar_unitary(3, np.random.default_rng(31))
+    return (V * np.exp(1j * np.array([0.7, 0.7, -1.4]))) @ V.conj().T
+
+
+# (name, first gate, second gate) of the degenerate first gates
+_IX, _IZ = np.array([[0, 1j], [1j, 0]]), np.diag([1j, -1j])
+DEGENERATE_FIRST = {
+    "identity": (np.eye(2), None),
+    "iZ": (_IZ, None),
+    "iX-iZ": (_IX, _IZ),  # a finite group: gap 0
+    "repeated-d3": (_repeated_eigenvalue_d3(), None),
+}
+
+
+class TestNormalForm:
+    """subset_norms runs in the eigenbasis of its set's first gate: that gate
+    is diag(e^{i phi}) and adds diag(2 cos <phi, pw>) to each block, with no
+    image; every other gate is conjugated and imaged as before."""
+
+    # d = 2, 3 and 4, each d >= 3 with a self-conjugate weight and a complex one
+    @pytest.mark.parametrize("entries", [(5, -5), (2, 0, -2), (2, -1, -1), (3, 1, -2, -2),
+                                         (1, 0, 0, -1), (2, 0, -1, -1)])
+    def test_diagonal_gate_is_twice_its_cosines(self, entries):
+        # P + P^dagger of a diagonal gate, of any phase, in the GT basis and,
+        # where the weight is self-conjugate, in the real one
+        w = Weight(entries)
+        b = cached_basis(w)
+        pw = pattern_weights(b)
+        assert pw.shape == (b.dim, w.d) and not pw.sum(axis=1).any()
+        rng = np.random.default_rng(sum(entries) + 17 * len(entries))
+        for real in (False, True)[: 1 + frobenius_schur(w)]:
+            for _ in range(3):
+                phi = rng.uniform(-np.pi, np.pi, w.d)
+                P = irrep_matrix(b, np.diag(np.exp(1j * phi)), real=real)
+                want = np.diag(2.0 * np.cos(pw @ phi))
+                assert np.abs(P + P.conj().T - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("entries, real", [((7, -7), True), ((7, -7), False),
+                                                ((2, 0, -2), True), ((3, -1, -2), False)])
+    def test_block_sums_match_every_image(self, entries, real):
+        # a diagonal gate among imaged ones sums to the block of its image
+        b = cached_basis(Weight(entries))
+        D = np.diag(np.exp(1j * np.linspace(0.3, -0.9, b.d)))
+        U = _haar_unitary(b.d, np.random.default_rng(5))
+        gates = [D, U]
+        factors = [gate_factors(V) for V in gates]
+        (B,) = _block_sums(b, gates, factors, [(0, 1)], real, lambda j, B: B)
+        want = sum(P + P.conj().T for P in (irrep_matrix(b, V, factors=f, real=real)
+                                           for V, f in zip(gates, factors))) / 4
+        assert B.dtype == (np.float64 if real else np.complex128)
+        assert np.abs(B - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(DEGENERATE_FIRST))
+    def test_gaps_match_every_image_and_any_basis(self, name):
+        # gap_at_scale and g_t0 against blocks that averaging_block builds
+        # gate by gate, on the set as given and on the set conjugated by a
+        # Haar unitary (no gate diagonal there), and against the conjugated
+        # set's own pass
+        first, second = DEGENERATE_FIRST[name]
+        d = len(first)
+        rng = np.random.default_rng(len(name))
+        if second is None:
+            second = _haar_unitary(d, rng)
+        gs = make_gateset(d, [("a", first), ("b", second)])
+        W = _haar_unitary(d, rng)
+        turned = make_gateset(d, [(lab, W.conj().T @ U @ W) for lab, U in gs.pairs])
+        assert all(gapforge.avgop._diagonal_phases(U) is None for _, U in turned.pairs)
+        t = 6 if d == 2 else 3
+        rep = gap_at_scale(gs, t, every_norm=True)
+        for w, norm in rep.per_weight_norms.items():
+            for ref in (gs, turned):
+                assert norm == pytest.approx(block_operator_norm(averaging_block(w, ref)),
+                                             rel=0, abs=1e-12)
+        assert rep.gap == pytest.approx(gap_at_scale(turned, t).gap, rel=0, abs=1e-12)
+        sq = squared_set(turned)
+        worst = max(block_operator_norm(averaging_block(w, sq))
+                    for w in enumerate_nontrivial_weights(d, t))
+        g, _ = g_t0(gs, t_override=t, check_universality=False)
+        g_turned, _ = g_t0(turned, t_override=t, check_universality=False)
+        assert g == pytest.approx(max(1.0 - worst, 0.0) ** 2 / 4, rel=0, abs=1e-12)
+        assert g == pytest.approx(g_turned, rel=0, abs=1e-12)
+        if name == "iX-iZ":
+            assert rep.gap == g == 0.0
+
+    @pytest.mark.parametrize("diagonal_first", [True, False])
+    def test_gates_reach_gate_factors(self, monkeypatch, diagonal_first):
+        # a first gate that is already diagonal leaves every gate as it is,
+        # bit for bit; otherwise the first reaches gate_factors diagonal
+        seen = []
+        real = gapforge.avgop.gate_factors
+        monkeypatch.setattr(gapforge.avgop, "gate_factors",
+                            lambda U: seen.append(U) or real(U))
+        gs = haar_random_gateset(3, 3, seed=8)
+        if diagonal_first:
+            D = np.diag(np.exp(1j * np.array([0.4, 1.1, -1.5])))
+            gs = make_gateset(3, [("d", D)] + list(gs.pairs[1:]))
+        gap_at_scale(gs, 2)
+        assert len(seen) == gs.k
+        if diagonal_first:
+            for got, (_, U) in zip(seen, gs.pairs):
+                assert got.dtype == U.dtype and got.tobytes() == U.tobytes()
+        else:
+            assert gapforge.avgop._diagonal_phases(seen[0]) is not None
+            assert all(gapforge.avgop._diagonal_phases(U) is None for U in seen[1:])
+
+    def test_gate_off_unitary_within_the_check_is_accepted(self):
+        # make_gateset accepts a gate 5e-11 off the unitary group; no
+        # eigenbasis rebuilds it better, so the normal form allows that too
+        rng = np.random.default_rng(12)
+        E = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        U = _haar_unitary(2, rng) + 5e-11 * E / np.linalg.norm(E, 2)
+        gs = make_gateset(2, [("u", U), ("v", _haar_unitary(2, rng))])
+        rep = gap_at_scale(gs, 4, every_norm=True)
+        for w, norm in rep.per_weight_norms.items():
+            assert norm == pytest.approx(block_operator_norm(averaging_block(w, gs)),
+                                         rel=0, abs=1e-9)
+
+    def test_eigenbasis_checks_survive_python_O(self):
+        # an eigenbasis that is not unitary, and eigenvalues that do not
+        # rebuild the first gate, each by 1e-9, raise under -O
+        script = textwrap.dedent("""
+            import numpy as np
+            import gapforge.avgop
+            from gapforge.gates import haar_random_gateset
+
+            assert False, "assert statements must be stripped here"
+            schur = gapforge.avgop._schur_unitary
+            gs = haar_random_gateset(3, 2, seed=1729)
+            for bend in (lambda z, Z: (z, Z * (1 + 1e-9)),
+                         lambda z, Z: (z * np.exp(1e-9j), Z)):
+                gapforge.avgop._schur_unitary = lambda U: bend(*schur(U))
+                try:
+                    gapforge.avgop.gap_at_scale(gs, 2)
+                except AssertionError as exc:
+                    print(exc)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(gapforge.avgop.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("the first gate's eigenbasis fails to be unitary")
+        assert lines[1].startswith("the first gate's eigenbasis fails to rebuild the first gate")
+
+
 class TestLargeBlocks:
     """The values and the memory of blocks above n = 200, where the images,
     the real form and the symmetrized sums work a slab at a time."""
@@ -480,10 +630,11 @@ class TestLargeBlocks:
         # each image is symmetrized in place, strip by strip (n > 181: several)
         gs = haar_pair_d2 if len(entries) == 2 else haar_pair_d3
         b = cached_basis(Weight(entries))
-        factors = [gate_factors(U) for _, U in gs.pairs]
-        (B,) = _block_sums(b, gs.pairs, factors, [(0, 1)], real, lambda j, B: B)
+        gates = [U for _, U in gs.pairs]
+        factors = [gate_factors(U) for U in gates]
+        (B,) = _block_sums(b, gates, factors, [(0, 1)], real, lambda j, B: B)
         want = 0.0
-        for (_, U), f in zip(gs.pairs, factors):
+        for U, f in zip(gates, factors):
             P = irrep_matrix(b, U, factors=f, real=real)
             want = want + (P + P.conj().T)
         assert b.dim > 181
@@ -500,12 +651,13 @@ class TestLargeBlocks:
         w = Weight(entries)
         gs = squared_set(haar_pair_d2) if w.d == 2 else haar_pair_d3
         b = cached_basis(w)
-        factors = [gate_factors(U) for _, U in gs.pairs]
+        gates = [U for _, U in gs.pairs]
+        factors = [gate_factors(U) for U in gates]
 
         def take(j, B):
             return certify_norm_below(B, 0.95) if certify else _hermitian_norm(B)
 
-        args = (b, gs.pairs, factors, [(0, 1)], frobenius_schur(w) == 1, take)
+        args = (b, gates, factors, [(0, 1)], frobenius_schur(w) == 1, take)
         _block_sums(*args)  # solves the gates' U(d-1) shapes, kept with the factors
         tracemalloc.start()
         try:

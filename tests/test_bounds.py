@@ -82,16 +82,24 @@ class TestGT0:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("d, k, t", [(2, 3, 6), (2, 4, 6), (3, 3, 2), (3, 4, 2)])
     def test_per_m_matches_subset_gaps(self, d, k, t, threads):
-        # the one-pass table equals per-subset gap_at_scale minima, bit for bit
+        # the one-pass table equals per-subset gap_at_scale minima.  Both run
+        # in the eigenbasis of the first gate of their set: a subset that
+        # keeps gate 0 gets the same bits, any other is conjugated by its own
+        # first gate's eigenbasis, which moves its gap by roundoff only
         gs = haar_random_gateset(d, k, seed=1729)
-        _, table = g_t0(gs, t_override=t, check_universality=False, threads=threads)
+        seen = {}
+        _, table = g_t0(gs, t_override=t, check_universality=False, threads=threads,
+                        progress=lambda m, combo, gap: seen.update({combo: gap}))
         for m, (gap, removed) in enumerate(table.per_m):
-            best_gap, best_sub = None, None
-            for combo in itertools.combinations(range(k), m):
-                sub_gap = gap_at_scale(subset_squares(gs, combo), t, threads=threads).gap
-                if best_gap is None or sub_gap < best_gap:
-                    best_gap, best_sub = sub_gap, combo
-            assert (gap, removed) == (max(best_gap, 0.0), best_sub)
+            subs = {combo: gap_at_scale(subset_squares(gs, combo), t, threads=threads).gap
+                    for combo in itertools.combinations(range(k), m)}
+            for combo, sub_gap in subs.items():
+                if 0 in combo:
+                    assert seen[combo] == pytest.approx(sub_gap, rel=0, abs=1e-12)
+                else:
+                    assert seen[combo] == sub_gap
+            best = min(subs, key=subs.get)  # the first removal wins ties, as in g_t0
+            assert (gap, removed) == (seen[best], best)
 
     @staticmethod
     def _count_images(monkeypatch, check_universality):
@@ -106,7 +114,8 @@ class TestGT0:
         k = 4
         g_t0(haar_random_gateset(2, k, seed=1729), t_override=6,
              check_universality=check_universality)
-        assert len(calls) == k * len(enumerate_nontrivial_weights(2, 6))
+        # the pass's first gate is diagonal in its normal form and builds none
+        assert len(calls) == (k - 1) * len(enumerate_nontrivial_weights(2, 6))
 
     def test_builds_each_image_once_per_weight(self, monkeypatch):
         self._count_images(monkeypatch, check_universality=False)
