@@ -40,11 +40,8 @@ block gets the ceiling theta_j (that stage's maximum of the subset, less
 _CEILING_SLACK) when two Cholesky factorizations prove its norm below theta_j
 (lapack.certify_norm_below), and an eigensolve otherwise.  A certified
 block's eigensolve could not have reached the maximum, so every subset's
-maximum is the same float as with eigensolves throughout.  A ceiling is never
-reported as a norm: subset_norms flags each entry as exact or not,
-GapReport.per_weight_norms holds only the eigensolved norms, and
-gap_at_scale(every_norm=True) eigensolves every block for a caller that
-reads them all.
+maximum is the same float as with eigensolves throughout.  Pass.worst, the
+one reduction of subset_norms's result, refuses a maximum that is a ceiling.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
@@ -75,6 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "GapReport",
+    "Pass",
     "averaging_block",
     "block_operator_norm",
     "subset_norms",
@@ -235,12 +233,32 @@ def _representatives(weights: list) -> list:
     return [w for w in weights if w.entries >= conjugate_entries(w.entries)]
 
 
+class Pass(NamedTuple):
+    """subset_norms's result, read through worst alone."""
+
+    weights: list
+    norms: list
+    exact: list
+
+    def worst(self, j: int, t: int) -> tuple:
+        """(norm, weight): column j's largest entry over the weights up to
+        scale t, and the first weight in canonical order that has it.  An exact
+        one lies above every ceiling in the prefix, and so above every norm; a
+        ceiling raises, since 1 - ceiling would overstate the gap."""
+        rows = [a for a, w in enumerate(self.weights) if w.positive_size <= t]
+        a = max(rows, key=lambda a: self.norms[a][j])  # the first of equal maxima
+        if not self.exact[a][j]:
+            raise AssertionError(f"the maximum of column {j} up to scale {t} is the "
+                                 f"ceiling {self.norms[a][j]!r} of {self.weights[a]}")
+        return self.norms[a][j], self.weights[a]
+
+
 def subset_norms(
     gs: "GateSet", t: int, keeps: list, threads: int | None = None, progress=None,
     certify: bool = False,
-) -> tuple:
-    """(weights, norms, exact) with norms[a][j] the norm of the averaging block
-    of weights[a] over the pairs keeps[j] of the symmetric set gs, and
+) -> Pass:
+    """Pass(weights, norms, exact) with norms[a][j] the norm of the averaging
+    block of weights[a] over the pairs keeps[j] of the symmetric set gs, and
     exact[a][j] False where norms[a][j] is a certified ceiling instead.
 
     One pass over the nontrivial weights up to scale t: each weight builds the
@@ -251,14 +269,10 @@ def subset_norms(
     progress(w, norms of w, exact of w) fires on the worker as each weight
     finishes, for a conjugate pair once per member.
 
-    With certify, only the column maxima are exact.  The weights up to
-    T_PROBE and those of dimension below POOL_MIN_DIM get exact norms first;
-    theta_j is their maximum in column j less _CEILING_SLACK.  Every other
-    entry is exact or the certified ceiling theta_j, an upper bound on its
-    norm strictly below the column maximum.  An entry is a ceiling only when
-    certify_norm_below proves it, and the eigensolve it replaces would have
-    returned a norm below the maximum, so each column maximum is the same
-    float as without certify, at any thread count.
+    With certify, an entry outside the head (the weights up to T_PROBE and
+    below POOL_MIN_DIM) is the ceiling theta_j, the head's column maximum less
+    _CEILING_SLACK, where certify_norm_below proves it; each column maximum is
+    the same float as without certify, at any thread count.
     """
     if not gs.symmetric:
         raise DomainError("subset_norms needs a symmetric gate set")
@@ -289,8 +303,8 @@ def subset_norms(
     for w, row in zip(first, run(first, lambda j, B: (_hermitian_norm(B), True))):
         rows[w.entries] = rows[conjugate_entries(w.entries)] = row
     if rest:
-        heads = (rows[w.entries][0] for w in first)
-        ceilings = [max(col) - _CEILING_SLACK for col in zip(*heads)]
+        head = Pass(first, *zip(*(rows[w.entries] for w in first)))
+        ceilings = [head.worst(j, t)[0] - _CEILING_SLACK for j in range(len(keeps))]
 
         def bounded(j: int, B: np.ndarray) -> tuple:
             if certify_norm_below(B, ceilings[j]):
@@ -299,7 +313,8 @@ def subset_norms(
 
         for w, row in zip(rest, run(rest, bounded)):
             rows[w.entries] = rows[conjugate_entries(w.entries)] = row
-    return weights, [rows[w.entries][0] for w in weights], [rows[w.entries][1] for w in weights]
+    return Pass(weights, [rows[w.entries][0] for w in weights],
+                [rows[w.entries][1] for w in weights])
 
 
 def _hermitian_norm(B: np.ndarray) -> float:
@@ -382,28 +397,20 @@ def gap_at_scale(
 
     The gap needs only the worst norm, so the pass certifies the blocks that
     cannot set it (subset_norms(certify=True)), and per_weight_norms holds the
-    eigensolved norms only: those of the head, of each block whose
-    certificate failed, and so the worst one.  every_norm=True eigensolves
-    every block and reports every norm; the gap and worst_weight are the same
-    bits either way.  progress(w, value, exact) fires per weight as it
-    finishes: value is its norm if exact, else its certified ceiling.
-
-    The per-weight computations are independent and may run on a thread pool;
-    the reduction walks weights in canonical order, so the report (including
-    the argmax worst_weight) does not depend on the thread count.
+    eigensolved norms only: the head's and each failed certificate's.
+    every_norm=True eigensolves every block and reports every norm; the gap and
+    worst_weight, read by Pass.worst, are the same bits either way, at any
+    thread count.  progress(w, value, exact) fires per weight as it finishes:
+    value is its norm if exact, else its certified ceiling.
     """
     check_scale(t)
-    if not gs.symmetric:
-        raise DomainError("gap_at_scale needs a symmetric gate set")
-    keep = tuple(range(gs.k))
-    weights, norms, exact = subset_norms(
-        gs, t, [keep], threads,
+    p = subset_norms(
+        gs, t, [tuple(range(gs.k))], threads,
         progress=None if progress is None else lambda w, ns, ex: progress(w, ns[0], ex[0]),
         certify=not every_norm,
     )
-    per_weight = {w: ns[0] for w, ns, ex in zip(weights, norms, exact) if ex[0]}
-    worst = max(per_weight.values())
-    worst_weight = next(w for w, v in per_weight.items() if v == worst)
+    worst, worst_weight = p.worst(0, t)
+    per_weight = {w: ns[0] for w, ns, ex in zip(*p) if ex[0]}
     return GapReport(
         scale=t,
         gap=checked_gap(worst),

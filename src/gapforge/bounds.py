@@ -38,7 +38,7 @@ from .constants import (
 )
 from .errors import DomainError
 from .gates import GateSet, squared_set
-from .weightlat import check_d, check_scale
+from .weightlat import Weight, check_d, check_scale
 
 __all__ = [
     "SubsetGapTable",
@@ -115,13 +115,12 @@ def g_t0(
     expensive reference scales are desk-checked at small t).
 
     All removal subsets share one pass over the weights, which builds each
-    squared gate's image once per weight.  The m = k-2 removals leave every
-    squared pair, so the universality verdict of each pair is read off its
-    subset's norms up to T_PROBE (the pass then runs to max(t0, T_PROBE)).
-    The pass certifies, rather than solves, the blocks that cannot set a
-    subset's maximum (subset_norms(certify=True)); the maxima, and so the
-    table, are the same floats as from exact norms.  Its rows above t0 exist
-    only when t0 < T_PROBE, and are then all exact.
+    squared gate's image once per weight.  Pass.worst reads each subset's gap
+    off the pass up to t0 and, as the m = k-2 removals leave every squared
+    pair, each pair's universality verdict up to T_PROBE (the pass then runs to
+    max(t0, T_PROBE)).  The pass certifies, rather than solves, the blocks that
+    cannot set a subset's maximum (subset_norms(certify=True)); the maxima, and
+    so the table, are the same floats as from exact norms.
     progress(m, removed, gap) fires only after the pass, once per subset in
     (m, removed) order.
     """
@@ -141,15 +140,13 @@ def g_t0(
     removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
     keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
     t_pass = max(t0, T_PROBE) if check_universality else t0
-    weights, norms, _ = subset_norms(sq, t_pass, keeps, threads=threads, certify=True)
+    p = subset_norms(sq, t_pass, keeps, threads=threads, certify=True)
 
     verdicts = []
     if check_universality:
-        probe = [(w, row) for w, row in zip(weights, norms) if w.positive_size <= T_PROBE]
         for i, j in itertools.combinations(range(k), 2):
             sub = GateSet(d=gs.d, pairs=(sq.pairs[i], sq.pairs[j]), symmetric=True)
-            col = keeps.index((i, j))
-            v = _verdict(sub, {w: row[col] for w, row in probe})
+            v = _verdict(sub, *p.worst(keeps.index((i, j)), T_PROBE))
             if v != "universal-likely":
                 warnings.warn(
                     f"squared pair subset ({i}, {j}) looks {v}; the subset gaps "
@@ -157,16 +154,13 @@ def g_t0(
                 )
             verdicts.append((i, j, v))
 
-    rows = [row for w, row in zip(weights, norms) if w.positive_size <= t0]
-    best = {}  # m -> (min gap, removal); the first removal wins ties
-    for j, combo in enumerate(removals):
-        gap = checked_gap(max(row[j] for row in rows))
-        if progress is not None:
+    gaps = [checked_gap(p.worst(j, t0)[0]) for j in range(len(keeps))]
+    if progress is not None:
+        for combo, gap in zip(removals, gaps):
             progress(len(combo), combo, gap)
-        m = len(combo)
-        if m not in best or gap < best[m][0]:
-            best[m] = (gap, combo)
-    per_m = [best[m] for m in range(k - 1)]
+    # removals of one size come in lexicographic order, so the first wins ties
+    per_m = [min((gap, c) for gap, c in zip(gaps, removals) if len(c) == m)
+             for m in range(k - 1)]
 
     for m in range(1, len(per_m)):
         if per_m[m][0] > per_m[m - 1][0] + 1e-10:
@@ -184,8 +178,8 @@ def g_t0(
 
 
 def universality_heuristic(gs: GateSet) -> str:
-    """Probe whether <S> is dense in PU(d) from the gap at scale T_PROBE, whose
-    pass eigensolves every block (each weight up to T_PROBE is in its head).
+    """Probe whether <S> is dense in PU(d) from its worst block up to T_PROBE,
+    which Pass.worst reads off gap_at_scale's pass, all head and so all exact.
 
     'not-universal'    — the gap is at most 1e-8 (an invariant vector: a
                          proper closed subgroup), and the worst block, built
@@ -194,17 +188,16 @@ def universality_heuristic(gs: GateSet) -> str:
     'inconclusive'     — in between.
     """
     gs = gs.symmetrized()
-    return _verdict(gs, gap_at_scale(gs, T_PROBE).per_weight_norms)
+    report = gap_at_scale(gs, T_PROBE)
+    return _verdict(gs, report.per_weight_norms[report.worst_weight], report.worst_weight)
 
 
-def _verdict(gs: GateSet, norms: dict) -> str:
-    """universality_heuristic's verdict from {weight: norm} of gs's full blocks
-    over the nontrivial weights up to T_PROBE, in canonical order."""
-    top = max(norms.values())
+def _verdict(gs: GateSet, top: float, w: Weight) -> str:
+    """universality_heuristic's verdict from Pass.worst's (top, w) of gs's full
+    blocks up to T_PROBE: the worst norm and its weight."""
     gap = checked_gap(top)
     if gap <= 1e-8:
-        # the first (canonical order) worst block, normed apart from the pass
-        w = next(w for w, v in norms.items() if v == top)
+        # the worst block, normed apart from the pass
         again = block_operator_norm(averaging_block(w, gs))
         if not abs(again - top) <= 1e-10:
             raise AssertionError(f"the worst block's norm {again!r} is not the {top!r} read")

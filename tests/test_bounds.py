@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gapforge
 import gapforge.avgop
 from _oracles import b_coefficient, gap_bound_from_b, subset_squares
-from gapforge.avgop import T_PROBE, gap_at_scale
+from gapforge.avgop import T_PROBE, Pass, gap_at_scale, subset_norms
 from gapforge.bounds import (
     BoundReport,
     SubsetGapTable,
@@ -225,10 +225,7 @@ class TestVerdictThresholds:
     (then confirmed on the block), at least 1e-6 universal-likely, and
     anything between inconclusive, which needs no block."""
 
-    WEIGHTS = enumerate_nontrivial_weights(2, T_PROBE)
-
-    def _norms(self, top: float) -> dict:
-        return {w: top if i == 1 else 0.5 for i, w in enumerate(self.WEIGHTS)}
+    WORST = enumerate_nontrivial_weights(2, T_PROBE)[1]
 
     def test_inconclusive(self, monkeypatch):
         def unused(w, gs):
@@ -236,8 +233,8 @@ class TestVerdictThresholds:
 
         monkeypatch.setattr(gapforge.bounds, "averaging_block", unused)
         gs = haar_random_gateset(2, 2, seed=1729)
-        assert _verdict(gs, self._norms(1 - 1e-7)) == "inconclusive"
-        assert _verdict(gs, self._norms(1 - 1e-5)) == "universal-likely"
+        assert _verdict(gs, 1 - 1e-7, self.WORST) == "inconclusive"
+        assert _verdict(gs, 1 - 1e-5, self.WORST) == "universal-likely"
 
 
 class TestCertifiedPass:
@@ -320,6 +317,29 @@ class TestCertifiedPass:
         assert ceilings == counts[True]
         assert g_t0(gs, t_override=60) == self._exact_g_t0(monkeypatch, gs, t_override=60)[0]
 
+    @pytest.mark.parametrize("d, k, T", [(2, 3, 30), (2, 2, 45), (3, 2, 6), (3, 3, 5), (4, 2, 4)])
+    def test_every_prefix_reads_as_its_own_pass(self, d, k, T):
+        # one certified pass to T serves every scale t <= T: Pass.worst over
+        # its prefix gives the norm bits and the weight of a pass to t
+        sq = squared_set(haar_random_gateset(d, k, seed=1729))
+        removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
+        keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
+        big = subset_norms(sq, T, keeps, threads=1, certify=True)
+        assert not all(itertools.chain.from_iterable(big.exact))  # the case holds ceilings
+        for t in range(1, T + 1):
+            small = subset_norms(sq, t, keeps, threads=1, certify=True)
+            for j in range(len(keeps)):
+                assert big.worst(j, t) == small.worst(j, t)
+
+    def test_a_ceiling_on_top_raises(self):
+        # a certified ceiling is an upper bound, never a norm: taken as a
+        # column maximum it would overstate the gap, so worst refuses it
+        weights = enumerate_nontrivial_weights(2, 3)  # (3, -3), (2, -2), (1, -1)
+        p = Pass(weights, [(0.7,), (0.9,), (0.5,)], [(True,), (False,), (True,)])
+        with pytest.raises(AssertionError, match="ceiling 0.9"):
+            p.worst(0, 3)
+        assert p.worst(0, 1) == (0.5, Weight((1, -1)))  # a prefix without it reads
+
     def test_exact_solves_are_counted(self, monkeypatch):
         # stage 1 (the weights up to T_PROBE and below POOL_MIN_DIM) pays one
         # eigensolve per subset; stage 2 one per failed certificate
@@ -340,7 +360,9 @@ class TestCertifiedPass:
         # under python -O, which strips assert statements
         script = textwrap.dedent("""
             import gapforge.avgop, gapforge.bounds
+            from gapforge.avgop import Pass
             from gapforge.gates import haar_random_gateset
+            from gapforge.weightlat import enumerate_nontrivial_weights
 
             assert False, "assert statements must be stripped here"
             certify, failed = gapforge.avgop.certify_norm_below, []
@@ -355,7 +377,14 @@ class TestCertifiedPass:
             g, table = gapforge.bounds.g_t0(gs, t_override=60)
             gapforge.avgop.certify_norm_below = lambda B, theta: False
             exact = gapforge.bounds.g_t0(gs, t_override=60)
-            print(sum(failed), len(failed), (g, table) == exact, repr(g))
+            weights = enumerate_nontrivial_weights(2, 3)
+            on_top = Pass(weights, [(0.7,), (0.9,), (0.5,)], [(True,), (False,), (True,)])
+            try:
+                on_top.worst(0, 3)
+                refused = False
+            except AssertionError:
+                refused = True
+            print(sum(failed), len(failed), (g, table) == exact, repr(g), refused)
         """)
         src = str(Path(gapforge.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -363,8 +392,9 @@ class TestCertifiedPass:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        n_failed, n_tried, same, g = proc.stdout.split()
+        n_failed, n_tried, same, g, refused = proc.stdout.split()
         assert 3 <= int(n_failed) < int(n_tried) and same == "True"
+        assert refused == "True"  # a ceiling on top raises under -O too
         assert float(g) == g_t0(haar_random_gateset(2, 4, seed=3), t_override=60)[0]
 
 
