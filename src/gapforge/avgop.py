@@ -35,7 +35,7 @@ images are real, and 4.35 n^2 for a complex one.
 
 g_t0 and gap_at_scale need only the largest norm of each subset, so they run
 subset_norms(certify=True), which eigensolves only the weights up to T_PROBE
-and those below POOL_MIN_DIM, where the maxima sit in practice.  Every other
+and those below HEAD_DIM, where the maxima sit in practice.  Every other
 block gets the ceiling theta_j (that stage's maximum of the subset, less
 _CEILING_SLACK) when two Cholesky factorizations prove its norm below theta_j
 (lapack.certify_norm_below), and an eigensolve otherwise.  A certified
@@ -82,18 +82,18 @@ __all__ = [
 ]
 
 T_PROBE = 3  # scale of the universality probe
+# With certify, blocks of dimension below this are eigensolved exactly and
+# set the ceilings (the head); at 122 no block of d = 2, t = 60 is certified
+# and perfbench gtzero-k4 took 0.40 s per op, against 0.24 s at 40.
+HEAD_DIM = 40
 # Smallest block dimension whose weight goes to the per-weight pool; the
-# smaller ones run on the calling thread.  While scipy's eigvalsh held the GIL
-# this was 160: two threads ran d = 2 weights of dimension 83..121 slower than
-# one.  With the norm and the Jy frame off the GIL (lapack), g_t0 at d = 2,
-# t = 60 (dimensions 3..121) took 29 % less time per op at 40 than at 160, in
-# 10 of 10 paired runs on 2 vCPUs, for 3 % more peak RSS.  With certificates,
-# which also solve every weight below this bar exactly, perfbench op_s_p50 on
-# 2 vCPUs over seeds 11-13 (gtzero-k4) and 21-23 (gap-d3) was, at 40, 80 and
-# 122: gtzero-k4 0.243-0.248, 0.264-0.270 and 0.404-0.422 s (at 122 no block
-# of t = 60 is certified); gap-d3 0.504-0.512, 0.498-0.509 and 0.480-0.505 s.
-# gtzero-k4 gains nothing above 40, so the bar stays there.
-POOL_MIN_DIM = 40
+# smaller ones run on the calling thread.  Two threads over one, 24 copies of
+# one certified weight (2 vCPUs, one BLAS thread per task, best of three):
+#   d = 2, k = 4:  n = 41: 2.17, 81: 1.45, 111: 1.08, 121: 0.90, 141: 0.81
+#   d = 2, k = 2:  n = 81: 1.11, 121: 1.17, 131: 1.01, 141: 0.87
+#   d = 3, complex: n = 81: 1.06, 154: 0.96, 260: 0.76, 595: 0.57
+#   d = 3, real:   n = 125: 1.07, 216: 1.27, 343: 0.75, 729: 0.68
+POOL_MIN_DIM = 128
 # How far below a subset's exact maximum its certified ceiling sits.  A block
 # certified below theta has a true norm under theta, and its eigvalsh norm
 # errs from that by at most p(n) u ||B|| (LAPACK's bound for dsyevr and
@@ -125,12 +125,13 @@ class GapReport:
         }
 
 
-def _block_sums(basis, gates, factors, keeps, real: bool, take: Callable) -> list:
+def _block_sums(basis, gates, factors, phases, keeps, real: bool, take: Callable) -> list:
     """[take(j, block of keeps[j]) for each tuple of gate indices in keeps], in order.
 
     The block over keep, of the symmetric set of the gates, is (1/2|keep|)
     sum of P + P^dagger over the kept gates' images (Hermitian bit for bit).
-    factors[i] are the checked gate_factors of gates[i].  A gate whose
+    factors[i] and phases[i] are the checked gate_factors and the
+    _diagonal_phases of gates[i], made once per pass.  A gate whose
     off-diagonal entries are exactly zero, diag(e^{i phi}), builds no image:
     its P + P^dagger is diag(2 cos <phi, pw_r>), pw the pattern weights, in
     the GT basis and in the real one alike (a real row mixes only J-partners,
@@ -144,9 +145,9 @@ def _block_sums(basis, gates, factors, keeps, real: bool, take: Callable) -> lis
     """
     n = basis.dim
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
-    phases = {i: _diagonal_phases(gates[i]) for i in last_use}
-    pw = pattern_weights(basis) if any(p is not None for p in phases.values()) else None
-    frame = jy_frame(basis) if any(p is None for p in phases.values()) else None
+    used = [phases[i] for i in last_use]
+    pw = pattern_weights(basis) if any(p is not None for p in used) else None
+    frame = jy_frame(basis) if any(p is None for p in used) else None
     images = {}
     out = []
     for j, keep in enumerate(keeps):
@@ -224,7 +225,8 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
         raise DomainError("averaging_block needs a symmetric gate set")
     gates = [U for _, U in gs.pairs]
     return _block_sums(cached_basis(weight), gates, [gate_factors(U) for U in gates],
-                       [tuple(range(gs.k))], False, lambda j, B: B)[0]
+                       [_diagonal_phases(U) for U in gates], [tuple(range(gs.k))], False,
+                       lambda j, B: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -270,7 +272,7 @@ def subset_norms(
     finishes, for a conjugate pair once per member.
 
     With certify, an entry outside the head (the weights up to T_PROBE and
-    below POOL_MIN_DIM) is the ceiling theta_j, the head's column maximum less
+    below HEAD_DIM) is the ceiling theta_j, the head's column maximum less
     _CEILING_SLACK, where certify_norm_below proves it; each column maximum is
     the same float as without certify, at any thread count.
     """
@@ -280,12 +282,14 @@ def subset_norms(
     weights = enumerate_nontrivial_weights(gs.d, t)
     gates = _normal_form([U for _, U in gs.pairs])
     factors = [gate_factors(U) for U in gates]
+    phases = [_diagonal_phases(U) for U in gates]
 
     def run(ws: list, take: Callable) -> list:
         """[(norms, exact) of each weight of ws]; take(j, B) -> (value, exact)."""
         def one(w: Weight):
             real = frobenius_schur(w) == 1
-            norms, exact = zip(*_block_sums(cached_basis(w), gates, factors, keeps, real, take))
+            sums = _block_sums(cached_basis(w), gates, factors, phases, keeps, real, take)
+            norms, exact = zip(*sums)
             if progress is not None:
                 progress(w, norms, exact)
                 if not real:
@@ -295,7 +299,7 @@ def subset_norms(
         return _map_weights(one, ws, threads, [weyl_dimension(w) for w in ws])
 
     reps = _representatives(weights)
-    head = [not certify or w.positive_size <= T_PROBE or weyl_dimension(w) < POOL_MIN_DIM
+    head = [not certify or w.positive_size <= T_PROBE or weyl_dimension(w) < HEAD_DIM
             for w in reps]
     first = [w for w, e in zip(reps, head) if e]
     rest = [w for w, e in zip(reps, head) if not e]
@@ -369,11 +373,11 @@ def _map_weights(one: Callable, weights: list, threads: int | None, dims: list) 
 
     Results come back in the order of `weights`, so reductions over them do
     not depend on the thread count.  dims holds the block dimension of each
-    weight: only the weights of dimension >= POOL_MIN_DIM go to the pool;
-    the others run on the calling thread after it.  Every task runs with
-    OpenBLAS on one thread (lapack's pin), on the pool and serially alike: the
-    pool is the parallelism, and one BLAS thread per task keeps the results
-    bit-identical across pool sizes.
+    weight: only those of dimension >= POOL_MIN_DIM, where a second thread
+    pays, go to the pool; the others run on the calling thread after it.
+    Every task runs with OpenBLAS on one thread (lapack's pin), on the pool and
+    serially alike: the pool is the parallelism, and one BLAS thread per task
+    keeps the results bit-identical across pool sizes.
     """
     n_threads = _resolve_threads(threads)
     pooled = [i for i, n in enumerate(dims) if n >= POOL_MIN_DIM]

@@ -30,6 +30,7 @@ from gapforge.avgop import (
     POOL_MIN_DIM,
     GapReport,
     _block_sums,
+    _diagonal_phases,
     _hermitian_norm,
     _map_weights,
     averaging_block,
@@ -158,12 +159,16 @@ class TestGapAtScale:
     def test_thread_count_invariance(self, haar_pair_d2, haar_pair_d3, monkeypatch):
         monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # every weight on the pool
         haar_set_d4 = haar_random_gateset(4, 2, seed=1729)
-        for gs, t in ((haar_pair_d2, 6), (haar_pair_d3, 4), (haar_set_d4, 3)):
-            a = gap_at_scale(gs, t, threads=1)
-            b = gap_at_scale(gs, t, threads=4)
-            assert a.gap == b.gap  # identical code path per block, exact match
-            assert a.per_weight_norms == b.per_weight_norms
-            assert a.worst_weight == b.worst_weight
+        # with the default head, and with certificates on every block above
+        # the probe's scales (head bar 1)
+        for head_dim in (gapforge.avgop.HEAD_DIM, 1):
+            monkeypatch.setattr(gapforge.avgop, "HEAD_DIM", head_dim)
+            for gs, t in ((haar_pair_d2, 6), (haar_pair_d3, 4), (haar_set_d4, 3)):
+                a = gap_at_scale(gs, t, threads=1)
+                b = gap_at_scale(gs, t, threads=4)
+                assert a.gap == b.gap  # identical code path per block, exact match
+                assert a.per_weight_norms == b.per_weight_norms
+                assert a.worst_weight == b.worst_weight
 
     def test_one_subgroup_solve_per_shape_and_gate_side(self, haar_pair_d3, monkeypatch):
         # the U(2) images are the complex eigensolves (the frames' are real);
@@ -489,7 +494,8 @@ class TestNormalForm:
         U = _haar_unitary(b.d, np.random.default_rng(5))
         gates = [D, U]
         factors = [gate_factors(V) for V in gates]
-        (B,) = _block_sums(b, gates, factors, [(0, 1)], real, lambda j, B: B)
+        (B,) = _block_sums(b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
+                           real, lambda j, B: B)
         want = sum(P + P.conj().T for P in (irrep_matrix(b, V, factors=f, real=real)
                                            for V, f in zip(gates, factors))) / 4
         assert B.dtype == (np.float64 if real else np.complex128)
@@ -547,6 +553,17 @@ class TestNormalForm:
         else:
             assert gapforge.avgop._diagonal_phases(seen[0]) is not None
             assert all(gapforge.avgop._diagonal_phases(U) is None for U in seen[1:])
+
+    def test_phases_once_per_gate_per_pass(self, monkeypatch):
+        # each gate's diagonal test runs once per pass, next to its
+        # gate_factors (plus the normal form's own), not once per weight
+        calls = []
+        real = gapforge.avgop._diagonal_phases
+        monkeypatch.setattr(gapforge.avgop, "_diagonal_phases",
+                            lambda U: calls.append(U) or real(U))
+        gs = haar_random_gateset(2, 4, seed=1729)
+        subset_norms(gs, 20, [(0, 1, 2, 3), (1, 2, 3)], threads=1, certify=True)
+        assert len(calls) == 1 + gs.k
 
     def test_gate_off_unitary_within_the_check_is_accepted(self):
         # make_gateset accepts a gate 5e-11 off the unitary group; no
@@ -632,7 +649,8 @@ class TestLargeBlocks:
         b = cached_basis(Weight(entries))
         gates = [U for _, U in gs.pairs]
         factors = [gate_factors(U) for U in gates]
-        (B,) = _block_sums(b, gates, factors, [(0, 1)], real, lambda j, B: B)
+        (B,) = _block_sums(b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
+                           real, lambda j, B: B)
         want = 0.0
         for U, f in zip(gates, factors):
             P = irrep_matrix(b, U, factors=f, real=real)
@@ -657,7 +675,8 @@ class TestLargeBlocks:
         def take(j, B):
             return certify_norm_below(B, 0.95) if certify else _hermitian_norm(B)
 
-        args = (b, gates, factors, [(0, 1)], frobenius_schur(w) == 1, take)
+        args = (b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
+                frobenius_schur(w) == 1, take)
         _block_sums(*args)  # solves the gates' U(d-1) shapes, kept with the factors
         tracemalloc.start()
         try:

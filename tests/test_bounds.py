@@ -275,21 +275,26 @@ class TestCertifiedPass:
         (2, 2, 30), (2, 3, 30), (2, 4, 30), (3, 2, 6), (3, 3, 6), (3, 4, 5), (4, 2, 4),
     ])
     def test_bit_identical_to_exact_norms(self, monkeypatch, d, k, t, threads):
+        heads = [gapforge.avgop.HEAD_DIM]
         if threads == 2:
             monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", 1)  # stage 2 on the pool
+            heads.append(1)  # and certificates on the blocks below 40 too
         gs = haar_random_gateset(d, k, seed=1729)
         want, want_warned = self._exact_g_t0(monkeypatch, gs, t_override=t, threads=threads)
         counts = self._count(monkeypatch)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = g_t0(gs, t_override=t, threads=threads)
-        assert got == want
-        assert [str(w.message) for w in caught] == want_warned
-        assert counts[True] > 0  # the case exercises certificates
+        for head_dim in heads:
+            monkeypatch.setattr(gapforge.avgop, "HEAD_DIM", head_dim)
+            counts.update({True: 0, False: 0})
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = g_t0(gs, t_override=t, threads=threads)
+            assert got == want
+            assert [str(w.message) for w in caught] == want_warned
+            assert counts[True] > 0  # the case exercises certificates
 
     def test_maximum_in_stage_two_falls_back(self, monkeypatch):
         # seed 3: three subsets take their maximum at j = 40, 40 and 22 (n = 81,
-        # 81, 45), above T_PROBE and POOL_MIN_DIM, so the stage-1 ceilings sit
+        # 81, 45), above T_PROBE and HEAD_DIM, so the stage-1 ceilings sit
         # below them and those blocks must fail their certificates
         gs = haar_random_gateset(2, 4, seed=3)
         sq = squared_set(gs)
@@ -331,6 +336,20 @@ class TestCertifiedPass:
             for j in range(len(keeps)):
                 assert big.worst(j, t) == small.worst(j, t)
 
+    @pytest.mark.parametrize("d, k, t", [(2, 4, 30), (3, 2, 6)])
+    def test_pool_bar_moves_no_bit(self, monkeypatch, d, k, t):
+        # the pool bar decides only where a weight runs: every weight on the
+        # pool, the default split and none on it give one Pass, bit for bit
+        sq = squared_set(haar_random_gateset(d, k, seed=1729))
+        removals = [c for m in range(k - 1) for c in itertools.combinations(range(k), m)]
+        keeps = [tuple(i for i in range(k) if i not in c) for c in removals]
+        want = subset_norms(sq, t, keeps, threads=1, certify=True)
+        assert not all(itertools.chain.from_iterable(want.exact))  # the case holds ceilings
+        for bar in (1, gapforge.avgop.POOL_MIN_DIM, 10 ** 9):
+            monkeypatch.setattr(gapforge.avgop, "POOL_MIN_DIM", bar)
+            got = subset_norms(sq, t, keeps, threads=2, certify=True)
+            assert got == want  # weights, norms and exact flags
+
     def test_a_ceiling_on_top_raises(self):
         # a certified ceiling is an upper bound, never a norm: taken as a
         # column maximum it would overstate the gap, so worst refuses it
@@ -341,13 +360,13 @@ class TestCertifiedPass:
         assert p.worst(0, 1) == (0.5, Weight((1, -1)))  # a prefix without it reads
 
     def test_exact_solves_are_counted(self, monkeypatch):
-        # stage 1 (the weights up to T_PROBE and below POOL_MIN_DIM) pays one
+        # stage 1 (the weights up to T_PROBE and below HEAD_DIM) pays one
         # eigensolve per subset; stage 2 one per failed certificate
         gs = haar_random_gateset(2, 4, seed=3)
         counts = self._count(monkeypatch)
         g_t0(gs, t_override=60)
         weights = enumerate_nontrivial_weights(2, 60)
-        first = sum(weyl_dimension(w) < gapforge.avgop.POOL_MIN_DIM for w in weights)
+        first = sum(weyl_dimension(w) < gapforge.avgop.HEAD_DIM for w in weights)
         assert first == 19  # j = 1 .. 19
         blocks = 11 * len(weights)  # 11 removal subsets at k = 4
         assert counts["exact"] == 11 * first + counts[False]
