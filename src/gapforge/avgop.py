@@ -27,18 +27,23 @@ conjugate of the block of lambda up to a change of basis, so only the first
 of each conjugate pair is computed; a self-conjugate block is taken to
 its real form, a real symmetric matrix, by summing images that irrep returns
 in its real basis (irrep_matrix(real=True)).  Each image is symmetrized in
-place and summed into its block as soon as it is built, so a weight holds
-its block, the image being built (folded in place by irrep), the images a
-later subset reuses and the buffer LAPACK factors: one subset takes about
-3 n^2 doubles at d = 2, 2.2 n^2 for a self-conjugate weight at d >= 3, whose
-images are real, and 4.35 n^2 for a complex one.
+place as soon as it is built; a subset's first image becomes its block, and
+the rest are summed into it.  LAPACK certifies and eigensolves the block in
+its own storage, so a weight holds its block, the image being built (folded
+in place by irrep) and the images a later subset reuses, and no other n x n
+array: with the first gate diagonal, one subset takes about 2.1 n^2 doubles
+at d = 2 (the block and what building its image takes), 1.2 n^2 for a
+self-conjugate weight at d >= 3, whose images are real, and 2.3 n^2 for a
+complex one (tracemalloc, n = 401, 729 and 595).
 
 g_t0 and gap_at_scale need only the largest norm of each subset, so they run
 subset_norms(certify=True), which eigensolves only the weights up to T_PROBE
 and those below HEAD_DIM, where the maxima sit in practice.  Every other
 block gets the ceiling theta_j (that stage's maximum of the subset, less
 _CEILING_SLACK) when two Cholesky factorizations prove its norm below theta_j
-(lapack.certify_norm_below), and an eigensolve otherwise.  A certified
+(lapack.certify_norm_below), and an eigensolve otherwise: of what the failed
+certificate left of the block, or, where the second factorization spent it,
+of the block built again from the same images, the same bits.  A certified
 block's eigensolve could not have reached the maximum, so every subset's
 maximum is the same float as with eigensolves throughout.  Pass.worst, the
 one reduction of subset_norms's result, refuses a maximum that is a ceiling.
@@ -46,6 +51,7 @@ one reduction of subset_norms's result, refuses a maximum that is a ceiling.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -126,7 +132,8 @@ class GapReport:
 
 
 def _block_sums(basis, gates, factors, phases, keeps, real: bool, take: Callable) -> list:
-    """[take(j, block of keeps[j]) for each tuple of gate indices in keeps], in order.
+    """[take(j, block of keeps[j], rebuild) for each tuple of gate indices in
+    keeps], in order; rebuild() builds that block again, the same bits.
 
     The block over keep, of the symmetric set of the gates, is (1/2|keep|)
     sum of P + P^dagger over the kept gates' images (Hermitian bit for bit).
@@ -137,11 +144,16 @@ def _block_sums(basis, gates, factors, phases, keeps, real: bool, take: Callable
     the GT basis and in the real one alike (a real row mixes only J-partners,
     whose pattern weights are opposite).  With real (self-conjugate weights
     only), each image is irrep_matrix(real=True), so the blocks are real.
-    Each image is built on first use, summed into the block at once, and
-    dropped after its last use; one block is alive at a time, and take owns
-    it.  So memory is the block, the image being built and the images that a
-    later keep reuses (plus, at d = 2, the JyFrame all images of the weight
-    share).  Gates are summed in the order of each keep tuple.
+    Each image is built on first use and dropped after its last use.  A
+    keep's first image becomes its block (a copy, where a later keep reuses
+    it), and the rest are summed into it in the order of the keep tuple, each
+    diagonal term at its place (those before the first image, summed, on
+    that image's diagonal): the IEEE sums of a zero block that takes them in
+    that order.  One block is alive at a time, and take owns it: it may
+    overwrite it, and rebuild it from the images still held and those built
+    anew.  So memory is the block, the image being built and the images that
+    a later keep reuses (plus, at d = 2, the JyFrame all images of the weight
+    share).  The blocks are C-ordered or have padded rows (lapack._rows).
     """
     n = basis.dim
     last_use = {i: j for j, keep in enumerate(keeps) for i in keep}
@@ -149,20 +161,32 @@ def _block_sums(basis, gates, factors, phases, keeps, real: bool, take: Callable
     pw = pattern_weights(basis) if any(p is not None for p in used) else None
     frame = jy_frame(basis) if any(p is None for p in used) else None
     images = {}
-    out = []
-    for j, keep in enumerate(keeps):
-        acc = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
-        for i in keep:
+
+    def block(j: int) -> np.ndarray:
+        acc, first = None, 0.0  # first: the diagonal terms before the first image
+        for i in keeps[j]:
             if phases[i] is not None:
-                acc.flat[:: n + 1] += 2.0 * np.cos(pw @ phases[i])
+                term = 2.0 * np.cos(pw @ phases[i])
+                if acc is None:
+                    first = first + term
+                else:
+                    np.einsum("ii->i", acc)[:] += term  # a view of the diagonal
                 continue
             if i not in images:
                 images[i] = _image(basis, gates[i], frame, factors[i], real)
-            acc += images[i] if last_use[i] > j else images.pop(i)
-        acc /= 2 * len(keep)
-        out.append(take(j, acc))
-        del acc
-    return out
+            P = images[i] if last_use[i] > j else images.pop(i)
+            if acc is None:
+                acc = P.copy() if last_use[i] > j else P
+                np.einsum("ii->i", acc)[:] += first
+            else:
+                acc += P
+        if acc is None:  # diagonal gates only
+            acc = np.zeros((n, n), dtype=np.float64 if real else np.complex128)
+            np.einsum("ii->i", acc)[:] += first
+        acc /= 2 * len(keeps[j])
+        return acc
+
+    return [take(j, block(j), functools.partial(block, j)) for j in range(len(keeps))]
 
 
 def _diagonal_phases(U: np.ndarray):
@@ -226,7 +250,7 @@ def averaging_block(weight: Weight, gs: "GateSet") -> np.ndarray:
     gates = [U for _, U in gs.pairs]
     return _block_sums(cached_basis(weight), gates, [gate_factors(U) for U in gates],
                        [_diagonal_phases(U) for U in gates], [tuple(range(gs.k))], False,
-                       lambda j, B: B)[0]
+                       lambda j, B, rebuild: B)[0]
 
 
 def _representatives(weights: list) -> list:
@@ -285,7 +309,8 @@ def subset_norms(
     phases = [_diagonal_phases(U) for U in gates]
 
     def run(ws: list, take: Callable) -> list:
-        """[(norms, exact) of each weight of ws]; take(j, B) -> (value, exact)."""
+        """[(norms, exact) of each weight of ws]; take(j, B, rebuild) -> (value,
+        exact), as _block_sums calls it."""
         def one(w: Weight):
             real = frobenius_schur(w) == 1
             sums = _block_sums(cached_basis(w), gates, factors, phases, keeps, real, take)
@@ -304,26 +329,39 @@ def subset_norms(
     first = [w for w, e in zip(reps, head) if e]
     rest = [w for w, e in zip(reps, head) if not e]
     rows = {}  # by entries, so that pairing a weight with its conjugate builds no Weight
-    for w, row in zip(first, run(first, lambda j, B: (_hermitian_norm(B), True))):
+    for w, row in zip(first, run(first, lambda j, B, rebuild: (_hermitian_norm(B), True))):
         rows[w.entries] = rows[conjugate_entries(w.entries)] = row
     if rest:
         head = Pass(first, *zip(*(rows[w.entries] for w in first)))
         ceilings = [head.worst(j, t)[0] - _CEILING_SLACK for j in range(len(keeps))]
-
-        def bounded(j: int, B: np.ndarray) -> tuple:
-            if certify_norm_below(B, ceilings[j]):
-                return ceilings[j], False
-            return _hermitian_norm(B), True
-
-        for w, row in zip(rest, run(rest, bounded)):
+        for w, row in zip(rest, run(rest, _bounded(ceilings))):
             rows[w.entries] = rows[conjugate_entries(w.entries)] = row
     return Pass(weights, [rows[w.entries][0] for w in weights],
                 [rows[w.entries][1] for w in weights])
 
 
+def _bounded(ceilings: list) -> Callable:
+    """take(j, B, rebuild) for _block_sums: (ceilings[j], False) where
+    certify_norm_below proves ||B|| < ceilings[j], else (||B||, True) by an
+    eigensolve, of what the failed certificate left of B or, where it spent
+    B, of rebuild(): B afresh, built once the spent one is dropped."""
+    def take(j: int, B: np.ndarray, rebuild: Callable) -> tuple:
+        proved = certify_norm_below(B, ceilings[j])
+        if proved:
+            return ceilings[j], False
+        if proved is None:
+            del B  # freed before the rebuild: _block_sums holds no other reference
+            B = rebuild()
+        return _hermitian_norm(B), True
+
+    return take
+
+
 def _hermitian_norm(B: np.ndarray) -> float:
+    """The norm of the block B, whose storage the eigensolve overwrites: it
+    reads B's upper triangle, which a failed certificate leaves as it was."""
     # perfbench/spans.py wraps avgop.block_operator_norm, unpacks (norm, info)
-    norm, _info = block_operator_norm(B, return_info=True)
+    norm, _info = block_operator_norm(B.T, return_info=True, overwrite_a=True)
     return norm
 
 
@@ -336,9 +374,10 @@ def checked_gap(worst_norm: float) -> float:
     return max(gap, 0.0)
 
 
-def block_operator_norm(A: np.ndarray, return_info: bool = False):
+def block_operator_norm(A: np.ndarray, return_info: bool = False, overwrite_a: bool = False):
     """Spectral norm of one Hermitian block by a dense eigensolve (LAPACK
-    runs without the GIL, see lapack.eigvalsh).
+    runs without the GIL, see lapack.eigvalsh, which overwrite_a is passed
+    to).
 
     return_info=True returns (norm, {"method": "dense", "matvecs": 0}), the
     shape the perfbench span annotator unpacks.
@@ -347,7 +386,7 @@ def block_operator_norm(A: np.ndarray, return_info: bool = False):
     n = A.shape[0]
     if A.shape != (n, n):
         raise DomainError(f"block must be square, got {A.shape}")
-    val = float(np.max(np.abs(eigvalsh(A))))
+    val = float(np.max(np.abs(eigvalsh(A, overwrite_a=overwrite_a))))
     return (val, {"method": "dense", "matvecs": 0}) if return_info else val
 
 

@@ -11,14 +11,18 @@ and pays for its memory and start-up.  _BlasPin holds the OpenBLAS builds
 bundled with numpy and scipy to one thread for the duration of a per-weight
 pass (openblas_set_num_threads_local, also through ctypes).
 eigvalsh passes what scipy.linalg.eigvalsh passes: the same driver, triangle,
-tolerance and queried workspace, on a column-major copy, so its results are
-the same bits; cossin and schur do the same for scipy.linalg.cossin(...,
-separate=True) and scipy.linalg.schur(..., output="complex") on complex
-input.  bidiagonal_svd runs dbdsdc, which scipy does not wrap.
-certify_norm_below proves ||B|| < theta with two Cholesky factorizations, one
-sign at a time in one row-major work array, in place of an eigensolve;
-LAPACK reads the array's lower triangle as the upper one of its transpose,
-so no transposing copy is made.
+tolerance and queried workspace, on a column-major copy (or, with
+overwrite_a, in the array's own storage), so its results are the same bits;
+cossin and schur do the same for scipy.linalg.cossin(..., separate=True) and
+scipy.linalg.schur(..., output="complex") on complex input.  bidiagonal_svd
+runs dbdsdc, which scipy does not wrap.
+certify_norm_below proves ||B|| < theta with two Cholesky factorizations, in
+place of an eigensolve, in the row-major B's own storage: LAPACK reads a
+row-major array as the column-major transpose, so it factors theta I - B
+from B's lower triangle and, with B negated back, theta I + B from its upper
+one.  No work array and no transposing copy is made; a block that fails the
+certificate is normed by eigvalsh in the same storage (overwrite_a), from
+the upper triangle that the first factorization leaves as it was.
 """
 
 from __future__ import annotations
@@ -125,7 +129,8 @@ _ONE_BLAS_THREAD = _BlasPin()
 
 @functools.cache
 def _routine(name: str):
-    """LAPACK's `name` as exported by cython_lapack, every argument a pointer.
+    """LAPACK's `name` as exported by cython_lapack, every argument a pointer;
+    a function that is not void (dlansy, zlanhe) returns a double.
 
     A CFUNCTYPE call releases the GIL until the routine returns.
     """
@@ -133,7 +138,8 @@ def _routine(name: str):
     signature = _capsule_name(capsule)  # b"void (char *, int *, ...)"
     n_args = signature.count(b",") + 1
     address = _capsule_pointer(capsule, signature)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+    restype = None if signature.startswith(b"void ") else c_double
+    return ctypes.CFUNCTYPE(restype, *[ctypes.c_void_p] * n_args)(address)
 
 
 def _call(name: str, *args, pivot_ok: bool = False) -> int:
@@ -158,6 +164,24 @@ def _view(a: np.ndarray):
     return (ctypes.c_char * a.nbytes).from_buffer(a.T)  # a.T: C order either way
 
 
+def _rows(a: np.ndarray):
+    """(span, ld) where LAPACK can work in the square a's own memory, else
+    None: a is writeable and its rows are contiguous and ld >= n elements
+    apart (C order, or rows padded like irrep._real_cs_image's).  span is the
+    1-d view from a[0, 0] to a[n - 1, n - 1], pads included, which LAPACK
+    reads as the column-major a^T with leading dimension ld."""
+    n = a.shape[0]
+    if not a.flags.writeable:
+        return None
+    if a.flags.c_contiguous:
+        return a.reshape(-1), max(n, 1)  # as_strided costs microseconds a call
+    step, unit = a.strides
+    ld = step // a.itemsize
+    if not (unit == a.itemsize and step % a.itemsize == 0 and ld >= n):
+        return None
+    return np.lib.stride_tricks.as_strided(a, shape=((n - 1) * ld + n,), strides=(unit,)), ld
+
+
 def _int(x: int):
     return byref(c_int(x))
 
@@ -172,21 +196,37 @@ def _finite(*arrays: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def eigvalsh(A: np.ndarray) -> np.ndarray:
+def eigvalsh(A: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of the real symmetric or complex Hermitian A,
     read from its lower triangle: scipy.linalg.eigvalsh(A) bit for bit, in
-    double precision.  A is not modified.
+    double precision.  A is not modified, unless overwrite_a: then, as with
+    scipy's overwrite_a, a float64 or complex128 A whose columns LAPACK can
+    address (see _rows; column-major, or the transpose of a row-major array)
+    is LAPACK's own work array and its lower triangle is destroyed.  Only
+    that triangle is then read, and checked finite.  So eigvalsh(B.T,
+    overwrite_a=True) reads the row-major B's upper triangle: for B Hermitian
+    bit for bit, that is conj(B)'s lower one, and LAPACK's operations on it
+    are the conjugates of those on B, the same eigenvalue bits.
     """
     A = np.asarray(A)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    _finite(A)
     cplx = np.iscomplexobj(A)
-    a = np.array(A, dtype=np.complex128 if cplx else np.float64, order="F")  # LAPACK overwrites it
+    dtype = np.complex128 if cplx else np.float64
+    own = _rows(A.T) if overwrite_a and A.dtype == dtype else None
+    if own is None:
+        _finite(A)
+        a, ld = _view(np.array(A, dtype=dtype, order="F")), _int(max(n, 1))  # LAPACK overwrites it
+    else:
+        a, ld = _view(own[0]), _int(own[1])
+        # the largest |entry| of the triangle, NaN or inf where one is
+        if not np.isfinite(_routine("zlanhe" if cplx else "dlansy")(b"M", b"L", _int(n), a, ld,
+                                                                    (c_double * 1)())):
+            raise ValueError("array must not contain infs or NaNs")
     w = np.empty(n)
     # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-    head = (b"N", b"A", b"L", _int(n), _view(a), _int(max(n, 1)), _real(0.0), _real(0.0),
+    head = (b"N", b"A", b"L", _int(n), a, ld, _real(0.0), _real(0.0),
             _int(1), _int(n), _real(0.0), _int(0), _view(w), (c_double * 2)(), _int(1),
             (c_int * (2 * max(n, 1)))())
     work, iwork = (c_double * 2)(), c_int()  # the workspace query's answers
@@ -278,24 +318,31 @@ def schur(A: np.ndarray) -> tuple:
     return a, z
 
 
-def _potrf(a: np.ndarray) -> bool:
+def _potrf(a: np.ndarray, lower: bool = True) -> bool:
     """Cholesky-factor the row-major a in place from its lower triangle, read
     as the upper triangle of the column-major a^T (scipy.linalg.cholesky(a.T,
-    lower=False) on the same memory); False where LAPACK meets a pivot that
-    is not positive (info > 0)."""
-    n = a.shape[0]
+    lower=False) on the same memory), or with lower=False from its upper
+    triangle, read as a^T's lower one; the other triangle is not touched.
+    False where LAPACK meets a pivot that is not positive (info > 0).  a's
+    rows may be padded (see _rows)."""
+    span, ld = _rows(a)
     name = "zpotrf" if np.iscomplexobj(a) else "dpotrf"
-    return _call(name, b"U", _int(n), _view(a.T), _int(max(n, 1)), pivot_ok=True) == 0
+    return _call(name, b"U" if lower else b"L", _int(a.shape[0]), _view(span), _int(ld),
+                 pivot_ok=True) == 0
 
 
 # Why a completed Cholesky proves ||B|| < theta.  Let s be the shift, tau =
-# fl(theta - s) and G the Hermitian matrix of the lower triangle LAPACK
-# reads: -+b_ij off the diagonal (exact), fl(tau -+ b_ii) on it.  LAPACK
-# factors G^T = conj(G), which has G's eigenvalues, diagonal and trace, so
-# what follows holds for either.  If the floating-point Cholesky of G runs
-# to completion (every pivot positive), then G + dG = R^H R is positive
-# definite with |dG| <= gamma_m |R^H| |R| (Demmel's bound; Higham, Accuracy
-# and Stability of Numerical Algorithms, ch. 10), gamma_m = m u / (1 - m u),
+# fl(theta - s) and G the Hermitian matrix of the triangle LAPACK reads:
+# -+b_ij off the diagonal (exact), fl(tau -+ b_ii) on it.  For theta I - B
+# that is B's lower triangle, which LAPACK factors as the upper one of the
+# column-major G^T (R^H R); for theta I + B it is B's upper triangle, the
+# lower one of G^T (L L^H, with R = L^H below).  B is Hermitian bit for bit
+# (b_ji = conj(b_ij)), so both triangles hold the same B, and G^T =
+# conj(G) has G's eigenvalues, diagonal and trace: what follows holds for
+# either.  If the floating-point Cholesky of G runs to completion (every
+# pivot positive), then G + dG = R^H R is positive definite with |dG| <=
+# gamma_m |R^H| |R| (Demmel's bound, whichever triangle is factored; Higham,
+# Accuracy and Stability of Numerical Algorithms, ch. 10), gamma_m = m u / (1 - m u),
 # m = n + 1.  A complex multiply-add errs by at most sqrt(2) gamma_2 + u
 # (Higham, ch. 3), under twice the real count, so m = 2n + 4 for zpotrf.
 # With r_i^2 = (R^H R)_ii <= g_ii / (1 - gamma_m) this gives ||dG|| <=
@@ -309,36 +356,48 @@ def _potrf(a: np.ndarray) -> bool:
 # s = 2(mn + 1) u W + 4n(2m + W) eta is nearly twice that, which covers the
 # rounding of s and W themselves.  By Sylvester's law of inertia both signs
 # positive definite means every eigenvalue of B lies in (-theta, theta).
-def certify_norm_below(B: np.ndarray, theta: float) -> bool:
+def certify_norm_below(B: np.ndarray, theta: float) -> bool | None:
     """True only if ||B||_2 < theta is proved for the real symmetric or complex
-    Hermitian B read from its lower triangle: theta I - B and theta I + B,
-    shifted down by Rump's constant plus the rounding of forming them, both
-    pass a floating-point Cholesky (dpotrf or zpotrf, without the GIL).
-    False means no proof, not that ||B||_2 >= theta; theta <= 0 gives False.
-    B is not modified.
+    Hermitian B, Hermitian bit for bit: theta I - B and theta I + B, shifted
+    down by Rump's constant plus the rounding of forming them, both pass a
+    floating-point Cholesky (dpotrf or zpotrf, without the GIL), from B's
+    lower and upper triangle in turn, in B's own storage.  B is float64 or
+    complex128 with contiguous rows (C order, or padded; see _rows).
+    A falsy answer means no proof, not that ||B||_2 >= theta:
+      - False: theta I - B failed (or theta <= 0), and B's diagonal and upper
+        triangle are as they were, all that eigvalsh(B.T, overwrite_a=True)
+        reads; its strict lower triangle may hold that factorization's
+        remains;
+      - None: theta I - B passed and theta I + B failed, and B is spent.
+    True leaves both factors in B.
     """
     B = np.asarray(B)
     n = B.shape[0]
     if B.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {B.shape}")
-    cplx = np.iscomplexobj(B)
-    # scanned by a dot product (non-finite also where it merely overflows,
-    # which _finite then clears)
-    flat = B.ravel(order="K")  # a view where B is contiguous
-    if not np.isfinite(np.vdot(flat, flat)):
+    own = _rows(B) if B.dtype in (np.float64, np.complex128) else None
+    if own is None:
+        raise ValueError("expected a writeable float64 or complex128 matrix with contiguous rows")
+    span, ld = own
+    # scanned by a dot product (non-finite also where it merely overflows or
+    # a pad between rows is, which _finite then clears)
+    if not np.isfinite(np.vdot(span, span)):
         _finite(B)
+    cplx = np.iscomplexobj(B)
     m = 2 * n + 4 if cplx else n + 1
-    W = theta + float(np.abs(np.diagonal(B).real).max(initial=0.0))
+    diag = span[:: ld + 1]  # a view of B's diagonal
+    W = theta + float(np.abs(diag.real).max(initial=0.0))
     s = 2.0 * (m * n + 1) * _U * W + 4.0 * n * (2.0 * m + W) * _ETA
     if not 0.0 < s < theta:  # theta <= 0 or NaN, or a shift that swamps it
         return False
     tau = theta - s
-    # one row-major work array, which LAPACK overwrites, one sign at a time
-    G = np.empty((n, n), dtype=np.complex128 if cplx else np.float64)
-    diag = G.ravel()[:: n + 1]  # a view: G is contiguous
-    for sign in (-1.0, 1.0):
-        np.multiply(B, sign, out=G)  # exact
-        diag += tau
-        if not _potrf(G):
-            return False
-    return True
+    b = diag.copy()
+    np.negative(B, out=B)  # exact
+    diag += tau
+    if not _potrf(B):  # theta I - B, from the lower triangle
+        np.negative(B, out=B)
+        diag[:] = b
+        return False
+    np.negative(B, out=B)
+    np.add(b, tau, out=diag)
+    return True if _potrf(B, lower=False) else None  # theta I + B, from the upper one

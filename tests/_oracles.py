@@ -29,6 +29,9 @@ by pattern, that the array builder of gapforge.irrep must reproduce bit for
 bit, and reference_shape_generators its shape images.  to_real_form takes a
 complex image to the real basis C with C^T C = J by the O(n^2) index map of
 C's rows, the reference for irrep_matrix(real=True).
+copy_certificate is the norm certificate on a work copy of the block, both
+signs from its lower triangle, the reference for
+gapforge.lapack.certify_norm_below, which works in the block's own storage.
 """
 
 import functools
@@ -53,6 +56,7 @@ from gapforge.gates import (
     check_unitary,
     squared_set,
 )
+from gapforge.lapack import _ETA, _U, _finite, _potrf
 from gapforge.irrep import (
     GTBasis,
     JyFrame,
@@ -670,3 +674,29 @@ def _reference_real_pairs(real: tuple, spans: list) -> tuple:
         at = np.flatnonzero(C)
         pairs.append((np.array(idx, dtype=np.intp), parts, at, C.ravel()[at]))
     return tuple(pairs), _probe(len(perm))
+
+
+def copy_certificate(B: np.ndarray, theta: float) -> bool:
+    """True only if ||B||_2 < theta is proved for the Hermitian B read from its
+    lower triangle: theta I - B and theta I + B, shifted down as
+    certify_norm_below shifts them, both pass dpotrf or zpotrf in one
+    row-major work array, one sign at a time.  B is not modified."""
+    B = np.asarray(B)
+    n = B.shape[0]
+    if B.shape != (n, n):
+        raise ValueError(f"expected a square matrix, got shape {B.shape}")
+    _finite(B)
+    cplx = np.iscomplexobj(B)
+    m = 2 * n + 4 if cplx else n + 1
+    W = theta + float(np.abs(np.diagonal(B).real).max(initial=0.0))
+    s = 2.0 * (m * n + 1) * _U * W + 4.0 * n * (2.0 * m + W) * _ETA
+    if not 0.0 < s < theta:
+        return False
+    G = np.empty((n, n), dtype=np.complex128 if cplx else np.float64)
+    diag = G.ravel()[:: n + 1]
+    for sign in (-1.0, 1.0):
+        np.multiply(B, sign, out=G)  # exact
+        diag += theta - s
+        if not _potrf(G):
+            return False
+    return True

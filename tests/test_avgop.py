@@ -30,9 +30,11 @@ from gapforge.avgop import (
     POOL_MIN_DIM,
     GapReport,
     _block_sums,
+    _bounded,
     _diagonal_phases,
     _hermitian_norm,
     _map_weights,
+    _normal_form,
     averaging_block,
     block_operator_norm,
     gap_at_scale,
@@ -50,7 +52,7 @@ from gapforge.gates import (
 )
 from gapforge.bounds import g_t0
 from gapforge.irrep import JyFrame, cached_basis, gate_factors, irrep_matrix, pattern_weights
-from gapforge.lapack import _blas_thread_setters, certify_norm_below
+from gapforge.lapack import _blas_thread_setters
 from gapforge.weightlat import Weight, enumerate_nontrivial_weights, frobenius_schur
 
 
@@ -223,7 +225,9 @@ class TestCertifiedGap:
         monkeypatch.setattr(gapforge.avgop, "certify_norm_below",
                             lambda B, theta: tried.append(certify(B, theta)) or tried[-1])
         got = gap_at_scale(gs, t)
-        assert (sum(tried), tried.count(False)) == (certified, fallbacks)
+        assert (tried.count(True), len(tried) - tried.count(True)) == (certified, fallbacks)
+        # theta I + B failed after theta I - B passed: B rebuilt for the eigensolve
+        assert tried.count(None) == {"d3": 0, "d4": 0, "lps": 28}[case]
         assert got.gap == want.gap
         assert got.worst_weight == want.worst_weight
         if case == "lps":
@@ -495,11 +499,39 @@ class TestNormalForm:
         gates = [D, U]
         factors = [gate_factors(V) for V in gates]
         (B,) = _block_sums(b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
-                           real, lambda j, B: B)
+                           real, lambda j, B, rebuild: B)
         want = sum(P + P.conj().T for P in (irrep_matrix(b, V, factors=f, real=real)
                                            for V, f in zip(gates, factors))) / 4
         assert B.dtype == (np.float64 if real else np.complex128)
         assert np.abs(B - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("entries, real", [((7, -7), True), ((3, -1, -2), False)])
+    def test_rebuilt_blocks_keep_their_bits(self, entries, real):
+        # keeps that share images, a diagonal gate first, last and alone: each
+        # block is the zero-started sum in keep order, whether its first image
+        # is taken over or copied, and rebuild() gives the same bits while
+        # later keeps still hold the images they reuse
+        b = cached_basis(Weight(entries))
+        rng = np.random.default_rng(9)
+        D = np.diag(np.exp(1j * rng.uniform(-np.pi, np.pi, b.d)))
+        gates = [D, _haar_unitary(b.d, rng), _haar_unitary(b.d, rng)]
+        factors = [gate_factors(V) for V in gates]
+        phases = [_diagonal_phases(V) for V in gates]
+        keeps = [(0, 1, 2), (1, 2), (2, 1, 0), (0,), (1,)]
+        images = [None] + [irrep_matrix(b, V, factors=f, real=real)
+                           for V, f in zip(gates[1:], factors[1:])]
+        got = _block_sums(b, gates, factors, phases, keeps, real,
+                          lambda j, B, rebuild: (B.copy(), B.fill(np.nan), rebuild()))
+        pw = pattern_weights(b)
+        for keep, (B, _, again) in zip(keeps, got):
+            want = np.zeros_like(B)
+            for i in keep:
+                if i == 0:
+                    want.flat[:: b.dim + 1] += 2.0 * np.cos(pw @ phases[0])
+                else:
+                    want += images[i] + images[i].conj().T
+            assert np.array_equal(B, want / (2 * len(keep)))
+            assert np.array_equal(again, B)
 
     @pytest.mark.parametrize("name", sorted(DEGENERATE_FIRST))
     def test_gaps_match_every_image_and_any_basis(self, name):
@@ -650,7 +682,7 @@ class TestLargeBlocks:
         gates = [U for _, U in gs.pairs]
         factors = [gate_factors(U) for U in gates]
         (B,) = _block_sums(b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
-                           real, lambda j, B: B)
+                           real, lambda j, B, rebuild: B)
         want = 0.0
         for U, f in zip(gates, factors):
             P = irrep_matrix(b, U, factors=f, real=real)
@@ -659,32 +691,41 @@ class TestLargeBlocks:
         assert np.array_equal(B, want / 4)
         assert np.array_equal(B, B.conj().T)
 
-    @pytest.mark.parametrize("entries, certify, budget", [
-        ((8, 0, -8), False, 3.5),  # n = 729, real form
-        ((8, -1, -7), False, 6.0),  # n = 595, complex
-        ((200, -200), True, 3.5),  # n = 401, certified
+    @pytest.mark.parametrize("entries, theta, proved, budget", [
+        ((8, 0, -8), None, None, 1.5),  # n = 729, real form, eigensolved
+        ((8, -1, -7), None, None, 2.75),  # n = 595, complex
+        ((200, -200), 0.95, True, 2.4),  # n = 401, certified
+        ((8, -1, -7), 0.95, True, 2.75),
+        # theta I - B passes and theta I + B fails: rebuilt, then eigensolved
+        ((200, -200), 0.8624, None, 2.4),
+        ((7, -1, -6), 0.859, None, 2.75),  # n = 405, complex
     ])
-    def test_block_memory_budget(self, entries, certify, budget, haar_pair_d2, haar_pair_d3):
-        # what one weight's block and norm allocate, in n^2 doubles
+    def test_block_memory_budget(self, entries, theta, proved, budget, monkeypatch,
+                                 haar_pair_d2, haar_pair_d3):
+        # what one weight's block and norm allocate, in n^2 doubles, with the
+        # gates in a pass's normal form (one image, which becomes the block)
         w = Weight(entries)
         gs = squared_set(haar_pair_d2) if w.d == 2 else haar_pair_d3
         b = cached_basis(w)
-        gates = [U for _, U in gs.pairs]
+        gates = _normal_form([U for _, U in gs.pairs])
         factors = [gate_factors(U) for U in gates]
+        seen, certify = [], gapforge.avgop.certify_norm_below
+        monkeypatch.setattr(gapforge.avgop, "certify_norm_below",
+                            lambda B, theta: seen.append(certify(B, theta)) or seen[-1])
 
-        def take(j, B):
-            return certify_norm_below(B, 0.95) if certify else _hermitian_norm(B)
-
+        take = (_bounded([theta]) if theta is not None
+                else lambda j, B, rebuild: (_hermitian_norm(B), True))
         args = (b, gates, factors, [_diagonal_phases(V) for V in gates], [(0, 1)],
                 frobenius_schur(w) == 1, take)
         _block_sums(*args)  # solves the gates' U(d-1) shapes, kept with the factors
         tracemalloc.start()
         try:
-            (norm,) = _block_sums(*args)
+            ((norm, exact),) = _block_sums(*args)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert norm is True if certify else 0.8 < norm < 0.9
+        assert seen == ([] if theta is None else [proved] * 2)
+        assert (norm, exact) == (theta, False) if proved else exact and 0.8 < norm < 0.9
         assert peak <= budget * 8 * b.dim ** 2, f"{peak / (8 * b.dim ** 2):.2f} n^2 doubles"
 
 

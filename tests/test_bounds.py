@@ -263,7 +263,7 @@ class TestCertifiedPass:
 
         def counting_certify(B, theta):
             ok = certify(B, theta)
-            counts[ok] += 1
+            counts[bool(ok)] += 1  # None: the second sign failed
             return ok
 
         monkeypatch.setattr(gapforge.avgop, "block_operator_norm", counting_norm)
@@ -375,9 +375,11 @@ class TestCertifiedPass:
         assert counts["exact"] < 0.35 * blocks
 
     def test_fallback_survives_python_O(self):
-        # the certificates, their fallbacks and the bit-identity all hold
-        # under python -O, which strips assert statements
+        # the certificates, their fallbacks, the rebuild of a block that a
+        # failed certificate spent and the bit-identity all hold under
+        # python -O, which strips assert statements
         script = textwrap.dedent("""
+            import numpy as np
             import gapforge.avgop, gapforge.bounds
             from gapforge.avgop import Pass
             from gapforge.gates import haar_random_gateset
@@ -396,6 +398,13 @@ class TestCertifiedPass:
             g, table = gapforge.bounds.g_t0(gs, t_override=60)
             gapforge.avgop.certify_norm_below = lambda B, theta: False
             exact = gapforge.bounds.g_t0(gs, t_override=60)
+
+            def spending(B, theta):  # as where theta I + B fails: B spent, no proof
+                B.fill(np.nan)
+                return None
+
+            gapforge.avgop.certify_norm_below = spending
+            rebuilt = gapforge.bounds.g_t0(gs, t_override=60)
             weights = enumerate_nontrivial_weights(2, 3)
             on_top = Pass(weights, [(0.7,), (0.9,), (0.5,)], [(True,), (False,), (True,)])
             try:
@@ -403,7 +412,7 @@ class TestCertifiedPass:
                 refused = False
             except AssertionError:
                 refused = True
-            print(sum(failed), len(failed), (g, table) == exact, repr(g), refused)
+            print(sum(failed), len(failed), (g, table) == exact == rebuilt, repr(g), refused)
         """)
         src = str(Path(gapforge.__file__).resolve().parents[1])
         proc = subprocess.run(

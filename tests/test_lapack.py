@@ -27,6 +27,7 @@ from gapforge.lapack import (
     eigvalsh,
     schur,
 )
+from _oracles import copy_certificate
 
 
 def _hermitian(n: int, dtype, seed: int = 0) -> np.ndarray:
@@ -199,8 +200,14 @@ def test_cholesky_matches_scipy_bit_for_bit(n, dtype):
     assert _potrf(a)
     assert np.array_equal(np.tril(a), scipy.linalg.cholesky(A.T, lower=False).T)
     assert np.abs(np.tril(a) - scipy.linalg.cholesky(A, lower=True)).max() <= 1e-12 * n
+    # from the upper triangle, A^T's lower one; the lower one is not touched
+    a = np.array(A)
+    assert _potrf(a, lower=False)
+    assert np.array_equal(np.triu(a), scipy.linalg.cholesky(A.T, lower=True).T)
+    assert np.array_equal(np.tril(a, -1), np.tril(A, -1))
     # not positive definite: an answer here, where scipy raises
     assert not _potrf(np.array(-A))
+    assert not _potrf(np.array(-A), lower=False)
     with pytest.raises(np.linalg.LinAlgError):
         scipy.linalg.cholesky(-A.T, lower=False)
 
@@ -212,9 +219,9 @@ def test_norm_exactly_theta_is_never_certified(n, dtype):
         for theta in (1.0, 0.75, 3.0):
             B = _exact_spectrum(n, theta, dtype, seed)
             assert np.max(np.abs(scipy.linalg.eigvalsh(B))) == pytest.approx(theta, abs=1e-12)
-            assert not certify_norm_below(B, theta)
-            assert not certify_norm_below(B, np.nextafter(theta, 0.0))
-            assert certify_norm_below(B, theta + 1e-8)
+            assert not certify_norm_below(B.copy(), theta)  # B is spent: a copy each
+            assert not certify_norm_below(B.copy(), np.nextafter(theta, 0.0))
+            assert certify_norm_below(B.copy(), theta + 1e-8)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -222,11 +229,11 @@ def test_norm_exactly_theta_is_never_certified(n, dtype):
 def test_norm_just_below_theta_is_certified(n, dtype):
     B = _unit_norm(n, dtype, seed=n)
     norm = block_operator_norm(B)
-    assert certify_norm_below(B, norm + 1e-8)
-    assert not certify_norm_below(B, norm)
-    assert not certify_norm_below(B, 0.5 * norm)
+    assert certify_norm_below(B.copy(), norm + 1e-8)
+    assert not certify_norm_below(B.copy(), norm)
+    assert not certify_norm_below(B.copy(), 0.5 * norm)
     for theta in (0.0, -1.0, np.nan):
-        assert not certify_norm_below(B, theta)
+        assert not certify_norm_below(B.copy(), theta)
 
 
 @pytest.mark.parametrize("dtype, routine", [(float, "dpotrf"), (complex, "zpotrf")])
@@ -240,26 +247,122 @@ def test_certificate_factors_with_potrf(monkeypatch, dtype, routine):
 
     monkeypatch.setattr(gapforge.lapack, "_routine", recording)
     B = _unit_norm(50, dtype, seed=3)
-    assert certify_norm_below(B, 1.0 + 1e-8)
+    assert certify_norm_below(B.copy(), 1.0 + 1e-8)
     assert called == [routine, routine]  # theta I - B, then theta I + B
     called.clear()
-    assert not certify_norm_below(B, 0.9)
+    assert not certify_norm_below(B.copy(), 0.9)
     assert called and set(called) == {routine}
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_certificate_inputs_are_checked_and_kept(dtype):
-    B = np.array(_unit_norm(121, dtype, seed=5), order="F")
+    # B is checked before anything is written to it, and kept where no
+    # factorization runs
+    B = _unit_norm(121, dtype, seed=5)
     before = B.copy()
-    assert certify_norm_below(B, 2.0)
-    assert not certify_norm_below(B, 0.5)
+    for theta in (0.0, -1.0, np.nan):
+        assert certify_norm_below(B, theta) is False
     assert np.array_equal(B, before)
     for bad in (np.nan, np.inf):
-        B[3, 1] = bad
+        C = B.copy()
+        C[3, 1] = bad
         with pytest.raises(ValueError, match="infs or NaNs"):
-            certify_norm_below(B, 2.0)
+            certify_norm_below(C, 2.0)
+        assert np.array_equal(C[4:], B[4:])
     with pytest.raises(ValueError, match="square"):
         certify_norm_below(np.zeros((2, 3)), 1.0)
+    # LAPACK works in B's own storage: contiguous rows of its own dtype
+    frozen = B.copy()
+    frozen.setflags(write=False)
+    narrow = B.astype(np.complex64 if dtype is complex else np.float32)
+    for other in (np.asfortranarray(B), B[::2, ::2], frozen, narrow):
+        with pytest.raises(ValueError, match="contiguous rows"):
+            certify_norm_below(other, 2.0)
+
+
+def _spectrum(n: int, dtype, lo: float, hi: float, seed: int) -> np.ndarray:
+    """A Hermitian matrix, bit for bit, with eigenvalues in [lo, hi] that
+    reach both ends (one eigenvalue, the larger in size, at n = 1)."""
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(lo, hi, n)
+    lam[0], lam[-1] = lo, hi
+    if n == 1:
+        lam[0] = max(lo, hi, key=abs)
+    X = rng.standard_normal((n, n))
+    if dtype is complex:
+        X = X + 1j * rng.standard_normal((n, n))
+    Q = np.linalg.qr(X)[0]
+    A = (Q * lam) @ Q.conj().T
+    return (A + A.conj().T) / 2
+
+
+# (lowest, highest eigenvalue, theta, verdict): both signs pass; theta I - B
+# fails, at the top end; only theta I + B fails, at the bottom end
+_VERDICTS = {"proved": (-0.8, 0.85, 0.9, True), "top": (-0.5, 0.9, 0.7, False),
+             "bottom": (-0.9, 0.5, 0.7, None)}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICTS))
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 181, 182, 700])
+def test_certificate_in_place_matches_the_copy(n, dtype, case):
+    lo, hi, theta, verdict = _VERDICTS[case]
+    B = _spectrum(n, dtype, lo, hi, seed=n)
+    before = B.copy()
+    assert certify_norm_below(B, theta) is verdict
+    assert copy_certificate(before, theta) is bool(verdict)
+    if verdict is False:
+        # B negated back: its upper triangle and diagonal are B's, and the
+        # eigensolve that reads them in place gives the bits of one on B
+        assert np.array_equal(np.triu(B), np.triu(before))
+        want = eigvalsh(before)
+        assert np.array_equal(want, scipy.linalg.eigvalsh(before))
+        assert np.array_equal(eigvalsh(B.T, overwrite_a=True), want)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_padded_rows_certify_in_place(dtype):
+    # irrep._real_cs_image pads the rows of an n = 512 image by a cache line:
+    # LAPACK takes the row stride as its leading dimension and never reads
+    # the pads, here NaN
+    n, pad = 512, 8
+    for case, (lo, hi, theta, verdict) in _VERDICTS.items():
+        A = _spectrum(n, dtype, lo, hi, seed=11)
+        base = np.full((n, n + pad), np.nan, dtype=A.dtype)
+        B = base[:, :n]
+        B[:] = A
+        assert not B.flags.c_contiguous
+        assert certify_norm_below(B, theta) is verdict, case
+        assert np.isnan(base[:, n:]).all()
+        if verdict is False:
+            assert np.array_equal(eigvalsh(B.T, overwrite_a=True), eigvalsh(A))
+            assert np.isnan(base[:, n:]).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [1, 2, 121, 600])
+def test_eigensolve_in_place_reads_one_triangle(n, dtype):
+    # eigvalsh(B.T, overwrite_a=True) works in the row-major B's storage and
+    # reads only its upper triangle: what lies below is neither read nor
+    # checked, and the eigenvalues are the bits of the copy's
+    B = _hermitian(n, dtype, seed=n)
+    want = scipy.linalg.eigvalsh(B)
+    a = B.copy()
+    a[np.tril_indices(n, -1)] = np.nan
+    assert np.array_equal(eigvalsh(a.T, overwrite_a=True), want)
+    a = B.copy()
+    a[0, n - 1] = np.inf
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigvalsh(a.T, overwrite_a=True)
+    # a column-major A is read from its lower triangle in place, as scipy's
+    # overwrite_a; a layout LAPACK cannot work in is copied and kept
+    f = np.asfortranarray(B)
+    assert np.array_equal(eigvalsh(f, overwrite_a=True), want)
+    assert np.array_equal(block_operator_norm(B.copy().T, overwrite_a=True), np.abs(want).max())
+    if n > 1:
+        kept = B.copy()
+        assert np.array_equal(eigvalsh(kept, overwrite_a=True), want)
+        assert np.array_equal(kept, B)
 
 
 def test_potrf_illegal_argument_raises():
